@@ -3,7 +3,7 @@
 write CSVs plus a combined chart.
 
 Usage:
-    python3 scripts/run_sweeps.py [--out-dir results] [--kind sinc|exp] [--jobs N]
+    python3 scripts/run_sweeps.py [--out-dir results] [--kind sinc|exp]
 """
 import argparse
 from pathlib import Path
@@ -17,7 +17,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--kind", default="sinc", choices=sorted(KIND_ALIASES))
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     out_dir = Path(args.out_dir)
@@ -26,7 +25,7 @@ def main() -> int:
     results = []
     for scenario in SCENARIOS:
         config = ScenarioConfig(scenario, kind=KIND_ALIASES[args.kind])
-        result = run_scenario(config, jobs=args.jobs)
+        result = run_scenario(config)
         results.append(result)
         csv_path = out_dir / f"{scenario}_{args.kind}.csv"
         emit_csv(result, csv_path)

@@ -8,73 +8,8 @@ independent phase errors.  Channels, circuits, metrics and the sweep
 harness are exact dense-matrix computations with closed-form
 references for every scenario.
 """
-from .channels import (
-    INCOHERENT_SINC,
-    MARKOVIAN_EXP,
-    DephasingGenerator,
-    GradientSpec,
-    NoiseSpec,
-    build_error_model,
-    incoherent_dephase,
-    markov_dephase,
-    noise_strength,
-    partial_strengths,
-    qubit3_strength_ratio,
-    sinc,
-)
-from .codes import (
-    SCENARIOS,
-    Circuit,
-    Gate,
-    GateStep,
-    NoiseStep,
-    apply_circuit,
-    build_scenario_circuit,
-    circuit_states,
-    dfs_decode,
-    dfs_encode,
-    logical_gate,
-    qec3_encode,
-    qec3_recover,
-)
-from .experiments import (
-    DEFAULT_SWEEP,
-    HumpReport,
-    ScenarioConfig,
-    ScenarioResult,
-    SweepPoint,
-    emit_chart,
-    emit_csv,
-    hump_demo,
-    pauli_transfer_matrix,
-    prepare_inputs,
-    run_scenario,
-)
-from .metrics import (
-    AXES,
-    ErrorRateFit,
-    MetricReport,
-    analytic_fe_markov,
-    analytic_fe_no_qec,
-    analytic_fe_no_qec_markov,
-    analytic_fe_qec_independent,
-    analytic_fe_qec_strong,
-    analytic_reference,
-    avg_polarization,
-    correlations,
-    entanglement_fidelity,
-    fit_error_rates,
-    fit_grid,
-)
-from .qstate import (
-    DensityMatrix,
-    Operator,
-    apply_unitary,
-    embed,
-    hs_overlap,
-    partial_trace,
-    pauli,
-    tensor,
-)
+from .codes import build_scenario_circuit
+from .experiments import ScenarioConfig, emit_chart, emit_csv, hump_demo, run_scenario
+from .qstate import DensityMatrix, embed
 
 __version__ = "0.1.0"

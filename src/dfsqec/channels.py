@@ -23,7 +23,8 @@ collective generator ``sigma_z^3 + sigma_z^4`` this is what makes
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,13 +34,12 @@ from .qstate import DensityMatrix
 __all__ = [
     "DephasingGenerator",
     "NoiseSpec",
-    "GradientSpec",
     "INCOHERENT_SINC",
     "MARKOVIAN_EXP",
     "COUPLING_CASES",
     "sinc",
+    "attenuation",
     "incoherent_dephase",
-    "apply_incoherent",
     "markov_dephase",
     "noise_strength",
     "partial_strengths",
@@ -104,45 +104,51 @@ def _z_values(weights: np.ndarray) -> np.ndarray:
     return (1.0 - 2.0 * bits) @ weights
 
 
-def _delta(gen: DephasingGenerator, dim: int) -> np.ndarray:
-    if 2**gen.n_qubits != dim:
-        raise ValueError(f"generator on {gen.n_qubits} qubit(s) does not match dimension {dim}")
-    z = gen.z_values()
-    return z[:, None] - z[None, :]
+def attenuation(gens: Sequence[DephasingGenerator], kind: str) -> np.ndarray:
+    """Elementwise factor matrix of the combined channel of commuting
+    z-type generators on one register; a state's matrix elements are
+    multiplied by it.
+
+    With Delta the ket/bra difference of W eigenvalues of each generator,
+    the factor is prod sinc(kappa Delta / 4) for the incoherent kind and
+    prod exp(-lambda Delta^2 / 4) for the Markovian kind (lambda is the
+    rate times the storage time).  Without generators the factor is 1.0.
+    """
+    if kind not in NOISE_KINDS:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    factor = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for gen in gens:
+            z = gen.z_values()
+            delta = z[:, None] - z[None, :]
+            if kind == INCOHERENT_SINC:
+                factor = factor * sinc(gen.strength * delta / 4.0)
+            else:
+                factor = factor * np.exp(-gen.strength * delta**2 / 4.0)
+    if not np.all(np.isfinite(factor)):
+        raise ValueError("noise attenuation is not finite: generator strengths are too large")
+    return factor
+
+
+def _dephase(rho: DensityMatrix, gens: Sequence[DephasingGenerator], kind: str) -> DensityMatrix:
+    if any(2**g.n_qubits != rho.dim for g in gens):
+        raise ValueError(f"generator qubit count does not match dimension {rho.dim}")
+    return DensityMatrix(rho.entries * attenuation(gens, kind), rho.kind)
 
 
 def incoherent_dephase(rho: DensityMatrix, gen: DephasingGenerator) -> DensityMatrix:
-    """Exact uniform-phase average of exp(-i phi W / 2) conjugation.
-
-    Each matrix element is multiplied by sinc(kappa * Delta / 4), with
-    kappa the generator strength.
-    """
-    factor = sinc(gen.strength * _delta(gen, rho.dim) / 4.0)
-    return DensityMatrix(rho.entries * factor, rho.kind)
-
-
-def apply_incoherent(rho: DensityMatrix, gens: Sequence[DephasingGenerator]) -> DensityMatrix:
-    """Apply several independent incoherent axes; order is irrelevant
-    because the generators commute."""
-    for gen in gens:
-        rho = incoherent_dephase(rho, gen)
-    return rho
+    """Exact uniform-phase average of exp(-i phi W / 2) conjugation:
+    each matrix element is multiplied by sinc(kappa * Delta / 4)."""
+    return _dephase(rho, [gen], INCOHERENT_SINC)
 
 
 def markov_dephase(rho: DensityMatrix, gens: Sequence[DephasingGenerator], t: float) -> DensityMatrix:
-    """Exact Lindblad evolution for commuting z-type jump operators.
-
-    Each matrix element is multiplied by
-    prod_mu exp(-lambda_mu t Delta_mu^2 / 4); for a single-qubit
-    generator this is the familiar coherence decay exp(-lambda t).
-    """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    out = rho.entries
-    for gen in gens:
-        delta = _delta(gen, rho.dim)
-        out = out * np.exp(-gen.strength * t * delta**2 / 4.0)
-    return DensityMatrix(out, rho.kind)
+    """Exact Lindblad evolution for commuting z-type jump operators over
+    time t; for a single-qubit generator the coherence decays as
+    exp(-lambda t)."""
+    if not (0.0 <= t < math.inf):
+        raise ValueError(f"time must be >= 0 and finite, got {t}")
+    return _dephase(rho, [replace(g, strength=g.strength * t) for g in gens], MARKOVIAN_EXP)
 
 
 def _operator_norm(x: np.ndarray) -> float:
@@ -191,8 +197,8 @@ def qubit3_strength_ratio(epsilon: float) -> float:
     the exact value of the ratio is (1 + eps)^2 / (1 + eps^2), but it is
     computed here from the operator-norm definition.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not (0.0 <= epsilon < math.inf):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     combined = DephasingGenerator(np.array([0.0, 0.0, 1.0 + epsilon, 1.0]), 1.0, "combined")
     separate = [
         DephasingGenerator(np.array([0.0, 0.0, 1.0, 1.0]), 1.0, "collective"),
@@ -201,20 +207,6 @@ def qubit3_strength_ratio(epsilon: float) -> float:
     single = noise_strength([restrict_to_qubit(combined, 3)])
     pair = noise_strength([g for g in (restrict_to_qubit(g, 3) for g in separate) if g is not None])
     return single / pair
-
-
-@dataclass(frozen=True)
-class GradientSpec:
-    """Physical gradient parameters; only the product enters the model."""
-
-    gamma: float
-    gradient: float
-    duration: float
-    length: float
-
-    @property
-    def kappa(self) -> float:
-        return self.gamma * self.gradient * self.duration * self.length
 
 
 @dataclass(frozen=True)
@@ -245,18 +237,29 @@ class NoiseSpec:
     kappa_c: float | None = None
 
     def __post_init__(self):
-        if not (self.kappa0 >= 0.0):
-            raise ValueError(f"kappa0 must be >= 0, got {self.kappa0}")
+        if not (0.0 <= self.kappa0 < math.inf):
+            raise ValueError(f"kappa0 must be finite and >= 0, got {self.kappa0}")
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.coupling_case not in COUPLING_CASES:
             raise ValueError(f"coupling case must be one of {COUPLING_CASES}, got {self.coupling_case!r}")
+        if not math.isfinite(self.ratio):
+            raise ValueError(f"ratio must be finite, got {self.ratio}")
         if self.collective and not (self.ratio > 0.0):
             raise ValueError(f"ratio must be > 0 with collective noise enabled, got {self.ratio}")
-        if self.epsilon is not None and self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.kappa_c is not None and self.kappa_c < 0:
-            raise ValueError(f"kappa_c must be >= 0, got {self.kappa_c}")
+        if self.epsilon is not None and not (0.0 <= self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
+        if self.kappa_c is not None and not (0.0 <= self.kappa_c < math.inf):
+            raise ValueError(f"kappa_c must be finite and >= 0, got {self.kappa_c}")
+        if self.collective:
+            try:
+                scale = self.collective_scale()
+            except (ZeroDivisionError, OverflowError):
+                scale = math.inf
+            if not math.isfinite(scale):
+                raise ValueError(
+                    f"collective scale is not finite for kappa0={self.kappa0}, ratio={self.ratio}"
+                )
 
     @property
     def amplitude_ratio(self) -> float:

@@ -11,14 +11,15 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 from typing import Sequence
 
 from .channels import (
     INCOHERENT_SINC,
     MARKOVIAN_EXP,
-    NoiseSpec,
     build_error_model,
     noise_strength,
     partial_strengths,
@@ -26,23 +27,22 @@ from .channels import (
 )
 from .codes import SCENARIOS
 from .experiments import (
-    DEFAULT_SWEEP,
     ScenarioConfig,
     emit_csv,
     load_csv_series,
     run_scenario,
     write_svg_chart,
 )
-from .metrics import (
-    analytic_fe_no_qec,
-    analytic_fe_qec_independent,
-    analytic_fe_qec_strong,
-    analytic_reference,
-)
+from .metrics import analytic_reference
 
 KIND_ALIASES = {"sinc": INCOHERENT_SINC, "exp": MARKOVIAN_EXP}
 
 CHECK_TOL = 1e-9
+
+# largest number of points a start:stop:step grid may expand to
+MAX_GRID_POINTS = 100_000
+
+ANALYTIC_CURVES = {"qec-independent": "qec_independent", "qec-strong": "qec_hybrid", "no-qec": "no_qec"}
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -52,8 +52,12 @@ def parse_grid(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"grid bounds and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError(f"grid step must be > 0, got {step}")
+        if (stop - start) / step + 1 > MAX_GRID_POINTS:
+            raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
         values = []
         k = 0
         while True:
@@ -88,67 +92,35 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    grid = parse_grid(args.kappa0)
+    config = ScenarioConfig(ANALYTIC_CURVES[args.curve], ratio=args.ratio)
+    specs = [config.noise_spec(x) for x in parse_grid(args.kappa0)]
     print("kappa0,Fe")
-    for x in grid:
-        if args.curve == "qec-independent":
-            fe = analytic_fe_qec_independent(x)
-        elif args.curve == "qec-strong":
-            fe = analytic_fe_qec_strong(x, x * (1.0 + 1.0 / args.ratio))
-        else:
-            fe = analytic_fe_no_qec(x)
-        print(f"{_fmt(x)},{_fmt(fe)}")
+    for spec in specs:
+        print(f"{_fmt(spec.kappa0)},{_fmt(analytic_reference(config.scenario, spec))}")
     return 0
 
 
-def _config_from_json(path: str) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    known = {
-        "scenario",
-        "kind",
-        "sweep",
-        "ratio",
-        "coupling_case",
-        "case",
-        "ancilla_purity",
-        "purity",
-        "inputs",
-        "epsilon",
-    }
-    unknown = set(raw) - known
+def _config_from_json(raw: dict) -> ScenarioConfig:
+    """ScenarioConfig from JSON fields named as its own, plus ``epsilon``
+    (read by noise-strength); ``kind`` also takes the CLI aliases."""
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    unknown = set(raw) - fields - {"epsilon"}
     if unknown:
         raise ValueError(f"unknown config field(s): {sorted(unknown)}")
     kind = raw.get("kind", INCOHERENT_SINC)
-    kind = KIND_ALIASES.get(kind, kind)
-    return ScenarioConfig(
-        scenario=raw.get("scenario", "qec_independent"),
-        kind=kind,
-        sweep=tuple(raw.get("sweep", DEFAULT_SWEEP)),
-        ratio=raw.get("ratio", 0.5),
-        coupling_case=raw.get("coupling_case", raw.get("case", "a")),
-        ancilla_purity=raw.get("ancilla_purity", raw.get("purity", 1.0)),
-        inputs=tuple(raw.get("inputs", ("x", "y", "z"))),
-    )
+    kwargs = {"scenario": "qec_independent", **{k: v for k, v in raw.items() if k in fields}}
+    kwargs["kind"] = KIND_ALIASES.get(kind, kind)
+    return ScenarioConfig(**kwargs)
 
 
 def _cmd_noise_strength(args: argparse.Namespace) -> int:
     with open(args.spec, encoding="utf-8") as fh:
         raw = json.load(fh)
-    config = _config_from_json(args.spec)
+    config = _config_from_json(raw)
     sweep = config.sweep if "sweep" in raw else (1.0,)
     epsilon = raw.get("epsilon")
     for x in sweep:
-        spec = config.noise_spec(x)
-        if epsilon is not None:
-            spec = NoiseSpec(
-                kappa0=spec.kappa0,
-                collective=spec.collective,
-                ratio=spec.ratio,
-                coupling_case=spec.coupling_case,
-                kind=spec.kind,
-                epsilon=epsilon,
-            )
+        spec = dataclasses.replace(config.noise_spec(x), epsilon=epsilon)
         n = 4 if spec.collective else 3
         gens = build_error_model(spec, n)
         print(f"kappa0={_fmt(x)} lambda={_fmt(noise_strength(gens))}")
@@ -209,14 +181,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.5, help="kappa0/kappa_c (default 0.5)")
     p.add_argument("--case", default="a", choices=("a", "b"))
     p.add_argument("--purity", type=float, default=1.0, help="ancilla purity in [0, 1]")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for sweep points")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("analytic", help="print a closed-form curve as CSV on stdout")
-    p.add_argument("--curve", required=True, choices=("qec-independent", "qec-strong", "no-qec"))
+    p.add_argument("--curve", required=True, choices=tuple(ANALYTIC_CURVES))
     p.add_argument("--kappa0", required=True, help="grid as start:stop:step or comma list")
-    p.add_argument("--ratio", type=float, default=0.5, help="kappa0/kappa_c for qec-strong")
+    p.add_argument("--ratio", type=float, default=0.5, help="kappa0/kappa_c for qec-strong, > 0")
     p.set_defaults(func=_cmd_analytic)
 
     p = sub.add_parser("noise-strength", help="print lambda and per-generator partial strengths")

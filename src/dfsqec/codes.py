@@ -27,12 +27,11 @@ import numpy as np
 
 from .channels import (
     INCOHERENT_SINC,
-    MARKOVIAN_EXP,
+    NOISE_KINDS,
     DephasingGenerator,
     NoiseSpec,
-    apply_incoherent,
+    attenuation,
     build_error_model,
-    markov_dephase,
 )
 from .qstate import SX, SZ, DensityMatrix, Operator, apply_unitary, embed
 
@@ -118,7 +117,7 @@ class NoiseStep:
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        if self.kind not in (INCOHERENT_SINC, MARKOVIAN_EXP):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
 
 
@@ -311,53 +310,39 @@ def build_scenario_circuit(scenario: str, spec: NoiseSpec) -> Circuit:
     return circuit
 
 
-def _apply_step(
+def circuit_states(
     rho: DensityMatrix,
-    step: Step,
-    n_qubits: int,
-    t: float,
-    noise_override: Callable[[DensityMatrix], DensityMatrix] | None,
-) -> DensityMatrix:
-    if isinstance(step, GateStep):
-        return apply_unitary(rho, embed(step.gate.matrix, step.gate.targets, n_qubits))
-    if noise_override is not None:
-        return noise_override(rho)
-    if step.kind == INCOHERENT_SINC:
-        return apply_incoherent(rho, step.generators)
-    return markov_dephase(rho, step.generators, t)
+    circuit: Circuit,
+    *,
+    noise_override: Callable[[DensityMatrix], DensityMatrix] | None = None,
+) -> Iterator[tuple[Step, DensityMatrix]]:
+    """Yield (step, state after the step) along a circuit run.
+
+    Markovian noise markers carry lambda*t folded into their generator
+    strengths.  ``noise_override`` replaces the noise marker by an
+    arbitrary map, which is how deterministic error insertions are
+    tested.
+    """
+    if rho.dim != 2**circuit.n_qubits:
+        raise ValueError(f"state dimension {rho.dim} does not match {circuit.n_qubits}-qubit circuit")
+    for step in circuit.steps:
+        if isinstance(step, GateStep):
+            rho = apply_unitary(rho, embed(step.gate.matrix, step.gate.targets, circuit.n_qubits))
+        elif noise_override is not None:
+            rho = noise_override(rho)
+        else:
+            rho = DensityMatrix(rho.entries * attenuation(step.generators, step.kind), rho.kind)
+        yield step, rho
 
 
 def apply_circuit(
     rho: DensityMatrix,
     circuit: Circuit,
     *,
-    t: float = 1.0,
     noise_override: Callable[[DensityMatrix], DensityMatrix] | None = None,
 ) -> DensityMatrix:
-    """Run a circuit on a state.
-
-    ``t`` is the storage time used by Markovian noise markers (sweeps
-    fold lambda*t into the generator strengths and keep t = 1).
-    ``noise_override`` replaces the noise marker by an arbitrary map,
-    which is how deterministic error insertions are tested.
-    """
-    if rho.dim != 2**circuit.n_qubits:
-        raise ValueError(f"state dimension {rho.dim} does not match {circuit.n_qubits}-qubit circuit")
-    for step in circuit.steps:
-        rho = _apply_step(rho, step, circuit.n_qubits, t, noise_override)
+    """Run a circuit on a state and return the final state (see
+    circuit_states)."""
+    for _, rho in circuit_states(rho, circuit, noise_override=noise_override):
+        pass
     return rho
-
-
-def circuit_states(
-    rho: DensityMatrix,
-    circuit: Circuit,
-    *,
-    t: float = 1.0,
-    noise_override: Callable[[DensityMatrix], DensityMatrix] | None = None,
-) -> Iterator[tuple[Step, DensityMatrix]]:
-    """Yield (step, state after the step) along a circuit run."""
-    if rho.dim != 2**circuit.n_qubits:
-        raise ValueError(f"state dimension {rho.dim} does not match {circuit.n_qubits}-qubit circuit")
-    for step in circuit.steps:
-        rho = _apply_step(rho, step, circuit.n_qubits, t, noise_override)
-        yield step, rho

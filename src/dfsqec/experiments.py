@@ -1,20 +1,21 @@
 """Scenario runner: sweeps, metric reports, CSV and chart emission.
 
-A scenario sweep prepares the four-qubit input
+A scenario sweep prepares, on the three or four qubits of the scenario
+circuit, the input
 
-    |0><0|_1  x  sigma_u_2  x  |0><0|_3  x  |0><0|_4,     u = x, y, z
+    |0><0|_1  x  sigma_u_2  x  |0><0|_3  [x  |0><0|_4],     u = x, y, z
 
 (ancilla projectors softened to p|0><0| + (1-p) I/2 when the ancilla
 purity p is below one), runs the scenario circuit with the engineered
 noise at the marker, reduces to the data qubit 2, and reports the
 correlation/fidelity/polarization metrics against the closed-form
-reference curve.  Sweep points are independent; results are ordered by
-sweep index, so serial and parallel runs emit identical bytes.
+reference curve.  Sweep points are evaluated in sweep order, so reruns
+emit identical bytes.
 """
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -22,10 +23,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channels import INCOHERENT_SINC, NOISE_KINDS, COUPLING_CASES, NoiseSpec
-from .codes import SCENARIOS, apply_circuit, build_scenario_circuit
+from .codes import SCENARIOS, Circuit, apply_circuit, build_scenario_circuit
 from .metrics import AXES, MetricReport, analytic_reference, correlation
 from .qstate import (
-    DEVIATION,
     STATE,
     DensityMatrix,
     hs_overlap,
@@ -72,25 +72,23 @@ class ScenarioConfig:
     ratio: float = 0.5
     coupling_case: str = "a"
     ancilla_purity: float = 1.0
-    inputs: tuple[str, ...] = AXES
 
     def __post_init__(self):
         object.__setattr__(self, "sweep", tuple(float(x) for x in self.sweep))
-        object.__setattr__(self, "inputs", tuple(self.inputs))
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.coupling_case not in COUPLING_CASES:
             raise ValueError(f"coupling case must be one of {COUPLING_CASES}")
+        if not all(math.isfinite(x) for x in self.sweep):
+            raise ValueError("sweep values must be finite")
         if any(x < 0 for x in self.sweep):
             raise ValueError("sweep values must be >= 0")
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ValueError("sweep values must be strictly increasing")
         if not 0.0 <= self.ancilla_purity <= 1.0:
             raise ValueError(f"ancilla_purity must be in [0, 1], got {self.ancilla_purity}")
-        if not self.inputs or any(u not in AXES for u in self.inputs):
-            raise ValueError(f"inputs must be a nonempty subset of {AXES}")
 
     @property
     def collective(self) -> bool:
@@ -133,9 +131,14 @@ class HumpReport:
         return self.non_monotone or self.crosses_reference
 
 
-def _ancilla_factor(purity: float) -> DensityMatrix:
-    m = np.array([[(1.0 + purity) / 2.0, 0.0], [0.0, (1.0 - purity) / 2.0]])
-    return DensityMatrix(m, STATE)
+def _product_input(data: DensityMatrix, ancilla_purity: float, n_qubits: int) -> DensityMatrix:
+    """``data`` on qubit 2 with p|0><0| + (1-p) I/2 ancillae everywhere else."""
+    p = ancilla_purity
+    anc = DensityMatrix(np.array([[(1.0 + p) / 2.0, 0.0], [0.0, (1.0 - p) / 2.0]]), STATE)
+    rho = tensor_dm(anc, data)
+    for _ in range(n_qubits - 2):
+        rho = tensor_dm(rho, anc)
+    return rho
 
 
 def prepare_inputs(axis: str, ancilla_purity: float = 1.0, n_qubits: int = 4) -> DensityMatrix:
@@ -147,97 +150,35 @@ def prepare_inputs(axis: str, ancilla_purity: float = 1.0, n_qubits: int = 4) ->
         raise ValueError(f"ancilla_purity must be in [0, 1], got {ancilla_purity}")
     if n_qubits < 2:
         raise ValueError("need the data qubit plus at least one ancilla")
-    anc = _ancilla_factor(ancilla_purity)
-    rho = anc
-    rho = tensor_dm(rho, pauli_deviation(axis))
-    for _ in range(n_qubits - 2):
-        rho = tensor_dm(rho, anc)
-    return rho
+    return _product_input(pauli_deviation(axis), ancilla_purity, n_qubits)
 
 
-def prepare_state_inputs(axis: str, ancilla_purity: float = 1.0, n_qubits: int = 4) -> DensityMatrix:
-    """State-kind variant with the data qubit in (I + sigma_u)/2."""
-    if axis not in AXES:
-        raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    anc = _ancilla_factor(ancilla_purity)
-    data = DensityMatrix((np.eye(2) + pauli(axis).entries) / 2.0, STATE)
-    rho = anc
-    rho = tensor_dm(rho, data)
-    for _ in range(n_qubits - 2):
-        rho = tensor_dm(rho, anc)
-    return rho
+def _data_outputs(circuit: Circuit, inputs: Mapping[str, DensityMatrix]) -> dict[str, DensityMatrix]:
+    """Data-qubit reduction of the circuit output for each input."""
+    return {key: partial_trace(apply_circuit(rho, circuit), {DATA_QUBIT}) for key, rho in inputs.items()}
 
 
-def _data_deviation(rho: DensityMatrix) -> DensityMatrix:
-    """Traceless part of the data-qubit reduction."""
-    reduced = partial_trace(rho, {DATA_QUBIT})
-    if reduced.kind == DEVIATION:
-        return reduced
-    m = reduced.entries - np.trace(reduced.entries) / 2.0 * np.eye(2)
-    return DensityMatrix(m, DEVIATION)
+def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
+    """Evaluate every sweep point of a scenario, in sweep order.
 
-
-def _evaluate_point(
-    config: ScenarioConfig,
-    kappa0: float,
-    refs: Mapping[str, DensityMatrix],
-    mode: str,
-) -> SweepPoint:
-    spec = config.noise_spec(kappa0)
-    circuit = build_scenario_circuit(config.scenario, spec)
-    cs: dict[str, float] = {}
-    ps: dict[str, float] = {}
-    for axis in config.inputs:
-        if mode == "deviation":
-            rho_in = prepare_inputs(axis, config.ancilla_purity, circuit.n_qubits)
-        else:
-            rho_in = prepare_state_inputs(axis, config.ancilla_purity, circuit.n_qubits)
-        out = _data_deviation(apply_circuit(rho_in, circuit))
-        if mode == "deviation":
-            cs[axis] = correlation(pauli_deviation(axis), out)
-        else:
-            cs[axis] = float(np.trace(pauli(axis).entries @ out.entries).real)
-        ref = refs[axis]
-        ref_purity = hs_overlap(ref, ref)
-        if ref_purity <= 1e-12:
-            raise ValueError(f"reference output for axis {axis!r} has zero purity")
-        ps[axis] = hs_overlap(out, out) / ref_purity
-    fe_ref = analytic_reference(config.scenario, spec)
-    return SweepPoint(kappa0, spec, MetricReport.from_metrics(cs, ps, fe_ref))
-
-
-def _reference_outputs(config: ScenarioConfig, mode: str) -> dict[str, DensityMatrix]:
-    spec0 = config.noise_spec(0.0)
-    circuit = build_scenario_circuit(config.scenario, spec0)
-    refs: dict[str, DensityMatrix] = {}
-    for axis in config.inputs:
-        if mode == "deviation":
-            rho_in = prepare_inputs(axis, config.ancilla_purity, circuit.n_qubits)
-        else:
-            rho_in = prepare_state_inputs(axis, config.ancilla_purity, circuit.n_qubits)
-        refs[axis] = _data_deviation(apply_circuit(rho_in, circuit))
-    return refs
-
-
-def run_scenario(config: ScenarioConfig, jobs: int = 1, mode: str = "deviation") -> ScenarioResult:
-    """Evaluate every sweep point of a scenario.
-
-    ``jobs > 1`` evaluates points in a thread pool; each point is an
-    independent pure computation, so the result (and any CSV written
-    from it) is identical to the serial run.  ``mode`` selects the
-    deviation-input metric path (default) or the pure-state Bloch path;
-    the correlations agree between the two for these unital circuits.
+    ``jobs`` is accepted for compatibility and has no effect.
     """
-    if mode not in ("deviation", "state"):
-        raise ValueError(f"mode must be 'deviation' or 'state', got {mode!r}")
     if not config.sweep:
         return ScenarioResult(config, ())
-    refs = _reference_outputs(config, mode)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            points = list(pool.map(lambda x: _evaluate_point(config, x, refs, mode), config.sweep))
-    else:
-        points = [_evaluate_point(config, x, refs, mode) for x in config.sweep]
+    reference = build_scenario_circuit(config.scenario, config.noise_spec(0.0))
+    inputs = {u: prepare_inputs(u, config.ancilla_purity, reference.n_qubits) for u in AXES}
+    ref_purity = {u: hs_overlap(ref, ref) for u, ref in _data_outputs(reference, inputs).items()}
+    for u, purity in ref_purity.items():
+        if purity <= 1e-12:
+            raise ValueError(f"reference output for axis {u!r} has zero purity")
+    points = []
+    for x in config.sweep:
+        spec = config.noise_spec(x)
+        outs = _data_outputs(build_scenario_circuit(config.scenario, spec), inputs)
+        cs = {u: correlation(pauli_deviation(u), out) for u, out in outs.items()}
+        ps = {u: hs_overlap(out, out) / ref_purity[u] for u, out in outs.items()}
+        fe_ref = analytic_reference(config.scenario, spec)
+        points.append(SweepPoint(x, spec, MetricReport.from_metrics(cs, ps, fe_ref)))
     return ScenarioResult(config, tuple(points))
 
 
@@ -425,9 +366,7 @@ def write_svg_chart(series: Sequence[ChartSeries], path: str | Path) -> None:
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
 
 
-def pauli_transfer_matrix(
-    scenario: str, spec: NoiseSpec, ancilla_purity: float = 1.0, t: float = 1.0
-) -> np.ndarray:
+def pauli_transfer_matrix(scenario: str, spec: NoiseSpec, ancilla_purity: float = 1.0) -> np.ndarray:
     """4x4 transfer matrix of the data-qubit channel of a scenario,
     R[u, v] = tr(sigma_u E(sigma_v)) / 2 over (I, x, y, z)."""
     circuit = build_scenario_circuit(scenario, spec)
@@ -435,17 +374,13 @@ def pauli_transfer_matrix(
 
     # identity column is probed with the maximally mixed data qubit,
     # E(I)/2; Pauli columns with the deviation inputs, E(sigma_v)
-    anc = _ancilla_factor(ancilla_purity)
-    mixed = tensor_dm(anc, DensityMatrix(np.eye(2) / 2.0, STATE))
-    for _ in range(n - 2):
-        mixed = tensor_dm(mixed, anc)
-    basis_in = [mixed] + [prepare_inputs(axis, ancilla_purity, n) for axis in AXES]
+    inputs = {"I": _product_input(DensityMatrix(np.eye(2) / 2.0, STATE), ancilla_purity, n)}
+    inputs.update((axis, prepare_inputs(axis, ancilla_purity, n)) for axis in AXES)
     scales = [1.0, 0.5, 0.5, 0.5]
 
     paulis = [np.eye(2, dtype=complex)] + [pauli(u).entries for u in AXES]
     r = np.zeros((4, 4))
-    for col, (rho_in, scale) in enumerate(zip(basis_in, scales)):
-        out = partial_trace(apply_circuit(rho_in, circuit, t=t), {DATA_QUBIT})
+    for col, (out, scale) in enumerate(zip(_data_outputs(circuit, inputs).values(), scales)):
         for row, sigma in enumerate(paulis):
             r[row, col] = float(np.trace(sigma @ out.entries).real) * scale
     return r

@@ -33,17 +33,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channels import INCOHERENT_SINC, NoiseSpec, sinc
-from .qstate import DensityMatrix, hs_overlap, pauli
+from .qstate import DensityMatrix, hs_overlap
 
 __all__ = [
     "AXES",
     "MetricReport",
     "ErrorRateFit",
     "correlation",
-    "correlations",
-    "bloch_vector",
     "entanglement_fidelity",
-    "avg_polarization",
     "analytic_fe_qec_independent",
     "analytic_fe_qec_strong",
     "analytic_fe_no_qec",
@@ -81,12 +78,9 @@ class MetricReport:
         p: Mapping[str, float],
         fe_analytic: float | None = None,
     ) -> "MetricReport":
-        cs = {u: float(c.get(u, np.nan)) for u in AXES}
-        ps = {u: float(p.get(u, np.nan)) for u in AXES}
-        fe = entanglement_fidelity((cs["x"], cs["y"], cs["z"]))
-        avail = [ps[u] for u in AXES if not np.isnan(ps[u])]
-        p_mean = float(np.mean(avail)) if avail else float("nan")
-        return cls(cs["x"], cs["y"], cs["z"], fe, ps["x"], ps["y"], ps["z"], p_mean, fe_analytic)
+        cs = [float(c[u]) for u in AXES]
+        ps = [float(p[u]) for u in AXES]
+        return cls(*cs, entanglement_fidelity(cs), *ps, float(np.mean(ps)), fe_analytic)
 
 
 def correlation(input_dev: DensityMatrix, output_dev: DensityMatrix) -> float:
@@ -97,37 +91,10 @@ def correlation(input_dev: DensityMatrix, output_dev: DensityMatrix) -> float:
     return hs_overlap(input_dev, output_dev) / norm
 
 
-def correlations(
-    inputs: Mapping[str, DensityMatrix], outputs: Mapping[str, DensityMatrix]
-) -> tuple[float, float, float]:
-    """(Cx, Cy, Cz) from per-axis input and output deviations."""
-    return tuple(correlation(inputs[u], outputs[u]) for u in AXES)
-
-
-def bloch_vector(rho: DensityMatrix) -> np.ndarray:
-    """(x, y, z) Pauli components tr(sigma_u rho) of a one-qubit matrix."""
-    if rho.dim != 2:
-        raise ValueError("bloch_vector is defined for one-qubit matrices")
-    return np.array([np.trace(pauli(u).entries @ rho.entries).real for u in AXES])
-
-
 def entanglement_fidelity(c: Sequence[float]) -> float:
     """(Cx + Cy + Cz + 1)/4 for unital one-qubit dynamics."""
     cx, cy, cz = c
     return (cx + cy + cz + 1.0) / 4.0
-
-
-def avg_polarization(
-    outputs_noisy: Mapping[str, DensityMatrix], outputs_ref: Mapping[str, DensityMatrix]
-) -> tuple[float, float, float, float]:
-    """(Px, Py, Pz, P): purity ratios of noisy vs noise-free outputs."""
-    ps = []
-    for u in AXES:
-        ref = hs_overlap(outputs_ref[u], outputs_ref[u])
-        if ref <= 1e-12:
-            raise ValueError(f"reference output for axis {u!r} has zero purity")
-        ps.append(hs_overlap(outputs_noisy[u], outputs_noisy[u]) / ref)
-    return ps[0], ps[1], ps[2], float(np.mean(ps))
 
 
 def _fe_three_carriers(s_data: float, s_anc_a: float, s_anc_b: float) -> float:

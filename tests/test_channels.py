@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfsqec.channels import (
+    INCOHERENT_SINC,
     MARKOVIAN_EXP,
     DephasingGenerator,
-    GradientSpec,
     NoiseSpec,
-    apply_incoherent,
+    attenuation,
     build_error_model,
     incoherent_dephase,
     markov_dephase,
@@ -230,8 +230,8 @@ class TestBuildErrorModel:
         rho = random_state(rng, 4)
         for case in ("a", "b"):
             gens = build_error_model(NoiseSpec(0.0, collective=True, coupling_case=case), 4)
-            out = apply_incoherent(rho, gens)
-            assert np.array_equal(out.entries, rho.entries)
+            for kind in (INCOHERENT_SINC, MARKOVIAN_EXP):
+                assert np.array_equal(rho.entries * attenuation(gens, kind), rho.entries)
 
     def test_explicit_kappa_c_with_zero_kappa0(self):
         gens = build_error_model(NoiseSpec(0.0, collective=True, kappa_c=3.0), 4)
@@ -302,11 +302,6 @@ def test_sinc_convention():
     assert float(sinc(1.0)) == pytest.approx(np.sin(1.0), abs=1e-15)
 
 
-def test_gradient_spec_product():
-    spec = GradientSpec(gamma=2.0, gradient=3.0, duration=0.5, length=4.0)
-    assert spec.kappa == pytest.approx(12.0)
-
-
 def test_noise_spec_validation():
     with pytest.raises(ValueError, match="kappa0"):
         NoiseSpec(-1.0)
@@ -314,6 +309,20 @@ def test_noise_spec_validation():
         NoiseSpec(1.0, kind="other")
     with pytest.raises(ValueError, match="case"):
         NoiseSpec(1.0, coupling_case="c")
+    for bad in (
+        dict(kappa0=float("inf")),
+        dict(kappa0=float("nan")),
+        dict(kappa0=1.0, ratio=float("inf")),
+        dict(kappa0=1.0, epsilon=float("inf")),
+        dict(kappa0=1.0, collective=True, kappa_c=float("nan")),
+        dict(kappa0=1e308, collective=True, ratio=0.5),
+        dict(kappa0=1.0, collective=True, ratio=1e-200, kind=MARKOVIAN_EXP),
+        dict(kappa0=1.0, collective=True, ratio=1e200, kind=MARKOVIAN_EXP),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(**bad)
+    with pytest.raises(ValueError, match="finite"):
+        qubit3_strength_ratio(float("inf"))
     spec = NoiseSpec(2.0, collective=True, ratio=0.5)
     assert spec.collective_scale() == pytest.approx(4.0)
     assert NoiseSpec(2.0).collective_scale() is None

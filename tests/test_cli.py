@@ -156,6 +156,30 @@ class TestChart:
         assert text.count('class="pt pt-qec_independent"') == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--scenario", "qec_independent", "--kappa0", "inf"],
+        ["sweep", "--scenario", "qec_hybrid", "--kappa0", "1e308:1.7e308:1e307"],
+        ["sweep", "--scenario", "no_qec", "--kappa0", "1", "--ratio", "inf"],
+        ["sweep", "--scenario", "no_qec", "--kappa0", "0:1:nan"],
+        ["sweep", "--scenario", "qec_independent", "--kappa0", "1e308"],
+        ["sweep", "--scenario", "dfs_qec", "--kappa0", "8e307"],
+        ["analytic", "--curve", "qec-strong", "--kappa0", "1", "--ratio", "0"],
+        ["analytic", "--curve", "qec-strong", "--kappa0", "1", "--ratio", "inf"],
+        ["analytic", "--curve", "no-qec", "--kappa0", "0:1e9:1e-9"],
+    ],
+)
+def test_bad_input_is_one_error_line_and_no_output(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+
+
 def test_check_passes():
     assert main(["check"]) == 0
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dfsqec.channels import DephasingGenerator, NoiseSpec
+from dfsqec.channels import INCOHERENT_SINC, MARKOVIAN_EXP, DephasingGenerator, NoiseSpec
 from dfsqec.codes import (
     Circuit,
     Gate,
@@ -23,6 +25,7 @@ from dfsqec.codes import (
 from dfsqec.experiments import pauli_transfer_matrix, prepare_inputs
 from dfsqec.metrics import correlation, entanglement_fidelity
 from dfsqec.qstate import (
+    SX,
     SZ,
     DensityMatrix,
     Operator,
@@ -31,6 +34,7 @@ from dfsqec.qstate import (
     embed,
     partial_trace,
     pauli_deviation,
+    tensor_dm,
 )
 
 
@@ -232,24 +236,35 @@ class TestScenarioCircuits:
         bad = np.zeros((4, 4))
         bad[0, 0] = bad[3, 3] = 1.0
         proj_bad = embed(Operator(bad), [3, 4], 4).entries
-        from dfsqec.experiments import prepare_state_inputs
-
-        rho0 = prepare_state_inputs("x", 1.0, 4)
+        data = DensityMatrix((np.eye(2) + SX.entries) / 2.0)
+        rho0 = tensor_dm(tensor_dm(computational_state("0"), data), computational_state("00"))
         for idx, (step, rho) in enumerate(circuit_states(rho0, circuit)):
             if 1 < idx + 1 < n_steps - 1:  # after dfs_encode, before dfs_decode
                 pop = float(np.trace(proj_bad @ rho.entries).real)
                 assert pop <= 1e-12
 
-    def test_data_qubit_channel_equals_reference_code(self):
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([INCOHERENT_SINC, MARKOVIAN_EXP]),
+        st.sampled_from(["a", "b"]),
+        st.floats(0.1, 2.0),
+        st.floats(0.5, 1.0),
+        st.floats(0.0, 12.0),
+    )
+    def test_data_qubit_channel_equals_reference_code(self, kind, case, ratio, purity, kappa0):
         # the concatenated circuit under hybrid noise must realize the
-        # same data-qubit channel as the bare code under independent noise
-        for case in ("a", "b"):
-            for kappa0 in (0.7, 2.0):
-                hybrid = NoiseSpec(kappa0, collective=True, ratio=0.5, coupling_case=case)
-                bare = NoiseSpec(kappa0)
-                got = pauli_transfer_matrix("dfs_qec", hybrid)
-                want = pauli_transfer_matrix("qec_independent", bare)
-                assert np.max(np.abs(got - want)) <= 1e-9
+        # same data-qubit channel as the bare code under independent
+        # noise; every channel is unital (the premise of F_e), also with
+        # impure ancillae, which in the encoded pair leave the
+        # decoherence-free subspace, so the two codes agree only at purity 1
+        hybrid = NoiseSpec(kappa0, collective=True, ratio=ratio, coupling_case=case, kind=kind)
+        bare = NoiseSpec(kappa0, kind=kind)
+        for scenario, spec in (("dfs_qec", hybrid), ("qec_independent", bare)):
+            got = pauli_transfer_matrix(scenario, spec, ancilla_purity=purity)
+            assert np.max(np.abs(got[:, 0] - [1.0, 0.0, 0.0, 0.0])) <= 1e-12
+        got = pauli_transfer_matrix("dfs_qec", hybrid)
+        want = pauli_transfer_matrix("qec_independent", bare)
+        assert np.max(np.abs(got - want)) <= 1e-9
 
     def test_scenario_spec_mismatch_errors(self):
         with pytest.raises(ValueError, match="independent"):

@@ -14,16 +14,63 @@ from dfsqec.experiments import (
     load_csv_series,
     pauli_transfer_matrix,
     prepare_inputs,
-    prepare_state_inputs,
     run_scenario,
     write_svg_chart,
     ChartSeries,
 )
-from dfsqec.qstate import DEVIATION, STATE, partial_trace, pauli_deviation
+from dfsqec.codes import apply_circuit, build_scenario_circuit
+from dfsqec.qstate import (
+    DEVIATION,
+    DensityMatrix,
+    computational_state,
+    partial_trace,
+    pauli,
+    pauli_deviation,
+    tensor_dm,
+)
 
 
 def file_hash(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# SHA-256 of emit_csv bytes on DEFAULT_SWEEP (ratio 0.5): a change that
+# moves any printed digit fails here, so update these only together with
+# an intended change of the numbers
+PINNED_CSV_SHA256 = {
+    ("qec_independent", "incoherent_sinc", "a", 1.0): "a78150f5691d3ce1b6aebecc340f2b5a4abbff910fcc7bb45b528c199e83c135",
+    ("qec_independent", "incoherent_sinc", "a", 0.7): "de960bd208392ccea4195c0c808eaed0cf7567bb04acced2f0a4056cc15ce838",
+    ("qec_independent", "incoherent_sinc", "b", 1.0): "9fb18cd9551d34d40a57343cd6b572899f088c33684e0cd7646ec7f23c5f0555",
+    ("qec_independent", "incoherent_sinc", "b", 0.7): "2ae847c15218ea208bc39048a4a38b6614aad1cf492147a50fccd6167c809007",
+    ("qec_independent", "markovian_exp", "a", 1.0): "ae8fa79a402f206adbd957df6032b608f4af6db4d4218b3b57502cd466bdab43",
+    ("qec_independent", "markovian_exp", "a", 0.7): "a98102e7a51c839e20fd724c4d830023b092bccd3a1eaf2e166106888cc10fbc",
+    ("qec_independent", "markovian_exp", "b", 1.0): "91783a67277fe93c2ff48f45e39c788dbd0c9ac56252b64ad548bbe5585061e0",
+    ("qec_independent", "markovian_exp", "b", 0.7): "de1c74ae4b34479af16284e96706fc44aace4532678aafb2467fa7d51279a951",
+    ("qec_hybrid", "incoherent_sinc", "a", 1.0): "57726d2aaee5dbfa954269204d9b8dbe2d8c59ecc353b13adc78e4440be637e6",
+    ("qec_hybrid", "incoherent_sinc", "a", 0.7): "2ff226cc0b5faf4cf2737bb7d8693e4ca3c27ba886f722a5cc6289e2ed6bb802",
+    ("qec_hybrid", "incoherent_sinc", "b", 1.0): "26928744194033eea6d91cb80815aa62af951acb9b4d0cf49059991a0eb8a212",
+    ("qec_hybrid", "incoherent_sinc", "b", 0.7): "01c06e54d9d2308b56e9e3694c94e29b3a009d8a814cda3224827c1962b7dd82",
+    ("qec_hybrid", "markovian_exp", "a", 1.0): "ed4ebb7a7bea9934222fa0aaa7cb5d7051e6eb85f56b23a655321c1322f8f085",
+    ("qec_hybrid", "markovian_exp", "a", 0.7): "c7e06317ec172792ff3f173f663703e1fb0a34376ca38eaefe47c486ae6e7367",
+    ("qec_hybrid", "markovian_exp", "b", 1.0): "48f25fd3b677ee55c9e03c844af701a708e16e5556041c5baa01f2daac4c1662",
+    ("qec_hybrid", "markovian_exp", "b", 0.7): "11b3bdd1c21b9b99f7c21f9cf8c56da5e0ccc8e164e01e899079b2302c69bbf1",
+    ("no_qec", "incoherent_sinc", "a", 1.0): "24e88ff4c0d6eb4e59bf1bfb2e768ef42543319f43793bfd6a21ad0593c54f5f",
+    ("no_qec", "incoherent_sinc", "a", 0.7): "351e10f4b026aa8dca96fe0a980821fcef00f5520bd10dd9cd48beeaadc64584",
+    ("no_qec", "incoherent_sinc", "b", 1.0): "dc3cd601400a824354307fa0f8da954700c51226fbc64f18bbba9febfc51b30a",
+    ("no_qec", "incoherent_sinc", "b", 0.7): "d573b1a14f712314719385e35fb2ab1c88ca211cdf32af75a642f8cf5ae7dfd9",
+    ("no_qec", "markovian_exp", "a", 1.0): "e3693a35d745e99541f138b295687a6c43c7902906d9f6fc94cc1131c4f31dde",
+    ("no_qec", "markovian_exp", "a", 0.7): "f55418600489977f70ef2c3fae73d42408215957839270e01792171c2f492b37",
+    ("no_qec", "markovian_exp", "b", 1.0): "e642d89dd6741480247a70838a31797222e96c4aeed9a1e85e767e148c886093",
+    ("no_qec", "markovian_exp", "b", 0.7): "7e311694526217e21d62df040e6e445434651d9d0ddf572a60334c240d1c15fe",
+    ("dfs_qec", "incoherent_sinc", "a", 1.0): "537225493a4f9c66ff33797ee98decda19a3a2597e35ffdd8b7279e85a70bbe9",
+    ("dfs_qec", "incoherent_sinc", "a", 0.7): "177ea0e8eae968e5cf332a16d2eeb6463ce38c7f88b3407a57c6861fb24bfc0d",
+    ("dfs_qec", "incoherent_sinc", "b", 1.0): "f005f5b9c2930dec392e26e88b1082aee3a0dcd742802d23b4d47d69d3357efa",
+    ("dfs_qec", "incoherent_sinc", "b", 0.7): "3666cac2b3c5e76d5b81d751aa137f02eda873bddcf4cc890bd7f300caa76dbb",
+    ("dfs_qec", "markovian_exp", "a", 1.0): "bd6fa6455a72051297e7514c64521b14f2bfafb7773d98899f8d25a22110581b",
+    ("dfs_qec", "markovian_exp", "a", 0.7): "96fab10a13d6ace6867b54167cf8f5097e7fa5a99deb15268c175c7234c8e307",
+    ("dfs_qec", "markovian_exp", "b", 1.0): "28da8532bf0d8ddb48c93b94513d24384cc12b116ec8341f4c7ec2e89c764c64",
+    ("dfs_qec", "markovian_exp", "b", 0.7): "262d0300630f75cd410cb16626ce1af053c70c939f6079852db56035f547d501",
+}
 
 
 class TestPrepareInputs:
@@ -37,10 +84,10 @@ class TestPrepareInputs:
 
     def test_zero_purity_gives_maximally_mixed_ancillae(self):
         # marginals of a deviation vanish, so probe the ancilla factor
-        # on the state-kind variant
-        st_in = prepare_state_inputs("x", 0.0, 4)
-        anc = partial_trace(st_in, {1})
-        assert np.max(np.abs(anc.entries - np.eye(2) / 2)) <= 1e-12
+        # next to the data qubit: the pair reduction is anc x sigma_x
+        pair = partial_trace(prepare_inputs("x", 0.0, 4), {1, 2})
+        want = np.kron(np.eye(2) / 2, pauli_deviation("x").entries)
+        assert np.max(np.abs(pair.entries - want)) <= 1e-12
 
     @pytest.mark.parametrize("axis", ["x", "y", "z"])
     def test_data_reduction_is_the_pauli_deviation(self, axis):
@@ -60,9 +107,6 @@ class TestPrepareInputs:
     def test_purity_range_checked(self):
         with pytest.raises(ValueError, match="purity"):
             prepare_inputs("x", 1.5, 4)
-
-    def test_state_variant_kind(self):
-        assert prepare_state_inputs("z", 1.0, 4).kind == STATE
 
 
 class TestRunScenario:
@@ -95,32 +139,28 @@ class TestRunScenario:
         assert res.points == ()
 
     def test_state_mode_matches_deviation_mode(self):
+        # a pure data input (I + sigma_u)/2 in place of the deviation
+        # sigma_u yields the same correlation tr(sigma_u E(rho)) for
+        # these unital circuits
         cfg = ScenarioConfig("qec_independent", sweep=(0.0, 1.0, 3.0))
-        dev = run_scenario(cfg, mode="deviation")
-        pure = run_scenario(cfg, mode="state")
-        for a, b in zip(dev.points, pure.points):
-            assert a.report.Cx == pytest.approx(b.report.Cx, abs=1e-12)
-            assert a.report.Cy == pytest.approx(b.report.Cy, abs=1e-12)
-            assert a.report.Cz == pytest.approx(b.report.Cz, abs=1e-12)
-
-    def test_restricted_inputs(self):
-        cfg = ScenarioConfig("no_qec", sweep=(1.0,), inputs=("z",))
         res = run_scenario(cfg)
-        rep = res.points[0].report
-        assert rep.Cz == pytest.approx(1.0, abs=1e-12)
-        assert np.isnan(rep.Cx) and np.isnan(rep.Fe)
-        assert rep.P == pytest.approx(1.0, abs=1e-12)
+        zero = computational_state("0")
+        for point in res.points:
+            circuit = build_scenario_circuit(cfg.scenario, point.spec)
+            for axis in ("x", "y", "z"):
+                data = DensityMatrix((np.eye(2) + pauli(axis).entries) / 2.0)
+                rho = tensor_dm(tensor_dm(zero, data), zero)
+                out = partial_trace(apply_circuit(rho, circuit), {2})
+                c = float(np.trace(pauli(axis).entries @ out.entries).real)
+                assert getattr(point.report, "C" + axis) == pytest.approx(c, abs=1e-12)
 
     def test_parallel_equals_serial(self):
+        # jobs is accepted for compatibility and has no effect
         cfg = ScenarioConfig("dfs_qec", sweep=tuple(DEFAULT_SWEEP[:8]))
         serial = run_scenario(cfg, jobs=1)
         parallel = run_scenario(cfg, jobs=4)
         for a, b in zip(serial.points, parallel.points):
             assert a.report == b.report
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            run_scenario(ScenarioConfig("no_qec", sweep=(1.0,)), mode="other")
 
 
 class TestScenarioConfig:
@@ -135,10 +175,6 @@ class TestScenarioConfig:
     def test_purity_range(self):
         with pytest.raises(ValueError, match="purity"):
             ScenarioConfig("no_qec", ancilla_purity=-0.1)
-
-    def test_inputs_subset(self):
-        with pytest.raises(ValueError, match="inputs"):
-            ScenarioConfig("no_qec", inputs=("q",))
 
     def test_unknown_scenario(self):
         with pytest.raises(ValueError, match="scenario"):
@@ -189,6 +225,13 @@ class TestCsv:
             emit_csv(run_scenario(cfg), out)
             hashes.add(file_hash(out))
         assert len(hashes) == 1
+
+    @pytest.mark.parametrize("scenario, kind, case, purity", sorted(PINNED_CSV_SHA256))
+    def test_bytes_match_pinned_digest(self, tmp_path, scenario, kind, case, purity):
+        cfg = ScenarioConfig(scenario, kind=kind, coupling_case=case, ancilla_purity=purity)
+        out = tmp_path / "pinned.csv"
+        emit_csv(run_scenario(cfg), out)
+        assert file_hash(out) == PINNED_CSV_SHA256[scenario, kind, case, purity]
 
     def test_roundtrip_through_loader(self, tmp_path):
         cfg = ScenarioConfig("dfs_qec", sweep=(0.0, 1.0, 2.0))

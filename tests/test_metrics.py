@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfsqec import experiments
 from dfsqec.channels import DephasingGenerator, NoiseSpec, incoherent_dephase
+from dfsqec.codes import Circuit, Gate, GateStep, cnot
+from dfsqec.experiments import ScenarioConfig, run_scenario
 from dfsqec.metrics import (
     MetricReport,
     analytic_fe_markov,
@@ -12,16 +15,12 @@ from dfsqec.metrics import (
     analytic_fe_qec_independent,
     analytic_fe_qec_strong,
     analytic_reference,
-    avg_polarization,
-    bloch_vector,
     correlation,
-    correlations,
     entanglement_fidelity,
     fit_error_rates,
     fit_grid,
 )
-from dfsqec.qstate import DensityMatrix, apply_unitary, Operator, pauli_deviation
-from .conftest import random_deviation
+from dfsqec.qstate import DensityMatrix, Operator, pauli_deviation
 
 SINC1 = float(np.sin(1.0))  # sin(1)/1
 
@@ -31,22 +30,28 @@ def dephased(axis: str, kappa: float) -> DensityMatrix:
     return incoherent_dephase(pauli_deviation(axis), gen)
 
 
+def correlations(outputs) -> tuple[float, float, float]:
+    return tuple(correlation(pauli_deviation(u), outputs[u]) for u in "xyz")
+
+
+def polarizations(config: ScenarioConfig) -> np.ndarray:
+    (point,) = run_scenario(config).points
+    r = point.report
+    return np.array([r.Px, r.Py, r.Pz, r.P])
+
+
 class TestCorrelations:
     def test_identity_channel(self):
         ins = {u: pauli_deviation(u) for u in "xyz"}
-        assert correlations(ins, ins) == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
+        assert correlations(ins) == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
 
     def test_complete_dephasing(self):
-        ins = {u: pauli_deviation(u) for u in "xyz"}
         outs = {u: dephased(u, 2.0 * np.pi) for u in "xyz"}
-        got = correlations(ins, outs)
-        assert got == pytest.approx((0.0, 0.0, 1.0), abs=1e-14)
+        assert correlations(outs) == pytest.approx((0.0, 0.0, 1.0), abs=1e-14)
 
     def test_sinc_dephasing_at_half_spread_one(self):
-        ins = {u: pauli_deviation(u) for u in "xyz"}
         outs = {u: dephased(u, 2.0) for u in "xyz"}
-        got = correlations(ins, outs)
-        assert got == pytest.approx((SINC1, SINC1, 1.0), abs=1e-12)
+        assert correlations(outs) == pytest.approx((SINC1, SINC1, 1.0), abs=1e-12)
 
     def test_zero_norm_input_rejected(self):
         zero = DensityMatrix(np.zeros((2, 2)), "deviation")
@@ -63,34 +68,45 @@ class TestEntanglementFidelity:
 
 class TestAvgPolarization:
     def test_noise_free_run(self):
-        refs = {u: pauli_deviation(u) for u in "xyz"}
-        assert avg_polarization(refs, refs) == pytest.approx((1, 1, 1, 1), abs=1e-14)
+        for scenario in ("qec_independent", "qec_hybrid", "no_qec", "dfs_qec"):
+            got = polarizations(ScenarioConfig(scenario, sweep=(0.0,), ancilla_purity=0.7))
+            assert got == pytest.approx((1, 1, 1, 1), abs=1e-12)
 
     def test_complete_dephasing_without_qec(self):
-        refs = {u: pauli_deviation(u) for u in "xyz"}
-        outs = {u: dephased(u, 2.0 * np.pi) for u in "xyz"}
-        px, py, pz, p = avg_polarization(outs, refs)
+        px, py, pz, p = polarizations(ScenarioConfig("no_qec", sweep=(2.0 * np.pi,)))
         assert (px, py, pz) == pytest.approx((0.0, 0.0, 1.0), abs=1e-14)
         assert p == pytest.approx(1.0 / 3.0, abs=1e-14)
 
-    def test_insensitive_to_shared_unitary(self, rng):
+    def test_insensitive_to_shared_unitary(self, rng, monkeypatch):
+        # a unitary error on the data qubit after recovery acts on the
+        # noisy and on the noise-free reference run alike: the
+        # correlations see it, the polarizations do not
         from .test_qstate import _random_unitary
 
-        u = Operator(_random_unitary(rng, 2), unitary=True)
-        outs = {u_ax: dephased(u_ax, 1.3) for u_ax in "xyz"}
-        refs = {u_ax: pauli_deviation(u_ax) for u_ax in "xyz"}
-        rotated_outs = {k: apply_unitary(v, u) for k, v in outs.items()}
-        rotated_refs = {k: apply_unitary(v, u) for k, v in refs.items()}
-        plain = avg_polarization(outs, refs)
-        rotated = avg_polarization(rotated_outs, rotated_refs)
-        assert np.max(np.abs(np.array(plain) - np.array(rotated))) <= 1e-12
+        config = ScenarioConfig("qec_independent", sweep=(1.3,))
+        plain = run_scenario(config).points[0].report
+        u = Gate("U", Operator(_random_unitary(rng, 2), unitary=True), (2,))
+        build = experiments.build_scenario_circuit
 
-    def test_zero_purity_reference_rejected(self):
-        zero = DensityMatrix(np.zeros((2, 2)), "deviation")
-        outs = {u: pauli_deviation(u) for u in "xyz"}
-        refs = {"x": zero, "y": pauli_deviation("y"), "z": pauli_deviation("z")}
+        def with_error(scenario, spec):
+            circuit = build(scenario, spec)
+            return Circuit(circuit.n_qubits, circuit.steps + (GateStep(u),))
+
+        monkeypatch.setattr(experiments, "build_scenario_circuit", with_error)
+        rotated = run_scenario(config).points[0].report
+        assert abs(rotated.Fe - plain.Fe) > 1e-3
+        for field in ("Px", "Py", "Pz", "P"):
+            assert getattr(rotated, field) == pytest.approx(getattr(plain, field), abs=1e-12)
+
+    def test_zero_purity_reference_rejected(self, monkeypatch):
+        # swapping the data onto an ancilla leaves no data deviation on
+        # qubit 2 even without noise
+        swap = [cnot(1, 2), cnot(2, 1), cnot(1, 2)]
+        monkeypatch.setattr(
+            experiments, "build_scenario_circuit", lambda s, spec: Circuit(3, [GateStep(g) for g in swap])
+        )
         with pytest.raises(ValueError, match="zero purity"):
-            avg_polarization(outs, refs)
+            run_scenario(ScenarioConfig("no_qec", sweep=(0.0,)))
 
 
 class TestAnalyticCurves:
@@ -203,8 +219,6 @@ class TestFitErrorRates:
     def test_initial_slope_distinguishes_noise_kinds(self):
         # without correction, Markovian noise decays linearly from t=0
         # while the incoherent average starts flat (curvature only)
-        from dfsqec.experiments import ScenarioConfig, run_scenario
-
         lam = 3.0
         ts = tuple(float(t) for t in fit_grid(lam))
         markov = run_scenario(ScenarioConfig("no_qec", kind="markovian_exp", sweep=ts))
@@ -232,17 +246,3 @@ class TestMetricReport:
         for field in (rep.Cx, rep.Cy, rep.Cz, rep.Fe, rep.Px, rep.Py, rep.Pz, rep.P):
             assert abs(field - 1.0) <= 1e-12
 
-    def test_missing_axis_yields_nan_fe(self):
-        rep = MetricReport.from_metrics({"x": 1.0}, {"x": 1.0})
-        assert np.isnan(rep.Fe)
-        assert rep.P == 1.0
-
-
-def test_bloch_vector(rng):
-    dev = random_deviation(rng, 1)
-    vec = bloch_vector(dev)
-    for i, axis in enumerate("xyz"):
-        want = np.trace(pauli_deviation(axis).entries @ dev.entries).real
-        assert vec[i] == pytest.approx(want, abs=1e-12)
-    with pytest.raises(ValueError, match="one-qubit"):
-        bloch_vector(DensityMatrix(np.eye(4) / 4))
