@@ -100,15 +100,42 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _config_from_json(raw: dict) -> ScenarioConfig:
-    """ScenarioConfig from JSON fields named as its own, plus ``epsilon``
-    (read by noise-strength); ``kind`` also takes the CLI aliases."""
-    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    unknown = set(raw) - fields - {"epsilon"}
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_string(value) -> bool:
+    return isinstance(value, str)
+
+
+# JSON fields of a noise-strength config: ScenarioConfig's own, plus
+# ``epsilon`` (NoiseSpec's, may be null), each with its type check
+_JSON_FIELDS = {
+    "scenario": (_is_string, "a string"),
+    "kind": (_is_string, "a string"),
+    "coupling_case": (_is_string, "a string"),
+    "ratio": (_is_number, "a number"),
+    "ancilla_purity": (_is_number, "a number"),
+    "sweep": (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    "epsilon": (lambda v: v is None or _is_number(v), "a number or null"),
+}
+
+
+def _config_from_json(raw) -> ScenarioConfig:
+    """ScenarioConfig from a JSON object whose fields are named and typed
+    as its own, plus ``epsilon`` (read by noise-strength); ``kind`` also
+    takes the CLI aliases."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
+    unknown = set(raw) - set(_JSON_FIELDS)
     if unknown:
         raise ValueError(f"unknown config field(s): {sorted(unknown)}")
+    for key, value in raw.items():
+        check, expected = _JSON_FIELDS[key]
+        if not check(value):
+            raise ValueError(f"config field {key!r} must be {expected}, got {json.dumps(value)}")
     kind = raw.get("kind", INCOHERENT_SINC)
-    kwargs = {"scenario": "qec_independent", **{k: v for k, v in raw.items() if k in fields}}
+    kwargs = {"scenario": "qec_independent", **{k: v for k, v in raw.items() if k != "epsilon"}}
     kwargs["kind"] = KIND_ALIASES.get(kind, kind)
     return ScenarioConfig(**kwargs)
 
@@ -211,7 +238,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

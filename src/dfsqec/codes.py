@@ -20,6 +20,7 @@ controlled on qubit 1 and on qubit 3 (the Z_L carrier of the pair).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
@@ -109,7 +110,11 @@ class GateStep:
 
 @dataclass(frozen=True, eq=False)
 class NoiseStep:
-    """Marker for the storage interval: the engineered noise acts here."""
+    """Marker for the storage interval: the engineered noise acts here.
+
+    Its elementwise attenuation ``factor`` is computed once per marker,
+    read-only, and shared by every state run through it.
+    """
 
     generators: tuple[DephasingGenerator, ...]
     kind: str = INCOHERENT_SINC
@@ -119,6 +124,12 @@ class NoiseStep:
         object.__setattr__(self, "generators", tuple(self.generators))
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
+
+    @functools.cached_property
+    def factor(self) -> np.ndarray:
+        factor = np.asarray(attenuation(self.generators, self.kind))
+        factor.setflags(write=False)
+        return factor
 
 
 Step = Union[GateStep, NoiseStep]
@@ -331,7 +342,7 @@ def circuit_states(
         elif noise_override is not None:
             rho = noise_override(rho)
         else:
-            rho = DensityMatrix(rho.entries * attenuation(step.generators, step.kind), rho.kind)
+            rho = DensityMatrix(rho.entries * step.factor, rho.kind)
         yield step, rho
 
 

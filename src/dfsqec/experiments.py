@@ -61,6 +61,9 @@ CSV_HEADER = (
     "scenario,kind,case,kappa0,ratio,ancilla_purity,Cx,Cy,Cz,Fe,Fe_analytic,Px,Py,Pz,P"
 )
 
+# columns load_csv_series reads back for a chart
+_CHART_COLUMNS = ("scenario", "kappa0", "Fe", "Fe_analytic")
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -260,14 +263,27 @@ def emit_chart(results: Sequence[ScenarioResult], path: str | Path) -> None:
 
 
 def load_csv_series(path: str | Path) -> list[ChartSeries]:
-    """Rebuild chart series from a CSV written by emit_csv."""
+    """Rebuild chart series from a CSV written by emit_csv; a missing
+    column, or a row whose kappa0, Fe or Fe_analytic is not a finite
+    number, raises ValueError naming the file and column or line."""
     groups: dict[str, list[tuple[float, float, float | None]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            fe_a = float(row["Fe_analytic"]) if row["Fe_analytic"] else None
-            groups.setdefault(row["scenario"], []).append(
-                (float(row["kappa0"]), float(row["Fe"]), fe_a)
-            )
+        reader = csv.DictReader(fh)
+        missing = [c for c in _CHART_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if not row["scenario"]:
+                raise ValueError(f"{where}: empty scenario")
+            try:
+                x, fe = float(row["kappa0"]), float(row["Fe"])
+                fe_a = float(row["Fe_analytic"]) if row["Fe_analytic"] else None
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: kappa0, Fe and Fe_analytic must be numbers") from None
+            if not all(math.isfinite(v) for v in (x, fe, fe_a) if v is not None):
+                raise ValueError(f"{where}: kappa0, Fe and Fe_analytic must be finite")
+            groups.setdefault(row["scenario"], []).append((x, fe, fe_a))
     series = []
     for label, rows in groups.items():
         pts = tuple((x, fe) for x, fe, _ in rows)

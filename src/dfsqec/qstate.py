@@ -8,9 +8,14 @@ Conventions used everywhere in this package:
 * matrices are plain dense numpy arrays (nothing here is larger than
   16x16), copied on construction and marked read-only, so every value
   is immutable and safe to share between threads.
+
+Because operators are immutable, ``embed`` caches its results: the
+same gate on the same targets is built and checked once, then shared
+by every circuit, sweep point and probe that uses it.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,6 +47,10 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 STATE_MIN_EIG = -1e-10
 UNITARY_TOL = 1e-10
+
+# distinct (gate, targets, n_qubits) keys kept by embed's cache; the
+# scenario circuits use a few dozen
+EMBED_CACHE_SIZE = 256
 
 STATE = "state"
 DEVIATION = "deviation"
@@ -101,10 +110,10 @@ class DensityMatrix:
         if self.kind not in (STATE, DEVIATION):
             raise ValueError(f"unknown density-matrix kind {self.kind!r}")
         m = _frozen_square(self.entries)
-        herm = np.max(np.abs(m - m.conj().T))
+        herm = np.abs(m - m.conj().T).max()
         if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian, max deviation {herm:.2e}")
-        tr = complex(np.trace(m)).real
+        tr = float(m.trace().real)
         if self.kind == STATE:
             if abs(tr - 1.0) > TRACE_TOL:
                 raise ValueError(f"state trace is {tr!r}, expected 1")
@@ -191,7 +200,18 @@ def embed(gate: Operator, targets: Sequence[int], n_qubits: int) -> Operator:
 
     ``targets`` maps the gate's own qubits, in order, onto system qubit
     labels; every other qubit is left alone.
+
+    Results are cached by gate identity, targets and size, so a fixed
+    gate network is embedded and checked once however often it runs.
+    Sharing is safe because operators are read-only, and the cache
+    holds its gates, so their ids cannot be reused.  Invalid calls are
+    not cached and raise every time.
     """
+    return _embed(gate, tuple(targets), n_qubits)
+
+
+@functools.lru_cache(maxsize=EMBED_CACHE_SIZE)
+def _embed(gate: Operator, targets: tuple[int, ...], n_qubits: int) -> Operator:
     targets = list(targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target qubit in {targets}")

@@ -272,6 +272,21 @@ class TestCptpRandomized:
         assert abs(out.trace() - 1.0) <= 1e-12
         assert np.linalg.eigvalsh(out.entries)[0] >= -1e-9
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+    def test_markov_semigroup_composition(self, seed, t1, t2):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 4))
+        gens = []
+        for _ in range(int(rng.integers(1, 4))):
+            w = rng.normal(size=n)
+            w[int(rng.integers(0, n))] = 1.0
+            gens.append(DephasingGenerator(w, float(rng.uniform(0, 3.0))))
+        rho = random_state(rng, n)
+        twice = markov_dephase(markov_dephase(rho, gens, t1), gens, t2)
+        once = markov_dephase(rho, gens, t1 + t2)
+        assert np.max(np.abs(twice.entries - once.entries)) <= 1e-12
+
     def test_deviation_kind_passes_through(self, rng):
         dev = random_deviation(rng, 2)
         out = incoherent_dephase(dev, single(1, 2, 1.3))

@@ -1,11 +1,16 @@
+import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from dfsqec.cli import main, parse_grid
+import dfsqec
+from dfsqec.cli import _JSON_FIELDS, main, parse_grid
+from dfsqec.experiments import CSV_HEADER, ScenarioConfig
 from dfsqec.metrics import analytic_fe_no_qec, analytic_fe_qec_independent, analytic_fe_qec_strong
 
 
@@ -138,6 +143,16 @@ class TestNoiseStrength:
         assert rc == 1
         assert "unknown config field" in capsys.readouterr().err
 
+    def test_json_fields_are_the_config_fields_plus_epsilon(self):
+        fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+        assert set(_JSON_FIELDS) == fields | {"epsilon"}
+
+    def test_null_epsilon_means_no_epsilon(self, tmp_path, capsys):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"epsilon": None}))
+        assert main(["noise-strength", "--spec", str(cfg)]) == 0
+        assert "epsilon" not in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         rc = main(["noise-strength", "--spec", "/nonexistent.json"])
         assert rc == 1
@@ -168,11 +183,29 @@ class TestChart:
         ["analytic", "--curve", "qec-strong", "--kappa0", "1", "--ratio", "0"],
         ["analytic", "--curve", "qec-strong", "--kappa0", "1", "--ratio", "inf"],
         ["analytic", "--curve", "no-qec", "--kappa0", "0:1e9:1e-9"],
+        ["noise-strength", "--spec", '{"ratio": "x"}'],
+        ["noise-strength", "--spec", '{"sweep": 5}'],
+        ["noise-strength", "--spec", '{"kind": ["x"]}'],
+        ["noise-strength", "--spec", '{"epsilon": "a"}'],
+        ["noise-strength", "--spec", '{"ancilla_purity": null}'],
+        ["noise-strength", "--spec", "[1, 2]"],
+        ["noise-strength", "--spec", '{"sweep": [1, true]}'],
+        ["noise-strength", "--spec", '{"ratio": 1' + "0" * 400 + "}"],
+        ["chart", "--in", "scenario,kappa0,Fe\nno_qec,0,1\n"],
+        ["chart", "--in", CSV_HEADER + "\nno_qec,incoherent_sinc,a,nan,0.5,1,1,1,1,1,1,1,1,1,1\n"],
+        ["chart", "--in", CSV_HEADER + "\nno_qec,incoherent_sinc,a,0,0.5,1,1,1,1,nan,1,1,1,1,1\n"],
     ],
 )
 def test_bad_input_is_one_error_line_and_no_output(argv, tmp_path, capsys):
-    out = tmp_path / "x.csv"
-    if argv[0] == "sweep":
+    out = tmp_path / ("x.svg" if argv[0] == "chart" else "x.csv")
+    # the value after --spec or --in is the text of that input file
+    argv = list(argv)
+    for flag in ("--spec", "--in"):
+        if flag in argv:
+            i = argv.index(flag) + 1
+            (tmp_path / "input").write_text(argv[i])
+            argv[i] = str(tmp_path / "input")
+    if argv[0] in ("sweep", "chart"):
         argv = argv + ["--out", str(out)]
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -185,10 +218,14 @@ def test_check_passes():
 
 
 def test_module_entry_point():
+    # the child finds the package where this process did, installed or not
+    src = str(Path(dfsqec.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "dfsqec", "analytic", "--curve", "no-qec", "--kappa0", "0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "0,1"

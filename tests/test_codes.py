@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsqec.channels import INCOHERENT_SINC, MARKOVIAN_EXP, DephasingGenerator, NoiseSpec
+from dfsqec.channels import INCOHERENT_SINC, MARKOVIAN_EXP, DephasingGenerator, NoiseSpec, attenuation
 from dfsqec.codes import (
+    SCENARIOS,
     Circuit,
     Gate,
     GateStep,
@@ -22,7 +23,7 @@ from dfsqec.codes import (
     qec3_recover,
     toffoli,
 )
-from dfsqec.experiments import pauli_transfer_matrix, prepare_inputs
+from dfsqec.experiments import ScenarioConfig, pauli_transfer_matrix, prepare_inputs
 from dfsqec.metrics import correlation, entanglement_fidelity
 from dfsqec.qstate import (
     SX,
@@ -33,6 +34,7 @@ from dfsqec.qstate import (
     computational_state,
     embed,
     partial_trace,
+    pauli,
     pauli_deviation,
     tensor_dm,
 )
@@ -266,6 +268,26 @@ class TestScenarioCircuits:
         want = pauli_transfer_matrix("qec_independent", bare)
         assert np.max(np.abs(got - want)) <= 1e-9
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(SCENARIOS),
+        st.sampled_from([INCOHERENT_SINC, MARKOVIAN_EXP]),
+        st.sampled_from(["a", "b"]),
+        st.floats(0.1, 2.0),
+        st.floats(0.5, 1.0),
+        st.floats(0.0, 12.0),
+    )
+    def test_data_qubit_channel_is_cptp(self, scenario, kind, case, ratio, purity, kappa0):
+        # Choi matrix (1/2) sum_v sigma_v^T x E(sigma_v), with
+        # E(sigma_v) = sum_u R[u, v] sigma_u, is positive semidefinite
+        spec = ScenarioConfig(scenario, kind=kind, ratio=ratio, coupling_case=case).noise_spec(kappa0)
+        r = pauli_transfer_matrix(scenario, spec, ancilla_purity=purity)
+        sigmas = [np.eye(2)] + [pauli(u).entries for u in "xyz"]
+        choi = sum(
+            np.kron(sigmas[v].T, sum(r[u, v] * sigmas[u] for u in range(4))) for v in range(4)
+        ) / 2.0
+        assert np.linalg.eigvalsh(choi)[0] >= -1e-12
+
     def test_scenario_spec_mismatch_errors(self):
         with pytest.raises(ValueError, match="independent"):
             build_scenario_circuit("qec_independent", NoiseSpec(1.0, collective=True))
@@ -292,6 +314,14 @@ class TestCircuitPlumbing:
         gen = DephasingGenerator(np.array([1.0]), 1.0, "z1")
         with pytest.raises(ValueError, match="generator"):
             Circuit(2, (NoiseStep((gen,)),))
+
+    @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
+    def test_noise_factor_is_the_attenuation(self, kind):
+        spec = NoiseSpec(2.3, collective=True, ratio=0.7, kind=kind)
+        (step,) = [s for s in build_scenario_circuit("dfs_qec", spec).steps if isinstance(s, NoiseStep)]
+        assert np.array_equal(step.factor, attenuation(step.generators, step.kind))
+        assert step.factor is step.factor
+        assert not step.factor.flags.writeable
 
     def test_pretty_printer(self):
         spec = NoiseSpec(1.5)

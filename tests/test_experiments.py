@@ -22,6 +22,7 @@ from dfsqec.codes import apply_circuit, build_scenario_circuit
 from dfsqec.qstate import (
     DEVIATION,
     DensityMatrix,
+    _embed,
     computational_state,
     partial_trace,
     pauli,
@@ -70,6 +71,22 @@ PINNED_CSV_SHA256 = {
     ("dfs_qec", "markovian_exp", "a", 0.7): "96fab10a13d6ace6867b54167cf8f5097e7fa5a99deb15268c175c7234c8e307",
     ("dfs_qec", "markovian_exp", "b", 1.0): "28da8532bf0d8ddb48c93b94513d24384cc12b116ec8341f4c7ec2e89c764c64",
     ("dfs_qec", "markovian_exp", "b", 0.7): "262d0300630f75cd410cb16626ce1af053c70c939f6079852db56035f547d501",
+}
+
+
+# SHA-256 of rounded pauli_transfer_matrix cells (12 decimals, as the
+# benchmark's channel-probe digest), keyed by (scenario, kind, case,
+# ratio, purity, kappa0): pins the probe path, which the CSV digests
+# above do not reach
+PINNED_PTM_SHA256 = {
+    ("qec_independent", "incoherent_sinc", "a", 0.5, 1.0, 1.3): "d229313f7acc613a5213bb290c65e81cca880e258dd53dece8f440b2ee2f750b",
+    ("qec_independent", "markovian_exp", "b", 0.5, 0.7, 2.7): "b56ebaaaba88167fdfc1afcf14c23e0b8b9e46259914c07c04f6992e6cddad2f",
+    ("qec_hybrid", "incoherent_sinc", "b", 1.3, 0.7, 0.9): "b60d2c3d4bf20557242268d4e0b5e2447bd89252be4eb4b205b03e3780651eae",
+    ("qec_hybrid", "markovian_exp", "a", 0.25, 1.0, 3.1): "68fedd1206c29daa0b875f19749697060b53603d5e0b93609a76b62f2f922944",
+    ("no_qec", "incoherent_sinc", "a", 0.5, 0.7, 4.4): "4cbcc74663ab3426b84202e120001740278dcad039de01e6ec3002501e75a83e",
+    ("no_qec", "markovian_exp", "b", 0.5, 1.0, 0.6): "8f4e7b6d5c79ce2cf3ba71dc26cb4c73d1f1e9d6481c929f7195b0ce74ecd146",
+    ("dfs_qec", "incoherent_sinc", "a", 0.5, 1.0, 5.2): "a620594365e2e4b39db645afcf3888693189e8b55c30187a642475542e44f690",
+    ("dfs_qec", "markovian_exp", "b", 1.7, 0.7, 1.7): "47ffac4e5a863e43629d57f4c4c6c1a3368d09c8e03887016d05730eb13f56dd",
 }
 
 
@@ -233,6 +250,14 @@ class TestCsv:
         emit_csv(run_scenario(cfg), out)
         assert file_hash(out) == PINNED_CSV_SHA256[scenario, kind, case, purity]
 
+    def test_cold_and_warm_embed_cache_give_same_bytes(self, tmp_path):
+        cfg = ScenarioConfig("dfs_qec", kind="markovian_exp", ancilla_purity=0.7)
+        _embed.cache_clear()
+        cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+        emit_csv(run_scenario(cfg), cold)
+        emit_csv(run_scenario(cfg), warm)
+        assert file_hash(cold) == file_hash(warm)
+
     def test_roundtrip_through_loader(self, tmp_path):
         cfg = ScenarioConfig("dfs_qec", sweep=(0.0, 1.0, 2.0))
         res = run_scenario(cfg)
@@ -243,6 +268,22 @@ class TestCsv:
         assert len(series.points) == 3
         assert series.points[2][1] == pytest.approx(res.points[2].report.Fe, rel=1e-10)
         assert series.curve is not None
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("scenario,kappa0,Fe\nno_qec,0,1\n", "missing column.*Fe_analytic"),
+            ("scenario,kappa0,Fe,Fe_analytic\nno_qec,0,1,1\nno_qec,nan,1,1\n", "line 3.*finite"),
+            ("scenario,kappa0,Fe,Fe_analytic\nno_qec,0,x,1\n", "line 2.*numbers"),
+        ],
+        ids=["missing-column", "nan-kappa0", "text-Fe"],
+    )
+    def test_loader_rejects_bad_csv(self, tmp_path, text, match):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=match) as info:
+            load_csv_series(bad)
+        assert str(bad) in str(info.value)
 
 
 class TestChart:
@@ -324,3 +365,12 @@ def test_transfer_matrix_of_no_qec_dephasing():
     s = float(np.sin(1.0))
     want = np.diag([1.0, s, s, 1.0])
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_PTM_SHA256))
+def test_transfer_matrix_matches_pinned_digest(key):
+    scenario, kind, case, ratio, purity, kappa0 = key
+    spec = ScenarioConfig(scenario, kind=kind, ratio=ratio, coupling_case=case).noise_spec(kappa0)
+    r = pauli_transfer_matrix(scenario, spec, purity)
+    cells = ",".join(f"{round(v, 12) + 0.0:.12f}" for v in r.ravel())
+    assert hashlib.sha256(cells.encode()).hexdigest() == PINNED_PTM_SHA256[key]

@@ -146,6 +146,18 @@ class TestEmbed:
         with pytest.raises(ValueError, match="does not fit"):
             embed(CNOT, [1], 2)
 
+    def test_results_are_cached_and_read_only(self):
+        got = embed(SZ, [3], 4)
+        assert embed(SZ, (3,), 4) is got
+        assert not got.entries.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got.entries[0, 0] = 2.0
+
+    def test_invalid_call_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="range"):
+                embed(SZ, [5], 4)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
     def test_disjoint_embeddings_commute(self, seed, n):
