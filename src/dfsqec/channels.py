@@ -151,8 +151,9 @@ def markov_dephase(rho: DensityMatrix, gens: Sequence[DephasingGenerator], t: fl
     return _dephase(rho, [replace(g, strength=g.strength * t) for g in gens], MARKOVIAN_EXP)
 
 
-def _operator_norm(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x, 2))
+def _operator_norm(x: np.ndarray) -> np.float64:
+    """Largest singular value; inf when an entry has overflowed."""
+    return np.linalg.norm(x, 2) if np.all(np.isfinite(x)) else np.float64(np.inf)
 
 
 def noise_strength(gens: Sequence[DephasingGenerator]) -> float:
@@ -165,15 +166,23 @@ def noise_strength(gens: Sequence[DephasingGenerator]) -> float:
     n = gens[0].n_qubits
     if any(g.n_qubits != n for g in gens):
         raise ValueError("generators must share a common qubit count")
-    mats = [g.lindblad_matrix() for g in gens]
-    total = sum(_operator_norm(m) ** 2 for m in mats)
-    accum = sum(m.conj().T @ m for m in mats)
-    return float(total + _operator_norm(accum))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = [g.lindblad_matrix() for g in gens]
+        total = sum(_operator_norm(m) ** 2 for m in mats)
+        accum = sum(m.conj().T @ m for m in mats)
+        strength = float(total + _operator_norm(accum))
+    if not math.isfinite(strength):
+        raise ValueError("noise strength is not finite: generator strengths are too large")
+    return strength
 
 
 def partial_strengths(gens: Sequence[DephasingGenerator]) -> list[float]:
     """Per-generator partial strengths lambda_mu = 2 |L_mu|^2."""
-    return [2.0 * _operator_norm(g.lindblad_matrix()) ** 2 for g in gens]
+    with np.errstate(over="ignore", invalid="ignore"):
+        strengths = [float(2.0 * _operator_norm(g.lindblad_matrix()) ** 2) for g in gens]
+    if not all(map(math.isfinite, strengths)):
+        raise ValueError("partial noise strength is not finite: generator strengths are too large")
+    return strengths
 
 
 def restrict_to_qubit(gen: DephasingGenerator, qubit: int) -> DephasingGenerator | None:
@@ -218,14 +227,13 @@ class NoiseSpec:
     lambda_0 * t for the Markovian kind.  When ``collective`` is set,
     qubits 3 and 4 additionally see a collective axis whose scale is
     ``kappa0 / ratio`` (incoherent) or ``kappa0 / ratio**2`` (Markovian,
-    rates scale as amplitude squared), unless ``kappa_c`` overrides it.
+    rates scale as amplitude squared).
 
     ``coupling_case`` selects how the collective and residual noise on
     qubit 3 combine: case "a" shares one environment, so the amplitudes
     add into a single generator and the qubit-3 totals are
     kappa_3 = kappa_c + kappa_0; case "b" keeps two separate
-    environments.  ``epsilon`` is the residual/collective amplitude
-    ratio used by strength analyses; it defaults to ``ratio``.
+    environments.
     """
 
     kappa0: float
@@ -233,8 +241,6 @@ class NoiseSpec:
     ratio: float = 0.5
     coupling_case: str = "a"
     kind: str = INCOHERENT_SINC
-    epsilon: float | None = None
-    kappa_c: float | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.kappa0 < math.inf):
@@ -247,10 +253,6 @@ class NoiseSpec:
             raise ValueError(f"ratio must be finite, got {self.ratio}")
         if self.collective and not (self.ratio > 0.0):
             raise ValueError(f"ratio must be > 0 with collective noise enabled, got {self.ratio}")
-        if self.epsilon is not None and not (0.0 <= self.epsilon < math.inf):
-            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if self.kappa_c is not None and not (0.0 <= self.kappa_c < math.inf):
-            raise ValueError(f"kappa_c must be finite and >= 0, got {self.kappa_c}")
         if self.collective:
             try:
                 scale = self.collective_scale()
@@ -261,16 +263,10 @@ class NoiseSpec:
                     f"collective scale is not finite for kappa0={self.kappa0}, ratio={self.ratio}"
                 )
 
-    @property
-    def amplitude_ratio(self) -> float:
-        return self.ratio if self.epsilon is None else self.epsilon
-
     def collective_scale(self) -> float | None:
         """Strength of the collective axis, None when disabled."""
         if not self.collective:
             return None
-        if self.kappa_c is not None:
-            return self.kappa_c
         if self.kind == INCOHERENT_SINC:
             return self.kappa0 / self.ratio
         return self.kappa0 / self.ratio**2

@@ -11,7 +11,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -25,7 +24,7 @@ from .channels import (
     partial_strengths,
     qubit3_strength_ratio,
 )
-from .codes import SCENARIOS
+from .codes import SCENARIOS, scenario_layout
 from .experiments import (
     ScenarioConfig,
     emit_csv,
@@ -109,7 +108,8 @@ def _is_string(value) -> bool:
 
 
 # JSON fields of a noise-strength config: ScenarioConfig's own, plus
-# ``epsilon`` (NoiseSpec's, may be null), each with its type check
+# ``epsilon`` (the qubit-3 residual/collective amplitude ratio, may be
+# null), each with its type check
 _JSON_FIELDS = {
     "scenario": (_is_string, "a string"),
     "kind": (_is_string, "a string"),
@@ -146,17 +146,20 @@ def _cmd_noise_strength(args: argparse.Namespace) -> int:
     config = _config_from_json(raw)
     sweep = config.sweep if "sweep" in raw else (1.0,)
     epsilon = raw.get("epsilon")
+    ratio = None if epsilon is None else qubit3_strength_ratio(epsilon)
+    n, _ = scenario_layout(config.scenario)
+    # every point is computed, and checked, before anything is printed
+    lines = []
     for x in sweep:
-        spec = dataclasses.replace(config.noise_spec(x), epsilon=epsilon)
-        n = 4 if spec.collective else 3
-        gens = build_error_model(spec, n)
-        print(f"kappa0={_fmt(x)} lambda={_fmt(noise_strength(gens))}")
+        gens = build_error_model(config.noise_spec(x), n)
+        lines.append(f"kappa0={_fmt(x)} lambda={_fmt(noise_strength(gens))}")
         for gen, lam_mu in zip(gens, partial_strengths(gens)):
             weights = "(" + ",".join(_fmt(w) for w in gen.weights) + ")"
-            print(f"  {gen.label}: weights={weights} strength={_fmt(gen.strength)} lambda_mu={_fmt(lam_mu)}")
-    if epsilon is not None:
-        ratio = qubit3_strength_ratio(epsilon)
-        print(f"qubit-3 single/two-environment strength ratio (epsilon={_fmt(epsilon)}): {_fmt(ratio)}")
+            lines.append(f"  {gen.label}: weights={weights} strength={_fmt(gen.strength)} lambda_mu={_fmt(lam_mu)}")
+    if ratio is not None:
+        lines.append(f"qubit-3 single/two-environment strength ratio (epsilon={_fmt(epsilon)}): {_fmt(ratio)}")
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -17,6 +17,11 @@ In the concatenated network the logical pair replaces the second
 ancilla of the outer code: Hadamards on that carrier become H_L, the
 CNOT into it becomes a controlled-X_L, and the recovery Toffoli is
 controlled on qubit 1 and on qubit 3 (the Z_L carrier of the pair).
+
+The four storage experiments are declared once, in the table
+``_SCENARIOS``: qubit count, collective noise or not, and the gates
+before and after the noise marker, built once at import.  It is the
+only source of a scenario's qubit count and collectiveness.
 """
 from __future__ import annotations
 
@@ -38,10 +43,10 @@ from .qstate import SX, SZ, DensityMatrix, Operator, apply_unitary, embed
 
 __all__ = [
     "Gate",
-    "GateStep",
     "NoiseStep",
     "Circuit",
     "SCENARIOS",
+    "scenario_layout",
     "hadamard",
     "pauli_x",
     "pauli_z",
@@ -56,8 +61,6 @@ __all__ = [
     "apply_circuit",
     "circuit_states",
 ]
-
-SCENARIOS = ("qec_independent", "qec_hybrid", "no_qec", "dfs_qec")
 
 _H = Operator(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), unitary=True)
 
@@ -104,11 +107,6 @@ class Gate:
 
 
 @dataclass(frozen=True, eq=False)
-class GateStep:
-    gate: Gate
-
-
-@dataclass(frozen=True, eq=False)
 class NoiseStep:
     """Marker for the storage interval: the engineered noise acts here.
 
@@ -132,7 +130,7 @@ class NoiseStep:
         return factor
 
 
-Step = Union[GateStep, NoiseStep]
+Step = Union[Gate, NoiseStep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +141,10 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         for step in self.steps:
-            if isinstance(step, GateStep):
-                bad = [q for q in step.gate.targets if q < 1 or q > self.n_qubits]
+            if isinstance(step, Gate):
+                bad = [q for q in step.targets if q < 1 or q > self.n_qubits]
                 if bad:
-                    raise ValueError(f"gate {step.gate.name!r} targets {bad} outside 1..{self.n_qubits}")
+                    raise ValueError(f"gate {step.name!r} targets {bad} outside 1..{self.n_qubits}")
             elif isinstance(step, NoiseStep):
                 for gen in step.generators:
                     if gen.n_qubits != self.n_qubits:
@@ -157,15 +155,12 @@ class Circuit:
             else:
                 raise ValueError(f"unknown step type {type(step).__name__}")
 
-    def noise_marker_count(self) -> int:
-        return sum(isinstance(s, NoiseStep) for s in self.steps)
-
     def pretty(self) -> str:
         """One step per line: ``GATE targets`` or ``NOISE label κ=...``."""
         lines = []
         for step in self.steps:
-            if isinstance(step, GateStep):
-                lines.append(" ".join([step.gate.name, *map(str, step.gate.targets)]))
+            if isinstance(step, Gate):
+                lines.append(" ".join([step.name, *map(str, step.targets)]))
             else:
                 parts = ", ".join(f"{g.label} κ={g.strength:g}" for g in step.generators)
                 lines.append(f"NOISE {parts}")
@@ -276,8 +271,30 @@ def _logical_qec3_recover() -> list[Gate]:
     ]
 
 
+# name -> (qubit count, collective noise?, gates before the noise
+# marker, gates after it); the gates do not depend on the noise strength
+_QEC3 = (tuple(qec3_encode(2, 1, 3)), tuple(qec3_recover(2, 1, 3)))
+_SCENARIOS = {
+    "qec_independent": (3, False, *_QEC3),
+    "qec_hybrid": (4, True, *_QEC3),
+    "no_qec": (3, False, (), ()),
+    "dfs_qec": (
+        4, True, tuple(dfs_encode() + _logical_qec3_encode()), tuple(_logical_qec3_recover() + dfs_decode())
+    ),
+}
+SCENARIOS = tuple(_SCENARIOS)
+
+
+def scenario_layout(scenario: str) -> tuple[int, bool]:
+    """(qubit count, collective noise?) of a scenario."""
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    return _SCENARIOS[scenario][:2]
+
+
 def build_scenario_circuit(scenario: str, spec: NoiseSpec) -> Circuit:
-    """Assemble one of the four storage experiments.
+    """Assemble one of the four storage experiments around a new noise
+    marker for ``spec``; the gates are the table's, built once.
 
     * ``qec_independent``: three-qubit phase code (data qubit 2,
       ancillae 1 and 3) under independent noise.
@@ -286,39 +303,15 @@ def build_scenario_circuit(scenario: str, spec: NoiseSpec) -> Circuit:
       the code.
     * ``no_qec``: the data qubit idles through the noise interval.
     * ``dfs_qec``: the concatenated network, with the second outer
-      ancilla encoded in the qubit-(3,4) pair.
+      ancilla encoded in the qubit-(3,4) pair, under collective noise.
     """
-    if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    if scenario in ("qec_independent", "no_qec") and spec.collective:
-        raise ValueError(f"{scenario} expects independent noise only")
-    if scenario == "qec_hybrid" and not spec.collective:
-        raise ValueError("qec_hybrid requires the collective noise component")
-
-    if scenario == "qec_independent":
-        n = 3
-        gates_before = qec3_encode(2, 1, 3)
-        gates_after = qec3_recover(2, 1, 3)
-    elif scenario == "qec_hybrid":
-        n = 4
-        gates_before = qec3_encode(2, 1, 3)
-        gates_after = qec3_recover(2, 1, 3)
-    elif scenario == "no_qec":
-        n = 3
-        gates_before = []
-        gates_after = []
-    else:
-        n = 4
-        gates_before = dfs_encode() + _logical_qec3_encode()
-        gates_after = _logical_qec3_recover() + dfs_decode()
-
+    n, collective = scenario_layout(scenario)
+    if spec.collective != collective:
+        want = "the collective noise component" if collective else "independent noise only"
+        raise ValueError(f"{scenario} requires {want}")
+    _, _, before, after = _SCENARIOS[scenario]
     noise = NoiseStep(tuple(build_error_model(spec, n)), kind=spec.kind)
-    steps: list[Step] = [GateStep(g) for g in gates_before]
-    steps.append(noise)
-    steps.extend(GateStep(g) for g in gates_after)
-    circuit = Circuit(n, tuple(steps))
-    assert circuit.noise_marker_count() == 1
-    return circuit
+    return Circuit(n, before + (noise,) + after)
 
 
 def circuit_states(
@@ -337,8 +330,8 @@ def circuit_states(
     if rho.dim != 2**circuit.n_qubits:
         raise ValueError(f"state dimension {rho.dim} does not match {circuit.n_qubits}-qubit circuit")
     for step in circuit.steps:
-        if isinstance(step, GateStep):
-            rho = apply_unitary(rho, embed(step.gate.matrix, step.gate.targets, circuit.n_qubits))
+        if isinstance(step, Gate):
+            rho = apply_unitary(rho, embed(step.matrix, step.targets, circuit.n_qubits))
         elif noise_override is not None:
             rho = noise_override(rho)
         else:

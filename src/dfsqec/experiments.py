@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channels import INCOHERENT_SINC, NOISE_KINDS, COUPLING_CASES, NoiseSpec
-from .codes import SCENARIOS, Circuit, apply_circuit, build_scenario_circuit
+from .codes import SCENARIOS, Circuit, apply_circuit, build_scenario_circuit, scenario_layout
 from .metrics import AXES, MetricReport, analytic_reference, correlation
 from .qstate import (
     STATE,
@@ -95,7 +95,7 @@ class ScenarioConfig:
 
     @property
     def collective(self) -> bool:
-        return self.scenario in ("qec_hybrid", "dfs_qec")
+        return scenario_layout(self.scenario)[1]
 
     def noise_spec(self, kappa0: float) -> NoiseSpec:
         return NoiseSpec(

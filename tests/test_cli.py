@@ -191,6 +191,10 @@ class TestChart:
         ["noise-strength", "--spec", "[1, 2]"],
         ["noise-strength", "--spec", '{"sweep": [1, true]}'],
         ["noise-strength", "--spec", '{"ratio": 1' + "0" * 400 + "}"],
+        ["noise-strength", "--spec", '{"sweep": [1e308]}'],
+        ["noise-strength", "--spec", '{"sweep": [1, 1e308]}'],
+        ["noise-strength", "--spec", '{"epsilon": 1e999}'],
+        ["noise-strength", "--spec", '{"epsilon": -1}'],
         ["chart", "--in", "scenario,kappa0,Fe\nno_qec,0,1\n"],
         ["chart", "--in", CSV_HEADER + "\nno_qec,incoherent_sinc,a,nan,0.5,1,1,1,1,1,1,1,1,1,1\n"],
         ["chart", "--in", CSV_HEADER + "\nno_qec,incoherent_sinc,a,0,0.5,1,1,1,1,nan,1,1,1,1,1\n"],

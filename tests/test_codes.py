@@ -3,12 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsqec.channels import INCOHERENT_SINC, MARKOVIAN_EXP, DephasingGenerator, NoiseSpec, attenuation
+from dfsqec.channels import (
+    INCOHERENT_SINC,
+    MARKOVIAN_EXP,
+    DephasingGenerator,
+    NoiseSpec,
+    attenuation,
+    incoherent_dephase,
+)
 from dfsqec.codes import (
     SCENARIOS,
     Circuit,
     Gate,
-    GateStep,
     NoiseStep,
     apply_circuit,
     build_scenario_circuit,
@@ -21,6 +27,7 @@ from dfsqec.codes import (
     pauli_z,
     qec3_encode,
     qec3_recover,
+    scenario_layout,
     toffoli,
 )
 from dfsqec.experiments import ScenarioConfig, pauli_transfer_matrix, prepare_inputs
@@ -41,7 +48,7 @@ from dfsqec.qstate import (
 
 
 def run_gates(state: DensityMatrix, gates, n: int) -> DensityMatrix:
-    circ = Circuit(n, tuple(GateStep(g) for g in gates))
+    circ = Circuit(n, tuple(gates))
     return apply_circuit(state, circ)
 
 
@@ -207,12 +214,34 @@ class TestScenarioCircuits:
             ("dfs_qec", True),
         ):
             circuit = build_scenario_circuit(scenario, NoiseSpec(1.0, collective=collective))
-            assert circuit.noise_marker_count() == 1
+            assert sum(isinstance(step, NoiseStep) for step in circuit.steps) == 1
+
+    def test_scenario_layout(self):
+        assert [scenario_layout(s) for s in SCENARIOS] == [(3, False), (4, True), (3, False), (4, True)]
+        for scenario in SCENARIOS:
+            n, collective = scenario_layout(scenario)
+            assert build_scenario_circuit(scenario, NoiseSpec(1.0, collective=collective)).n_qubits == n
+            assert ScenarioConfig(scenario).collective is collective
+        with pytest.raises(ValueError, match="unknown scenario"):
+            scenario_layout("five_qubit")
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_gates_are_shared_across_noise_strengths(self, scenario):
+        # only the noise marker depends on kappa0; the gates are built once
+        collective = scenario_layout(scenario)[1]
+        low, high = (build_scenario_circuit(scenario, NoiseSpec(k, collective=collective)) for k in (0.5, 3.0))
+        assert len(low.steps) == len(high.steps)
+        for a, b in zip(low.steps, high.steps):
+            if isinstance(a, Gate):
+                assert a is b
+            else:
+                assert isinstance(b, NoiseStep) and a is not b
 
     def test_dfs_collective_only_noise_is_harmless(self):
-        spec = NoiseSpec(0.0, collective=True, kappa_c=7.0)
-        circuit = build_scenario_circuit("dfs_qec", spec)
-        assert abs(fidelity_through(circuit) - 1.0) <= 1e-12
+        circuit = build_scenario_circuit("dfs_qec", NoiseSpec(0.0, collective=True))
+        collective = DephasingGenerator(np.array([0.0, 0.0, 1.0, 1.0]), 7.0, "z34-collective")
+        fe = fidelity_through(circuit, noise_override=lambda r: incoherent_dephase(r, collective))
+        assert abs(fe - 1.0) <= 1e-12
 
     def test_dfs_single_logical_phase_flip_is_corrected(self):
         spec = NoiseSpec(0.0, collective=True)
@@ -293,6 +322,8 @@ class TestScenarioCircuits:
             build_scenario_circuit("qec_independent", NoiseSpec(1.0, collective=True))
         with pytest.raises(ValueError, match="collective"):
             build_scenario_circuit("qec_hybrid", NoiseSpec(1.0))
+        with pytest.raises(ValueError, match="collective"):
+            build_scenario_circuit("dfs_qec", NoiseSpec(1.0))
         with pytest.raises(ValueError, match="unknown scenario"):
             build_scenario_circuit("five_qubit", NoiseSpec(1.0))
 
@@ -308,7 +339,7 @@ class TestCircuitPlumbing:
 
     def test_circuit_target_range_checked(self):
         with pytest.raises(ValueError, match="outside"):
-            Circuit(2, (GateStep(hadamard(3)),))
+            Circuit(2, (hadamard(3),))
 
     def test_circuit_noise_generator_width_checked(self):
         gen = DephasingGenerator(np.array([1.0]), 1.0, "z1")

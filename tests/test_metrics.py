@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dfsqec import experiments
 from dfsqec.channels import DephasingGenerator, NoiseSpec, incoherent_dephase
-from dfsqec.codes import Circuit, Gate, GateStep, cnot
+from dfsqec.codes import Circuit, Gate, cnot
 from dfsqec.experiments import ScenarioConfig, run_scenario
 from dfsqec.metrics import (
     MetricReport,
@@ -90,7 +90,7 @@ class TestAvgPolarization:
 
         def with_error(scenario, spec):
             circuit = build(scenario, spec)
-            return Circuit(circuit.n_qubits, circuit.steps + (GateStep(u),))
+            return Circuit(circuit.n_qubits, circuit.steps + (u,))
 
         monkeypatch.setattr(experiments, "build_scenario_circuit", with_error)
         rotated = run_scenario(config).points[0].report
@@ -103,7 +103,7 @@ class TestAvgPolarization:
         # qubit 2 even without noise
         swap = [cnot(1, 2), cnot(2, 1), cnot(1, 2)]
         monkeypatch.setattr(
-            experiments, "build_scenario_circuit", lambda s, spec: Circuit(3, [GateStep(g) for g in swap])
+            experiments, "build_scenario_circuit", lambda s, spec: Circuit(3, swap)
         )
         with pytest.raises(ValueError, match="zero purity"):
             run_scenario(ScenarioConfig("no_qec", sweep=(0.0,)))
