@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of dfsqec's outputs, so that two checkouts can
+be compared with one command each.
+
+Usage:
+    PYTHONPATH=src python3 scripts/output_digest.py
+
+The first line hashes the ``emit_csv`` bytes of 288 sweep configs, in a
+fixed order: 4 scenarios x 2 noise kinds x 2 coupling cases x ancilla
+purity {1, 0.7, 0} x ratio {0.5, 0.25, 1.7} x two grids
+(``DEFAULT_SWEEP``, and 60 points from 0 in steps of 0.0137).  The
+second hashes 24 ``pauli_transfer_matrix`` probes (4 scenarios x 2
+kinds x 3 points), each cell rounded to 12 decimals as the benchmark's
+channel-probe digest does.
+"""
+import hashlib
+import itertools
+import tempfile
+from pathlib import Path
+
+from dfsqec import ScenarioConfig, emit_csv, run_scenario
+from dfsqec.channels import COUPLING_CASES, NOISE_KINDS
+from dfsqec.codes import SCENARIOS
+from dfsqec.experiments import DEFAULT_SWEEP, pauli_transfer_matrix
+
+GRIDS = (DEFAULT_SWEEP, tuple(0.0137 * k for k in range(60)))
+PURITIES = (1.0, 0.7, 0.0)
+RATIOS = (0.5, 0.25, 1.7)
+# (coupling case, ratio, ancilla purity, kappa0) of each probe point
+PROBE_POINTS = (("a", 0.5, 1.0, 0.8), ("b", 0.25, 0.7, 2.9), ("a", 1.7, 0.85, 5.3))
+
+
+def csv_configs() -> list[ScenarioConfig]:
+    """The sweep configs whose CSV bytes the first digest covers."""
+    return [
+        ScenarioConfig(scenario, kind=kind, sweep=grid, ratio=ratio, coupling_case=case, ancilla_purity=purity)
+        for scenario, kind, case, purity, ratio, grid in itertools.product(
+            SCENARIOS, NOISE_KINDS, COUPLING_CASES, PURITIES, RATIOS, GRIDS
+        )
+    ]
+
+
+def probes() -> list[tuple[str, ScenarioConfig, float]]:
+    """(scenario, config, kappa0) of each transfer-matrix probe."""
+    return [
+        (scenario, ScenarioConfig(scenario, kind=kind, ratio=ratio, coupling_case=case, ancilla_purity=purity), x)
+        for scenario, kind, (case, ratio, purity, x) in itertools.product(SCENARIOS, NOISE_KINDS, PROBE_POINTS)
+    ]
+
+
+def csv_digest() -> str:
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.csv"
+        for config in csv_configs():
+            emit_csv(run_scenario(config), path)
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def ptm_digest() -> str:
+    digest = hashlib.sha256()
+    for scenario, config, x in probes():
+        r = pauli_transfer_matrix(scenario, config.noise_spec(x), config.ancilla_purity)
+        digest.update((",".join(f"{round(v, 12) + 0.0:.12f}" for v in r.ravel()) + "\n").encode())
+    return digest.hexdigest()
+
+
+def main() -> int:
+    print(f"csv_sha256 {csv_digest()}  ({len(csv_configs())} configs)")
+    print(f"ptm_sha256 {ptm_digest()}  ({len(probes())} probes)")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

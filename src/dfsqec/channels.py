@@ -23,6 +23,7 @@ collective generator ``sigma_z^3 + sigma_z^4`` this is what makes
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -52,6 +53,11 @@ INCOHERENT_SINC = "incoherent_sinc"
 MARKOVIAN_EXP = "markovian_exp"
 NOISE_KINDS = (INCOHERENT_SINC, MARKOVIAN_EXP)
 COUPLING_CASES = ("a", "b")
+
+# distinct generator weight vectors kept by attenuation's Delta cache:
+# the scenario error models have seven fixed ones; a case "a" combined
+# generator's weights change with every point and only pass through
+DELTA_CACHE_SIZE = 16
 
 
 def sinc(x):
@@ -104,6 +110,17 @@ def _z_values(weights: np.ndarray) -> np.ndarray:
     return (1.0 - 2.0 * bits) @ weights
 
 
+@functools.lru_cache(maxsize=DELTA_CACHE_SIZE)
+def _delta(weights: bytes) -> np.ndarray:
+    """Read-only Delta matrix (ket minus bra eigenvalue of W) of the
+    float64 weight vector with these bytes; it does not depend on the
+    strength, so every sweep point shares it."""
+    z = _z_values(np.frombuffer(weights))
+    delta = z[:, None] - z[None, :]
+    delta.setflags(write=False)
+    return delta
+
+
 def attenuation(gens: Sequence[DephasingGenerator], kind: str) -> np.ndarray:
     """Elementwise factor matrix of the combined channel of commuting
     z-type generators on one register; a state's matrix elements are
@@ -119,8 +136,7 @@ def attenuation(gens: Sequence[DephasingGenerator], kind: str) -> np.ndarray:
     factor = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         for gen in gens:
-            z = gen.z_values()
-            delta = z[:, None] - z[None, :]
+            delta = _delta(gen.weights.tobytes())
             if kind == INCOHERENT_SINC:
                 factor = factor * sinc(gen.strength * delta / 4.0)
             else:
@@ -208,6 +224,8 @@ def qubit3_strength_ratio(epsilon: float) -> float:
     """
     if not (0.0 <= epsilon < math.inf):
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    if not math.isfinite(epsilon * epsilon):
+        raise ValueError(f"epsilon squared overflows, got epsilon={epsilon}")
     combined = DephasingGenerator(np.array([0.0, 0.0, 1.0 + epsilon, 1.0]), 1.0, "combined")
     separate = [
         DephasingGenerator(np.array([0.0, 0.0, 1.0, 1.0]), 1.0, "collective"),

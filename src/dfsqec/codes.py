@@ -39,7 +39,7 @@ from .channels import (
     attenuation,
     build_error_model,
 )
-from .qstate import SX, SZ, DensityMatrix, Operator, apply_unitary, embed
+from .qstate import SX, SZ, DensityMatrix, Operator, check_stack, conjugate, embed
 
 __all__ = [
     "Gate",
@@ -322,21 +322,39 @@ def circuit_states(
 ) -> Iterator[tuple[Step, DensityMatrix]]:
     """Yield (step, state after the step) along a circuit run.
 
+    The run steps on raw arrays: each step's result goes into one
+    ``(steps, d, d)`` buffer, which ``check_stack`` then checks as one
+    stack, with the tolerances of every ``DensityMatrix``.  So every
+    intermediate state is checked, and an invalid run raises before its
+    first yield.  The yielded states are read-only views of the buffer.
+
     Markovian noise markers carry lambda*t folded into their generator
     strengths.  ``noise_override`` replaces the noise marker by an
     arbitrary map, which is how deterministic error insertions are
-    tested.
+    tested; the states up to it are checked before it receives one,
+    and each state is checked exactly once.
     """
     if rho.dim != 2**circuit.n_qubits:
         raise ValueError(f"state dimension {rho.dim} does not match {circuit.n_qubits}-qubit circuit")
-    for step in circuit.steps:
+    states = np.empty((len(circuit.steps), rho.dim, rho.dim), dtype=complex)
+    checked = 0  # states[:checked] have passed check_stack
+    m = rho.entries
+    for i, step in enumerate(circuit.steps):
         if isinstance(step, Gate):
-            rho = apply_unitary(rho, embed(step.matrix, step.targets, circuit.n_qubits))
+            states[i] = conjugate(embed(step.matrix, step.targets, circuit.n_qubits), m)
         elif noise_override is not None:
-            rho = noise_override(rho)
+            check_stack(states[checked:i], rho.kind)
+            checked = i
+            m = m.view()
+            m.setflags(write=False)
+            states[i] = noise_override(DensityMatrix._checked(m, rho.kind)).entries
         else:
-            rho = DensityMatrix(rho.entries * step.factor, rho.kind)
-        yield step, rho
+            states[i] = m * step.factor
+        m = states[i]
+    check_stack(states[checked:], rho.kind)
+    states.setflags(write=False)
+    for step, m in zip(circuit.steps, states):
+        yield step, DensityMatrix._checked(m, rho.kind)
 
 
 def apply_circuit(

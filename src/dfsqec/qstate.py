@@ -11,12 +11,20 @@ Conventions used everywhere in this package:
 
 Because operators are immutable, ``embed`` caches its results: the
 same gate on the same targets is built and checked once, then shared
-by every circuit, sweep point and probe that uses it.
+by every circuit, sweep point and probe that uses it.  Each unitary
+operator keeps its adjoint, and ``conjugate`` is the one place that
+computes ``U m U^dag``.
+
+``check_stack`` holds the state checks (Hermiticity, trace and, for
+states, positivity) for a ``(k, d, d)`` stack of matrices.  A
+``DensityMatrix`` runs it on a stack of one; a circuit run
+(``codes.circuit_states``) runs it once over all of its intermediate
+states, with the same tolerances, and raises before it yields any.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,9 +43,11 @@ __all__ = [
     "computational_state",
     "maximally_mixed",
     "pauli_deviation",
+    "check_stack",
     "tensor",
     "tensor_dm",
     "embed",
+    "conjugate",
     "apply_unitary",
     "partial_trace",
     "hs_overlap",
@@ -64,7 +74,7 @@ def _frozen_square(entries) -> np.ndarray:
     n = dim.bit_length() - 1
     if n < 1 or 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two >= 2")
-    m.setflags(write=False)
+    m.setflags(False)  # write=False; positional is cheaper per call
     return m
 
 
@@ -74,13 +84,19 @@ class Operator:
 
     entries: np.ndarray
     unitary: bool = False
+    # for a unitary operator, entries.conj().T, read-only, computed once
+    # (``conjugate`` reads it); None otherwise
+    adjoint: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         m = _frozen_square(self.entries)
         if self.unitary:
-            dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+            adj = m.conj().T
+            dev = np.max(np.abs(adj @ m - np.eye(m.shape[0])))
             if dev > UNITARY_TOL:
                 raise ValueError(f"operator flagged unitary violates U^dag U = I by {dev:.2e}")
+            adj.setflags(write=False)
+            object.__setattr__(self, "adjoint", adj)
         object.__setattr__(self, "entries", m)
 
     @property
@@ -107,23 +123,18 @@ class DensityMatrix:
     kind: str = STATE
 
     def __post_init__(self):
-        if self.kind not in (STATE, DEVIATION):
-            raise ValueError(f"unknown density-matrix kind {self.kind!r}")
         m = _frozen_square(self.entries)
-        herm = np.abs(m - m.conj().T).max()
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian, max deviation {herm:.2e}")
-        tr = float(m.trace().real)
-        if self.kind == STATE:
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"state trace is {tr!r}, expected 1")
-            lowest = float(np.linalg.eigvalsh(m)[0])
-            if lowest < STATE_MIN_EIG:
-                raise ValueError(f"state has negative eigenvalue {lowest:.2e}")
-        else:
-            if abs(tr) > TRACE_TOL:
-                raise ValueError(f"deviation trace is {tr!r}, expected 0")
+        check_stack(m[None], self.kind)
         object.__setattr__(self, "entries", m)
+
+    @classmethod
+    def _checked(cls, entries: np.ndarray, kind: str) -> "DensityMatrix":
+        """Wrap a read-only matrix that ``check_stack`` has already
+        passed as ``kind``, without checking it again."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "entries", entries)
+        object.__setattr__(rho, "kind", kind)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -135,6 +146,40 @@ class DensityMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
+
+
+def check_stack(stack: np.ndarray, kind: str) -> None:
+    """Check a ``(k, d, d)`` stack of matrices that all claim ``kind``.
+
+    Each matrix must be Hermitian within ``HERMITICITY_TOL`` and have
+    trace 1 (state) or 0 (deviation) within ``TRACE_TOL``; a state's
+    lowest eigenvalue, from one batched ``eigvalsh``, must be at least
+    ``STATE_MIN_EIG``.  The first matrix that fails raises the message a
+    ``DensityMatrix`` of it alone would raise.
+    """
+    if kind not in (STATE, DEVIATION):
+        raise ValueError(f"unknown density-matrix kind {kind!r}")
+    # a few batched numpy calls, then the per-matrix comparisons on
+    # plain Python numbers.  The calls are the cheapest spellings on the
+    # stacks of one that every DensityMatrix checks: the trace is
+    # ndarray.trace's own diagonal sum (same bits), and conj(A) - A^T,
+    # elementwise the conjugate of A - A^dag, is formed in place, which
+    # holds one stack-sized temporary less.
+    errs = stack.conj()
+    errs -= stack.swapaxes(1, 2)
+    herms = np.maximum.reduce(abs(errs), (1, 2)).tolist()
+    traces = np.add.reduce(stack.diagonal(0, 1, 2), 1).tolist()
+    if kind == STATE:
+        target, lowests = 1, np.linalg.eigvalsh(stack)[:, 0].tolist()
+    else:
+        target, lowests = 0, [0.0] * len(herms)  # no positivity check
+    for herm, tr, lowest in zip(herms, traces, lowests):
+        if herm > HERMITICITY_TOL:
+            raise ValueError(f"matrix is not Hermitian, max deviation {herm:.2e}")
+        if abs(tr.real - target) > TRACE_TOL:
+            raise ValueError(f"{kind} trace is {tr.real!r}, expected {target}")
+        if lowest < STATE_MIN_EIG:
+            raise ValueError(f"state has negative eigenvalue {lowest:.2e}")
 
 
 ID2 = Operator(np.eye(2), unitary=True)
@@ -178,9 +223,16 @@ def maximally_mixed(n_qubits: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim) / dim, STATE)
 
 
+_PAULI_DEVIATIONS = {axis: DensityMatrix(op.entries, DEVIATION) for axis, op in _PAULIS.items()}
+
+
 def pauli_deviation(axis: str) -> DensityMatrix:
-    """One-qubit traceless deviation equal to a Pauli matrix."""
-    return DensityMatrix(pauli(axis).entries, DEVIATION)
+    """One-qubit traceless deviation equal to a Pauli matrix; the three
+    are built once and shared, as every DensityMatrix is immutable."""
+    try:
+        return _PAULI_DEVIATIONS[axis]
+    except KeyError:
+        raise ValueError(f"unknown Pauli axis {axis!r}") from None
 
 
 def tensor(a: Operator, b: Operator) -> Operator:
@@ -230,13 +282,18 @@ def _embed(gate: Operator, targets: tuple[int, ...], n_qubits: int) -> Operator:
     return Operator(t.reshape(dim, dim), unitary=gate.unitary)
 
 
-def apply_unitary(rho: DensityMatrix, u: Operator) -> DensityMatrix:
-    """Conjugate a state by a unitary, ``U rho U^dag``."""
-    if u.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: operator {u.dim} vs state {rho.dim}")
+def conjugate(u: Operator, m: np.ndarray) -> np.ndarray:
+    """``U m U^dag`` of a square array by a unitary-flagged operator."""
+    if u.dim != m.shape[0]:
+        raise ValueError(f"dimension mismatch: operator {u.dim} vs state {m.shape[0]}")
     if not u.unitary:
         raise ValueError("operator is not flagged unitary")
-    return DensityMatrix(u.entries @ rho.entries @ u.entries.conj().T, rho.kind)
+    return u.entries @ m @ u.adjoint
+
+
+def apply_unitary(rho: DensityMatrix, u: Operator) -> DensityMatrix:
+    """Conjugate a state by a unitary, ``U rho U^dag``."""
+    return DensityMatrix(conjugate(u, rho.entries), rho.kind)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
@@ -251,7 +308,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     current = list(range(1, n + 1))
     for q in [q for q in current if q not in kept]:
         i = current.index(q)
-        t = np.trace(t, axis1=i, axis2=i + len(current))
+        t = t.trace(axis1=i, axis2=i + len(current))
         current.pop(i)
     dim = 2 ** len(kept)
     return DensityMatrix(t.reshape(dim, dim), rho.kind)

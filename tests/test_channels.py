@@ -8,6 +8,7 @@ from dfsqec.channels import (
     MARKOVIAN_EXP,
     DephasingGenerator,
     NoiseSpec,
+    _delta,
     attenuation,
     build_error_model,
     incoherent_dephase,
@@ -58,6 +59,16 @@ class TestGenerator:
             w[int(rng.integers(0, n))] = 1.0
             gen = DephasingGenerator(w, 1.0)
             assert np.max(np.abs(gen.z_values() - oracle_z_values(w))) <= 1e-12
+
+
+def test_delta_is_cached_and_read_only():
+    gen = DephasingGenerator(np.array([0.0, 0.0, 1.3, 1.0]), 2.0)
+    z = gen.z_values()
+    delta = _delta(gen.weights.tobytes())
+    assert np.array_equal(delta, z[:, None] - z[None, :])
+    assert not delta.flags.writeable
+    same_weights = DephasingGenerator(np.array([0.0, 0.0, 1.3, 1.0]), 5.0)
+    assert _delta(same_weights.weights.tobytes()) is delta
 
 
 class TestIncoherentDephase:

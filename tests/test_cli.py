@@ -195,6 +195,7 @@ class TestChart:
         ["noise-strength", "--spec", '{"sweep": [1, 1e308]}'],
         ["noise-strength", "--spec", '{"epsilon": 1e999}'],
         ["noise-strength", "--spec", '{"epsilon": -1}'],
+        ["noise-strength", "--spec", '{"scenario": "qec_hybrid", "epsilon": 1e200, "sweep": [1.0]}'],
         ["chart", "--in", "scenario,kappa0,Fe\nno_qec,0,1\n"],
         ["chart", "--in", CSV_HEADER + "\nno_qec,incoherent_sinc,a,nan,0.5,1,1,1,1,1,1,1,1,1,1\n"],
         ["chart", "--in", CSV_HEADER + "\nno_qec,incoherent_sinc,a,0,0.5,1,1,1,1,nan,1,1,1,1,1\n"],
@@ -204,10 +205,12 @@ def test_bad_input_is_one_error_line_and_no_output(argv, tmp_path, capsys):
     out = tmp_path / ("x.svg" if argv[0] == "chart" else "x.csv")
     # the value after --spec or --in is the text of that input file
     argv = list(argv)
+    text = ""
     for flag in ("--spec", "--in"):
         if flag in argv:
             i = argv.index(flag) + 1
-            (tmp_path / "input").write_text(argv[i])
+            text = argv[i]
+            (tmp_path / "input").write_text(text)
             argv[i] = str(tmp_path / "input")
     if argv[0] in ("sweep", "chart"):
         argv = argv + ["--out", str(out)]
@@ -215,6 +218,8 @@ def test_bad_input_is_one_error_line_and_no_output(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
+    if '"epsilon"' in text:
+        assert "epsilon" in captured.err
 
 
 def test_check_passes():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfsqec import codes
 from dfsqec.channels import (
     INCOHERENT_SINC,
     MARKOVIAN_EXP,
@@ -38,6 +39,7 @@ from dfsqec.qstate import (
     DensityMatrix,
     Operator,
     apply_unitary,
+    check_stack,
     computational_state,
     embed,
     partial_trace,
@@ -369,6 +371,75 @@ class TestCircuitPlumbing:
         rho = computational_state("110")
         out = apply_unitary(rho, embed(t.matrix, t.targets, 3))
         assert np.max(np.abs(out.entries - computational_state("111").entries)) <= 1e-12
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
+    def test_states_equal_a_chain_of_single_steps(self, scenario, kind):
+        # the stepping on raw arrays computes the same bits as checked
+        # single steps, for deviation and state inputs alike
+        circuit = build_scenario_circuit(scenario, ScenarioConfig(scenario, kind=kind).noise_spec(1.7))
+        n = circuit.n_qubits
+        mixed_data = DensityMatrix(np.eye(2) / 2.0)
+        for rho in (prepare_inputs("y", 0.7, n), tensor_dm(tensor_dm(computational_state("0"), mixed_data),
+                                                           computational_state("0" * (n - 2)))):
+            for step, got in circuit_states(rho, circuit):
+                if isinstance(step, Gate):
+                    rho = apply_unitary(rho, embed(step.matrix, step.targets, n))
+                else:
+                    rho = DensityMatrix(rho.entries * attenuation(step.generators, step.kind), rho.kind)
+                assert got.kind == rho.kind
+                assert np.array_equal(got.entries, rho.entries)
+                assert not got.entries.flags.writeable
+
+    def test_noise_override_receives_a_checked_state(self):
+        circuit = build_scenario_circuit("qec_independent", NoiseSpec(0.0))
+        rho = computational_state("010")
+        seen = []
+
+        def override(r):
+            seen.append(r)
+            return r
+
+        states = [s for _, s in circuit_states(rho, circuit, noise_override=override)]
+        marker = next(i for i, step in enumerate(circuit.steps) if isinstance(step, NoiseStep))
+        (got,) = seen
+        assert np.array_equal(got.entries, states[marker - 1].entries)
+        assert not got.entries.flags.writeable
+        # a gate within the unitarity tolerance that pushes the trace past
+        # TRACE_TOL: the run stops before the override sees its state
+        sloppy = Gate("sloppy", Operator(np.eye(2) * (1.0 + 5e-12), unitary=True), (1,))
+        seen.clear()
+        with pytest.raises(ValueError, match="state trace"):
+            list(circuit_states(rho, Circuit(3, (sloppy,) + circuit.steps), noise_override=override))
+        assert seen == []
+
+    def test_each_state_is_checked_once(self, monkeypatch):
+        # two noise markers, so two overrides: the checks before each
+        # override and the final one cover every state exactly once
+        circuit = build_scenario_circuit("qec_independent", NoiseSpec(0.3))
+        twice = Circuit(3, circuit.steps + circuit.steps)
+        checked = []
+
+        def recording_check(stack, kind):
+            checked.append(len(stack))
+            return check_stack(stack, kind)
+
+        monkeypatch.setattr(codes, "check_stack", recording_check)
+        states = list(circuit_states(computational_state("010"), twice, noise_override=lambda r: r))
+        assert len(checked) == 3
+        assert sum(checked) == len(states) == len(twice.steps)
+
+    def test_invalid_run_raises_before_its_first_yield(self):
+        circuit = build_scenario_circuit("qec_independent", NoiseSpec(0.4))
+        sloppy = Gate("sloppy", Operator(np.eye(2) * (1.0 + 5e-12), unitary=True), (1,))
+        run = circuit_states(computational_state("010"), Circuit(3, circuit.steps + (sloppy,)))
+        with pytest.raises(ValueError, match="state trace"):
+            next(run)
+
+    def test_empty_circuit_yields_nothing(self):
+        rho = computational_state("01")
+        assert list(circuit_states(rho, Circuit(2, ()))) == []
+        assert apply_circuit(rho, Circuit(2, ())) is rho
 
     def test_pauli_z_gate(self):
         g = pauli_z(1)

@@ -13,6 +13,7 @@ from dfsqec.qstate import (
     DensityMatrix,
     Operator,
     apply_unitary,
+    check_stack,
     computational_state,
     embed,
     hs_overlap,
@@ -75,6 +76,42 @@ class TestConstruction:
         rho = maximally_mixed(1)
         with pytest.raises(ValueError):
             rho.entries[0, 0] = 9.0
+
+
+class TestCheckStack:
+    @pytest.mark.parametrize(
+        "kind, bad",
+        [
+            (STATE, [[0.5, 1.0], [0.0, 0.5]]),
+            (STATE, np.eye(2)),
+            (STATE, np.diag([1.5, -0.5])),
+            (DEVIATION, [[0.0, 1.0], [0.0, 0.0]]),
+            (DEVIATION, np.eye(2) / 2),
+        ],
+        ids=["state-non-hermitian", "state-trace", "state-negative", "deviation-non-hermitian", "deviation-trace"],
+    )
+    def test_bad_third_matrix_raises_the_constructor_message(self, kind, bad):
+        good = maximally_mixed(1) if kind == STATE else pauli_deviation("z")
+        stack = np.array([good.entries, good.entries, bad, good.entries], dtype=complex)
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(bad, kind)
+        with pytest.raises(ValueError) as batched:
+            check_stack(stack, kind)
+        assert str(batched.value) == str(single.value)
+
+    def test_first_bad_matrix_decides(self):
+        stack = np.array([np.eye(2) / 2, np.eye(2), [[0.5, 1.0], [0.0, 0.5]]], dtype=complex)
+        with pytest.raises(ValueError, match="state trace is 2.0"):
+            check_stack(stack, STATE)
+
+    def test_valid_and_empty_stacks_pass(self, rng):
+        check_stack(np.array([random_state(rng, 2).entries for _ in range(5)]), STATE)
+        check_stack(np.empty((0, 4, 4), dtype=complex), STATE)
+        check_stack(np.empty((0, 4, 4), dtype=complex), DEVIATION)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind"):
+            check_stack(np.array([np.eye(2) / 2]), "other")
 
 
 class TestTensor:
@@ -206,6 +243,14 @@ class TestApplyUnitary:
         with pytest.raises(ValueError, match="mismatch"):
             apply_unitary(maximally_mixed(2), SX)
 
+    def test_adjoint_is_cached_and_read_only(self, rng):
+        u = Operator(_random_unitary(rng, 4), unitary=True)
+        assert np.array_equal(u.adjoint, u.entries.conj().T)
+        assert u.adjoint is u.adjoint
+        assert not u.adjoint.flags.writeable
+        # conjugate rejects operators not flagged unitary, so they keep none
+        assert Operator(u.entries).adjoint is None
+
 
 class TestPartialTrace:
     def test_product_state_first_factor(self, rng):
@@ -269,6 +314,15 @@ def test_pauli_lookup():
     assert pauli("x") is SX and pauli("y") is SY and pauli("z") is SZ
     with pytest.raises(ValueError, match="axis"):
         pauli("w")
+
+
+def test_pauli_deviations_are_shared_and_read_only():
+    for axis, op in (("x", SX), ("y", SY), ("z", SZ)):
+        dev = pauli_deviation(axis)
+        assert dev is pauli_deviation(axis) and dev.kind == DEVIATION
+        assert np.array_equal(dev.entries, op.entries) and not dev.entries.flags.writeable
+    with pytest.raises(ValueError, match="axis"):
+        pauli_deviation("w")
 
 
 def test_sigma_z_convention():

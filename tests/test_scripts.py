@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -30,3 +31,13 @@ def test_script_writes_its_outputs(script, expected, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+
+
+def test_output_digest_covers_the_config_matrix():
+    # the full digest run takes seconds, so only its inputs are checked here
+    spec = importlib.util.spec_from_file_location("output_digest", SCRIPTS / "output_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert len(set(tool.csv_configs())) == 288
+    probes = tool.probes()
+    assert len(probes) == 24 and len(set(probes)) == 24
