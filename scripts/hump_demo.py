@@ -7,6 +7,7 @@ Usage:
     python3 scripts/hump_demo.py [--out-dir results] [--purities 0.9,0.7,0.5]
 """
 import argparse
+import sys
 from pathlib import Path
 
 from dfsqec import ScenarioConfig, emit_csv, hump_demo, run_scenario
@@ -23,15 +24,25 @@ def main() -> int:
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--purities", default="0.9,0.7,0.5")
     args = parser.parse_args()
+    try:
+        return run(Path(args.out_dir), args.purities)
+    except (ValueError, OverflowError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
-    out_dir = Path(args.out_dir)
+
+def run(out_dir: Path, purities: str) -> int:
+    # every run is computed, and checked, before anything is written
+    reports = [
+        hump_demo(ScenarioConfig("qec_independent", ancilla_purity=float(p))) for p in purities.split(",")
+    ]
+    ideal = run_scenario(ScenarioConfig("qec_independent", ancilla_purity=1.0))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    ideal = run_scenario(ScenarioConfig("qec_independent", ancilla_purity=1.0))
     series = [series_for(ideal, "purity-1.0")]
     print("purity 1.0: reference run")
-    for purity in (float(p) for p in args.purities.split(",")):
-        report = hump_demo(ScenarioConfig("qec_independent", ancilla_purity=purity))
+    for report in reports:
+        purity = report.result.config.ancilla_purity
         series.append(series_for(report.result, f"purity-{purity:g}"))
         emit_csv(report.result, out_dir / f"hump_p{purity:g}.csv")
         print(

@@ -44,7 +44,6 @@ __all__ = [
     "markov_dephase",
     "noise_strength",
     "partial_strengths",
-    "restrict_to_qubit",
     "qubit3_strength_ratio",
     "build_error_model",
 ]
@@ -83,7 +82,12 @@ class DephasingGenerator:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a per-qubit vector")
-        if not np.any(w != 0.0):
+        # Python-level checks: one generator per axis is built at every
+        # sweep point, and numpy reductions cost more on so few weights
+        values = w.tolist()
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"weights must be finite, got {values}")
+        if not any(values):
             raise ValueError("weights must not all be zero")
         if not (self.strength >= 0.0):
             raise ValueError(f"strength must be >= 0, got {self.strength}")
@@ -201,18 +205,6 @@ def partial_strengths(gens: Sequence[DephasingGenerator]) -> list[float]:
     return strengths
 
 
-def restrict_to_qubit(gen: DephasingGenerator, qubit: int) -> DephasingGenerator | None:
-    """Single-qubit component of a generator, or None if it does not
-    touch the qubit.  The amplitude w_j sqrt(strength/2) is preserved."""
-    if qubit < 1 or qubit > gen.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range 1..{gen.n_qubits}")
-    w = float(gen.weights[qubit - 1])
-    if w == 0.0:
-        return None
-    label = f"{gen.label}@q{qubit}" if gen.label else f"q{qubit}"
-    return DephasingGenerator(np.array([w]), gen.strength, label)
-
-
 def qubit3_strength_ratio(epsilon: float) -> float:
     """Qubit-3 noise-strength ratio between the single-environment
     coupling (collective and residual amplitudes added into one
@@ -226,13 +218,11 @@ def qubit3_strength_ratio(epsilon: float) -> float:
         raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     if not math.isfinite(epsilon * epsilon):
         raise ValueError(f"epsilon squared overflows, got epsilon={epsilon}")
-    combined = DephasingGenerator(np.array([0.0, 0.0, 1.0 + epsilon, 1.0]), 1.0, "combined")
-    separate = [
-        DephasingGenerator(np.array([0.0, 0.0, 1.0, 1.0]), 1.0, "collective"),
-        DephasingGenerator(np.array([0.0, 0.0, 1.0, 0.0]), epsilon**2, "residual"),
-    ]
-    single = noise_strength([restrict_to_qubit(combined, 3)])
-    pair = noise_strength([g for g in (restrict_to_qubit(g, 3) for g in separate) if g is not None])
+    # the qubit-3 components: one generator of amplitude 1 + eps, or the
+    # collective (amplitude 1) and residual (eps) generators separately
+    single = noise_strength([DephasingGenerator(np.array([1.0 + epsilon]), 1.0)])
+    unit = np.array([1.0])
+    pair = noise_strength([DephasingGenerator(unit, 1.0), DephasingGenerator(unit, epsilon**2)])
     return single / pair
 
 

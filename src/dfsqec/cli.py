@@ -142,7 +142,10 @@ def _config_from_json(raw) -> ScenarioConfig:
 
 def _cmd_noise_strength(args: argparse.Namespace) -> int:
     with open(args.spec, encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.spec}: JSON is nested too deeply") from None
     config = _config_from_json(raw)
     sweep = config.sweep if "sweep" in raw else (1.0,)
     epsilon = raw.get("epsilon")

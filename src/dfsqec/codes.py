@@ -13,10 +13,12 @@ free for it at any strength.  Logical operators: ``Z_L = sigma_z^3``,
 ``X_L = sigma_x^3 sigma_x^4``, and ``H_L`` is a Hadamard on the logical
 block extended by the identity on ``span{|00>, |11>}``.
 
-In the concatenated network the logical pair replaces the second
-ancilla of the outer code: Hadamards on that carrier become H_L, the
-CNOT into it becomes a controlled-X_L, and the recovery Toffoli is
-controlled on qubit 1 and on qubit 3 (the Z_L carrier of the pair).
+The phase code is declared once, by ``_phase_code``, with data qubit 2,
+ancilla qubit 1, and a second ancilla given by its Hadamard and its
+copy-CNOT: physical qubit 3 (``H``, ``CNOT``), or, in the concatenated
+network, the logical pair (``H_L``, and the controlled-X_L
+``CNOT_into_L``).  Either way the recovery Toffoli is controlled on
+qubit 1 and on qubit 3, which is the Z_L carrier of the pair.
 
 The four storage experiments are declared once, in the table
 ``_SCENARIOS``: qubit count, collective noise or not, and the gates
@@ -39,7 +41,7 @@ from .channels import (
     attenuation,
     build_error_model,
 )
-from .qstate import SX, SZ, DensityMatrix, Operator, check_stack, conjugate, embed
+from .qstate import SX, DensityMatrix, Operator, check_stack, conjugate, embed
 
 __all__ = [
     "Gate",
@@ -49,12 +51,8 @@ __all__ = [
     "scenario_layout",
     "hadamard",
     "pauli_x",
-    "pauli_z",
     "cnot",
     "toffoli",
-    "logical_gate",
-    "qec3_encode",
-    "qec3_recover",
     "dfs_encode",
     "dfs_decode",
     "build_scenario_circuit",
@@ -73,15 +71,13 @@ _TOFFOLI[[6, 7]] = _TOFFOLI[[7, 6]]
 _TOFFOLI = Operator(_TOFFOLI, unitary=True)
 
 # logical gates on the qubit-(3,4) pair, basis order |00>,|01>,|10>,|11>
-_X_L = Operator(np.kron(SX.entries, SX.entries), unitary=True)
-_Z_L = Operator(np.kron(SZ.entries, np.eye(2)), unitary=True)
-
 _H_L = np.eye(4, dtype=complex)
 _H_L[1:3, 1:3] = _H.entries
 _H_L = Operator(_H_L, unitary=True)
 
+# controlled-X_L, X_L = sigma_x^3 sigma_x^4
 _CNOT_INTO_L = np.eye(8, dtype=complex)
-_CNOT_INTO_L[4:, 4:] = _X_L.entries
+_CNOT_INTO_L[4:, 4:] = np.kron(SX.entries, SX.entries)
 _CNOT_INTO_L = Operator(_CNOT_INTO_L, unitary=True)
 
 
@@ -155,17 +151,6 @@ class Circuit:
             else:
                 raise ValueError(f"unknown step type {type(step).__name__}")
 
-    def pretty(self) -> str:
-        """One step per line: ``GATE targets`` or ``NOISE label κ=...``."""
-        lines = []
-        for step in self.steps:
-            if isinstance(step, Gate):
-                lines.append(" ".join([step.name, *map(str, step.targets)]))
-            else:
-                parts = ", ".join(f"{g.label} κ={g.strength:g}" for g in step.generators)
-                lines.append(f"NOISE {parts}")
-        return "\n".join(lines)
-
 
 def hadamard(qubit: int) -> Gate:
     return Gate("H", _H, (qubit,))
@@ -175,63 +160,12 @@ def pauli_x(qubit: int) -> Gate:
     return Gate("X", SX, (qubit,))
 
 
-def pauli_z(qubit: int) -> Gate:
-    return Gate("Z", SZ, (qubit,))
-
-
 def cnot(control: int, target: int) -> Gate:
     return Gate("CNOT", _CNOT, (control, target))
 
 
 def toffoli(control_a: int, control_b: int, target: int) -> Gate:
     return Gate("TOFFOLI", _TOFFOLI, (control_a, control_b, target))
-
-
-def logical_gate(name: str, partner: int = 2) -> Gate:
-    """Logical operation on the encoded pair (qubits 3, 4).
-
-    ``CNOT_into_L`` is a controlled-X_L with physical control
-    ``partner``; ``CNOT_from_L`` is a CNOT from qubit 3 (the Z_L
-    carrier) onto ``partner``.  All gates preserve the block split
-    span{|01>,|10>} + span{|00>,|11>}.
-    """
-    if name == "X_L":
-        return Gate("X_L", _X_L, (3, 4))
-    if name == "Z_L":
-        return Gate("Z_L", _Z_L, (3, 4))
-    if name == "H_L":
-        return Gate("H_L", _H_L, (3, 4))
-    if name == "CNOT_into_L":
-        return Gate("CNOT_into_L", _CNOT_INTO_L, (partner, 3, 4))
-    if name == "CNOT_from_L":
-        return Gate("CNOT_from_L", _CNOT, (3, partner))
-    raise ValueError(f"unknown logical gate {name!r}")
-
-
-def qec3_encode(data: int, ancilla_a: int, ancilla_b: int) -> list[Gate]:
-    """Phase-code encoding: copy the data onto both ancillae, then
-    rotate all carriers into the +/- basis."""
-    _check_distinct(data, ancilla_a, ancilla_b)
-    return [
-        cnot(data, ancilla_a),
-        cnot(data, ancilla_b),
-        hadamard(data),
-        hadamard(ancilla_a),
-        hadamard(ancilla_b),
-    ]
-
-
-def qec3_recover(data: int, ancilla_a: int, ancilla_b: int) -> list[Gate]:
-    """Inverse encoding followed by the coherent correction Toffoli."""
-    _check_distinct(data, ancilla_a, ancilla_b)
-    return [
-        hadamard(data),
-        hadamard(ancilla_a),
-        hadamard(ancilla_b),
-        cnot(data, ancilla_b),
-        cnot(data, ancilla_a),
-        toffoli(ancilla_a, ancilla_b, data),
-    ]
 
 
 def dfs_encode() -> list[Gate]:
@@ -244,43 +178,32 @@ def dfs_decode() -> list[Gate]:
     return [cnot(3, 4), pauli_x(4)]
 
 
-def _check_distinct(*qubits: int) -> None:
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"qubit indices must be distinct, got {qubits}")
+def _phase_code(h_b: Gate, copy_b: Gate) -> tuple[tuple[Gate, ...], tuple[Gate, ...]]:
+    """(encode, recover) gates of the phase code with data qubit 2,
+    ancilla qubit 1, and a second ancilla with Hadamard ``h_b`` and
+    copy-CNOT ``copy_b`` from the data qubit.
 
-
-def _logical_qec3_encode() -> list[Gate]:
-    # outer encode with carrier order (data=2, ancilla=1, ancilla=logical pair)
-    return [
-        cnot(2, 1),
-        logical_gate("CNOT_into_L", 2),
-        hadamard(2),
-        hadamard(1),
-        logical_gate("H_L"),
-    ]
-
-
-def _logical_qec3_recover() -> list[Gate]:
-    return [
-        hadamard(2),
-        hadamard(1),
-        logical_gate("H_L"),
-        logical_gate("CNOT_into_L", 2),
-        cnot(2, 1),
-        toffoli(1, 3, 2),  # qubit 3 is the Z_L sector of the logical ancilla
-    ]
+    Encoding copies the data onto both ancillae, then rotates all
+    carriers into the +/- basis; recovery inverts it and applies the
+    correction Toffoli, controlled on qubit 1 and qubit 3 (the second
+    ancilla, or the Z_L carrier of the logical pair).
+    """
+    encode = (cnot(2, 1), copy_b, hadamard(2), hadamard(1), h_b)
+    recover = (hadamard(2), hadamard(1), h_b, copy_b, cnot(2, 1), toffoli(1, 3, 2))
+    return encode, recover
 
 
 # name -> (qubit count, collective noise?, gates before the noise
 # marker, gates after it); the gates do not depend on the noise strength
-_QEC3 = (tuple(qec3_encode(2, 1, 3)), tuple(qec3_recover(2, 1, 3)))
+_QEC3 = _phase_code(hadamard(3), cnot(2, 3))
+_LOGICAL_ENCODE, _LOGICAL_RECOVER = _phase_code(
+    Gate("H_L", _H_L, (3, 4)), Gate("CNOT_into_L", _CNOT_INTO_L, (2, 3, 4))
+)
 _SCENARIOS = {
     "qec_independent": (3, False, *_QEC3),
     "qec_hybrid": (4, True, *_QEC3),
     "no_qec": (3, False, (), ()),
-    "dfs_qec": (
-        4, True, tuple(dfs_encode() + _logical_qec3_encode()), tuple(_logical_qec3_recover() + dfs_decode())
-    ),
+    "dfs_qec": (4, True, tuple(dfs_encode()) + _LOGICAL_ENCODE, _LOGICAL_RECOVER + tuple(dfs_decode())),
 }
 SCENARIOS = tuple(_SCENARIOS)
 

@@ -47,6 +47,7 @@ __all__ = [
     "hump_demo",
     "emit_csv",
     "emit_chart",
+    "write_svg_chart",
     "load_csv_series",
     "pauli_transfer_matrix",
     "ChartSeries",

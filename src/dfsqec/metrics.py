@@ -43,9 +43,6 @@ __all__ = [
     "entanglement_fidelity",
     "analytic_fe_qec_independent",
     "analytic_fe_qec_strong",
-    "analytic_fe_no_qec",
-    "analytic_fe_markov",
-    "analytic_fe_no_qec_markov",
     "analytic_reference",
     "fit_error_rates",
     "fit_grid",
@@ -116,54 +113,38 @@ def analytic_fe_qec_strong(kappa0: float, kappa3: float) -> float:
     return _fe_three_carriers(s0, s0, s3)
 
 
-def analytic_fe_no_qec(kappa0: float) -> float:
-    """(2 sinc(k0/2) + 2) / 4 for an unprotected qubit."""
-    return (2.0 * float(sinc(kappa0 / 2.0)) + 2.0) / 4.0
-
-
-def analytic_fe_markov(lambda0: float, t: float, lambda3: float | None = None) -> float:
-    """Markovian variants: every sinc becomes exp(-lambda t)."""
-    s0 = float(np.exp(-lambda0 * t))
-    s3 = s0 if lambda3 is None else float(np.exp(-lambda3 * t))
-    return _fe_three_carriers(s0, s0, s3)
-
-
-def analytic_fe_no_qec_markov(lambda0: float, t: float) -> float:
-    """(2 exp(-lambda0 t) + 2) / 4 for an unprotected qubit."""
-    return (2.0 * float(np.exp(-lambda0 * t)) + 2.0) / 4.0
-
-
 def analytic_reference(scenario: str, spec: NoiseSpec) -> float:
     """Ideal-ancilla closed form for a scenario at the spec's scale.
 
     The concatenated scenario is referenced to the independent-noise
     curve: the collective component must not show up in it.
     """
-    x = spec.kappa0
     incoherent = spec.kind == INCOHERENT_SINC
+
+    def carrier(x: float) -> float:
+        # attenuation at phase spread x, or at the folded product lambda*t
+        return float(sinc(x / 2.0)) if incoherent else float(np.exp(-x))
+
+    x = spec.kappa0
+    s0 = carrier(x)
     if scenario in ("qec_independent", "dfs_qec"):
-        return analytic_fe_qec_independent(x) if incoherent else analytic_fe_markov(x, 1.0)
-    if scenario == "no_qec":
-        return analytic_fe_no_qec(x) if incoherent else analytic_fe_no_qec_markov(x, 1.0)
-    if scenario == "qec_hybrid":
+        s3 = s0
+    elif scenario == "no_qec":
+        return (2.0 * s0 + 2.0) / 4.0
+    elif scenario == "qec_hybrid":
         xc = spec.collective_scale()
         if xc is None:
             raise ValueError("qec_hybrid reference needs the collective component")
         if spec.coupling_case == "a":
-            if incoherent:
-                return analytic_fe_qec_strong(x, x + xc)
-            # folded products lambda*t; the amplitudes share one axis
-            x3 = (np.sqrt(x) + np.sqrt(xc)) ** 2
-            return analytic_fe_markov(x, 1.0, lambda3=x3)
-        # case "b": two environments, carrier-3 attenuation factorizes
-        if incoherent:
-            s0 = float(sinc(x / 2.0))
-            s3 = s0 * float(sinc(xc / 2.0))
+            # one environment: the spreads add; the folded products
+            # lambda*t add as amplitudes on one axis
+            s3 = carrier(x + xc) if incoherent else carrier((np.sqrt(x) + np.sqrt(xc)) ** 2)
         else:
-            s0 = float(np.exp(-x))
-            s3 = float(np.exp(-(x + xc)))
-        return _fe_three_carriers(s0, s0, s3)
-    raise ValueError(f"unknown scenario {scenario!r}")
+            # case "b": two environments, carrier-3 attenuation factorizes
+            s3 = s0 * float(sinc(xc / 2.0)) if incoherent else carrier(x + xc)
+    else:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    return _fe_three_carriers(s0, s0, s3)
 
 
 @dataclass(frozen=True)

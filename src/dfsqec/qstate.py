@@ -37,14 +37,11 @@ __all__ = [
     "SX",
     "SY",
     "SZ",
-    "ID2",
-    "identity",
     "pauli",
     "computational_state",
     "maximally_mixed",
     "pauli_deviation",
     "check_stack",
-    "tensor",
     "tensor_dm",
     "embed",
     "conjugate",
@@ -182,7 +179,6 @@ def check_stack(stack: np.ndarray, kind: str) -> None:
             raise ValueError(f"state has negative eigenvalue {lowest:.2e}")
 
 
-ID2 = Operator(np.eye(2), unitary=True)
 SX = Operator(np.array([[0.0, 1.0], [1.0, 0.0]]), unitary=True)
 SY = Operator(np.array([[0.0, -1.0j], [1.0j, 0.0]]), unitary=True)
 SZ = Operator(np.array([[1.0, 0.0], [0.0, -1.0]]), unitary=True)
@@ -196,12 +192,6 @@ def pauli(axis: str) -> Operator:
         return _PAULIS[axis]
     except KeyError:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
-
-
-def identity(n_qubits: int) -> Operator:
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    return Operator(np.eye(2**n_qubits), unitary=True)
 
 
 def computational_state(bits: str | Sequence[int]) -> DensityMatrix:
@@ -235,14 +225,10 @@ def pauli_deviation(axis: str) -> DensityMatrix:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
 
 
-def tensor(a: Operator, b: Operator) -> Operator:
-    """Kronecker product; the first factor holds the more significant qubits."""
-    return Operator(np.kron(a.entries, b.entries), unitary=a.unitary and b.unitary)
-
-
 def tensor_dm(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Product state of two density matrices; any deviation factor makes
-    the result a deviation (the trace multiplies)."""
+    """Product state of two density matrices (Kronecker product; the
+    first factor holds the more significant qubits); any deviation
+    factor makes the result a deviation (the trace multiplies)."""
     kind = STATE if (a.kind == STATE and b.kind == STATE) else DEVIATION
     return DensityMatrix(np.kron(a.entries, b.entries), kind)
 

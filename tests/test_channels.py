@@ -16,7 +16,6 @@ from dfsqec.channels import (
     noise_strength,
     partial_strengths,
     qubit3_strength_ratio,
-    restrict_to_qubit,
     sinc,
 )
 from dfsqec.metrics import fit_error_rates, fit_grid
@@ -47,6 +46,11 @@ class TestGenerator:
     def test_rejects_all_zero_weights(self):
         with pytest.raises(ValueError, match="zero"):
             DephasingGenerator(np.zeros(2), 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match=r"weights must be finite, got \[1\.0, (nan|inf|-inf)\]"):
+            DephasingGenerator(np.array([1.0, bad]), 1.0)
 
     def test_rejects_negative_strength(self):
         with pytest.raises(ValueError, match="strength"):
@@ -201,13 +205,6 @@ class TestNoiseStrength:
 
     def test_case_ratio_at_half(self):
         assert qubit3_strength_ratio(0.5) == pytest.approx(1.8, abs=1e-12)
-
-    def test_restrict_to_qubit(self):
-        gen = DephasingGenerator(np.array([0.0, 0.0, 1.5, 1.0]), 2.0)
-        sub = restrict_to_qubit(gen, 3)
-        assert sub.weights.tolist() == [1.5]
-        assert sub.strength == 2.0
-        assert restrict_to_qubit(gen, 1) is None
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 import dfsqec
 from dfsqec.cli import _JSON_FIELDS, main, parse_grid
 from dfsqec.experiments import CSV_HEADER, ScenarioConfig
-from dfsqec.metrics import analytic_fe_no_qec, analytic_fe_qec_independent, analytic_fe_qec_strong
+from dfsqec.metrics import analytic_fe_qec_independent, analytic_fe_qec_strong
 
 
 def sha(path) -> str:
@@ -109,7 +110,8 @@ class TestAnalytic:
         rc = main(["analytic", "--curve", "no-qec", "--kappa0", "1.0"])
         assert rc == 0
         line = capsys.readouterr().out.strip().splitlines()[1]
-        assert float(line.split(",")[1]) == pytest.approx(analytic_fe_no_qec(1.0), rel=1e-10)
+        s = math.sin(0.5) / 0.5
+        assert float(line.split(",")[1]) == pytest.approx((2 * s + 2) / 4, rel=1e-10)
 
 
 class TestNoiseStrength:
@@ -156,6 +158,16 @@ class TestNoiseStrength:
     def test_missing_file(self, capsys):
         rc = main(["noise-strength", "--spec", "/nonexistent.json"])
         assert rc == 1
+
+    def test_deeply_nested_json_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        rc = main(["noise-strength", "--spec", str(cfg)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "nested too deeply" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestChart:

@@ -24,10 +24,6 @@ from dfsqec.codes import (
     dfs_decode,
     dfs_encode,
     hadamard,
-    logical_gate,
-    pauli_z,
-    qec3_encode,
-    qec3_recover,
     scenario_layout,
     toffoli,
 )
@@ -71,14 +67,23 @@ def plus_minus_state(sign: int, n: int = 3) -> np.ndarray:
     return vec
 
 
+def table_gates(scenario: str, name: str | None = None):
+    # the (before, after) gates of a scenario, or the first gate named `name`
+    _, _, before, after = codes._SCENARIOS[scenario]
+    if name is None:
+        return before, after
+    return next(g for g in before + after if g.name == name)
+
+
 class TestPhaseCode:
     def test_encodes_zero_to_all_plus(self):
-        rho = run_gates(computational_state("000"), qec3_encode(1, 2, 3), 3)
+        rho = run_gates(computational_state("000"), table_gates("qec_independent")[0], 3)
         want = plus_minus_state(+1)
         assert np.max(np.abs(rho.entries - np.outer(want, want))) <= 1e-12
 
     def test_encodes_one_to_all_minus(self):
-        rho = run_gates(computational_state("100"), qec3_encode(1, 2, 3), 3)
+        # the data qubit is qubit 2
+        rho = run_gates(computational_state("010"), table_gates("qec_independent")[0], 3)
         want = plus_minus_state(-1)
         assert np.max(np.abs(rho.entries - np.outer(want, want))) <= 1e-12
 
@@ -113,11 +118,22 @@ class TestPhaseCode:
             out = partial_trace(apply_circuit(rho, circuit, noise_override=noise), {2})
             assert np.max(np.abs(out.entries - sign * pauli_deviation(axis).entries)) <= 1e-12
 
-    def test_duplicate_indices_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            qec3_encode(1, 1, 3)
-        with pytest.raises(ValueError, match="distinct"):
-            qec3_recover(2, 3, 3)
+    def test_physical_and_logical_codes_share_one_gate_sequence(self):
+        # the concatenated network is the phase code with the logical
+        # pair as its second ancilla: same order, same controls
+        def layout(gates):
+            return [(g.name, g.targets) for g in gates]
+
+        encode, recover = table_gates("qec_independent")
+        assert layout(encode) == [("CNOT", (2, 1)), ("CNOT", (2, 3)), ("H", (2,)), ("H", (1,)), ("H", (3,))]
+        assert layout(recover) == [
+            ("H", (2,)), ("H", (1,)), ("H", (3,)), ("CNOT", (2, 3)), ("CNOT", (2, 1)), ("TOFFOLI", (1, 3, 2)),
+        ]
+        assert table_gates("qec_hybrid") == (encode, recover)
+        before, after = table_gates("dfs_qec")
+        logical = {("H", (3,)): ("H_L", (3, 4)), ("CNOT", (2, 3)): ("CNOT_into_L", (2, 3, 4))}
+        assert layout(before) == layout(dfs_encode()) + [logical.get(g, g) for g in layout(encode)]
+        assert layout(after) == [logical.get(g, g) for g in layout(recover)] + layout(dfs_decode())
 
 
 class TestDfsEncoding:
@@ -150,23 +166,24 @@ def _shift_to_pair(gates):
 
 class TestLogicalGates:
     def test_z_l_action(self):
-        z_l = logical_gate("Z_L")
-        v01 = np.zeros(4)
-        v01[1] = 1.0
-        v10 = np.zeros(4)
-        v10[2] = 1.0
-        assert np.array_equal(z_l.matrix.entries @ v01, v01)
-        assert np.array_equal(z_l.matrix.entries @ v10, -v10)
+        # Z_L is sigma_z on qubit 3, the control the recovery Toffoli
+        # reads: +1 on |0_L> = |01>, -1 on |1_L> = |10>
+        z3 = embed(SZ, [1], 2).entries
+        for bit, sign in (("0", 1.0), ("1", -1.0)):
+            rho = run_gates(computational_state(bit + "0"), _shift_to_pair(dfs_encode()), 2)
+            assert np.array_equal(z3 @ rho.entries, sign * rho.entries)
+        assert table_gates("dfs_qec")[1][5].targets == (1, 3, 2)
 
     def test_x_l_swaps_logical_states(self):
-        x_l = logical_gate("X_L")
+        x_l = table_gates("dfs_qec", "CNOT_into_L").matrix.entries[4:, 4:]
         v01 = np.zeros(4)
         v01[1] = 1.0
-        out = x_l.matrix.entries @ v01
+        out = x_l @ v01
         assert out[2] == 1.0 and np.count_nonzero(out) == 1
 
     def test_h_l_definition(self):
-        h_l = logical_gate("H_L")
+        h_l = table_gates("dfs_qec", "H_L")
+        assert h_l.targets == (3, 4)
         v01 = np.zeros(4)
         v01[1] = 1.0
         out = h_l.matrix.entries @ v01
@@ -174,9 +191,12 @@ class TestLogicalGates:
         want[1] = want[2] = 1.0 / np.sqrt(2.0)
         assert np.max(np.abs(out - want)) <= 1e-12
 
-    @pytest.mark.parametrize("name", ["X_L", "Z_L", "H_L"])
+    @pytest.mark.parametrize("name", ["X_L", "H_L"])
     def test_pair_gates_preserve_block_structure(self, name):
-        m = logical_gate(name).matrix.entries
+        if name == "X_L":
+            m = table_gates("dfs_qec", "CNOT_into_L").matrix.entries[4:, 4:]
+        else:
+            m = table_gates("dfs_qec", name).matrix.entries
         block = [1, 2]
         other = [0, 3]
         for i in block:
@@ -185,19 +205,11 @@ class TestLogicalGates:
                 assert abs(m[j, i]) <= 1e-12
 
     def test_cnot_into_l_is_controlled_x_l(self):
-        m = logical_gate("CNOT_into_L", 2).matrix.entries
+        g = table_gates("dfs_qec", "CNOT_into_L")
+        m = g.matrix.entries
         assert np.array_equal(m[:4, :4], np.eye(4))
-        assert np.array_equal(m[4:, 4:], logical_gate("X_L").matrix.entries)
-        assert logical_gate("CNOT_into_L", 2).targets == (2, 3, 4)
-
-    def test_cnot_from_l_controls_on_z_l_carrier(self):
-        g = logical_gate("CNOT_from_L", 1)
-        assert g.targets == (3, 1)
-        assert np.array_equal(g.matrix.entries, cnot(1, 2).matrix.entries)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown logical gate"):
-            logical_gate("Y_L")
+        assert np.array_equal(m[4:, 4:], np.kron(SX.entries, SX.entries))
+        assert g.targets == (2, 3, 4)
 
 
 class TestScenarioCircuits:
@@ -356,16 +368,6 @@ class TestCircuitPlumbing:
         assert step.factor is step.factor
         assert not step.factor.flags.writeable
 
-    def test_pretty_printer(self):
-        spec = NoiseSpec(1.5)
-        circuit = build_scenario_circuit("qec_independent", spec)
-        text = circuit.pretty()
-        lines = text.splitlines()
-        assert lines[0] == "CNOT 2 1"
-        assert lines[1] == "CNOT 2 3"
-        assert "NOISE z1 κ=1.5, z2 κ=1.5, z3 κ=1.5" in lines
-        assert lines[-1] == "TOFFOLI 1 3 2"
-
     def test_toffoli_matrix_action(self):
         t = toffoli(1, 2, 3)
         rho = computational_state("110")
@@ -440,7 +442,3 @@ class TestCircuitPlumbing:
         rho = computational_state("01")
         assert list(circuit_states(rho, Circuit(2, ()))) == []
         assert apply_circuit(rho, Circuit(2, ())) is rho
-
-    def test_pauli_z_gate(self):
-        g = pauli_z(1)
-        assert np.array_equal(g.matrix.entries, SZ.entries)

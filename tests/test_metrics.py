@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfsqec import experiments
-from dfsqec.channels import DephasingGenerator, NoiseSpec, incoherent_dephase
+from dfsqec.channels import MARKOVIAN_EXP, DephasingGenerator, NoiseSpec, incoherent_dephase
 from dfsqec.codes import Circuit, Gate, cnot
 from dfsqec.experiments import ScenarioConfig, run_scenario
 from dfsqec.metrics import (
     MetricReport,
-    analytic_fe_markov,
-    analytic_fe_no_qec,
-    analytic_fe_no_qec_markov,
     analytic_fe_qec_independent,
     analytic_fe_qec_strong,
     analytic_reference,
@@ -138,22 +135,23 @@ class TestAnalyticCurves:
         assert analytic_fe_qec_strong(2.0, 6.0) == pytest.approx(0.9241685492011245, abs=1e-12)
 
     def test_no_qec_curve(self):
-        assert analytic_fe_no_qec(0.0) == 1.0
-        assert analytic_fe_no_qec(2.0) == pytest.approx((2 * SINC1 + 2) / 4, abs=1e-15)
+        assert analytic_reference("no_qec", NoiseSpec(0.0)) == 1.0
+        assert analytic_reference("no_qec", NoiseSpec(2.0)) == pytest.approx((2 * SINC1 + 2) / 4, abs=1e-15)
 
     def test_markov_at_zero_time(self):
-        assert analytic_fe_markov(1.0, 0.0) == 1.0
-        assert analytic_fe_no_qec_markov(1.0, 0.0) == 1.0
+        zero = NoiseSpec(0.0, kind=MARKOVIAN_EXP)
+        assert analytic_reference("qec_independent", zero) == 1.0
+        assert analytic_reference("no_qec", zero) == 1.0
 
     def test_markov_first_derivative_vanishes_at_zero(self):
         h = 1e-7
-        slope = (analytic_fe_markov(1.0, h) - analytic_fe_markov(1.0, 0.0)) / h
+        slope = (markov("qec_independent", h) - markov("qec_independent", 0.0)) / h
         assert abs(slope) <= 1e-6
 
     def test_markov_no_qec_slope_is_minus_half_lambda(self):
         lam = 0.8
         h = 1e-7
-        slope = (analytic_fe_no_qec_markov(lam, h) - 1.0) / h
+        slope = (markov("no_qec", lam * h) - 1.0) / h
         assert slope == pytest.approx(-lam / 2.0, abs=1e-6)
 
     @settings(max_examples=50, deadline=None)
@@ -162,22 +160,40 @@ class TestAnalyticCurves:
         for fe in (
             analytic_fe_qec_independent(kappa),
             analytic_fe_qec_strong(kappa, 3.0 * kappa),
-            analytic_fe_no_qec(kappa),
+            analytic_reference("no_qec", NoiseSpec(kappa)),
         ):
             assert 0.25 <= fe <= 1.0 + 1e-12
 
     def test_analytic_reference_dispatch(self):
+        # every branch against its closed form, as tabulated in the README
         spec = NoiseSpec(2.0)
         assert analytic_reference("qec_independent", spec) == analytic_fe_qec_independent(2.0)
-        assert analytic_reference("no_qec", spec) == analytic_fe_no_qec(2.0)
+        assert analytic_reference("no_qec", spec) == pytest.approx((2 * SINC1 + 2) / 4, abs=1e-15)
         hybrid = NoiseSpec(2.0, collective=True, ratio=0.5)
         assert analytic_reference("qec_hybrid", hybrid) == analytic_fe_qec_strong(2.0, 6.0)
         dfs = NoiseSpec(2.0, collective=True, ratio=0.5)
         assert analytic_reference("dfs_qec", dfs) == analytic_fe_qec_independent(2.0)
+        s0 = SINC1
+        s3 = s0 * float(np.sin(2.0) / 2.0)  # case "b": sinc(kappa_c/2), kappa_c = 4
+        want = 0.5 + (2 * s0 + s3 - s0**2 * s3) / 4.0
+        case_b = NoiseSpec(2.0, collective=True, ratio=0.5, coupling_case="b")
+        assert analytic_reference("qec_hybrid", case_b) == pytest.approx(want, abs=1e-15)
+        # Markovian: lambda_c t = 0.5 / 0.5**2 = 2
+        s0 = np.exp(-0.5)
+        for case, s3 in (("a", np.exp(-((np.sqrt(0.5) + np.sqrt(2.0)) ** 2))), ("b", np.exp(-2.5))):
+            markov_spec = NoiseSpec(0.5, collective=True, ratio=0.5, coupling_case=case, kind=MARKOVIAN_EXP)
+            want = 0.5 + (2 * s0 + s3 - s0**2 * s3) / 4.0
+            assert analytic_reference("qec_hybrid", markov_spec) == pytest.approx(want, abs=1e-15)
+        assert markov("dfs_qec", 0.5) == markov("qec_independent", 0.5)
+        assert markov("qec_independent", 0.5) == pytest.approx(0.5 + (3 * s0 - s0**3) / 4.0, abs=1e-15)
         with pytest.raises(ValueError, match="collective"):
             analytic_reference("qec_hybrid", NoiseSpec(2.0))
         with pytest.raises(ValueError, match="scenario"):
             analytic_reference("other", spec)
+
+
+def markov(scenario: str, lambda_t: float) -> float:
+    return analytic_reference(scenario, NoiseSpec(lambda_t, kind=MARKOVIAN_EXP))
 
 
 class TestFitErrorRates:
@@ -191,7 +207,7 @@ class TestFitErrorRates:
     def test_qec_curve_first_order_cancels(self):
         lam = 3.0
         ts = fit_grid(lam)
-        samples = [(float(t), analytic_fe_markov(1.0, float(t))) for t in ts]
+        samples = [(float(t), markov("qec_independent", float(t))) for t in ts]
         fit = fit_error_rates(samples, 3, lam)
         assert abs(fit.tau_inv_k[0]) <= 1e-6
         assert fit.tau_inv_k[1] > 0.0

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dfsqec.qstate import (
     DEVIATION,
-    ID2,
     STATE,
     SX,
     SY,
@@ -17,12 +16,10 @@ from dfsqec.qstate import (
     computational_state,
     embed,
     hs_overlap,
-    identity,
     maximally_mixed,
     partial_trace,
     pauli,
     pauli_deviation,
-    tensor,
     tensor_dm,
 )
 from .conftest import oracle_partial_trace, random_state
@@ -116,31 +113,31 @@ class TestCheckStack:
 
 class TestTensor:
     def test_identity_times_identity(self):
-        assert np.array_equal(tensor(ID2, ID2).entries, np.eye(4))
+        assert np.array_equal(tensor_dm(maximally_mixed(1), maximally_mixed(1)).entries, np.eye(4) / 4.0)
 
     def test_sigma_z_times_identity(self):
-        want = np.diag([1.0, 1.0, -1.0, -1.0])
-        assert np.array_equal(tensor(SZ, ID2).entries, want)
+        want = np.diag([1.0, 1.0, -1.0, -1.0]) / 2.0
+        assert np.array_equal(tensor_dm(pauli_deviation("z"), maximally_mixed(1)).entries, want)
 
     def test_projector_times_sigma_x(self):
-        proj0 = Operator(np.diag([1.0, 0.0]))
-        got = tensor(proj0, SX).entries
+        got = tensor_dm(computational_state("0"), pauli_deviation("x")).entries
         want = np.zeros((4, 4), dtype=complex)
         want[0, 1] = want[1, 0] = 1.0
         assert np.array_equal(got, want)
 
     def test_associativity_is_exact_for_exact_entries(self):
         # entries 0, +-1, +-0.5 multiply exactly in binary floating point
-        a = Operator(np.array([[0.5, 1.0], [1.0, -0.5]]))
-        b = SZ
-        c = Operator(np.array([[0.0, -1.0], [-1.0, 0.5]]))
-        left = tensor(tensor(a, b), c).entries
-        right = tensor(a, tensor(b, c)).entries
+        a = DensityMatrix(np.array([[0.5, 1.0], [1.0, -0.5]]), DEVIATION)
+        b = pauli_deviation("z")
+        c = DensityMatrix(np.array([[0.5, -0.5], [-0.5, -0.5]]), DEVIATION)
+        left = tensor_dm(tensor_dm(a, b), c).entries
+        right = tensor_dm(a, tensor_dm(b, c)).entries
         assert np.array_equal(left, right)
 
     def test_unitary_flag_propagates(self):
-        assert tensor(SX, SZ).unitary
-        assert not tensor(SX, Operator(np.diag([1.0, 2.0]))).unitary
+        # embedding extends a gate by a Kronecker product with the identity
+        assert embed(SX, [2], 2).unitary
+        assert not embed(Operator(np.diag([1.0, 2.0])), [2], 2).unitary
 
     def test_tensor_dm_kind(self):
         s, d = maximally_mixed(1), pauli_deviation("z")
@@ -210,7 +207,7 @@ class TestEmbed:
 class TestApplyUnitary:
     def test_identity(self, rng):
         rho = random_state(rng, 2)
-        out = apply_unitary(rho, identity(2))
+        out = apply_unitary(rho, Operator(np.eye(4), unitary=True))
         assert np.array_equal(out.entries, rho.entries)
 
     def test_bit_flip(self):

@@ -20,17 +20,27 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ],
 )
 def test_script_writes_its_outputs(script, expected, tmp_path):
+    proc = run_script(script, "--out-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+
+
+@pytest.mark.parametrize("purities", ["1.0", "abc", "0.9,1.0"])
+def test_hump_demo_bad_purities_are_one_error_line(purities, tmp_path):
+    proc = run_script("hump_demo.py", "--out-dir", str(tmp_path / "out"), "--purities", purities)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and len(proc.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     # the child finds the package where this process did, installed or not
     src = str(Path(dfsqec.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / script), "--out-dir", str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args], capture_output=True, text=True, env=env
     )
-    assert proc.returncode == 0, proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
 
 
 def test_output_digest_covers_the_config_matrix():
