@@ -172,7 +172,6 @@ class TestLogicalGates:
         for bit, sign in (("0", 1.0), ("1", -1.0)):
             rho = run_gates(computational_state(bit + "0"), _shift_to_pair(dfs_encode()), 2)
             assert np.array_equal(z3 @ rho.entries, sign * rho.entries)
-        assert table_gates("dfs_qec")[1][5].targets == (1, 3, 2)
 
     def test_x_l_swaps_logical_states(self):
         x_l = table_gates("dfs_qec", "CNOT_into_L").matrix.entries[4:, 4:]
@@ -203,6 +202,13 @@ class TestLogicalGates:
             for j in other:
                 assert abs(m[i, j]) <= 1e-12
                 assert abs(m[j, i]) <= 1e-12
+
+    def test_cnot_from_l_controls_on_z_l_carrier(self):
+        # the recovery Toffoli reads the logical qubit through qubit 3,
+        # the carrier of Z_L, as a plain computational-basis control
+        g = table_gates("dfs_qec", "TOFFOLI")
+        assert g.targets == (1, 3, 2)
+        assert np.array_equal(g.matrix.entries, toffoli(1, 3, 2).matrix.entries)
 
     def test_cnot_into_l_is_controlled_x_l(self):
         g = table_gates("dfs_qec", "CNOT_into_L")
