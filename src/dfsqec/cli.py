@@ -148,6 +148,8 @@ def _cmd_noise_strength(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.spec}: JSON is nested too deeply") from None
     config = _config_from_json(raw)
     sweep = config.sweep if "sweep" in raw else (1.0,)
+    if not sweep:
+        raise ValueError("config field 'sweep' is empty")
     epsilon = raw.get("epsilon")
     ratio = None if epsilon is None else qubit3_strength_ratio(epsilon)
     n, _ = scenario_layout(config.scenario)

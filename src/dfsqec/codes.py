@@ -237,6 +237,31 @@ def build_scenario_circuit(scenario: str, spec: NoiseSpec) -> Circuit:
     return Circuit(n, before + (noise,) + after)
 
 
+def _run(rho: DensityMatrix, circuit: Circuit, noise_override: Callable | None) -> np.ndarray:
+    """The read-only ``(steps, d, d)`` buffer of the checked states
+    after each step of a run (see circuit_states)."""
+    if rho.dim != 2**circuit.n_qubits:
+        raise ValueError(f"state dimension {rho.dim} does not match {circuit.n_qubits}-qubit circuit")
+    states = np.empty((len(circuit.steps), rho.dim, rho.dim), dtype=complex)
+    checked = 0  # states[:checked] have passed check_stack
+    m = rho.entries
+    for i, (step, out) in enumerate(zip(circuit.steps, states)):
+        if isinstance(step, Gate):
+            conjugate(embed(step.matrix, step.targets, circuit.n_qubits), m, out=out)
+        elif noise_override is not None:
+            check_stack(states[checked:i], rho.kind)
+            checked = i
+            m = m.view()
+            m.setflags(write=False)
+            out[...] = noise_override(DensityMatrix._checked(m, rho.kind)).entries
+        else:
+            np.multiply(m, step.factor, out=out)
+        m = out
+    check_stack(states[checked:], rho.kind)
+    states.setflags(write=False)
+    return states
+
+
 def circuit_states(
     rho: DensityMatrix,
     circuit: Circuit,
@@ -245,11 +270,12 @@ def circuit_states(
 ) -> Iterator[tuple[Step, DensityMatrix]]:
     """Yield (step, state after the step) along a circuit run.
 
-    The run steps on raw arrays: each step's result goes into one
-    ``(steps, d, d)`` buffer, which ``check_stack`` then checks as one
-    stack, with the tolerances of every ``DensityMatrix``.  So every
-    intermediate state is checked, and an invalid run raises before its
-    first yield.  The yielded states are read-only views of the buffer.
+    One loop, ``_run``, writes each gate or noise result straight into
+    one ``(steps, d, d)`` buffer, which ``check_stack`` then checks as
+    one stack, with the tolerances of every ``DensityMatrix``.  So an
+    invalid run raises before its first yield.  The yielded states are
+    read-only views of the buffer; ``apply_circuit`` runs the same loop
+    and wraps only the final state.
 
     Markovian noise markers carry lambda*t folded into their generator
     strengths.  ``noise_override`` replaces the noise marker by an
@@ -257,26 +283,7 @@ def circuit_states(
     tested; the states up to it are checked before it receives one,
     and each state is checked exactly once.
     """
-    if rho.dim != 2**circuit.n_qubits:
-        raise ValueError(f"state dimension {rho.dim} does not match {circuit.n_qubits}-qubit circuit")
-    states = np.empty((len(circuit.steps), rho.dim, rho.dim), dtype=complex)
-    checked = 0  # states[:checked] have passed check_stack
-    m = rho.entries
-    for i, step in enumerate(circuit.steps):
-        if isinstance(step, Gate):
-            states[i] = conjugate(embed(step.matrix, step.targets, circuit.n_qubits), m)
-        elif noise_override is not None:
-            check_stack(states[checked:i], rho.kind)
-            checked = i
-            m = m.view()
-            m.setflags(write=False)
-            states[i] = noise_override(DensityMatrix._checked(m, rho.kind)).entries
-        else:
-            states[i] = m * step.factor
-        m = states[i]
-    check_stack(states[checked:], rho.kind)
-    states.setflags(write=False)
-    for step, m in zip(circuit.steps, states):
+    for step, m in zip(circuit.steps, _run(rho, circuit, noise_override)):
         yield step, DensityMatrix._checked(m, rho.kind)
 
 
@@ -287,7 +294,6 @@ def apply_circuit(
     noise_override: Callable[[DensityMatrix], DensityMatrix] | None = None,
 ) -> DensityMatrix:
     """Run a circuit on a state and return the final state (see
-    circuit_states)."""
-    for _, rho in circuit_states(rho, circuit, noise_override=noise_override):
-        pass
-    return rho
+    circuit_states); an empty circuit returns ``rho`` itself."""
+    states = _run(rho, circuit, noise_override)
+    return DensityMatrix._checked(states[-1], rho.kind) if len(states) else rho

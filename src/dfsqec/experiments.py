@@ -32,7 +32,6 @@ from .qstate import (
     partial_trace,
     pauli,
     pauli_deviation,
-    tensor_dm,
 )
 
 __all__ = [
@@ -136,13 +135,15 @@ class HumpReport:
 
 
 def _product_input(data: DensityMatrix, ancilla_purity: float, n_qubits: int) -> DensityMatrix:
-    """``data`` on qubit 2 with p|0><0| + (1-p) I/2 ancillae everywhere else."""
+    """``data`` on qubit 2 with p|0><0| + (1-p) I/2 ancillae everywhere
+    else, checked once, as a whole of ``data``'s kind."""
     p = ancilla_purity
-    anc = DensityMatrix(np.array([[(1.0 + p) / 2.0, 0.0], [0.0, (1.0 - p) / 2.0]]), STATE)
-    rho = tensor_dm(anc, data)
-    for _ in range(n_qubits - 2):
-        rho = tensor_dm(rho, anc)
-    return rho
+    m = anc = np.array([[(1.0 + p) / 2.0, 0.0], [0.0, (1.0 - p) / 2.0]], dtype=complex)
+    for factor in [data.entries] + [anc] * (n_qubits - 2):
+        # np.kron(m, factor): the same products, in the same order
+        d = 2 * m.shape[0]
+        m = (m[:, None, :, None] * factor[None, :, None, :]).reshape(d, d)
+    return DensityMatrix(m, data.kind)
 
 
 def prepare_inputs(axis: str, ancilla_purity: float = 1.0, n_qubits: int = 4) -> DensityMatrix:

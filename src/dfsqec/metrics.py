@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channels import INCOHERENT_SINC, NoiseSpec, sinc
-from .qstate import DensityMatrix, hs_overlap
+from .qstate import DensityMatrix, hs_overlap, pauli_deviation
 
 __all__ = [
     "AXES",
@@ -80,9 +80,13 @@ class MetricReport:
         return cls(*cs, entanglement_fidelity(cs), *ps, float(np.mean(ps)), fe_analytic)
 
 
+# tr(in in) of the three shared Pauli input deviations, computed once
+_PAULI_NORMS = {dev: hs_overlap(dev, dev) for dev in map(pauli_deviation, AXES)}
+
+
 def correlation(input_dev: DensityMatrix, output_dev: DensityMatrix) -> float:
     """Normalized overlap tr(in out) / tr(in in)."""
-    norm = hs_overlap(input_dev, input_dev)
+    norm = _PAULI_NORMS.get(input_dev) or hs_overlap(input_dev, input_dev)
     if norm <= 1e-12:
         raise ValueError("input deviation has zero norm")
     return hs_overlap(input_dev, output_dev) / norm

@@ -13,7 +13,8 @@ Because operators are immutable, ``embed`` caches its results: the
 same gate on the same targets is built and checked once, then shared
 by every circuit, sweep point and probe that uses it.  Each unitary
 operator keeps its adjoint, and ``conjugate`` is the one place that
-computes ``U m U^dag``.
+computes ``U m U^dag``: for a permutation unitary (X, CNOT, Toffoli) by
+a gather of the entries of ``m``, which gives the products' bits.
 
 ``check_stack`` holds the state checks (Hermiticity, trace and, for
 states, positivity) for a ``(k, d, d)`` stack of matrices.  A
@@ -24,6 +25,7 @@ states, with the same tolerances, and raises before it yields any.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -84,6 +86,9 @@ class Operator:
     # for a unitary operator, entries.conj().T, read-only, computed once
     # (``conjugate`` reads it); None otherwise
     adjoint: np.ndarray | None = field(init=False, repr=False, default=None)
+    # for a permutation unitary, U[i, p[i]] = 1, the read-only flat index
+    # p[:, None] * d + p[None, :] of (U m U^dag)[i, j] = m[p[i], p[j]]; else None
+    gather: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         m = _frozen_square(self.entries)
@@ -94,6 +99,11 @@ class Operator:
                 raise ValueError(f"operator flagged unitary violates U^dag U = I by {dev:.2e}")
             adj.setflags(write=False)
             object.__setattr__(self, "adjoint", adj)
+            if ((m == 0) | (m == 1)).all():
+                p = m.nonzero()[1]  # one 1 per row, rows in order
+                gather = p[:, None] * m.shape[0] + p[None, :]
+                gather.setflags(write=False)
+                object.__setattr__(self, "gather", gather)
         object.__setattr__(self, "entries", m)
 
     @property
@@ -148,11 +158,11 @@ class DensityMatrix:
 def check_stack(stack: np.ndarray, kind: str) -> None:
     """Check a ``(k, d, d)`` stack of matrices that all claim ``kind``.
 
-    Each matrix must be Hermitian within ``HERMITICITY_TOL`` and have
-    trace 1 (state) or 0 (deviation) within ``TRACE_TOL``; a state's
-    lowest eigenvalue, from one batched ``eigvalsh``, must be at least
-    ``STATE_MIN_EIG``.  The first matrix that fails raises the message a
-    ``DensityMatrix`` of it alone would raise.
+    Each matrix must have finite entries, be Hermitian within
+    ``HERMITICITY_TOL`` and have trace 1 (state) or 0 (deviation) within
+    ``TRACE_TOL``; a state's lowest eigenvalue, from one batched
+    ``eigvalsh``, must be at least ``STATE_MIN_EIG``.  The first failing
+    matrix raises the message a ``DensityMatrix`` of it alone would.
     """
     if kind not in (STATE, DEVIATION):
         raise ValueError(f"unknown density-matrix kind {kind!r}")
@@ -161,16 +171,20 @@ def check_stack(stack: np.ndarray, kind: str) -> None:
     # stacks of one that every DensityMatrix checks: the trace is
     # ndarray.trace's own diagonal sum (same bits), and conj(A) - A^T,
     # elementwise the conjugate of A - A^dag, is formed in place, which
-    # holds one stack-sized temporary less.
-    errs = stack.conj()
-    errs -= stack.swapaxes(1, 2)
-    herms = np.maximum.reduce(abs(errs), (1, 2)).tolist()
-    traces = np.add.reduce(stack.diagonal(0, 1, 2), 1).tolist()
+    # holds one stack-sized temporary less.  A NaN or inf entry quietly
+    # makes the Hermiticity error NaN or inf: that is the finiteness check.
+    with np.errstate(invalid="ignore"):
+        errs = stack.conj()
+        errs -= stack.swapaxes(1, 2)
+        herms = np.maximum.reduce(abs(errs), (1, 2)).tolist()
+        traces = np.add.reduce(stack.diagonal(0, 1, 2), 1).tolist()
     if kind == STATE:
         target, lowests = 1, np.linalg.eigvalsh(stack)[:, 0].tolist()
     else:
         target, lowests = 0, [0.0] * len(herms)  # no positivity check
     for herm, tr, lowest in zip(herms, traces, lowests):
+        if not math.isfinite(herm):
+            raise ValueError("matrix has non-finite entries")
         if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian, max deviation {herm:.2e}")
         if abs(tr.real - target) > TRACE_TOL:
@@ -268,13 +282,16 @@ def _embed(gate: Operator, targets: tuple[int, ...], n_qubits: int) -> Operator:
     return Operator(t.reshape(dim, dim), unitary=gate.unitary)
 
 
-def conjugate(u: Operator, m: np.ndarray) -> np.ndarray:
-    """``U m U^dag`` of a square array by a unitary-flagged operator."""
+def conjugate(u: Operator, m: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """``U m U^dag`` of a square array by a unitary-flagged operator, into ``out`` if given."""
     if u.dim != m.shape[0]:
         raise ValueError(f"dimension mismatch: operator {u.dim} vs state {m.shape[0]}")
     if not u.unitary:
         raise ValueError("operator is not flagged unitary")
-    return u.entries @ m @ u.adjoint
+    if u.gather is not None:
+        # in range by construction; "clip" lets take fill out unbuffered
+        return m.take(u.gather, out=out, mode="clip")
+    return np.matmul(u.entries @ m, u.adjoint, out=out)
 
 
 def apply_unitary(rho: DensityMatrix, u: Operator) -> DensityMatrix:

@@ -205,6 +205,7 @@ class TestChart:
         ["noise-strength", "--spec", '{"ratio": 1' + "0" * 400 + "}"],
         ["noise-strength", "--spec", '{"sweep": [1e308]}'],
         ["noise-strength", "--spec", '{"sweep": [1, 1e308]}'],
+        ["noise-strength", "--spec", '{"sweep": []}'],
         ["noise-strength", "--spec", '{"epsilon": 1e999}'],
         ["noise-strength", "--spec", '{"epsilon": -1}'],
         ["noise-strength", "--spec", '{"scenario": "qec_hybrid", "epsilon": 1e200, "sweep": [1.0]}'],

@@ -37,6 +37,7 @@ from dfsqec.qstate import (
     apply_unitary,
     check_stack,
     computational_state,
+    conjugate,
     embed,
     partial_trace,
     pauli,
@@ -436,6 +437,11 @@ class TestCircuitPlumbing:
         states = list(circuit_states(computational_state("010"), twice, noise_override=lambda r: r))
         assert len(checked) == 3
         assert sum(checked) == len(states) == len(twice.steps)
+        # apply_circuit runs the same loop
+        checked.clear()
+        apply_circuit(computational_state("010"), twice, noise_override=lambda r: r)
+        assert len(checked) == 3
+        assert sum(checked) == len(twice.steps)
 
     def test_invalid_run_raises_before_its_first_yield(self):
         circuit = build_scenario_circuit("qec_independent", NoiseSpec(0.4))
@@ -448,3 +454,33 @@ class TestCircuitPlumbing:
         rho = computational_state("01")
         assert list(circuit_states(rho, Circuit(2, ()))) == []
         assert apply_circuit(rho, Circuit(2, ())) is rho
+
+
+class TestPermutationGather:
+    # every gate of the scenario table, embedded at its scenario's size
+    GATES = [(n, g) for n, _, before, after in codes._SCENARIOS.values() for g in before + after]
+
+    def test_permutation_gates_conjugate_exactly_as_the_products(self, rng):
+        names = set()
+        for n, gate in self.GATES:
+            if not np.isin(gate.matrix.entries, (0, 1)).all():
+                continue
+            names.add(gate.name)
+            u = embed(gate.matrix, gate.targets, n)
+            assert u.gather is not None and not u.gather.flags.writeable
+            g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+            for m in (g + g.conj().T, (g + g.conj().T) / 7.0):
+                want = u.entries @ m @ u.entries.conj().T
+                assert np.array_equal(conjugate(u, m), want)
+                out = np.empty_like(m)
+                assert conjugate(u, m, out=out) is out
+                assert np.array_equal(out, want)
+        assert names == {"X", "CNOT", "TOFFOLI", "CNOT_into_L"}
+
+    def test_other_operators_carry_no_gather_index(self):
+        rotations = {g.name for n, g in self.GATES if embed(g.matrix, g.targets, n).gather is None}
+        assert rotations == {"H", "H_L"}
+        # 0/1 entries but not flagged unitary, so conjugate rejects it
+        assert Operator(np.eye(4)).gather is None
+        assert SZ.gather is None
+

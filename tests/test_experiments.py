@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from dfsqec import experiments, qstate
 from dfsqec.channels import NoiseSpec
 from dfsqec.experiments import (
     CSV_HEADER,
@@ -21,6 +22,7 @@ from dfsqec.experiments import (
 from dfsqec.codes import apply_circuit, build_scenario_circuit
 from dfsqec.qstate import (
     DEVIATION,
+    STATE,
     DensityMatrix,
     _embed,
     computational_state,
@@ -124,6 +126,32 @@ class TestPrepareInputs:
     def test_purity_range_checked(self):
         with pytest.raises(ValueError, match="purity"):
             prepare_inputs("x", 1.5, 4)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("purity", [1.0, 0.7, 0.0])
+    def test_product_is_the_kron_chain_checked_once(self, n, purity, monkeypatch):
+        # the same bits as np.kron factor by factor, and one check for the
+        # whole product of either kind
+        anc = DensityMatrix(np.diag([(1.0 + purity) / 2.0, (1.0 - purity) / 2.0]))
+        wants = []
+        for data in (pauli_deviation("y"), DensityMatrix(np.eye(2) / 2.0)):
+            want = tensor_dm(anc, data)
+            for _ in range(n - 2):
+                want = tensor_dm(want, anc)
+            wants.append((data, want))
+        real_check = qstate.check_stack
+        checks = []
+
+        def counting_check(stack, kind):
+            checks.append(kind)
+            return real_check(stack, kind)
+
+        monkeypatch.setattr(qstate, "check_stack", counting_check)
+        for data, want in wants:
+            got = experiments._product_input(data, purity, n)
+            assert got.kind == want.kind
+            assert np.array_equal(got.entries, want.entries)
+        assert checks == [DEVIATION, STATE]
 
 
 class TestRunScenario:

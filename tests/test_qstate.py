@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,29 @@ class TestCheckStack:
         stack = np.array([np.eye(2) / 2, np.eye(2), [[0.5, 1.0], [0.0, 0.5]]], dtype=complex)
         with pytest.raises(ValueError, match="state trace is 2.0"):
             check_stack(stack, STATE)
+
+    @pytest.mark.parametrize("kind", [STATE, DEVIATION])
+    @pytest.mark.parametrize(
+        "value, where",
+        [(np.nan, (0, 0)), (np.nan, (0, 1)), (np.inf, (0, 0)), (-np.inf, (1, 0)), (complex(0, np.inf), (1, 1))],
+    )
+    def test_non_finite_entries_raise_without_warnings(self, kind, value, where):
+        good = maximally_mixed(1) if kind == STATE else pauli_deviation("z")
+        bad = good.entries.copy()
+        bad[where] = value
+        # a non-Hermitian matrix after it: the first failing matrix decides
+        stack = np.array([good.entries, bad, [[0.5, 1.0], [0.0, 0.5]]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                DensityMatrix(bad, kind)
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                check_stack(stack, kind)
+
+    @pytest.mark.parametrize("kind, entries", [(DEVIATION, [[np.nan, 0], [0, np.nan]]), (STATE, [[np.nan, 0], [0, 1]])])
+    def test_nan_matrices_are_rejected(self, kind, entries):
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(entries, kind)
 
     def test_valid_and_empty_stacks_pass(self, rng):
         check_stack(np.array([random_state(rng, 2).entries for _ in range(5)]), STATE)
@@ -239,6 +264,15 @@ class TestApplyUnitary:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             apply_unitary(maximally_mixed(2), SX)
+
+    def test_cyclic_permutation_conjugates_by_gather(self, rng):
+        # |k> -> |k+1 mod 4> is not its own inverse, so a gather index
+        # built from the inverse permutation would fail here
+        shift = Operator(np.roll(np.eye(4), 1, axis=0), unitary=True)
+        assert shift.gather is not None
+        rho = random_state(rng, 2)
+        want = shift.entries @ rho.entries @ shift.entries.conj().T
+        assert np.array_equal(apply_unitary(rho, shift).entries, want)
 
     def test_adjoint_is_cached_and_read_only(self, rng):
         u = Operator(_random_unitary(rng, 4), unitary=True)

@@ -34,6 +34,14 @@ def test_hump_demo_bad_purities_are_one_error_line(purities, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_sweeps_unwritable_out_dir_is_one_error_line(tmp_path):
+    (tmp_path / "file").write_text("")
+    proc = run_script("run_sweeps.py", "--out-dir", str(tmp_path / "file" / "out"))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and len(proc.stderr.strip().splitlines()) == 1
+
+
 def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     # the child finds the package where this process did, installed or not
     src = str(Path(dfsqec.__file__).parents[1])
