@@ -11,14 +11,21 @@ purity {1, 0.7, 0} x ratio {0.5, 0.25, 1.7} x two grids
 (``DEFAULT_SWEEP``, and 60 points from 0 in steps of 0.0137).  The
 second hashes 24 ``pauli_transfer_matrix`` probes (4 scenarios x 2
 kinds x 3 points), each cell rounded to 12 decimals as the benchmark's
-channel-probe digest does.
+channel-probe digest does.  The third hashes the stdout, stderr and exit
+status of ``dfsqec noise-strength`` on 200 JSON configs: 4 scenarios x
+2 kinds x 2 coupling cases x ratio {0.5, 0.25, 1.7} x epsilon {unset,
+0, 0.3, 2.5}, each over a sweep from 0 to 1e100, plus eight inputs
+that overflow or are out of range.
 """
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import tempfile
 from pathlib import Path
 
-from dfsqec import ScenarioConfig, emit_csv, run_scenario
+from dfsqec import ScenarioConfig, cli, emit_csv, run_scenario
 from dfsqec.channels import COUPLING_CASES, NOISE_KINDS
 from dfsqec.codes import SCENARIOS
 from dfsqec.experiments import DEFAULT_SWEEP, pauli_transfer_matrix
@@ -28,6 +35,20 @@ PURITIES = (1.0, 0.7, 0.0)
 RATIOS = (0.5, 0.25, 1.7)
 # (coupling case, ratio, ancilla purity, kappa0) of each probe point
 PROBE_POINTS = (("a", 0.5, 1.0, 0.8), ("b", 0.25, 0.7, 2.9), ("a", 1.7, 0.85, 5.3))
+EPSILONS = (None, 0.0, 0.3, 2.5)  # None leaves the field out
+NOISE_SWEEP = [0, 0.37, 1, 2.9, 6, 1e3, 1e100]
+# inputs whose strengths, collective scale or epsilon squared overflow,
+# or that are out of range
+NOISE_EDGES = (
+    {"sweep": [1, 1e308]},
+    {"scenario": "dfs_qec", "sweep": [8e307]},
+    {"scenario": "qec_hybrid", "ratio": 1e-300, "sweep": [1e10]},
+    {"scenario": "qec_hybrid", "kind": "exp", "ratio": 1e-170, "sweep": [1]},
+    {"epsilon": 1.3e154},
+    {"epsilon": 1e200},
+    {"epsilon": -1},
+    {"sweep": []},
+)
 
 
 def csv_configs() -> list[ScenarioConfig]:
@@ -48,6 +69,17 @@ def probes() -> list[tuple[str, ScenarioConfig, float]]:
     ]
 
 
+def noise_configs() -> list[dict]:
+    """The JSON configs whose noise-strength output the third digest covers."""
+    configs = []
+    for scenario, kind, case, ratio, epsilon in itertools.product(
+        SCENARIOS, NOISE_KINDS, COUPLING_CASES, RATIOS, EPSILONS
+    ):
+        raw = {"scenario": scenario, "kind": kind, "coupling_case": case, "ratio": ratio, "sweep": NOISE_SWEEP}
+        configs.append(raw if epsilon is None else {**raw, "epsilon": epsilon})
+    return configs + list(NOISE_EDGES)
+
+
 def csv_digest() -> str:
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
@@ -66,9 +98,23 @@ def ptm_digest() -> str:
     return digest.hexdigest()
 
 
+def noise_digest() -> str:
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "spec.json"
+        for raw in noise_configs():
+            path.write_text(json.dumps(raw), encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = cli.main(["noise-strength", "--spec", str(path)])
+            digest.update(f"{out.getvalue()}\0{err.getvalue()}\0{status}\n".encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     print(f"csv_sha256 {csv_digest()}  ({len(csv_configs())} configs)")
     print(f"ptm_sha256 {ptm_digest()}  ({len(probes())} probes)")
+    print(f"noise_sha256 {noise_digest()}  ({len(noise_configs())} configs)")
     return 0
 
 

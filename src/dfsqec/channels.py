@@ -171,14 +171,11 @@ def markov_dephase(rho: DensityMatrix, gens: Sequence[DephasingGenerator], t: fl
     return _dephase(rho, [replace(g, strength=g.strength * t) for g in gens], MARKOVIAN_EXP)
 
 
-def _operator_norm(x: np.ndarray) -> np.float64:
-    """Largest singular value; inf when an entry has overflowed."""
-    return np.linalg.norm(x, 2) if np.all(np.isfinite(x)) else np.float64(np.inf)
-
-
 def noise_strength(gens: Sequence[DephasingGenerator]) -> float:
     """Overall noise strength sum_mu |L_mu|^2 + |sum_mu L_mu^dag L_mu|,
     with |X| the largest singular value and L_mu = sqrt(strength/2) W_mu.
+    Every L_mu is diagonal, diag(l_mu), so |L_mu| = max |l_mu| and the
+    second term is the largest entry of sum_mu l_mu^2.
     """
     gens = list(gens)
     if not gens:
@@ -187,19 +184,18 @@ def noise_strength(gens: Sequence[DephasingGenerator]) -> float:
     if any(g.n_qubits != n for g in gens):
         raise ValueError("generators must share a common qubit count")
     with np.errstate(over="ignore", invalid="ignore"):
-        mats = [g.lindblad_matrix() for g in gens]
-        total = sum(_operator_norm(m) ** 2 for m in mats)
-        accum = sum(m.conj().T @ m for m in mats)
-        strength = float(total + _operator_norm(accum))
+        diags = [np.sqrt(g.strength / 2.0) * g.z_values() for g in gens]
+        total = sum(np.max(np.abs(d)) ** 2 for d in diags)
+        strength = float(total + np.max(sum(d * d for d in diags)))
     if not math.isfinite(strength):
         raise ValueError("noise strength is not finite: generator strengths are too large")
     return strength
 
 
 def partial_strengths(gens: Sequence[DephasingGenerator]) -> list[float]:
-    """Per-generator partial strengths lambda_mu = 2 |L_mu|^2."""
+    """Per-generator partial strengths lambda_mu = 2 |L_mu|^2 (see noise_strength)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        strengths = [float(2.0 * _operator_norm(g.lindblad_matrix()) ** 2) for g in gens]
+        strengths = [float(2.0 * np.max(np.abs(np.sqrt(g.strength / 2.0) * g.z_values())) ** 2) for g in gens]
     if not all(map(math.isfinite, strengths)):
         raise ValueError("partial noise strength is not finite: generator strengths are too large")
     return strengths

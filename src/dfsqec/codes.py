@@ -60,25 +60,25 @@ __all__ = [
     "circuit_states",
 ]
 
-_H = Operator(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), unitary=True)
+_H = Operator(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
 
 _CNOT = np.eye(4)
 _CNOT[[2, 3]] = _CNOT[[3, 2]]
-_CNOT = Operator(_CNOT, unitary=True)
+_CNOT = Operator(_CNOT)
 
 _TOFFOLI = np.eye(8)
 _TOFFOLI[[6, 7]] = _TOFFOLI[[7, 6]]
-_TOFFOLI = Operator(_TOFFOLI, unitary=True)
+_TOFFOLI = Operator(_TOFFOLI)
 
 # logical gates on the qubit-(3,4) pair, basis order |00>,|01>,|10>,|11>
 _H_L = np.eye(4, dtype=complex)
 _H_L[1:3, 1:3] = _H.entries
-_H_L = Operator(_H_L, unitary=True)
+_H_L = Operator(_H_L)
 
 # controlled-X_L, X_L = sigma_x^3 sigma_x^4
 _CNOT_INTO_L = np.eye(8, dtype=complex)
 _CNOT_INTO_L[4:, 4:] = np.kron(SX.entries, SX.entries)
-_CNOT_INTO_L = Operator(_CNOT_INTO_L, unitary=True)
+_CNOT_INTO_L = Operator(_CNOT_INTO_L)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,8 +91,6 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
-        if not self.matrix.unitary:
-            raise ValueError(f"gate {self.name!r} must carry a unitary matrix")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"gate {self.name!r} has duplicate targets {self.targets}")
         if self.matrix.dim != 2 ** len(self.targets):
@@ -112,7 +110,6 @@ class NoiseStep:
 
     generators: tuple[DephasingGenerator, ...]
     kind: str = INCOHERENT_SINC
-    label: str = "noise"
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))

@@ -190,9 +190,12 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
 def hump_demo(config: ScenarioConfig) -> HumpReport:
     """Sweep the three-qubit code with imperfect ancillae and flag the
     qualitative signature: a non-monotone fidelity curve, or a crossing
-    of the ideal-ancilla reference curve."""
+    of the ideal-ancilla reference curve.  The sweep must start at
+    kappa0 = 0, where ``fe_at_zero`` is read."""
     if config.ancilla_purity >= 1.0:
         raise ValueError("hump_demo expects ancilla_purity < 1")
+    if not config.sweep or config.sweep[0] != 0.0:
+        raise ValueError("hump_demo expects a non-empty sweep that starts at kappa0 = 0")
     result = run_scenario(replace(config, scenario="qec_independent"))
     fes = np.array([p.report.Fe for p in result.points])
     refs = np.array([p.report.Fe_analytic for p in result.points])
@@ -200,8 +203,7 @@ def hump_demo(config: ScenarioConfig) -> HumpReport:
     non_monotone = bool(np.any(diffs > 1e-12) and np.any(diffs < -1e-12))
     gap = fes - refs
     crosses = bool(np.any(gap > 1e-12) and np.any(gap < -1e-12))
-    fe0 = float(fes[0]) if len(fes) else float("nan")
-    return HumpReport(result, fe0, non_monotone, crosses)
+    return HumpReport(result, float(fes[0]), non_monotone, crosses)
 
 
 def _fmt(x: float | None) -> str:

@@ -77,7 +77,9 @@ class MetricReport:
     ) -> "MetricReport":
         cs = [float(c[u]) for u in AXES]
         ps = [float(p[u]) for u in AXES]
-        return cls(*cs, entanglement_fidelity(cs), *ps, float(np.mean(ps)), fe_analytic)
+        # left to right, then one division: np.mean's bits on three items
+        # (sum() adds floats with compensation from Python 3.12 on)
+        return cls(*cs, entanglement_fidelity(cs), *ps, (ps[0] + ps[1] + ps[2]) / 3.0, fe_analytic)
 
 
 # tr(in in) of the three shared Pauli input deviations, computed once

@@ -9,12 +9,13 @@ Conventions used everywhere in this package:
   16x16), copied on construction and marked read-only, so every value
   is immutable and safe to share between threads.
 
-Because operators are immutable, ``embed`` caches its results: the
-same gate on the same targets is built and checked once, then shared
-by every circuit, sweep point and probe that uses it.  Each unitary
-operator keeps its adjoint, and ``conjugate`` is the one place that
-computes ``U m U^dag``: for a permutation unitary (X, CNOT, Toffoli) by
-a gather of the entries of ``m``, which gives the products' bits.
+Every ``Operator`` is unitary (the gates are unitary pulse sequences;
+construction checks ``U^dag U = I``).  Operators are immutable, so
+``embed`` caches its results: the same gate on the same targets is built
+and checked once, then shared by every circuit, sweep point and probe
+that uses it.  Each operator keeps its adjoint, and ``conjugate`` is the
+one place that computes ``U m U^dag``: for a permutation (X, CNOT,
+Toffoli) by a gather of the entries of ``m``, which gives the products' bits.
 
 ``check_stack`` holds the state checks (Hermiticity, trace and, for
 states, positivity) for a ``(k, d, d)`` stack of matrices.  A
@@ -40,11 +41,9 @@ __all__ = [
     "SY",
     "SZ",
     "pauli",
-    "computational_state",
     "maximally_mixed",
     "pauli_deviation",
     "check_stack",
-    "tensor_dm",
     "embed",
     "conjugate",
     "apply_unitary",
@@ -79,40 +78,33 @@ def _frozen_square(entries) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Dense operator on an n-qubit space, optionally flagged unitary."""
+    """Dense unitary on an n-qubit space, ``U^dag U = I`` within ``UNITARY_TOL``."""
 
     entries: np.ndarray
-    unitary: bool = False
-    # for a unitary operator, entries.conj().T, read-only, computed once
-    # (``conjugate`` reads it); None otherwise
-    adjoint: np.ndarray | None = field(init=False, repr=False, default=None)
-    # for a permutation unitary, U[i, p[i]] = 1, the read-only flat index
+    # entries.conj().T, read-only, computed once (``conjugate`` reads it)
+    adjoint: np.ndarray = field(init=False, repr=False)
+    # for a permutation, U[i, p[i]] = 1, the read-only flat index
     # p[:, None] * d + p[None, :] of (U m U^dag)[i, j] = m[p[i], p[j]]; else None
     gather: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         m = _frozen_square(self.entries)
-        if self.unitary:
-            adj = m.conj().T
-            dev = np.max(np.abs(adj @ m - np.eye(m.shape[0])))
-            if dev > UNITARY_TOL:
-                raise ValueError(f"operator flagged unitary violates U^dag U = I by {dev:.2e}")
-            adj.setflags(write=False)
-            object.__setattr__(self, "adjoint", adj)
-            if ((m == 0) | (m == 1)).all():
-                p = m.nonzero()[1]  # one 1 per row, rows in order
-                gather = p[:, None] * m.shape[0] + p[None, :]
-                gather.setflags(write=False)
-                object.__setattr__(self, "gather", gather)
+        adj = m.conj().T
+        dev = np.max(np.abs(adj @ m - np.eye(m.shape[0])))
+        if dev > UNITARY_TOL:
+            raise ValueError(f"operator is not unitary: U^dag U = I is violated by {dev:.2e}")
+        adj.setflags(write=False)
+        object.__setattr__(self, "adjoint", adj)
+        if ((m == 0) | (m == 1)).all():
+            p = m.nonzero()[1]  # one 1 per row, rows in order
+            gather = p[:, None] * m.shape[0] + p[None, :]
+            gather.setflags(write=False)
+            object.__setattr__(self, "gather", gather)
         object.__setattr__(self, "entries", m)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def n_qubits(self) -> int:
-        return self.dim.bit_length() - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,9 +185,9 @@ def check_stack(stack: np.ndarray, kind: str) -> None:
             raise ValueError(f"state has negative eigenvalue {lowest:.2e}")
 
 
-SX = Operator(np.array([[0.0, 1.0], [1.0, 0.0]]), unitary=True)
-SY = Operator(np.array([[0.0, -1.0j], [1.0j, 0.0]]), unitary=True)
-SZ = Operator(np.array([[1.0, 0.0], [0.0, -1.0]]), unitary=True)
+SX = Operator(np.array([[0.0, 1.0], [1.0, 0.0]]))
+SY = Operator(np.array([[0.0, -1.0j], [1.0j, 0.0]]))
+SZ = Operator(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
 _PAULIS = {"x": SX, "y": SY, "z": SZ}
 
@@ -206,20 +198,6 @@ def pauli(axis: str) -> Operator:
         return _PAULIS[axis]
     except KeyError:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
-
-
-def computational_state(bits: str | Sequence[int]) -> DensityMatrix:
-    """Projector onto a computational basis state, e.g. ``"010"``."""
-    bitlist = [int(b) for b in bits]
-    if not bitlist or any(b not in (0, 1) for b in bitlist):
-        raise ValueError(f"bits must be a nonempty 0/1 sequence, got {bits!r}")
-    index = 0
-    for b in bitlist:
-        index = (index << 1) | b
-    dim = 2 ** len(bitlist)
-    m = np.zeros((dim, dim), dtype=complex)
-    m[index, index] = 1.0
-    return DensityMatrix(m, STATE)
 
 
 def maximally_mixed(n_qubits: int) -> DensityMatrix:
@@ -237,14 +215,6 @@ def pauli_deviation(axis: str) -> DensityMatrix:
         return _PAULI_DEVIATIONS[axis]
     except KeyError:
         raise ValueError(f"unknown Pauli axis {axis!r}") from None
-
-
-def tensor_dm(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Product state of two density matrices (Kronecker product; the
-    first factor holds the more significant qubits); any deviation
-    factor makes the result a deviation (the trace multiplies)."""
-    kind = STATE if (a.kind == STATE and b.kind == STATE) else DEVIATION
-    return DensityMatrix(np.kron(a.entries, b.entries), kind)
 
 
 def embed(gate: Operator, targets: Sequence[int], n_qubits: int) -> Operator:
@@ -279,15 +249,13 @@ def _embed(gate: Operator, targets: tuple[int, ...], n_qubits: int) -> Operator:
     perm = [order.index(q) for q in range(1, n_qubits + 1)]
     t = t.transpose(perm + [p + n_qubits for p in perm])
     dim = 2**n_qubits
-    return Operator(t.reshape(dim, dim), unitary=gate.unitary)
+    return Operator(t.reshape(dim, dim))
 
 
 def conjugate(u: Operator, m: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
-    """``U m U^dag`` of a square array by a unitary-flagged operator, into ``out`` if given."""
+    """``U m U^dag`` of a square array, into ``out`` if given."""
     if u.dim != m.shape[0]:
         raise ValueError(f"dimension mismatch: operator {u.dim} vs state {m.shape[0]}")
-    if not u.unitary:
-        raise ValueError("operator is not flagged unitary")
     if u.gather is not None:
         # in range by construction; "clip" lets take fill out unbuffered
         return m.take(u.gather, out=out, mode="clip")

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the code paths they check: the
 partial trace sums indices explicitly, the Lindblad oracle exponentiates
-the vectorized superoperator, and the phase-average oracle conjugates by
-explicitly sampled unitaries.
+the vectorized superoperator, the phase-average oracle conjugates by
+explicitly sampled unitaries, and the noise-strength oracle takes SVD
+operator norms of the dense jump operators.
 """
 from __future__ import annotations
 
@@ -12,6 +13,11 @@ import pytest
 from scipy.linalg import expm
 
 from dfsqec.qstate import DEVIATION, STATE, DensityMatrix
+
+
+def basis_state(bits: str) -> DensityMatrix:
+    """Projector onto a computational basis state, e.g. ``"010"``."""
+    return DensityMatrix(np.diag([float(i == int(bits, 2)) for i in range(2 ** len(bits))]))
 
 
 def random_state(rng: np.random.Generator, n_qubits: int) -> DensityMatrix:
@@ -66,6 +72,20 @@ def oracle_z_values(weights: np.ndarray) -> np.ndarray:
             total += weights[j - 1] * (1.0 if bit == 0 else -1.0)
         out[m] = total
     return out
+
+
+def oracle_noise_strengths(gens) -> tuple[float, list[float]]:
+    """(noise_strength, partial_strengths) by the dense definition: the
+    largest singular value (SVD) of each lindblad_matrix() L_mu and of
+    sum_mu L_mu^dag L_mu, taken as inf once an entry has overflowed."""
+
+    def norm(x):
+        return np.linalg.norm(x, 2) if np.all(np.isfinite(x)) else np.float64(np.inf)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        mats = [g.lindblad_matrix() for g in gens]
+        total = sum(norm(m) ** 2 for m in mats) + norm(sum(m.conj().T @ m for m in mats))
+        return float(total), [float(2.0 * norm(m) ** 2) for m in mats]
 
 
 def oracle_lindblad_evolve(

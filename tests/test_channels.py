@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from dfsqec.metrics import fit_error_rates, fit_grid
 from dfsqec.qstate import DEVIATION, DensityMatrix, maximally_mixed
 from .conftest import (
     oracle_lindblad_evolve,
+    oracle_noise_strengths,
     oracle_phase_average,
     oracle_z_values,
     random_deviation,
@@ -216,6 +219,30 @@ class TestNoiseStrength:
             noise_strength([single(q, 3, lam) for q in (1, 2, 3)])
         with pytest.raises(ValueError, match="not finite"):
             partial_strengths([DephasingGenerator(np.array([1e200]), lam)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 4))
+    def test_strengths_equal_the_dense_definition(self, seed, n, k):
+        # k generators on n qubits, weights and strengths spanning ten
+        # decades, some zero: the diagonal formulas give the SVD norms' bits
+        rng = np.random.default_rng(seed)
+        weights = 10.0 ** rng.uniform(-5.0, 5.0, (k, n)) * rng.choice([-1.0, 0.0, 1.0], (k, n))
+        weights[:, 0] += weights[:, 0] == 0.0  # no all-zero weight vector
+        strengths = 10.0 ** rng.uniform(-5.0, 5.0, k) * rng.integers(0, 2, k)
+        gens = [DephasingGenerator(w, float(s)) for w, s in zip(weights, strengths)]
+        total, partials = oracle_noise_strengths(gens)
+        assert noise_strength(gens) == total
+        assert partial_strengths(gens) == partials
+        # one more generator whose |L_mu|^2 = 2 * 1.7e308 overflows
+        gens.append(DephasingGenerator(np.full(n, 2.0), 1.7e308))
+        total, partials = oracle_noise_strengths(gens)
+        assert total == partials[-1] == np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="^noise strength is not finite"):
+                noise_strength(gens)
+            with pytest.raises(ValueError, match="^partial noise strength is not finite"):
+                partial_strengths(gens)
 
 
 class TestBuildErrorModel:

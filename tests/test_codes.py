@@ -36,14 +36,13 @@ from dfsqec.qstate import (
     Operator,
     apply_unitary,
     check_stack,
-    computational_state,
     conjugate,
     embed,
     partial_trace,
     pauli,
     pauli_deviation,
-    tensor_dm,
 )
+from .conftest import basis_state
 
 
 def run_gates(state: DensityMatrix, gates, n: int) -> DensityMatrix:
@@ -78,13 +77,13 @@ def table_gates(scenario: str, name: str | None = None):
 
 class TestPhaseCode:
     def test_encodes_zero_to_all_plus(self):
-        rho = run_gates(computational_state("000"), table_gates("qec_independent")[0], 3)
+        rho = run_gates(basis_state("000"), table_gates("qec_independent")[0], 3)
         want = plus_minus_state(+1)
         assert np.max(np.abs(rho.entries - np.outer(want, want))) <= 1e-12
 
     def test_encodes_one_to_all_minus(self):
         # the data qubit is qubit 2
-        rho = run_gates(computational_state("010"), table_gates("qec_independent")[0], 3)
+        rho = run_gates(basis_state("010"), table_gates("qec_independent")[0], 3)
         want = plus_minus_state(-1)
         assert np.max(np.abs(rho.entries - np.outer(want, want))) <= 1e-12
 
@@ -139,18 +138,18 @@ class TestPhaseCode:
 
 class TestDfsEncoding:
     def test_zero_maps_to_01(self):
-        rho = run_gates(computational_state("00"), _shift_to_pair(dfs_encode()), 2)
-        assert np.max(np.abs(rho.entries - computational_state("01").entries)) <= 1e-12
+        rho = run_gates(basis_state("00"), _shift_to_pair(dfs_encode()), 2)
+        assert np.max(np.abs(rho.entries - basis_state("01").entries)) <= 1e-12
 
     def test_one_maps_to_10(self):
-        rho = run_gates(computational_state("10"), _shift_to_pair(dfs_encode()), 2)
-        assert np.max(np.abs(rho.entries - computational_state("10").entries)) <= 1e-12
+        rho = run_gates(basis_state("10"), _shift_to_pair(dfs_encode()), 2)
+        assert np.max(np.abs(rho.entries - basis_state("10").entries)) <= 1e-12
 
     def test_decode_inverts_encode(self, rng):
         from .conftest import random_state
 
         pair = random_state(rng, 1)
-        rho = DensityMatrix(np.kron(pair.entries, computational_state("0").entries))
+        rho = DensityMatrix(np.kron(pair.entries, basis_state("0").entries))
         gates = _shift_to_pair(dfs_encode()) + _shift_to_pair(dfs_decode())
         out = run_gates(rho, gates, 2)
         assert np.max(np.abs(out.entries - rho.entries)) <= 1e-12
@@ -171,7 +170,7 @@ class TestLogicalGates:
         # reads: +1 on |0_L> = |01>, -1 on |1_L> = |10>
         z3 = embed(SZ, [1], 2).entries
         for bit, sign in (("0", 1.0), ("1", -1.0)):
-            rho = run_gates(computational_state(bit + "0"), _shift_to_pair(dfs_encode()), 2)
+            rho = run_gates(basis_state(bit + "0"), _shift_to_pair(dfs_encode()), 2)
             assert np.array_equal(z3 @ rho.entries, sign * rho.entries)
 
     def test_x_l_swaps_logical_states(self):
@@ -287,9 +286,9 @@ class TestScenarioCircuits:
         n_steps = len(circuit.steps)
         bad = np.zeros((4, 4))
         bad[0, 0] = bad[3, 3] = 1.0
-        proj_bad = embed(Operator(bad), [3, 4], 4).entries
-        data = DensityMatrix((np.eye(2) + SX.entries) / 2.0)
-        rho0 = tensor_dm(tensor_dm(computational_state("0"), data), computational_state("00"))
+        proj_bad = np.kron(np.eye(4), bad)
+        data = (np.eye(2) + SX.entries) / 2.0
+        rho0 = DensityMatrix(np.kron(np.kron(basis_state("0").entries, data), basis_state("00").entries))
         for idx, (step, rho) in enumerate(circuit_states(rho0, circuit)):
             if 1 < idx + 1 < n_steps - 1:  # after dfs_encode, before dfs_decode
                 pop = float(np.trace(proj_bad @ rho.entries).real)
@@ -377,9 +376,9 @@ class TestCircuitPlumbing:
 
     def test_toffoli_matrix_action(self):
         t = toffoli(1, 2, 3)
-        rho = computational_state("110")
+        rho = basis_state("110")
         out = apply_unitary(rho, embed(t.matrix, t.targets, 3))
-        assert np.max(np.abs(out.entries - computational_state("111").entries)) <= 1e-12
+        assert np.max(np.abs(out.entries - basis_state("111").entries)) <= 1e-12
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
@@ -388,9 +387,8 @@ class TestCircuitPlumbing:
         # single steps, for deviation and state inputs alike
         circuit = build_scenario_circuit(scenario, ScenarioConfig(scenario, kind=kind).noise_spec(1.7))
         n = circuit.n_qubits
-        mixed_data = DensityMatrix(np.eye(2) / 2.0)
-        for rho in (prepare_inputs("y", 0.7, n), tensor_dm(tensor_dm(computational_state("0"), mixed_data),
-                                                           computational_state("0" * (n - 2)))):
+        mixed = np.kron(np.kron(basis_state("0").entries, np.eye(2) / 2.0), basis_state("0" * (n - 2)).entries)
+        for rho in (prepare_inputs("y", 0.7, n), DensityMatrix(mixed)):
             for step, got in circuit_states(rho, circuit):
                 if isinstance(step, Gate):
                     rho = apply_unitary(rho, embed(step.matrix, step.targets, n))
@@ -402,7 +400,7 @@ class TestCircuitPlumbing:
 
     def test_noise_override_receives_a_checked_state(self):
         circuit = build_scenario_circuit("qec_independent", NoiseSpec(0.0))
-        rho = computational_state("010")
+        rho = basis_state("010")
         seen = []
 
         def override(r):
@@ -416,7 +414,7 @@ class TestCircuitPlumbing:
         assert not got.entries.flags.writeable
         # a gate within the unitarity tolerance that pushes the trace past
         # TRACE_TOL: the run stops before the override sees its state
-        sloppy = Gate("sloppy", Operator(np.eye(2) * (1.0 + 5e-12), unitary=True), (1,))
+        sloppy = Gate("sloppy", Operator(np.eye(2) * (1.0 + 5e-12)), (1,))
         seen.clear()
         with pytest.raises(ValueError, match="state trace"):
             list(circuit_states(rho, Circuit(3, (sloppy,) + circuit.steps), noise_override=override))
@@ -434,24 +432,24 @@ class TestCircuitPlumbing:
             return check_stack(stack, kind)
 
         monkeypatch.setattr(codes, "check_stack", recording_check)
-        states = list(circuit_states(computational_state("010"), twice, noise_override=lambda r: r))
+        states = list(circuit_states(basis_state("010"), twice, noise_override=lambda r: r))
         assert len(checked) == 3
         assert sum(checked) == len(states) == len(twice.steps)
         # apply_circuit runs the same loop
         checked.clear()
-        apply_circuit(computational_state("010"), twice, noise_override=lambda r: r)
+        apply_circuit(basis_state("010"), twice, noise_override=lambda r: r)
         assert len(checked) == 3
         assert sum(checked) == len(twice.steps)
 
     def test_invalid_run_raises_before_its_first_yield(self):
         circuit = build_scenario_circuit("qec_independent", NoiseSpec(0.4))
-        sloppy = Gate("sloppy", Operator(np.eye(2) * (1.0 + 5e-12), unitary=True), (1,))
-        run = circuit_states(computational_state("010"), Circuit(3, circuit.steps + (sloppy,)))
+        sloppy = Gate("sloppy", Operator(np.eye(2) * (1.0 + 5e-12)), (1,))
+        run = circuit_states(basis_state("010"), Circuit(3, circuit.steps + (sloppy,)))
         with pytest.raises(ValueError, match="state trace"):
             next(run)
 
     def test_empty_circuit_yields_nothing(self):
-        rho = computational_state("01")
+        rho = basis_state("01")
         assert list(circuit_states(rho, Circuit(2, ()))) == []
         assert apply_circuit(rho, Circuit(2, ())) is rho
 
@@ -480,7 +478,5 @@ class TestPermutationGather:
     def test_other_operators_carry_no_gather_index(self):
         rotations = {g.name for n, g in self.GATES if embed(g.matrix, g.targets, n).gather is None}
         assert rotations == {"H", "H_L"}
-        # 0/1 entries but not flagged unitary, so conjugate rejects it
-        assert Operator(np.eye(4)).gather is None
         assert SZ.gather is None
 

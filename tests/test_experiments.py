@@ -25,12 +25,11 @@ from dfsqec.qstate import (
     STATE,
     DensityMatrix,
     _embed,
-    computational_state,
     partial_trace,
     pauli,
     pauli_deviation,
-    tensor_dm,
 )
+from .conftest import basis_state
 
 
 def file_hash(path) -> str:
@@ -132,12 +131,12 @@ class TestPrepareInputs:
     def test_product_is_the_kron_chain_checked_once(self, n, purity, monkeypatch):
         # the same bits as np.kron factor by factor, and one check for the
         # whole product of either kind
-        anc = DensityMatrix(np.diag([(1.0 + purity) / 2.0, (1.0 - purity) / 2.0]))
+        anc = np.diag([(1.0 + purity) / 2.0, (1.0 - purity) / 2.0]).astype(complex)
         wants = []
         for data in (pauli_deviation("y"), DensityMatrix(np.eye(2) / 2.0)):
-            want = tensor_dm(anc, data)
+            want = np.kron(anc, data.entries)
             for _ in range(n - 2):
-                want = tensor_dm(want, anc)
+                want = np.kron(want, anc)
             wants.append((data, want))
         real_check = qstate.check_stack
         checks = []
@@ -149,8 +148,8 @@ class TestPrepareInputs:
         monkeypatch.setattr(qstate, "check_stack", counting_check)
         for data, want in wants:
             got = experiments._product_input(data, purity, n)
-            assert got.kind == want.kind
-            assert np.array_equal(got.entries, want.entries)
+            assert got.kind == data.kind
+            assert np.array_equal(got.entries, want)
         assert checks == [DEVIATION, STATE]
 
 
@@ -189,12 +188,12 @@ class TestRunScenario:
         # these unital circuits
         cfg = ScenarioConfig("qec_independent", sweep=(0.0, 1.0, 3.0))
         res = run_scenario(cfg)
-        zero = computational_state("0")
+        zero = basis_state("0").entries
         for point in res.points:
             circuit = build_scenario_circuit(cfg.scenario, point.spec)
             for axis in ("x", "y", "z"):
-                data = DensityMatrix((np.eye(2) + pauli(axis).entries) / 2.0)
-                rho = tensor_dm(tensor_dm(zero, data), zero)
+                data = (np.eye(2) + pauli(axis).entries) / 2.0
+                rho = DensityMatrix(np.kron(np.kron(zero, data), zero))
                 out = partial_trace(apply_circuit(rho, circuit), {2})
                 c = float(np.trace(pauli(axis).entries @ out.entries).real)
                 assert getattr(point.report, "C" + axis) == pytest.approx(c, abs=1e-12)
@@ -247,6 +246,12 @@ class TestHump:
     def test_full_purity_rejected(self):
         with pytest.raises(ValueError, match="purity"):
             hump_demo(ScenarioConfig("qec_independent", ancilla_purity=1.0))
+
+    @pytest.mark.parametrize("sweep", [(), (3.0,)])
+    def test_sweep_must_start_at_zero(self, sweep):
+        # fe_at_zero is read at the first point, so it must be kappa0 = 0
+        with pytest.raises(ValueError, match="starts at kappa0 = 0"):
+            hump_demo(ScenarioConfig("qec_independent", sweep=sweep, ancilla_purity=0.5))
 
 
 class TestCsv:

@@ -101,7 +101,7 @@ class TestAvgPolarization:
 
         config = ScenarioConfig("qec_independent", sweep=(1.3,))
         plain = run_scenario(config).points[0].report
-        u = Gate("U", Operator(_random_unitary(rng, 2), unitary=True), (2,))
+        u = Gate("U", Operator(_random_unitary(rng, 2)), (2,))
         build = experiments.build_scenario_circuit
 
         def with_error(scenario, spec):

@@ -15,19 +15,17 @@ from dfsqec.qstate import (
     Operator,
     apply_unitary,
     check_stack,
-    computational_state,
     embed,
     hs_overlap,
     maximally_mixed,
     partial_trace,
     pauli,
     pauli_deviation,
-    tensor_dm,
 )
-from .conftest import oracle_partial_trace, random_state
+from .conftest import basis_state, oracle_partial_trace, random_state
 
-H = Operator(np.array([[1, 1], [1, -1]]) / np.sqrt(2), unitary=True)
-CNOT = Operator(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]), unitary=True)
+H = Operator(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+CNOT = Operator(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
 
 
 class TestConstruction:
@@ -44,8 +42,9 @@ class TestConstruction:
             Operator(np.eye(1))
 
     def test_unitary_flag_is_checked(self):
+        # every operator is checked: a non-unitary matrix is rejected
         with pytest.raises(ValueError, match="unitary"):
-            Operator(np.array([[1, 0], [0, 2]]), unitary=True)
+            Operator(np.array([[1, 0], [0, 2]]))
 
     def test_state_must_be_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -136,41 +135,6 @@ class TestCheckStack:
             check_stack(np.array([np.eye(2) / 2]), "other")
 
 
-class TestTensor:
-    def test_identity_times_identity(self):
-        assert np.array_equal(tensor_dm(maximally_mixed(1), maximally_mixed(1)).entries, np.eye(4) / 4.0)
-
-    def test_sigma_z_times_identity(self):
-        want = np.diag([1.0, 1.0, -1.0, -1.0]) / 2.0
-        assert np.array_equal(tensor_dm(pauli_deviation("z"), maximally_mixed(1)).entries, want)
-
-    def test_projector_times_sigma_x(self):
-        got = tensor_dm(computational_state("0"), pauli_deviation("x")).entries
-        want = np.zeros((4, 4), dtype=complex)
-        want[0, 1] = want[1, 0] = 1.0
-        assert np.array_equal(got, want)
-
-    def test_associativity_is_exact_for_exact_entries(self):
-        # entries 0, +-1, +-0.5 multiply exactly in binary floating point
-        a = DensityMatrix(np.array([[0.5, 1.0], [1.0, -0.5]]), DEVIATION)
-        b = pauli_deviation("z")
-        c = DensityMatrix(np.array([[0.5, -0.5], [-0.5, -0.5]]), DEVIATION)
-        left = tensor_dm(tensor_dm(a, b), c).entries
-        right = tensor_dm(a, tensor_dm(b, c)).entries
-        assert np.array_equal(left, right)
-
-    def test_unitary_flag_propagates(self):
-        # embedding extends a gate by a Kronecker product with the identity
-        assert embed(SX, [2], 2).unitary
-        assert not embed(Operator(np.diag([1.0, 2.0])), [2], 2).unitary
-
-    def test_tensor_dm_kind(self):
-        s, d = maximally_mixed(1), pauli_deviation("z")
-        assert tensor_dm(s, s).kind == STATE
-        assert tensor_dm(s, d).kind == DEVIATION
-        assert tensor_dm(d, d).kind == DEVIATION
-
-
 class TestEmbed:
     def test_single_qubit_definition(self):
         got = embed(SZ, [3], 4).entries
@@ -222,8 +186,8 @@ class TestEmbed:
     def test_disjoint_embeddings_commute(self, seed, n):
         rng = np.random.default_rng(seed)
         j, k = rng.choice(np.arange(1, n + 1), size=2, replace=False)
-        g = Operator(_random_unitary(rng, 2), unitary=True)
-        h = Operator(_random_unitary(rng, 2), unitary=True)
+        g = Operator(_random_unitary(rng, 2))
+        h = Operator(_random_unitary(rng, 2))
         a = embed(g, [int(j)], n).entries
         b = embed(h, [int(k)], n).entries
         assert np.max(np.abs(a @ b - b @ a)) <= 1e-12
@@ -232,12 +196,12 @@ class TestEmbed:
 class TestApplyUnitary:
     def test_identity(self, rng):
         rho = random_state(rng, 2)
-        out = apply_unitary(rho, Operator(np.eye(4), unitary=True))
+        out = apply_unitary(rho, Operator(np.eye(4)))
         assert np.array_equal(out.entries, rho.entries)
 
     def test_bit_flip(self):
-        out = apply_unitary(computational_state("0"), SX)
-        assert np.allclose(out.entries, computational_state("1").entries)
+        out = apply_unitary(basis_state("0"), SX)
+        assert np.allclose(out.entries, basis_state("1").entries)
 
     def test_hadamard_maps_sigma_z_to_sigma_x(self):
         out = apply_unitary(pauli_deviation("z"), H)
@@ -246,7 +210,7 @@ class TestApplyUnitary:
     def test_preserves_trace_and_spectrum(self, rng):
         for n in (1, 2, 3):
             rho = random_state(rng, n)
-            u = Operator(_random_unitary(rng, 2**n), unitary=True)
+            u = Operator(_random_unitary(rng, 2**n))
             out = apply_unitary(rho, u)
             assert abs(out.trace() - rho.trace()) <= 1e-12
             got = np.sort(np.linalg.eigvalsh(out.entries))
@@ -257,10 +221,6 @@ class TestApplyUnitary:
         out = apply_unitary(pauli_deviation("x"), H)
         assert out.kind == DEVIATION
 
-    def test_requires_unitary_flag(self):
-        with pytest.raises(ValueError, match="unitary"):
-            apply_unitary(maximally_mixed(1), Operator(np.eye(2)))
-
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             apply_unitary(maximally_mixed(2), SX)
@@ -268,25 +228,23 @@ class TestApplyUnitary:
     def test_cyclic_permutation_conjugates_by_gather(self, rng):
         # |k> -> |k+1 mod 4> is not its own inverse, so a gather index
         # built from the inverse permutation would fail here
-        shift = Operator(np.roll(np.eye(4), 1, axis=0), unitary=True)
+        shift = Operator(np.roll(np.eye(4), 1, axis=0))
         assert shift.gather is not None
         rho = random_state(rng, 2)
         want = shift.entries @ rho.entries @ shift.entries.conj().T
         assert np.array_equal(apply_unitary(rho, shift).entries, want)
 
     def test_adjoint_is_cached_and_read_only(self, rng):
-        u = Operator(_random_unitary(rng, 4), unitary=True)
+        u = Operator(_random_unitary(rng, 4))
         assert np.array_equal(u.adjoint, u.entries.conj().T)
         assert u.adjoint is u.adjoint
         assert not u.adjoint.flags.writeable
-        # conjugate rejects operators not flagged unitary, so they keep none
-        assert Operator(u.entries).adjoint is None
 
 
 class TestPartialTrace:
     def test_product_state_first_factor(self, rng):
         a, b = random_state(rng, 1), random_state(rng, 1)
-        out = partial_trace(tensor_dm(a, b), {1})
+        out = partial_trace(DensityMatrix(np.kron(a.entries, b.entries)), {1})
         assert np.max(np.abs(out.entries - a.entries)) <= 1e-12
 
     def test_bell_state_marginal_is_maximally_mixed(self):
@@ -298,10 +256,10 @@ class TestPartialTrace:
 
     def test_retained_factor_of_four_qubit_product(self, rng):
         factors = [random_state(rng, 1) for _ in range(4)]
-        rho = factors[0]
+        m = factors[0].entries
         for f in factors[1:]:
-            rho = tensor_dm(rho, f)
-        out = partial_trace(rho, {3})
+            m = np.kron(m, f.entries)
+        out = partial_trace(DensityMatrix(m), {3})
         assert np.max(np.abs(out.entries - factors[2].entries)) <= 1e-12
 
     @settings(max_examples=20, deadline=None)
@@ -326,7 +284,7 @@ class TestPartialTrace:
 
 class TestHsOverlap:
     def test_pure_state_purity(self):
-        rho = computational_state("0")
+        rho = basis_state("0")
         assert hs_overlap(rho, rho) == pytest.approx(1.0, abs=1e-14)
 
     def test_pauli_orthogonality(self):

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -59,3 +60,6 @@ def test_output_digest_covers_the_config_matrix():
     assert len(set(tool.csv_configs())) == 288
     probes = tool.probes()
     assert len(probes) == 24 and len(set(probes)) == 24
+    # 4 scenarios x 2 kinds x 2 cases x 3 ratios x 4 epsilon settings, plus the edge inputs
+    noise = [json.dumps(raw, sort_keys=True) for raw in tool.noise_configs()]
+    assert len(noise) == 192 + len(tool.NOISE_EDGES) == 200 and len(set(noise)) == 200
