@@ -15,7 +15,13 @@ channel-probe digest does.  The third hashes the stdout, stderr and exit
 status of ``dfsqec noise-strength`` on 200 JSON configs: 4 scenarios x
 2 kinds x 2 coupling cases x ratio {0.5, 0.25, 1.7} x epsilon {unset,
 0, 0.3, 2.5}, each over a sweep from 0 to 1e100, plus eight inputs
-that overflow or are out of range.
+that overflow or are out of range.  It then hashes ``noise_strength``
+and ``partial_strengths`` (or their error) on 324 hand-built generator
+sets.  In every error model the CLI builds, the generators' squared
+jump diagonals peak on one shared basis state, so the two terms of
+``noise_strength``, sum_mu max l_mu^2 and max sum_mu l_mu^2, are equal
+there; the hand-built sets, such as weights (1, 1, 0) with (1, -1, 0),
+peak on different states and tell the terms apart.
 """
 import contextlib
 import hashlib
@@ -25,8 +31,10 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from dfsqec import ScenarioConfig, cli, emit_csv, run_scenario
-from dfsqec.channels import COUPLING_CASES, NOISE_KINDS
+from dfsqec.channels import COUPLING_CASES, NOISE_KINDS, DephasingGenerator, noise_strength, partial_strengths
 from dfsqec.codes import SCENARIOS
 from dfsqec.experiments import DEFAULT_SWEEP, pauli_transfer_matrix
 
@@ -49,6 +57,16 @@ NOISE_EDGES = (
     {"epsilon": -1},
     {"sweep": []},
 )
+# per-qubit weights of the generators of each hand-built set on three
+# qubits, each set taken with every assignment of GENERATOR_STRENGTHS;
+# the second set's diagonals peak on shared states, the others' do not
+GENERATOR_WEIGHTS = (
+    ((1, 1, 0), (1, -1, 0)),
+    ((1, 0, 0), (0, 1, 0)),
+    ((1, 1, 1), (1, -1, 0), (0, 1, -1)),
+    ((2, -1, 0.5), (-1, 1, 1)),
+)
+GENERATOR_STRENGTHS = (0.0, 0.3, 1.0, 2.5, 1e3, 1e307)
 
 
 def csv_configs() -> list[ScenarioConfig]:
@@ -80,6 +98,15 @@ def noise_configs() -> list[dict]:
     return configs + list(NOISE_EDGES)
 
 
+def generator_sets() -> list[list[DephasingGenerator]]:
+    """The hand-built generator sets whose strengths the third digest covers."""
+    return [
+        [DephasingGenerator(np.array(w, dtype=float), s) for w, s in zip(weights, strengths)]
+        for weights in GENERATOR_WEIGHTS
+        for strengths in itertools.product(GENERATOR_STRENGTHS, repeat=len(weights))
+    ]
+
+
 def csv_digest() -> str:
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
@@ -108,13 +135,19 @@ def noise_digest() -> str:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 status = cli.main(["noise-strength", "--spec", str(path)])
             digest.update(f"{out.getvalue()}\0{err.getvalue()}\0{status}\n".encode())
+    for gens in generator_sets():
+        try:
+            text = f"{noise_strength(gens)!r} {partial_strengths(gens)!r}"
+        except ValueError as exc:
+            text = f"error: {exc}"
+        digest.update(f"{text}\n".encode())
     return digest.hexdigest()
 
 
 def main() -> int:
     print(f"csv_sha256 {csv_digest()}  ({len(csv_configs())} configs)")
     print(f"ptm_sha256 {ptm_digest()}  ({len(probes())} probes)")
-    print(f"noise_sha256 {noise_digest()}  ({len(noise_configs())} configs)")
+    print(f"noise_sha256 {noise_digest()}  ({len(noise_configs())} configs, {len(generator_sets())} generator sets)")
     return 0
 
 

@@ -134,18 +134,22 @@ def attenuation(gens: Sequence[DephasingGenerator], kind: str) -> np.ndarray:
     the factor is prod sinc(kappa Delta / 4) for the incoherent kind and
     prod exp(-lambda Delta^2 / 4) for the Markovian kind (lambda is the
     rate times the storage time).  Without generators the factor is 1.0.
+    All generators are evaluated as one ``(G, d, d)`` stack, and the
+    product is taken over it in generator order.
     """
     if kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}")
-    factor = 1.0
+    if not gens:
+        return 1.0
+    deltas = np.array([_delta(gen.weights.tobytes()) for gen in gens])
+    strengths = np.array([gen.strength for gen in gens])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for gen in gens:
-            delta = _delta(gen.weights.tobytes())
-            if kind == INCOHERENT_SINC:
-                factor = factor * sinc(gen.strength * delta / 4.0)
-            else:
-                factor = factor * np.exp(-gen.strength * delta**2 / 4.0)
-    if not np.all(np.isfinite(factor)):
+        if kind == INCOHERENT_SINC:
+            factors = sinc(strengths * deltas / 4.0)
+        else:
+            factors = np.exp(-strengths * deltas**2 / 4.0)
+        factor = np.multiply.reduce(factors, 0)
+    if not np.isfinite(factor).all():
         raise ValueError("noise attenuation is not finite: generator strengths are too large")
     return factor
 

@@ -11,10 +11,19 @@ noise at the marker, reduces to the data qubit 2, and reports the
 correlation/fidelity/polarization metrics against the closed-form
 reference curve.  Sweep points are evaluated in sweep order, so reruns
 emit identical bytes.
+
+At each point the three circuit runs are the only per-input work:
+``_data_outputs`` stacks their final states, reduces the stack to the
+data qubit in one pass and checks the reduced outputs with one
+``check_stack`` call per kind, and the correlations and polarizations
+each come from one batched overlap over that ``(3, 2, 2)`` stack.  The
+stack's rows have the bits that ``partial_trace``, ``correlation`` and
+``hs_overlap`` give one state at a time.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,12 +33,13 @@ import numpy as np
 
 from .channels import INCOHERENT_SINC, NOISE_KINDS, COUPLING_CASES, NoiseSpec
 from .codes import SCENARIOS, Circuit, apply_circuit, build_scenario_circuit, scenario_layout
-from .metrics import AXES, MetricReport, analytic_reference, correlation
+from .metrics import _PAULI_NORMS, AXES, MetricReport, analytic_reference
 from .qstate import (
     STATE,
     DensityMatrix,
-    hs_overlap,
-    partial_trace,
+    check_stack,
+    hs_overlap_stack,
+    partial_trace_stack,
     pauli,
     pauli_deviation,
 )
@@ -63,6 +73,11 @@ CSV_HEADER = (
 
 # columns load_csv_series reads back for a chart
 _CHART_COLUMNS = ("scenario", "kappa0", "Fe", "Fe_analytic")
+
+# (I, sigma_x, sigma_y, sigma_z), read-only: the transfer matrix's
+# basis, whose rows 1: are the sweep's input deviations
+_PAULI_BASIS = np.stack([np.eye(2, dtype=complex)] + [pauli(u).entries for u in AXES])
+_PAULI_BASIS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -158,9 +173,19 @@ def prepare_inputs(axis: str, ancilla_purity: float = 1.0, n_qubits: int = 4) ->
     return _product_input(pauli_deviation(axis), ancilla_purity, n_qubits)
 
 
-def _data_outputs(circuit: Circuit, inputs: Mapping[str, DensityMatrix]) -> dict[str, DensityMatrix]:
-    """Data-qubit reduction of the circuit output for each input."""
-    return {key: partial_trace(apply_circuit(rho, circuit), {DATA_QUBIT}) for key, rho in inputs.items()}
+def _data_outputs(circuit: Circuit, inputs: Mapping[str, DensityMatrix]) -> np.ndarray:
+    """The ``(k, 2, 2)`` stack of data-qubit outputs of the k inputs, in
+    input order.  Each input runs through the circuit once; the final
+    states are reduced as one stack, and each run of inputs of one kind
+    is checked with one ``check_stack`` call, in input order."""
+    rhos = list(inputs.values())
+    outs = partial_trace_stack(np.array([apply_circuit(rho, circuit).entries for rho in rhos]), {DATA_QUBIT})
+    start = 0
+    for kind, run in itertools.groupby(rho.kind for rho in rhos):
+        stop = start + sum(1 for _ in run)
+        check_stack(outs[start:stop], kind)
+        start = stop
+    return outs
 
 
 def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
@@ -172,16 +197,20 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
         return ScenarioResult(config, ())
     reference = build_scenario_circuit(config.scenario, config.noise_spec(0.0))
     inputs = {u: prepare_inputs(u, config.ancilla_purity, reference.n_qubits) for u in AXES}
-    ref_purity = {u: hs_overlap(ref, ref) for u, ref in _data_outputs(reference, inputs).items()}
-    for u, purity in ref_purity.items():
+    refs = _data_outputs(reference, inputs)
+    ref_purity = hs_overlap_stack(refs, refs)
+    for u, purity in zip(AXES, ref_purity.tolist()):
         if purity <= 1e-12:
             raise ValueError(f"reference output for axis {u!r} has zero purity")
+    sigmas = _PAULI_BASIS[1:]
+    norms = np.array([_PAULI_NORMS[pauli_deviation(u)] for u in AXES])
     points = []
     for x in config.sweep:
         spec = config.noise_spec(x)
         outs = _data_outputs(build_scenario_circuit(config.scenario, spec), inputs)
-        cs = {u: correlation(pauli_deviation(u), out) for u, out in outs.items()}
-        ps = {u: hs_overlap(out, out) / ref_purity[u] for u, out in outs.items()}
+        # C_u = tr(sigma_u out_u) / tr(sigma_u sigma_u), P_u = tr(out_u^2) / tr(ref_u^2)
+        cs = dict(zip(AXES, (hs_overlap_stack(sigmas, outs) / norms).tolist()))
+        ps = dict(zip(AXES, (hs_overlap_stack(outs, outs) / ref_purity).tolist()))
         fe_ref = analytic_reference(config.scenario, spec)
         points.append(SweepPoint(x, spec, MetricReport.from_metrics(cs, ps, fe_ref)))
     return ScenarioResult(config, tuple(points))
@@ -396,11 +425,7 @@ def pauli_transfer_matrix(scenario: str, spec: NoiseSpec, ancilla_purity: float 
     # E(I)/2; Pauli columns with the deviation inputs, E(sigma_v)
     inputs = {"I": _product_input(DensityMatrix(np.eye(2) / 2.0, STATE), ancilla_purity, n)}
     inputs.update((axis, prepare_inputs(axis, ancilla_purity, n)) for axis in AXES)
-    scales = [1.0, 0.5, 0.5, 0.5]
+    scales = np.array([1.0, 0.5, 0.5, 0.5])
 
-    paulis = [np.eye(2, dtype=complex)] + [pauli(u).entries for u in AXES]
-    r = np.zeros((4, 4))
-    for col, (out, scale) in enumerate(zip(_data_outputs(circuit, inputs).values(), scales)):
-        for row, sigma in enumerate(paulis):
-            r[row, col] = float(np.trace(sigma @ out.entries).real) * scale
-    return r
+    # R[row, col] = tr(basis[row] outs[col]) * scales[col], one batched overlap
+    return hs_overlap_stack(_PAULI_BASIS[:, None], _data_outputs(circuit, inputs)) * scales

@@ -21,7 +21,14 @@ Toffoli) by a gather of the entries of ``m``, which gives the products' bits.
 states, positivity) for a ``(k, d, d)`` stack of matrices.  A
 ``DensityMatrix`` runs it on a stack of one; a circuit run
 (``codes.circuit_states``) runs it once over all of its intermediate
-states, with the same tolerances, and raises before it yields any.
+states, with the same tolerances, and raises before it yields any; a
+sweep point (``experiments._data_outputs``) runs it once per kind over
+its inputs' reduced outputs.
+
+The reduction and the overlap work on stacks the same way:
+``partial_trace_stack`` and ``hs_overlap_stack`` hold the only copies of
+the two formulas, and ``partial_trace`` and ``hs_overlap`` are their
+stack-of-one calls, so a stack and its rows give the same bits.
 """
 from __future__ import annotations
 
@@ -48,11 +55,14 @@ __all__ = [
     "conjugate",
     "apply_unitary",
     "partial_trace",
+    "partial_trace_stack",
     "hs_overlap",
+    "hs_overlap_stack",
 ]
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
+OVERLAP_IMAG_TOL = 1e-10
 STATE_MIN_EIG = -1e-10
 UNITARY_TOL = 1e-10
 
@@ -162,11 +172,12 @@ def check_stack(stack: np.ndarray, kind: str) -> None:
     # plain Python numbers.  The calls are the cheapest spellings on the
     # stacks of one that every DensityMatrix checks: the trace is
     # ndarray.trace's own diagonal sum (same bits), and conj(A) - A^T,
-    # elementwise the conjugate of A - A^dag, is formed in place, which
+    # elementwise the conjugate of A - A^dag, is formed in place in a new
+    # array (ndarray.conj() would return a real stack itself), which
     # holds one stack-sized temporary less.  A NaN or inf entry quietly
     # makes the Hermiticity error NaN or inf: that is the finiteness check.
     with np.errstate(invalid="ignore"):
-        errs = stack.conj()
+        errs = np.conjugate(stack)
         errs -= stack.swapaxes(1, 2)
         herms = np.maximum.reduce(abs(errs), (1, 2)).tolist()
         traces = np.add.reduce(stack.diagonal(0, 1, 2), 1).tolist()
@@ -269,27 +280,46 @@ def apply_unitary(rho: DensityMatrix, u: Operator) -> DensityMatrix:
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduce to the listed qubits, preserving their relative order."""
+    return DensityMatrix(partial_trace_stack(rho.entries[None], keep)[0], rho.kind)
+
+
+def partial_trace_stack(stack: np.ndarray, keep: Iterable[int]) -> np.ndarray:
+    """Reduce each matrix of a ``(k, d, d)`` stack to the listed qubits,
+    preserving their relative order; the result is an unchecked
+    ``(k, 2^m, 2^m)`` array, new unless ``keep`` names every qubit, when
+    it is a view of ``stack``.  The other qubits are traced out one at a
+    time in ascending order, whatever the stack's length."""
     kept = sorted(set(keep))
-    n = rho.n_qubits
+    k, dim = stack.shape[:2]
+    n = dim.bit_length() - 1
     if not kept:
         raise ValueError("keep set must be nonempty")
     if any(q < 1 or q > n for q in kept):
         raise ValueError(f"keep set {kept} out of range 1..{n}")
-    t = rho.entries.reshape((2,) * (2 * n))
+    t = stack.reshape((k,) + (2,) * (2 * n))
     current = list(range(1, n + 1))
     for q in [q for q in current if q not in kept]:
         i = current.index(q)
-        t = t.trace(axis1=i, axis2=i + len(current))
+        t = np.add.reduce(t.diagonal(0, 1 + i, 1 + i + len(current)), -1)
         current.pop(i)
     dim = 2 ** len(kept)
-    return DensityMatrix(t.reshape(dim, dim), rho.kind)
+    return t.reshape(k, dim, dim)
 
 
 def hs_overlap(a: DensityMatrix, b: DensityMatrix) -> float:
     """Hilbert-Schmidt overlap Re tr(a b) of two Hermitian matrices."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    val = complex(np.trace(a.entries @ b.entries))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"overlap has imaginary part {val.imag:.2e}; inputs must be Hermitian")
-    return float(val.real)
+    return float(hs_overlap_stack(a.entries[None], b.entries[None])[0])
+
+
+def hs_overlap_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Overlaps Re tr(a_i b_i) of two stacks of Hermitian matrices whose
+    leading axes broadcast, from one batched product.  An imaginary part
+    above ``OVERLAP_IMAG_TOL`` raises, the first one in C order."""
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    # ndarray.trace's own diagonal sum, as in check_stack (same bits)
+    vals = np.add.reduce((a @ b).diagonal(0, -2, -1), -1)
+    for imag in vals.imag.ravel().tolist():
+        if abs(imag) > OVERLAP_IMAG_TOL:
+            raise ValueError(f"overlap has imaginary part {imag:.2e}; inputs must be Hermitian")
+    return vals.real

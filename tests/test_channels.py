@@ -291,6 +291,25 @@ class TestBuildErrorModel:
         assert combined.weights[2] == pytest.approx(1.5)
 
 
+class TestAttenuation:
+    @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
+    @pytest.mark.parametrize("collective, case", [(False, "a"), (True, "a"), (True, "b")])
+    def test_factor_is_the_in_order_product_of_single_factors(self, kind, collective, case):
+        # the stacked evaluation multiplies generator by generator, in
+        # order, from 1.0: the bits of a running product
+        n = 4 if collective else 3
+        for x in np.linspace(0.0, 12.0, 49):
+            gens = build_error_model(NoiseSpec(float(x), collective, 0.3, case, kind), n)
+            want = 1.0
+            for gen in gens:
+                want = want * attenuation([gen], kind)
+            assert attenuation(gens, kind).tobytes() == want.tobytes()
+
+    def test_no_generators_give_one(self):
+        for kind in (INCOHERENT_SINC, MARKOVIAN_EXP):
+            assert attenuation([], kind) == 1.0
+
+
 class TestCptpRandomized:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**32 - 1))

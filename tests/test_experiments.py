@@ -25,10 +25,12 @@ from dfsqec.qstate import (
     STATE,
     DensityMatrix,
     _embed,
+    hs_overlap,
     partial_trace,
     pauli,
     pauli_deviation,
 )
+from dfsqec.metrics import correlation
 from .conftest import basis_state
 
 
@@ -205,6 +207,106 @@ class TestRunScenario:
         parallel = run_scenario(cfg, jobs=4)
         for a, b in zip(serial.points, parallel.points):
             assert a.report == b.report
+
+
+# a few points through both sinc zeros; 0 is the reference run's point
+STACK_SWEEP = (0.0, 0.8, 2.9, 5.3)
+
+
+def _stacked_inputs(purity: float, n: int) -> dict[str, DensityMatrix]:
+    # the transfer-matrix inputs: a state, then the three deviations
+    inputs = {"I": experiments._product_input(DensityMatrix(np.eye(2) / 2.0, STATE), purity, n)}
+    inputs.update((u, prepare_inputs(u, purity, n)) for u in "xyz")
+    return inputs
+
+
+class TestStackedPath:
+    @pytest.mark.parametrize("purity", [1.0, 0.7])
+    @pytest.mark.parametrize("case", ["a", "b"])
+    @pytest.mark.parametrize("kind", ["incoherent_sinc", "markovian_exp"])
+    @pytest.mark.parametrize("scenario", ["qec_independent", "qec_hybrid", "no_qec", "dfs_qec"])
+    def test_stack_matches_the_per_state_path_bit_for_bit(self, scenario, kind, case, purity):
+        config = ScenarioConfig(scenario, kind=kind, sweep=STACK_SWEEP, coupling_case=case, ancilla_purity=purity)
+        result = run_scenario(config)
+        n = build_scenario_circuit(scenario, config.noise_spec(0.0)).n_qubits
+        inputs = _stacked_inputs(purity, n)
+
+        def per_state(circuit):
+            return {key: partial_trace(apply_circuit(rho, circuit), {2}) for key, rho in inputs.items()}
+
+        refs = per_state(build_scenario_circuit(scenario, config.noise_spec(0.0)))
+        for point in result.points:
+            circuit = build_scenario_circuit(scenario, point.spec)
+            outs = per_state(circuit)
+            stacked = experiments._data_outputs(circuit, inputs)
+            assert stacked.shape == (4, 2, 2)
+            for row, out in zip(stacked, outs.values()):
+                # array_equal, and the sign of zero too
+                assert row.tobytes() == out.entries.tobytes()
+            for u in "xyz":
+                assert getattr(point.report, "C" + u) == correlation(pauli_deviation(u), outs[u])
+                want_p = hs_overlap(outs[u], outs[u]) / hs_overlap(refs[u], refs[u])
+                assert getattr(point.report, "P" + u) == want_p
+
+    @staticmethod
+    def _fake_outputs(monkeypatch, make):
+        # apply_circuit returns, for its k-th call, the state that
+        # make(k, true output) builds, unchecked
+        calls = []
+
+        def fake(rho, circuit):
+            calls.append(rho)
+            m = make(len(calls), apply_circuit(rho, circuit).entries)
+            return DensityMatrix._checked(m, rho.kind)
+
+        monkeypatch.setattr(experiments, "apply_circuit", fake)
+        return calls
+
+    @pytest.mark.parametrize("scenario", ["qec_independent", "dfs_qec"])
+    def test_first_non_hermitian_output_in_input_order_raises(self, scenario, monkeypatch):
+        # from the second run on, a k * 1e-9 anti-Hermitian part in the
+        # data qubit's coherence: the second input is the first to fail,
+        # in run_scenario's reference run and in the transfer matrix,
+        # whose second input is the first deviation
+        def make(k, m):
+            m = m.copy()
+            m[0, m.shape[0] // 4] += (k > 1) * k * 1e-9
+            return m
+
+        message = "^matrix is not Hermitian, max deviation 2.00e-09$"
+        self._fake_outputs(monkeypatch, make)
+        with pytest.raises(ValueError, match=message):
+            run_scenario(ScenarioConfig(scenario, sweep=(0.0, 1.0), coupling_case="a"))
+        calls = self._fake_outputs(monkeypatch, make)
+        spec = ScenarioConfig(scenario).noise_spec(1.0)
+        with pytest.raises(ValueError, match=message):
+            pauli_transfer_matrix(scenario, spec, 0.8)
+        assert [rho.kind for rho in calls[:2]] == [STATE, DEVIATION]
+
+    def test_state_output_that_fails_its_trace_check_raises(self, monkeypatch):
+        # a deviation-like output for the transfer matrix's state input
+        self._fake_outputs(monkeypatch, lambda k, m: m - np.eye(m.shape[0]) / m.shape[0] if k == 1 else m)
+        with pytest.raises(ValueError, match=r"^state trace is 0\.0, expected 1$"):
+            pauli_transfer_matrix("no_qec", NoiseSpec(1.0))
+
+    @pytest.mark.parametrize("first_bad", [1, 4], ids=["reference-run", "sweep-point"])
+    def test_output_with_imaginary_overlap_raises(self, first_bad, monkeypatch):
+        # from the reference run's outputs or from the first point's on:
+        # Hermitian within 1e-13, but with entries of 1e4, so that
+        # tr(out out) has imaginary part 2 * 1e4 * 1e-13 = 2e-9
+        r = np.array([[0.0, 1e4], [1e4 + 1e-13j, 0.0]])
+        zero = np.diag([1.0, 0.0])
+        full = np.kron(np.kron(zero, r), zero)
+        calls = self._fake_outputs(monkeypatch, lambda k, m: full if k >= first_bad else m)
+        with pytest.raises(ValueError, match="^overlap has imaginary part 2.00e-09; inputs must be Hermitian$"):
+            run_scenario(ScenarioConfig("no_qec", sweep=(0.0, 1.0)))
+        # raised after the three circuit runs that gave those outputs
+        assert len(calls) == first_bad + 2
+
+    def test_zero_purity_reference_raises(self, monkeypatch):
+        self._fake_outputs(monkeypatch, lambda k, m: np.zeros_like(m))
+        with pytest.raises(ValueError, match="^reference output for axis 'x' has zero purity$"):
+            run_scenario(ScenarioConfig("dfs_qec", sweep=(0.0,)))
 
 
 class TestScenarioConfig:

@@ -17,12 +17,14 @@ from dfsqec.qstate import (
     check_stack,
     embed,
     hs_overlap,
+    hs_overlap_stack,
     maximally_mixed,
     partial_trace,
+    partial_trace_stack,
     pauli,
     pauli_deviation,
 )
-from .conftest import basis_state, oracle_partial_trace, random_state
+from .conftest import basis_state, oracle_partial_trace, random_deviation, random_state
 
 H = Operator(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 CNOT = Operator(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
@@ -133,6 +135,18 @@ class TestCheckStack:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             check_stack(np.array([np.eye(2) / 2]), "other")
+
+    @pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+    def test_real_stack_passes_and_is_left_unchanged(self, writeable):
+        stack = np.eye(4)[None] / 4
+        stack.setflags(write=writeable)
+        check_stack(stack, STATE)
+        assert np.array_equal(stack, np.eye(4)[None] / 4)
+
+    def test_real_non_symmetric_stack_is_not_hermitian(self):
+        stack = np.array([[[0.5, 0.25], [0.0, 0.5]]])
+        with pytest.raises(ValueError, match="^matrix is not Hermitian, max deviation 2.50e-01$"):
+            check_stack(stack, STATE)
 
 
 class TestEmbed:
@@ -281,6 +295,18 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="nonempty"):
             partial_trace(maximally_mixed(2), set())
 
+    @pytest.mark.parametrize("n, keep", [(2, {1}), (3, {2}), (3, {1, 3}), (4, {2}), (4, {2, 3, 4})])
+    def test_stack_rows_equal_the_single_reductions(self, rng, n, keep):
+        rhos = [random_state(rng, n), random_deviation(rng, n), random_state(rng, n)]
+        got = partial_trace_stack(np.stack([rho.entries for rho in rhos]), keep)
+        assert got.shape == (3, 2 ** len(keep), 2 ** len(keep))
+        for row, rho in zip(got, rhos):
+            assert row.tobytes() == partial_trace(rho, keep).entries.tobytes()
+
+    def test_stack_keep_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            partial_trace_stack(np.eye(4)[None] / 4, {3})
+
 
 class TestHsOverlap:
     def test_pure_state_purity(self):
@@ -297,6 +323,23 @@ class TestHsOverlap:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             hs_overlap(maximally_mixed(1), maximally_mixed(2))
+
+    def test_stack_entries_equal_the_single_overlaps(self, rng):
+        a = [random_state(rng, 1), random_deviation(rng, 1), pauli_deviation("y")]
+        b = [random_deviation(rng, 1), random_state(rng, 1), random_state(rng, 1)]
+        got = hs_overlap_stack(np.stack([x.entries for x in a]), np.stack([y.entries for y in b]))
+        assert got.tolist() == [hs_overlap(x, y) for x, y in zip(a, b)]
+        # leading axes broadcast: every pair of a and b
+        table = hs_overlap_stack(np.stack([x.entries for x in a])[:, None], np.stack([y.entries for y in b]))
+        assert table.tolist() == [[hs_overlap(x, y) for y in b] for x in a]
+
+    def test_first_imaginary_overlap_raises(self):
+        # tr(c I . i I) = 2ic: the second pair is the first above 1e-10
+        eye = np.eye(2, dtype=complex)
+        a = np.stack([eye, 3e-10 * eye, 5e-10 * eye])
+        b = np.stack([eye, 1j * eye, 1j * eye])
+        with pytest.raises(ValueError, match="^overlap has imaginary part 6.00e-10; inputs must be Hermitian$"):
+            hs_overlap_stack(a, b)
 
 
 def test_pauli_lookup():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dfsqec
@@ -63,3 +64,15 @@ def test_output_digest_covers_the_config_matrix():
     # 4 scenarios x 2 kinds x 2 cases x 3 ratios x 4 epsilon settings, plus the edge inputs
     noise = [json.dumps(raw, sort_keys=True) for raw in tool.noise_configs()]
     assert len(noise) == 192 + len(tool.NOISE_EDGES) == 200 and len(set(noise)) == 200
+    # 2 two-generator weight sets x 6^2 strengths, one with 6^3, one more with 6^2
+    sets = tool.generator_sets()
+    keys = {tuple((g.weights.tobytes(), g.strength) for g in gens) for gens in sets}
+    assert len(sets) == len(keys) == 324
+    # the two terms of noise_strength differ on some set, unlike on
+    # every CLI error model
+    split = 0
+    for gens in sets:
+        with np.errstate(over="ignore"):
+            squares = [g.strength / 2.0 * g.z_values() ** 2 for g in gens]
+        split += sum(sq.max() for sq in squares) != sum(squares).max()
+    assert split > 100
