@@ -12,7 +12,11 @@ correlation/fidelity/polarization metrics against the closed-form
 reference curve.  Sweep points are evaluated in sweep order, so reruns
 emit identical bytes.
 
-At each point the three circuit runs are the only per-input work:
+The inputs are built once per sweep or transfer-matrix probe, as one
+stack from the constant data factors (I/2, sigma_x, sigma_y, sigma_z),
+checked with one ``check_stack`` call per kind; ``prepare_inputs`` is
+the same builder on a stack of one.  At each point the three circuit
+runs are the only per-input work:
 ``_data_outputs`` stacks their final states, reduces the stack to the
 data qubit in one pass and checks the reduced outputs with one
 ``check_stack`` call per kind, and the correlations and polarizations
@@ -35,6 +39,7 @@ from .channels import INCOHERENT_SINC, NOISE_KINDS, COUPLING_CASES, NoiseSpec
 from .codes import SCENARIOS, Circuit, apply_circuit, build_scenario_circuit, scenario_layout
 from .metrics import _PAULI_NORMS, AXES, MetricReport, analytic_reference
 from .qstate import (
+    DEVIATION,
     STATE,
     DensityMatrix,
     check_stack,
@@ -78,6 +83,14 @@ _CHART_COLUMNS = ("scenario", "kappa0", "Fe", "Fe_analytic")
 # basis, whose rows 1: are the sweep's input deviations
 _PAULI_BASIS = np.stack([np.eye(2, dtype=complex)] + [pauli(u).entries for u in AXES])
 _PAULI_BASIS.setflags(write=False)
+
+# the data-qubit factors of the product inputs, read-only: the maximally
+# mixed state I/2, the transfer matrix's identity probe, then the
+# sweep's deviations sigma_x, sigma_y, sigma_z
+_INPUT_KEYS = ("I",) + AXES
+_INPUT_KINDS = (STATE,) + (DEVIATION,) * len(AXES)
+_INPUT_DATA = np.array([np.eye(2) / 2.0] + [pauli_deviation(u).entries for u in AXES], dtype=complex)
+_INPUT_DATA.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -149,16 +162,38 @@ class HumpReport:
         return self.non_monotone or self.crosses_reference
 
 
-def _product_input(data: DensityMatrix, ancilla_purity: float, n_qubits: int) -> DensityMatrix:
-    """``data`` on qubit 2 with p|0><0| + (1-p) I/2 ancillae everywhere
-    else, checked once, as a whole of ``data``'s kind."""
+def _check_runs(stack: np.ndarray, kinds: Sequence[str]) -> None:
+    """Check each run of matrices of one kind with one ``check_stack``
+    call, in stack order."""
+    start = 0
+    for kind, run in itertools.groupby(kinds):
+        stop = start + sum(1 for _ in run)
+        check_stack(stack[start:stop], kind)
+        start = stop
+
+
+def _product_inputs(keys: Sequence[str], ancilla_purity: float, n_qubits: int) -> dict[str, DensityMatrix]:
+    """The inputs named by ``keys`` (of ``_INPUT_KEYS``), in that order:
+    each data matrix on qubit 2 with p|0><0| + (1-p) I/2 ancillae
+    everywhere else.  They are built as one stack, each run of one kind
+    is checked with one ``check_stack`` call, and every row has the bits
+    of ``np.kron`` applied factor by factor."""
+    if not 0.0 <= ancilla_purity <= 1.0:
+        raise ValueError(f"ancilla_purity must be in [0, 1], got {ancilla_purity}")
+    if n_qubits < 2:
+        raise ValueError("need the data qubit plus at least one ancilla")
+    rows = [_INPUT_KEYS.index(key) for key in keys]
     p = ancilla_purity
-    m = anc = np.array([[(1.0 + p) / 2.0, 0.0], [0.0, (1.0 - p) / 2.0]], dtype=complex)
-    for factor in [data.entries] + [anc] * (n_qubits - 2):
-        # np.kron(m, factor): the same products, in the same order
-        d = 2 * m.shape[0]
-        m = (m[:, None, :, None] * factor[None, :, None, :]).reshape(d, d)
-    return DensityMatrix(m, data.kind)
+    anc = np.array([[[(1.0 + p) / 2.0, 0.0], [0.0, (1.0 - p) / 2.0]]], dtype=complex)
+    m = anc
+    for factor in [_INPUT_DATA[rows]] + [anc] * (n_qubits - 2):
+        # np.kron(m[i], factor[i]): the same products, in the same order
+        d = 2 * m.shape[-1]
+        m = (m[:, :, None, :, None] * factor[:, None, :, None, :]).reshape(-1, d, d)
+    m.setflags(write=False)
+    kinds = [_INPUT_KINDS[i] for i in rows]
+    _check_runs(m, kinds)
+    return {key: DensityMatrix._checked(row, kind) for key, row, kind in zip(keys, m, kinds)}
 
 
 def prepare_inputs(axis: str, ancilla_purity: float = 1.0, n_qubits: int = 4) -> DensityMatrix:
@@ -166,11 +201,7 @@ def prepare_inputs(axis: str, ancilla_purity: float = 1.0, n_qubits: int = 4) ->
     (softened to p|0><0| + (1-p) I/2) everywhere else."""
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    if not 0.0 <= ancilla_purity <= 1.0:
-        raise ValueError(f"ancilla_purity must be in [0, 1], got {ancilla_purity}")
-    if n_qubits < 2:
-        raise ValueError("need the data qubit plus at least one ancilla")
-    return _product_input(pauli_deviation(axis), ancilla_purity, n_qubits)
+    return _product_inputs((axis,), ancilla_purity, n_qubits)[axis]
 
 
 def _data_outputs(circuit: Circuit, inputs: Mapping[str, DensityMatrix]) -> np.ndarray:
@@ -180,11 +211,7 @@ def _data_outputs(circuit: Circuit, inputs: Mapping[str, DensityMatrix]) -> np.n
     is checked with one ``check_stack`` call, in input order."""
     rhos = list(inputs.values())
     outs = partial_trace_stack(np.array([apply_circuit(rho, circuit).entries for rho in rhos]), {DATA_QUBIT})
-    start = 0
-    for kind, run in itertools.groupby(rho.kind for rho in rhos):
-        stop = start + sum(1 for _ in run)
-        check_stack(outs[start:stop], kind)
-        start = stop
+    _check_runs(outs, [rho.kind for rho in rhos])
     return outs
 
 
@@ -196,7 +223,7 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
     if not config.sweep:
         return ScenarioResult(config, ())
     reference = build_scenario_circuit(config.scenario, config.noise_spec(0.0))
-    inputs = {u: prepare_inputs(u, config.ancilla_purity, reference.n_qubits) for u in AXES}
+    inputs = _product_inputs(AXES, config.ancilla_purity, reference.n_qubits)
     refs = _data_outputs(reference, inputs)
     ref_purity = hs_overlap_stack(refs, refs)
     for u, purity in zip(AXES, ref_purity.tolist()):
@@ -419,12 +446,9 @@ def pauli_transfer_matrix(scenario: str, spec: NoiseSpec, ancilla_purity: float 
     """4x4 transfer matrix of the data-qubit channel of a scenario,
     R[u, v] = tr(sigma_u E(sigma_v)) / 2 over (I, x, y, z)."""
     circuit = build_scenario_circuit(scenario, spec)
-    n = circuit.n_qubits
-
     # identity column is probed with the maximally mixed data qubit,
     # E(I)/2; Pauli columns with the deviation inputs, E(sigma_v)
-    inputs = {"I": _product_input(DensityMatrix(np.eye(2) / 2.0, STATE), ancilla_purity, n)}
-    inputs.update((axis, prepare_inputs(axis, ancilla_purity, n)) for axis in AXES)
+    inputs = _product_inputs(_INPUT_KEYS, ancilla_purity, circuit.n_qubits)
     scales = np.array([1.0, 0.5, 0.5, 0.5])
 
     # R[row, col] = tr(basis[row] outs[col]) * scales[col], one batched overlap

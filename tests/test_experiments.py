@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from dfsqec import experiments, qstate
+from dfsqec import experiments
 from dfsqec.channels import NoiseSpec
 from dfsqec.experiments import (
     CSV_HEADER,
@@ -128,11 +128,21 @@ class TestPrepareInputs:
         with pytest.raises(ValueError, match="purity"):
             prepare_inputs("x", 1.5, 4)
 
+    @pytest.mark.parametrize("purity", [1.5, -0.2, float("nan")])
+    def test_transfer_matrix_and_sweep_check_the_purity(self, purity):
+        message = rf"^ancilla_purity must be in \[0, 1\], got {purity}$"
+        with pytest.raises(ValueError, match=message):
+            pauli_transfer_matrix("qec_independent", NoiseSpec(0.3), ancilla_purity=purity)
+        with pytest.raises(ValueError, match=message):
+            prepare_inputs("x", purity, 4)
+        with pytest.raises(ValueError, match=message):
+            experiments._product_inputs(("x", "y", "z"), purity, 4)
+
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("purity", [1.0, 0.7, 0.0])
     def test_product_is_the_kron_chain_checked_once(self, n, purity, monkeypatch):
-        # the same bits as np.kron factor by factor, and one check for the
-        # whole product of either kind
+        # the same bits as np.kron factor by factor, and one check for
+        # each run of one kind
         anc = np.diag([(1.0 + purity) / 2.0, (1.0 - purity) / 2.0]).astype(complex)
         wants = []
         for data in (pauli_deviation("y"), DensityMatrix(np.eye(2) / 2.0)):
@@ -140,19 +150,42 @@ class TestPrepareInputs:
             for _ in range(n - 2):
                 want = np.kron(want, anc)
             wants.append((data, want))
-        real_check = qstate.check_stack
+        real_check = experiments.check_stack
         checks = []
 
         def counting_check(stack, kind):
-            checks.append(kind)
+            checks.append((kind, len(stack)))
             return real_check(stack, kind)
 
-        monkeypatch.setattr(qstate, "check_stack", counting_check)
-        for data, want in wants:
-            got = experiments._product_input(data, purity, n)
-            assert got.kind == data.kind
-            assert np.array_equal(got.entries, want)
-        assert checks == [DEVIATION, STATE]
+        monkeypatch.setattr(experiments, "check_stack", counting_check)
+        got = experiments._product_inputs(("y", "x", "I"), purity, n)
+        assert list(got) == ["y", "x", "I"]
+        for (data, want), key in zip(wants, ["y", "I"]):
+            assert got[key].kind == data.kind
+            assert np.array_equal(got[key].entries, want)
+            assert not got[key].entries.flags.writeable
+        assert checks == [(DEVIATION, 2), (STATE, 1)]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("purity", [0.0, 0.3, 0.7, 1.0])
+    def test_stack_has_the_bytes_of_the_per_input_chain(self, n, purity):
+        # the per-input builder the stack replaced, one product per input
+        def chain(data):
+            m = anc = np.array([[(1.0 + purity) / 2.0, 0.0], [0.0, (1.0 - purity) / 2.0]], dtype=complex)
+            for factor in [data.entries] + [anc] * (n - 2):
+                d = 2 * m.shape[0]
+                m = (m[:, None, :, None] * factor[None, :, None, :]).reshape(d, d)
+            return DensityMatrix(m, data.kind)
+
+        datas = {"I": DensityMatrix(np.eye(2) / 2.0, STATE)}
+        datas.update((u, pauli_deviation(u)) for u in "xyz")
+        stacked = experiments._product_inputs(("I", "x", "y", "z"), purity, n)
+        for key, data in datas.items():
+            want = chain(data)
+            assert stacked[key].kind == want.kind
+            assert stacked[key].entries.tobytes() == want.entries.tobytes()
+            if key != "I":
+                assert prepare_inputs(key, purity, n).entries.tobytes() == want.entries.tobytes()
 
 
 class TestRunScenario:
@@ -213,13 +246,6 @@ class TestRunScenario:
 STACK_SWEEP = (0.0, 0.8, 2.9, 5.3)
 
 
-def _stacked_inputs(purity: float, n: int) -> dict[str, DensityMatrix]:
-    # the transfer-matrix inputs: a state, then the three deviations
-    inputs = {"I": experiments._product_input(DensityMatrix(np.eye(2) / 2.0, STATE), purity, n)}
-    inputs.update((u, prepare_inputs(u, purity, n)) for u in "xyz")
-    return inputs
-
-
 class TestStackedPath:
     @pytest.mark.parametrize("purity", [1.0, 0.7])
     @pytest.mark.parametrize("case", ["a", "b"])
@@ -229,7 +255,8 @@ class TestStackedPath:
         config = ScenarioConfig(scenario, kind=kind, sweep=STACK_SWEEP, coupling_case=case, ancilla_purity=purity)
         result = run_scenario(config)
         n = build_scenario_circuit(scenario, config.noise_spec(0.0)).n_qubits
-        inputs = _stacked_inputs(purity, n)
+        # the transfer-matrix inputs: a state, then the three deviations
+        inputs = experiments._product_inputs(("I", "x", "y", "z"), purity, n)
 
         def per_state(circuit):
             return {key: partial_trace(apply_circuit(rho, circuit), {2}) for key, rho in inputs.items()}

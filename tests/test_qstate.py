@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfsqec import qstate
 from dfsqec.qstate import (
     DEVIATION,
     STATE,
@@ -147,6 +148,128 @@ class TestCheckStack:
         stack = np.array([[[0.5, 0.25], [0.0, 0.5]]])
         with pytest.raises(ValueError, match="^matrix is not Hermitian, max deviation 2.50e-01$"):
             check_stack(stack, STATE)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_all_non_finite_states_raise_the_finiteness_message(self, d, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+                check_stack(np.full((1, d, d), value, dtype=complex), STATE)
+
+    def test_negative_state_before_a_non_finite_one_decides(self):
+        d = 16
+        negative = np.diag([-0.2] + [1.2 / (d - 1)] * (d - 1)).astype(complex)
+        stack = np.array([negative, np.full((d, d), np.nan)])
+        with pytest.raises(ValueError, match="^state has negative eigenvalue -2.00e-01$"):
+            check_stack(stack, STATE)
+
+
+def _eigvalsh_check_stack(stack: np.ndarray, kind: str) -> None:
+    """The reference: check_stack deciding positivity by one batched
+    eigvalsh over the whole stack."""
+    errs = np.conjugate(stack)
+    errs -= stack.swapaxes(1, 2)
+    herms = np.maximum.reduce(abs(errs), (1, 2)).tolist()
+    traces = np.add.reduce(stack.diagonal(0, 1, 2), 1).tolist()
+    if kind == STATE:
+        target, lowests = 1, np.linalg.eigvalsh(stack)[:, 0].tolist()
+    else:
+        target, lowests = 0, [0.0] * len(herms)
+    for herm, tr, lowest in zip(herms, traces, lowests):
+        if not np.isfinite(herm):
+            raise ValueError("matrix has non-finite entries")
+        if herm > qstate.HERMITICITY_TOL:
+            raise ValueError(f"matrix is not Hermitian, max deviation {herm:.2e}")
+        if abs(tr.real - target) > qstate.TRACE_TOL:
+            raise ValueError(f"{kind} trace is {tr.real!r}, expected {target}")
+        if lowest < qstate.STATE_MIN_EIG:
+            raise ValueError(f"state has negative eigenvalue {lowest:.2e}")
+
+
+def _state_outcome(check, stack: np.ndarray) -> str | None:
+    try:
+        check(stack, STATE)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _spectral_state(rng: np.random.Generator, u: np.ndarray, lowest: float) -> np.ndarray:
+    """Unit-trace ``U diag(lam) U^dag``, exactly Hermitian, whose lowest
+    eigenvalue ``lowest`` belongs to U's first column."""
+    rest = rng.uniform(0.01, 1.0, len(u) - 1)
+    rest *= (1.0 - lowest) / rest.sum()
+    m = (u * np.concatenate([[lowest], rest])) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+class TestPositivityDecision:
+    """The shifted Cholesky decides as the batched eigvalsh alone does."""
+
+    @staticmethod
+    def _count_eigvalsh(monkeypatch) -> list[int]:
+        calls = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(len(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        return calls
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 4, 8, 16]),
+        st.lists(st.floats(-3e-10, 1e-10), min_size=1, max_size=6),
+    )
+    def test_random_stacks_decide_as_eigvalsh_alone(self, seed, d, lowests):
+        rng = np.random.default_rng(seed)
+        stack = np.array([_spectral_state(rng, _random_unitary(rng, d), low) for low in lowests])
+        assert _state_outcome(check_stack, stack) == _state_outcome(_eigvalsh_check_stack, stack)
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    @pytest.mark.parametrize(
+        "lowest, eigvalsh_calls, message",
+        [
+            (0.0, [], None),
+            (-4e-11, [], None),  # A + s I is still positive definite
+            (-7e-11, [3], None),  # the Cholesky fails, eigvalsh passes
+            (-1.5e-10, [3], "state has negative eigenvalue -1.50e-10"),
+        ],
+    )
+    def test_fixed_margins_decide_as_eigvalsh_alone(self, d, lowest, eigvalsh_calls, message, monkeypatch):
+        rng = np.random.default_rng(d)
+        stack = np.array([_spectral_state(rng, _random_unitary(rng, d), low) for low in (0.0, lowest, 0.0)])
+        assert _state_outcome(_eigvalsh_check_stack, stack) == message
+        calls = self._count_eigvalsh(monkeypatch)
+        assert _state_outcome(check_stack, stack) == message
+        assert calls == eigvalsh_calls
+
+    @pytest.mark.parametrize("step, lowest", [(-0.9e-12, -4.5e-11), (0.9e-12, -5.5e-11)])
+    def test_triangles_that_differ_within_the_hermiticity_tolerance(self, step, lowest):
+        # the upper triangle is off by `step` everywhere, so the matrix
+        # read from it has lambda_min moved by (d - 1) * step along the
+        # uniform vector: the two readings straddle -s = -5e-11
+        d = 16
+        rng = np.random.default_rng(7)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        g[:, 0] = 1.0
+        u = np.linalg.qr(g)[0]
+        m = _spectral_state(rng, u, lowest) + np.triu(np.full((d, d), step), 1)
+        stack = m[None]
+        assert _state_outcome(_eigvalsh_check_stack, stack) is None
+        assert _state_outcome(check_stack, stack) is None
+        upper = np.triu(m) + np.triu(m, 1).conj().T
+        assert np.linalg.eigvalsh(upper)[0] == pytest.approx(lowest + (d - 1) * step, abs=1e-13)
+
+    @pytest.mark.parametrize("d, eigvalsh_calls", [(32, []), (64, [1])])
+    def test_matrices_above_the_margin_keep_eigvalsh(self, d, eigvalsh_calls, monkeypatch):
+        calls = self._count_eigvalsh(monkeypatch)
+        check_stack(np.eye(d)[None] / d, STATE)
+        assert calls == eigvalsh_calls
 
 
 class TestEmbed:
