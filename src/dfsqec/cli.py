@@ -69,7 +69,7 @@ def parse_grid(text: str) -> tuple[float, ...]:
         if not values:
             raise ValueError(f"grid {text!r} is empty")
         return tuple(values)
-    return tuple(float(p) for p in text.split(","))
+    return tuple(float(p) + 0.0 for p in text.split(","))  # -0 reads as 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .channels import INCOHERENT_SINC, NOISE_KINDS, COUPLING_CASES, NoiseSpec
 from .codes import SCENARIOS, Circuit, apply_circuit, build_scenario_circuit, scenario_layout
-from .metrics import _PAULI_NORMS, AXES, MetricReport, analytic_reference
+from .metrics import AXES, MetricReport, analytic_reference
 from .qstate import (
     DEVIATION,
     STATE,
@@ -46,7 +46,6 @@ from .qstate import (
     hs_overlap_stack,
     partial_trace_stack,
     pauli,
-    pauli_deviation,
 )
 
 __all__ = [
@@ -89,7 +88,7 @@ _PAULI_BASIS.setflags(write=False)
 # sweep's deviations sigma_x, sigma_y, sigma_z
 _INPUT_KEYS = ("I",) + AXES
 _INPUT_KINDS = (STATE,) + (DEVIATION,) * len(AXES)
-_INPUT_DATA = np.array([np.eye(2) / 2.0] + [pauli_deviation(u).entries for u in AXES], dtype=complex)
+_INPUT_DATA = np.array([np.eye(2) / 2.0, *_PAULI_BASIS[1:]], dtype=complex)
 _INPUT_DATA.setflags(write=False)
 
 
@@ -105,7 +104,10 @@ class ScenarioConfig:
     ancilla_purity: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "sweep", tuple(float(x) for x in self.sweep))
+        # + 0.0 turns -0.0 into 0.0 and leaves every other float's bits
+        object.__setattr__(self, "sweep", tuple(float(x) + 0.0 for x in self.sweep))
+        object.__setattr__(self, "ratio", self.ratio + 0.0)
+        object.__setattr__(self, "ancilla_purity", self.ancilla_purity + 0.0)
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.kind not in NOISE_KINDS:
@@ -230,7 +232,7 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
         if purity <= 1e-12:
             raise ValueError(f"reference output for axis {u!r} has zero purity")
     sigmas = _PAULI_BASIS[1:]
-    norms = np.array([_PAULI_NORMS[pauli_deviation(u)] for u in AXES])
+    norms = hs_overlap_stack(sigmas, sigmas)
     points = []
     for x in config.sweep:
         spec = config.noise_spec(x)

@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .channels import INCOHERENT_SINC, NoiseSpec, sinc
-from .qstate import DensityMatrix, hs_overlap, pauli_deviation
+from .qstate import DensityMatrix, hs_overlap
 
 __all__ = [
     "AXES",
@@ -82,13 +82,9 @@ class MetricReport:
         return cls(*cs, entanglement_fidelity(cs), *ps, (ps[0] + ps[1] + ps[2]) / 3.0, fe_analytic)
 
 
-# tr(in in) of the three shared Pauli input deviations, computed once
-_PAULI_NORMS = {dev: hs_overlap(dev, dev) for dev in map(pauli_deviation, AXES)}
-
-
 def correlation(input_dev: DensityMatrix, output_dev: DensityMatrix) -> float:
     """Normalized overlap tr(in out) / tr(in in)."""
-    norm = _PAULI_NORMS.get(input_dev) or hs_overlap(input_dev, input_dev)
+    norm = hs_overlap(input_dev, input_dev)
     if norm <= 1e-12:
         raise ValueError("input deviation has zero norm")
     return hs_overlap(input_dev, output_dev) / norm

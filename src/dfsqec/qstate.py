@@ -171,7 +171,8 @@ def check_stack(stack: np.ndarray, kind: str) -> None:
     ``TRACE_TOL``; a state's lowest eigenvalue must be at least
     ``STATE_MIN_EIG``.  The first failing matrix raises the message a
     ``DensityMatrix`` of it alone would.  Positivity is tested only on
-    the matrices before the first non-finite one.
+    the matrices before the first one whose Hermiticity error is not
+    finite (a non-finite matrix, or a finite one whose error overflows).
 
     Positivity is decided by one batched Cholesky of ``A + s I``, with
     ``s = -STATE_MIN_EIG / 2``; only if it raises does a batched
@@ -197,20 +198,23 @@ def check_stack(stack: np.ndarray, kind: str) -> None:
     # array (ndarray.conj() would return a real stack itself), which
     # holds one stack-sized temporary less.  A NaN or inf entry quietly
     # makes the Hermiticity error NaN or inf: that is the finiteness check.
-    with np.errstate(invalid="ignore"):
+    # So does an overflow in a finite matrix far from Hermitian, which is
+    # told apart by testing that one matrix's entries.
+    with np.errstate(invalid="ignore", over="ignore"):
         errs = np.conjugate(stack)
         errs -= stack.swapaxes(1, 2)
         herms = np.maximum.reduce(abs(errs), (1, 2)).tolist()
         traces = np.add.reduce(stack.diagonal(0, 1, 2), 1).tolist()
     if kind == STATE:
-        # the first non-finite matrix raises before its NaN placeholder
-        # is read, and the ones after it are never reached
+        # the first matrix with a non-finite Hermiticity error raises
+        # before its NaN placeholder is read, and the ones after it are
+        # never reached
         finite = next((i for i, herm in enumerate(herms) if not math.isfinite(herm)), len(herms))
         target, lowests = 1, _lowest_eigenvalues(stack[:finite]) + [math.nan] * (len(herms) - finite)
     else:
         target, lowests = 0, [0.0] * len(herms)  # no positivity check
-    for herm, tr, lowest in zip(herms, traces, lowests):
-        if not math.isfinite(herm):
+    for i, (herm, tr, lowest) in enumerate(zip(herms, traces, lowests)):
+        if not math.isfinite(herm) and not np.isfinite(stack[i]).all():
             raise ValueError("matrix has non-finite entries")
         if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian, max deviation {herm:.2e}")
@@ -256,16 +260,10 @@ def maximally_mixed(n_qubits: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim) / dim, STATE)
 
 
-_PAULI_DEVIATIONS = {axis: DensityMatrix(op.entries, DEVIATION) for axis, op in _PAULIS.items()}
-
-
 def pauli_deviation(axis: str) -> DensityMatrix:
-    """One-qubit traceless deviation equal to a Pauli matrix; the three
-    are built once and shared, as every DensityMatrix is immutable."""
-    try:
-        return _PAULI_DEVIATIONS[axis]
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}") from None
+    """One-qubit traceless deviation equal to a Pauli matrix, with the
+    entries of ``pauli(axis)``."""
+    return DensityMatrix(pauli(axis).entries, DEVIATION)
 
 
 def embed(gate: Operator, targets: Sequence[int], n_qubits: int) -> Operator:

@@ -30,6 +30,7 @@ class TestParseGrid:
     def test_comma_list_and_single_value(self):
         assert parse_grid("1,2,3.5") == (1.0, 2.0, 3.5)
         assert parse_grid("2.0") == (2.0,)
+        assert math.copysign(1.0, parse_grid("-0")[0]) == 1.0
 
     def test_bad_forms(self):
         with pytest.raises(ValueError, match="start:stop:step"):
@@ -83,6 +84,13 @@ class TestSweep:
             hashes.add(sha(out))
         assert len(hashes) == 1
 
+    def test_negative_zero_is_written_as_zero(self, tmp_path):
+        out = tmp_path / "zero.csv"
+        argv = ["sweep", "--scenario", "qec_independent", "--kappa0=-0", "--ratio=-0", "--purity=-0"]
+        assert main(argv + ["--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        assert row[3:6] == ["0", "0", "0"]
+
     def test_config_error_is_one_line_nonzero(self, tmp_path, capsys):
         rc = main(
             ["sweep", "--scenario", "no_qec", "--kappa0", "2,1", "--out", str(tmp_path / "x.csv")]
@@ -112,6 +120,10 @@ class TestAnalytic:
         line = capsys.readouterr().out.strip().splitlines()[1]
         s = math.sin(0.5) / 0.5
         assert float(line.split(",")[1]) == pytest.approx((2 * s + 2) / 4, rel=1e-10)
+
+    def test_negative_zero_is_printed_as_zero(self, capsys):
+        assert main(["analytic", "--curve", "no-qec", "--kappa0=-0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "0,1"
 
 
 class TestNoiseStrength:

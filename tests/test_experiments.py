@@ -353,6 +353,10 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="scenario"):
             ScenarioConfig("other")
 
+    def test_negative_zero_is_stored_as_zero(self):
+        cfg = ScenarioConfig("no_qec", sweep=(-0.0,), ratio=-0.0, ancilla_purity=-0.0)
+        assert [np.copysign(1.0, x) for x in (*cfg.sweep, cfg.ratio, cfg.ancilla_purity)] == [1.0] * 3
+
     def test_noise_spec_wiring(self):
         cfg = ScenarioConfig("qec_hybrid", ratio=0.25, coupling_case="b")
         spec = cfg.noise_spec(2.0)

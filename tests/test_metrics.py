@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsqec import experiments, metrics
+from dfsqec import experiments
 from dfsqec.channels import MARKOVIAN_EXP, DephasingGenerator, NoiseSpec, incoherent_dephase
 from dfsqec.codes import Circuit, Gate, cnot
 from dfsqec.experiments import ScenarioConfig, run_scenario
@@ -49,25 +49,9 @@ class TestCorrelations:
     def test_sinc_dephasing_at_half_spread_one(self):
         outs = {u: dephased(u, 2.0) for u in "xyz"}
         assert correlations(outs) == pytest.approx((SINC1, SINC1, 1.0), abs=1e-12)
-
-    def test_pauli_input_norms_are_computed_once(self, monkeypatch):
-        # the shared Pauli deviations' norms are fixed; another input's
-        # norm is still computed, to the same value
-        assert list(metrics._PAULI_NORMS.values()) == [2.0, 2.0, 2.0]
-        hs_overlap = metrics.hs_overlap
-        calls = []
-
-        def counting_overlap(a, b):
-            calls.append((a, b))
-            return hs_overlap(a, b)
-
-        monkeypatch.setattr(metrics, "hs_overlap", counting_overlap)
-        out = dephased("x", 2.0)
-        shared = correlation(pauli_deviation("x"), out)
-        assert len(calls) == 1
-        fresh = correlation(DensityMatrix(pauli_deviation("x").entries, "deviation"), out)
-        assert len(calls) == 3
-        assert shared == fresh == pytest.approx(SINC1, abs=1e-12)
+        # an input built from the same entries scores the same bits
+        fresh = correlation(DensityMatrix(pauli_deviation("x").entries, "deviation"), outs["x"])
+        assert fresh == correlations(outs)[0]
 
     def test_zero_norm_input_rejected(self):
         zero = DensityMatrix(np.zeros((2, 2)), "deviation")

@@ -123,6 +123,17 @@ class TestCheckStack:
             with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
                 check_stack(stack, kind)
 
+    @pytest.mark.parametrize("kind", [STATE, DEVIATION])
+    def test_overflowing_hermiticity_error_is_not_hermitian(self, kind):
+        # finite entries whose A - A^dag overflows to inf
+        stack = np.array([[[0.5, 1e308], [-1e308, 0.5]]], dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^matrix is not Hermitian, max deviation inf$"):
+                check_stack(stack, kind)
+            with pytest.raises(ValueError, match="^matrix is not Hermitian, max deviation inf$"):
+                DensityMatrix(stack[0], kind)
+
     @pytest.mark.parametrize("kind, entries", [(DEVIATION, [[np.nan, 0], [0, np.nan]]), (STATE, [[np.nan, 0], [0, 1]])])
     def test_nan_matrices_are_rejected(self, kind, entries):
         with pytest.raises(ValueError, match="non-finite"):
@@ -471,10 +482,10 @@ def test_pauli_lookup():
         pauli("w")
 
 
-def test_pauli_deviations_are_shared_and_read_only():
+def test_pauli_deviations_are_the_paulis_and_read_only():
     for axis, op in (("x", SX), ("y", SY), ("z", SZ)):
         dev = pauli_deviation(axis)
-        assert dev is pauli_deviation(axis) and dev.kind == DEVIATION
+        assert dev.kind == DEVIATION
         assert np.array_equal(dev.entries, op.entries) and not dev.entries.flags.writeable
     with pytest.raises(ValueError, match="axis"):
         pauli_deviation("w")

@@ -53,11 +53,16 @@ def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_output_digest_covers_the_config_matrix():
-    # the full digest run takes seconds, so only its inputs are checked here
+def load_output_digest():
     spec = importlib.util.spec_from_file_location("output_digest", SCRIPTS / "output_digest.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_output_digest_covers_the_config_matrix():
+    # the CSV digest run takes seconds, so only its inputs are checked here
+    tool = load_output_digest()
     assert len(set(tool.csv_configs())) == 288
     probes = tool.probes()
     assert len(probes) == 24 and len(set(probes)) == 24
@@ -76,3 +81,11 @@ def test_output_digest_covers_the_config_matrix():
             squares = [g.strength / 2.0 * g.z_values() ** 2 for g in gens]
         split += sum(sq.max() for sq in squares) != sum(squares).max()
     assert split > 100
+
+
+def test_fast_output_digests_are_pinned():
+    # the transfer-matrix and noise-strength bytes, as printed by
+    # scripts/output_digest.py (Python 3.11, numpy 2.4)
+    tool = load_output_digest()
+    assert tool.ptm_digest() == "7baa2020ff8f03434ae16bc95cebc4627125814939f0e3b1e5b6a6eb082ec235"
+    assert tool.noise_digest() == "e0202c9b21cf2ed7c6f08827276bf3a1f5c7215dbe282aa53a5b1d97805128c6"
