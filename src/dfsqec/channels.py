@@ -54,8 +54,8 @@ NOISE_KINDS = (INCOHERENT_SINC, MARKOVIAN_EXP)
 COUPLING_CASES = ("a", "b")
 
 # distinct generator weight vectors kept by attenuation's Delta cache:
-# the scenario error models have seven fixed ones; a case "a" combined
-# generator's weights change with every point and only pass through
+# the scenario error models have seven fixed ones, plus one case "a"
+# combined generator per ratio, whose weights do not change with kappa0
 DELTA_CACHE_SIZE = 16
 
 
@@ -118,7 +118,8 @@ def _z_values(weights: np.ndarray) -> np.ndarray:
 def _delta(weights: bytes) -> np.ndarray:
     """Read-only Delta matrix (ket minus bra eigenvalue of W) of the
     float64 weight vector with these bytes; it does not depend on the
-    strength, so every sweep point shares it."""
+    strength, and a case "a" generator's weights change only with the
+    ratio, so every point of a sweep shares it."""
     z = _z_values(np.frombuffer(weights))
     delta = z[:, None] - z[None, :]
     delta.setflags(write=False)
@@ -141,9 +142,9 @@ def attenuation(gens: Sequence[DephasingGenerator], kind: str) -> np.ndarray:
         raise ValueError(f"unknown noise kind {kind!r}")
     if not gens:
         return 1.0
-    deltas = np.array([_delta(gen.weights.tobytes()) for gen in gens])
     strengths = np.array([gen.strength for gen in gens])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
+        deltas = np.array([_delta(gen.weights.tobytes()) for gen in gens])
         if kind == INCOHERENT_SINC:
             factors = sinc(strengths * deltas / 4.0)
         else:
@@ -288,10 +289,12 @@ def build_error_model(spec: NoiseSpec, n_qubits: int) -> list[DephasingGenerator
     In case "a" the independent qubit-3 axis and the collective axis
     are one and the same environment: they are emitted as a single
     generator with weights (1 + e, 1) on qubits (3, 4), where e is the
-    residual/collective amplitude ratio, so the qubit-3 total spread is
-    exactly kappa_c + kappa_0 while the decoherence-free pair sees only
-    the residual kappa_0.  In case "b" the collective and residual
-    generators stay separate.
+    residual/collective amplitude ratio, the spec's ``ratio``
+    (kappa0/kappa_c, or sqrt(lambda0/lambda_c) for the Markovian kind),
+    so the qubit-3 total spread is exactly kappa_c + kappa_0 while the
+    decoherence-free pair sees only the residual kappa_0; at a zero
+    collective scale only the residual qubit-3 axis is emitted.  In
+    case "b" the collective and residual generators stay separate.
     """
     if n_qubits not in (3, 4):
         raise ValueError(f"error model supports 3 or 4 qubits, got {n_qubits}")
@@ -319,12 +322,8 @@ def build_error_model(spec: NoiseSpec, n_qubits: int) -> list[DephasingGenerator
 
     # case "a": one environment; amplitudes on qubit 3 add coherently
     if base_c > 0.0:
-        if spec.kind == INCOHERENT_SINC:
-            e = x / base_c
-        else:
-            e = float(np.sqrt(x / base_c))
         w = np.zeros(n_qubits)
-        w[2] = 1.0 + e
+        w[2] = 1.0 + spec.ratio
         w[3] = 1.0
         gens.append(DephasingGenerator(w, base_c, "z34-combined"))
     else:

@@ -27,8 +27,8 @@ from .channels import (
 from .codes import SCENARIOS, scenario_layout
 from .experiments import (
     ScenarioConfig,
-    _fmt,
     emit_csv,
+    format_number,
     load_csv_series,
     run_scenario,
     write_svg_chart,
@@ -92,7 +92,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     specs = [config.noise_spec(x) for x in parse_grid(args.kappa0)]
     print("kappa0,Fe")
     for spec in specs:
-        print(f"{_fmt(spec.kappa0)},{_fmt(analytic_reference(config.scenario, spec))}")
+        print(f"{format_number(spec.kappa0)},{format_number(analytic_reference(config.scenario, spec))}")
     return 0
 
 
@@ -154,12 +154,14 @@ def _cmd_noise_strength(args: argparse.Namespace) -> int:
     lines = []
     for x in sweep:
         gens = build_error_model(config.noise_spec(x), n)
-        lines.append(f"kappa0={_fmt(x)} lambda={_fmt(noise_strength(gens))}")
+        lines.append(f"kappa0={format_number(x)} lambda={format_number(noise_strength(gens))}")
         for gen, lam_mu in zip(gens, partial_strengths(gens)):
-            weights = "(" + ",".join(_fmt(w) for w in gen.weights) + ")"
-            lines.append(f"  {gen.label}: weights={weights} strength={_fmt(gen.strength)} lambda_mu={_fmt(lam_mu)}")
+            weights = "(" + ",".join(format_number(w) for w in gen.weights) + ")"
+            strength = f"strength={format_number(gen.strength)} lambda_mu={format_number(lam_mu)}"
+            lines.append(f"  {gen.label}: weights={weights} {strength}")
     if ratio is not None:
-        lines.append(f"qubit-3 single/two-environment strength ratio (epsilon={_fmt(epsilon)}): {_fmt(ratio)}")
+        eps = format_number(epsilon)
+        lines.append(f"qubit-3 single/two-environment strength ratio (epsilon={eps}): {format_number(ratio)}")
     for line in lines:
         print(line)
     return 0

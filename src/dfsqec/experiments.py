@@ -12,26 +12,25 @@ correlation/fidelity/polarization metrics against the closed-form
 reference curve.  Sweep points are evaluated in sweep order, so reruns
 emit identical bytes.
 
-The inputs are built once per sweep or transfer-matrix probe, as one
-stack from the constant data factors (I/2, sigma_x, sigma_y, sigma_z),
-checked with one ``check_stack`` call per kind; ``prepare_inputs`` is
-the same builder on a stack of one.  At each point the three circuit
-runs are the only per-input work:
-``_data_outputs`` stacks their final states, reduces the stack to the
-data qubit in one pass and checks the reduced outputs with one
-``check_stack`` call per kind, and the correlations and polarizations
-each come from one batched overlap over that ``(3, 2, 2)`` stack.  The
-stack's rows have the bits that ``partial_trace``, ``correlation`` and
-``hs_overlap`` give one state at a time.
+Every sweep, transfer-matrix probe and ``prepare_inputs`` call builds
+the same four inputs as one stack: I/2, sigma_x, sigma_y, sigma_z on
+qubit 2, row 0 checked as a state and rows 1-3 as deviations, with one
+``check_stack`` call each.  The transfer matrix runs all four rows and a
+sweep rows 1-3.  At each point the circuit runs are the only per-input
+work: ``_data_outputs`` stacks their final states, reduces the stack to
+the data qubit in one pass and checks the outputs by the same layout,
+and the correlations and polarizations each come from one batched
+overlap over the sweep's ``(3, 2, 2)`` stack.  The stack's rows have the
+bits that ``partial_trace``, ``correlation`` and ``hs_overlap`` give one
+state at a time.
 """
 from __future__ import annotations
 
 import csv
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,6 +57,7 @@ __all__ = [
     "prepare_inputs",
     "run_scenario",
     "hump_demo",
+    "format_number",
     "emit_csv",
     "emit_chart",
     "write_svg_chart",
@@ -86,8 +86,6 @@ _PAULI_BASIS.setflags(write=False)
 # the data-qubit factors of the product inputs, read-only: the maximally
 # mixed state I/2, the transfer matrix's identity probe, then the
 # sweep's deviations sigma_x, sigma_y, sigma_z
-_INPUT_KEYS = ("I",) + AXES
-_INPUT_KINDS = (STATE,) + (DEVIATION,) * len(AXES)
 _INPUT_DATA = np.array([np.eye(2) / 2.0, *_PAULI_BASIS[1:]], dtype=complex)
 _INPUT_DATA.setflags(write=False)
 
@@ -164,38 +162,27 @@ class HumpReport:
         return self.non_monotone or self.crosses_reference
 
 
-def _check_runs(stack: np.ndarray, kinds: Sequence[str]) -> None:
-    """Check each run of matrices of one kind with one ``check_stack``
-    call, in stack order."""
-    start = 0
-    for kind, run in itertools.groupby(kinds):
-        stop = start + sum(1 for _ in run)
-        check_stack(stack[start:stop], kind)
-        start = stop
-
-
-def _product_inputs(keys: Sequence[str], ancilla_purity: float, n_qubits: int) -> dict[str, DensityMatrix]:
-    """The inputs named by ``keys`` (of ``_INPUT_KEYS``), in that order:
-    each data matrix on qubit 2 with p|0><0| + (1-p) I/2 ancillae
-    everywhere else.  They are built as one stack, each run of one kind
-    is checked with one ``check_stack`` call, and every row has the bits
-    of ``np.kron`` applied factor by factor."""
+def _product_inputs(ancilla_purity: float, n_qubits: int) -> tuple[DensityMatrix, ...]:
+    """The four inputs I/2, sigma_x, sigma_y, sigma_z on qubit 2, in that
+    order, with p|0><0| + (1-p) I/2 ancillae everywhere else.  They are
+    built as one stack, row 0 is checked as a state and rows 1-3 as
+    deviations with one ``check_stack`` call each, and every row has the
+    bits of ``np.kron`` applied factor by factor."""
     if not 0.0 <= ancilla_purity <= 1.0:
         raise ValueError(f"ancilla_purity must be in [0, 1], got {ancilla_purity}")
     if n_qubits < 2:
         raise ValueError("need the data qubit plus at least one ancilla")
-    rows = [_INPUT_KEYS.index(key) for key in keys]
     p = ancilla_purity
     anc = np.array([[[(1.0 + p) / 2.0, 0.0], [0.0, (1.0 - p) / 2.0]]], dtype=complex)
     m = anc
-    for factor in [_INPUT_DATA[rows]] + [anc] * (n_qubits - 2):
+    for factor in [_INPUT_DATA] + [anc] * (n_qubits - 2):
         # np.kron(m[i], factor[i]): the same products, in the same order
         d = 2 * m.shape[-1]
         m = (m[:, :, None, :, None] * factor[:, None, :, None, :]).reshape(-1, d, d)
     m.setflags(write=False)
-    kinds = [_INPUT_KINDS[i] for i in rows]
-    _check_runs(m, kinds)
-    return {key: DensityMatrix._checked(row, kind) for key, row, kind in zip(keys, m, kinds)}
+    check_stack(m[:1], STATE)
+    check_stack(m[1:], DEVIATION)
+    return (DensityMatrix._checked(m[0], STATE),) + tuple(DensityMatrix._checked(row, DEVIATION) for row in m[1:])
 
 
 def prepare_inputs(axis: str, ancilla_purity: float = 1.0, n_qubits: int = 4) -> DensityMatrix:
@@ -203,17 +190,21 @@ def prepare_inputs(axis: str, ancilla_purity: float = 1.0, n_qubits: int = 4) ->
     (softened to p|0><0| + (1-p) I/2) everywhere else."""
     if axis not in AXES:
         raise ValueError(f"axis must be one of {AXES}, got {axis!r}")
-    return _product_inputs((axis,), ancilla_purity, n_qubits)[axis]
+    return _product_inputs(ancilla_purity, n_qubits)[1 + AXES.index(axis)]
 
 
-def _data_outputs(circuit: Circuit, inputs: Mapping[str, DensityMatrix]) -> np.ndarray:
-    """The ``(k, 2, 2)`` stack of data-qubit outputs of the k inputs, in
-    input order.  Each input runs through the circuit once; the final
-    states are reduced as one stack, and each run of inputs of one kind
-    is checked with one ``check_stack`` call, in input order."""
-    rhos = list(inputs.values())
-    outs = partial_trace_stack(np.array([apply_circuit(rho, circuit).entries for rho in rhos]), {DATA_QUBIT})
-    _check_runs(outs, [rho.kind for rho in rhos])
+def _data_outputs(circuit: Circuit, inputs: Sequence[DensityMatrix]) -> np.ndarray:
+    """The ``(k, 2, 2)`` stack of data-qubit outputs of the inputs, in
+    input order: all four ``_product_inputs`` rows, or the three
+    deviations.  Each input runs through the circuit once; the final
+    states are reduced as one stack and checked by the inputs' layout,
+    the leading state row (present only with four inputs) with one
+    ``check_stack`` call and the deviations with another."""
+    outs = partial_trace_stack(np.array([apply_circuit(rho, circuit).entries for rho in inputs]), {DATA_QUBIT})
+    n_states = len(inputs) - len(AXES)
+    if n_states:
+        check_stack(outs[:n_states], STATE)
+    check_stack(outs[n_states:], DEVIATION)
     return outs
 
 
@@ -225,7 +216,7 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
     if not config.sweep:
         return ScenarioResult(config, ())
     reference = build_scenario_circuit(config.scenario, config.noise_spec(0.0))
-    inputs = _product_inputs(AXES, config.ancilla_purity, reference.n_qubits)
+    inputs = _product_inputs(config.ancilla_purity, reference.n_qubits)[1:]
     refs = _data_outputs(reference, inputs)
     ref_purity = hs_overlap_stack(refs, refs)
     for u, purity in zip(AXES, ref_purity.tolist()):
@@ -246,15 +237,17 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
 
 
 def hump_demo(config: ScenarioConfig) -> HumpReport:
-    """Sweep the three-qubit code with imperfect ancillae and flag the
-    qualitative signature: a non-monotone fidelity curve, or a crossing
-    of the ideal-ancilla reference curve.  The sweep must start at
-    kappa0 = 0, where ``fe_at_zero`` is read."""
+    """Sweep the three-qubit code (``qec_independent``) with imperfect
+    ancillae and flag the qualitative signature: a non-monotone fidelity
+    curve, or a crossing of the ideal-ancilla reference curve.  The sweep
+    must start at kappa0 = 0, where ``fe_at_zero`` is read."""
+    if config.scenario != "qec_independent":
+        raise ValueError(f"hump_demo expects scenario 'qec_independent', got {config.scenario!r}")
     if config.ancilla_purity >= 1.0:
         raise ValueError("hump_demo expects ancilla_purity < 1")
     if not config.sweep or config.sweep[0] != 0.0:
         raise ValueError("hump_demo expects a non-empty sweep that starts at kappa0 = 0")
-    result = run_scenario(replace(config, scenario="qec_independent"))
+    result = run_scenario(config)
     fes = np.array([p.report.Fe for p in result.points])
     refs = np.array([p.report.Fe_analytic for p in result.points])
     diffs = np.diff(fes)
@@ -264,7 +257,8 @@ def hump_demo(config: ScenarioConfig) -> HumpReport:
     return HumpReport(result, float(fes[0]), non_monotone, crosses)
 
 
-def _fmt(x: float | None) -> str:
+def format_number(x: float | None) -> str:
+    """Every printed number's format: 12 significant digits, "" for None."""
     if x is None:
         return ""
     return f"{x:.12g}"
@@ -282,18 +276,18 @@ def emit_csv(result: ScenarioResult, path: str | Path) -> None:
                     cfg.scenario,
                     cfg.kind,
                     cfg.coupling_case,
-                    _fmt(pt.kappa0),
-                    _fmt(cfg.ratio),
-                    _fmt(cfg.ancilla_purity),
-                    _fmt(r.Cx),
-                    _fmt(r.Cy),
-                    _fmt(r.Cz),
-                    _fmt(r.Fe),
-                    _fmt(r.Fe_analytic),
-                    _fmt(r.Px),
-                    _fmt(r.Py),
-                    _fmt(r.Pz),
-                    _fmt(r.P),
+                    format_number(pt.kappa0),
+                    format_number(cfg.ratio),
+                    format_number(cfg.ancilla_purity),
+                    format_number(r.Cx),
+                    format_number(r.Cy),
+                    format_number(r.Cz),
+                    format_number(r.Fe),
+                    format_number(r.Fe_analytic),
+                    format_number(r.Px),
+                    format_number(r.Py),
+                    format_number(r.Pz),
+                    format_number(r.P),
                 ]
             )
         )
@@ -308,6 +302,9 @@ class ChartSeries:
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+# XML escapes for series labels; xml.sax.saxutils would import urllib, http and ssl
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 def _series_from_result(result: ScenarioResult) -> ChartSeries:
@@ -420,15 +417,16 @@ def write_svg_chart(series: Sequence[ChartSeries], path: str | Path) -> None:
 
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
+        label = s.label.translate(_XML_ESCAPES)
         if s.curve:
             pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in s.curve)
             out.append(
-                f'<polyline class="curve curve-{s.label}" points="{pts}" fill="none" '
+                f'<polyline class="curve curve-{label}" points="{pts}" fill="none" '
                 f'stroke="{color}" stroke-width="1.5"/>'
             )
         for x, y in s.points:
             out.append(
-                f'<circle class="pt pt-{s.label}" cx="{px(x):.2f}" cy="{py(y):.2f}" r="3.5" '
+                f'<circle class="pt pt-{label}" cx="{px(x):.2f}" cy="{py(y):.2f}" r="3.5" '
                 f'fill="{color}" fill-opacity="0.85"/>'
             )
         ly = top + 16.0 + 20.0 * i
@@ -438,7 +436,7 @@ def write_svg_chart(series: Sequence[ChartSeries], path: str | Path) -> None:
         )
         out.append(
             f'<text class="legend-label" x="{lx + 20:.1f}" y="{ly:.1f}" font-size="12" '
-            f'font-family="sans-serif">{s.label}</text>'
+            f'font-family="sans-serif">{label}</text>'
         )
     out.append("</svg>")
     Path(path).write_text("\n".join(out) + "\n", encoding="utf-8", newline="\n")
@@ -450,7 +448,7 @@ def pauli_transfer_matrix(scenario: str, spec: NoiseSpec, ancilla_purity: float 
     circuit = build_scenario_circuit(scenario, spec)
     # identity column is probed with the maximally mixed data qubit,
     # E(I)/2; Pauli columns with the deviation inputs, E(sigma_v)
-    inputs = _product_inputs(_INPUT_KEYS, ancilla_purity, circuit.n_qubits)
+    inputs = _product_inputs(ancilla_purity, circuit.n_qubits)
     scales = np.array([1.0, 0.5, 0.5, 0.5])
 
     # R[row, col] = tr(basis[row] outs[col]) * scales[col], one batched overlap

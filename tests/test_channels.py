@@ -290,6 +290,16 @@ class TestBuildErrorModel:
         assert combined.strength == pytest.approx(4.0)
         assert combined.weights[2] == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
+    @pytest.mark.parametrize("ratio", [1.7, 0.7])
+    def test_case_a_weight_is_one_plus_ratio_at_every_point(self, ratio, kind):
+        # the weight is the spec's ratio, not a quotient of the scales,
+        # so it keeps its bits from subnormal kappa0 up
+        for x in np.geomspace(1e-320, 1e3, 1000):
+            combined = build_error_model(NoiseSpec(float(x), True, ratio, "a", kind), 4)[-1]
+            assert combined.label == "z34-combined"
+            assert combined.weights[2] == 1.0 + ratio
+
 
 class TestAttenuation:
     @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
@@ -308,6 +318,15 @@ class TestAttenuation:
     def test_no_generators_give_one(self):
         for kind in (INCOHERENT_SINC, MARKOVIAN_EXP):
             assert attenuation([], kind) == 1.0
+
+    @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
+    def test_overflowing_delta_is_one_error_and_no_warning(self, kind):
+        # W's eigenvalues and their differences overflow in the Delta
+        # lookup; it runs under the same errstate as the factor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^noise attenuation is not finite"):
+                attenuation([DephasingGenerator(np.array([1e308, 1e308]), 1.0)], kind)
 
 
 class TestCptpRandomized:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -167,6 +168,13 @@ class TestNoiseStrength:
         assert main(["noise-strength", "--spec", str(cfg)]) == 0
         assert "epsilon" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind, kappa0", [("sinc", 1e-320), ("exp", 1e-320), ("sinc", 5e-324)])
+    def test_case_a_weight_at_subnormal_kappa0(self, kind, kappa0, tmp_path, capsys):
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"scenario": "qec_hybrid", "kind": kind, "ratio": 1.7, "sweep": [kappa0]}))
+        assert main(["noise-strength", "--spec", str(cfg)]) == 0
+        assert "  z34-combined: weights=(0,0,2.7,1) " in capsys.readouterr().out
+
     def test_missing_file(self, capsys):
         rc = main(["noise-strength", "--spec", "/nonexistent.json"])
         assert rc == 1
@@ -193,6 +201,18 @@ class TestChart:
         text = out.read_text()
         assert text.count('class="legend-label"') == 2
         assert text.count('class="pt pt-qec_independent"') == 3
+
+    def test_label_is_escaped(self, tmp_path):
+        label = 'A&B <x> "q"'
+        src = tmp_path / "odd.csv"
+        src.write_text('scenario,kappa0,Fe,Fe_analytic\n"A&B <x> ""q""",0,1,1\n')
+        out = tmp_path / "chart.svg"
+        assert main(["chart", "--in", str(src), "--out", str(out)]) == 0
+        root = ElementTree.parse(out).getroot()
+        legend = [t for t in root.iter("{http://www.w3.org/2000/svg}text") if t.get("class") == "legend-label"]
+        assert [t.text for t in legend] == [label]
+        circles = root.iter("{http://www.w3.org/2000/svg}circle")
+        assert [c.get("class") for c in circles] == [f"pt pt-{label}"]
 
 
 @pytest.mark.parametrize(
@@ -245,6 +265,28 @@ def test_bad_input_is_one_error_line_and_no_output(argv, tmp_path, capsys):
     assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
     if '"epsilon"' in text:
         assert "epsilon" in captured.err
+
+
+# one-point sweeps at the edges of the kappa0 and ratio ranges
+EDGE_KAPPA0 = ("0", "1", "1e300", "1.7e308")
+EDGE_RATIO = ("1e-320", "0.5", "1e300", "1.7e308")
+
+
+@pytest.mark.parametrize("ratio", EDGE_RATIO)
+@pytest.mark.parametrize("kappa0", EDGE_KAPPA0)
+@pytest.mark.parametrize("case", ["a", "b"])
+@pytest.mark.parametrize("kind", ["sinc", "exp"])
+@pytest.mark.parametrize("scenario", ["qec_hybrid", "dfs_qec"])
+def test_edge_grid_sweep_succeeds_or_is_one_error_line(scenario, kind, case, kappa0, ratio, tmp_path, capsys):
+    # warnings are errors here, so a RuntimeWarning fails the call
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--scenario", scenario, "--kind", kind, "--case", case]
+    rc = main(argv + ["--kappa0", kappa0, "--ratio", ratio, "--out", str(out)])
+    err = capsys.readouterr().err
+    if rc == 0:
+        assert err == "" and len(out.read_text().splitlines()) == 2
+    else:
+        assert rc == 1 and err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_check_passes():

@@ -136,16 +136,17 @@ class TestPrepareInputs:
         with pytest.raises(ValueError, match=message):
             prepare_inputs("x", purity, 4)
         with pytest.raises(ValueError, match=message):
-            experiments._product_inputs(("x", "y", "z"), purity, 4)
+            experiments._product_inputs(purity, 4)
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("purity", [1.0, 0.7, 0.0])
     def test_product_is_the_kron_chain_checked_once(self, n, purity, monkeypatch):
-        # the same bits as np.kron factor by factor, and one check for
-        # each run of one kind
+        # the same bits as np.kron factor by factor, in the fixed order
+        # I/2, x, y, z, and one check for the state row and one for the
+        # three deviations
         anc = np.diag([(1.0 + purity) / 2.0, (1.0 - purity) / 2.0]).astype(complex)
         wants = []
-        for data in (pauli_deviation("y"), DensityMatrix(np.eye(2) / 2.0)):
+        for data in [DensityMatrix(np.eye(2) / 2.0)] + [pauli_deviation(u) for u in "xyz"]:
             want = np.kron(anc, data.entries)
             for _ in range(n - 2):
                 want = np.kron(want, anc)
@@ -158,13 +159,13 @@ class TestPrepareInputs:
             return real_check(stack, kind)
 
         monkeypatch.setattr(experiments, "check_stack", counting_check)
-        got = experiments._product_inputs(("y", "x", "I"), purity, n)
-        assert list(got) == ["y", "x", "I"]
-        for (data, want), key in zip(wants, ["y", "I"]):
-            assert got[key].kind == data.kind
-            assert np.array_equal(got[key].entries, want)
-            assert not got[key].entries.flags.writeable
-        assert checks == [(DEVIATION, 2), (STATE, 1)]
+        got = experiments._product_inputs(purity, n)
+        assert isinstance(got, tuple) and len(got) == 4
+        for (data, want), rho in zip(wants, got):
+            assert rho.kind == data.kind
+            assert np.array_equal(rho.entries, want)
+            assert not rho.entries.flags.writeable
+        assert checks == [(STATE, 1), (DEVIATION, 3)]
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("purity", [0.0, 0.3, 0.7, 1.0])
@@ -177,13 +178,12 @@ class TestPrepareInputs:
                 m = (m[:, None, :, None] * factor[None, :, None, :]).reshape(d, d)
             return DensityMatrix(m, data.kind)
 
-        datas = {"I": DensityMatrix(np.eye(2) / 2.0, STATE)}
-        datas.update((u, pauli_deviation(u)) for u in "xyz")
-        stacked = experiments._product_inputs(("I", "x", "y", "z"), purity, n)
-        for key, data in datas.items():
+        datas = [DensityMatrix(np.eye(2) / 2.0, STATE)] + [pauli_deviation(u) for u in "xyz"]
+        stacked = experiments._product_inputs(purity, n)
+        for key, data, rho in zip("Ixyz", datas, stacked):
             want = chain(data)
-            assert stacked[key].kind == want.kind
-            assert stacked[key].entries.tobytes() == want.entries.tobytes()
+            assert rho.kind == want.kind
+            assert rho.entries.tobytes() == want.entries.tobytes()
             if key != "I":
                 assert prepare_inputs(key, purity, n).entries.tobytes() == want.entries.tobytes()
 
@@ -256,10 +256,10 @@ class TestStackedPath:
         result = run_scenario(config)
         n = build_scenario_circuit(scenario, config.noise_spec(0.0)).n_qubits
         # the transfer-matrix inputs: a state, then the three deviations
-        inputs = experiments._product_inputs(("I", "x", "y", "z"), purity, n)
+        inputs = experiments._product_inputs(purity, n)
 
         def per_state(circuit):
-            return {key: partial_trace(apply_circuit(rho, circuit), {2}) for key, rho in inputs.items()}
+            return {key: partial_trace(apply_circuit(rho, circuit), {2}) for key, rho in zip("Ixyz", inputs)}
 
         refs = per_state(build_scenario_circuit(scenario, config.noise_spec(0.0)))
         for point in result.points:
@@ -270,6 +270,8 @@ class TestStackedPath:
             for row, out in zip(stacked, outs.values()):
                 # array_equal, and the sign of zero too
                 assert row.tobytes() == out.entries.tobytes()
+            # the sweep's layout: the three deviation rows alone
+            assert experiments._data_outputs(circuit, inputs[1:]).tobytes() == stacked[1:].tobytes()
             for u in "xyz":
                 assert getattr(point.report, "C" + u) == correlation(pauli_deviation(u), outs[u])
                 want_p = hs_overlap(outs[u], outs[u]) / hs_overlap(refs[u], refs[u])
@@ -379,6 +381,12 @@ class TestHump:
     def test_full_purity_rejected(self):
         with pytest.raises(ValueError, match="purity"):
             hump_demo(ScenarioConfig("qec_independent", ancilla_purity=1.0))
+
+    @pytest.mark.parametrize("scenario", ["dfs_qec", "qec_hybrid", "no_qec"])
+    def test_other_scenario_rejected(self, scenario):
+        # rejected, not silently swept as qec_independent
+        with pytest.raises(ValueError, match=f"^hump_demo expects scenario 'qec_independent', got '{scenario}'$"):
+            hump_demo(ScenarioConfig(scenario, ancilla_purity=0.5))
 
     @pytest.mark.parametrize("sweep", [(), (3.0,)])
     def test_sweep_must_start_at_zero(self, sweep):
