@@ -134,9 +134,10 @@ def attenuation(gens: Sequence[DephasingGenerator], kind: str) -> np.ndarray:
     With Delta the ket/bra difference of W eigenvalues of each generator,
     the factor is prod sinc(kappa Delta / 4) for the incoherent kind and
     prod exp(-lambda Delta^2 / 4) for the Markovian kind (lambda is the
-    rate times the storage time).  Without generators the factor is 1.0.
-    All generators are evaluated as one ``(G, d, d)`` stack, and the
-    product is taken over it in generator order.
+    rate times the storage time); a zero strength gives exactly 1, even
+    where Delta overflows, and no generators give 1.0.  All generators
+    are evaluated as one ``(G, d, d)`` stack, and the product is taken
+    over it in generator order.
     """
     if kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}")
@@ -149,6 +150,8 @@ def attenuation(gens: Sequence[DephasingGenerator], kind: str) -> np.ndarray:
             factors = sinc(strengths * deltas / 4.0)
         else:
             factors = np.exp(-strengths * deltas**2 / 4.0)
+        # 0 * inf is nan where Delta overflows; elsewhere this is a no-op
+        factors[strengths[:, 0, 0] == 0.0] = 1.0
         factor = np.multiply.reduce(factors, 0)
     if not np.isfinite(factor).all():
         raise ValueError("noise attenuation is not finite: generator strengths are too large")

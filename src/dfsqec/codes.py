@@ -34,7 +34,6 @@ from typing import Callable, Iterator, Union
 import numpy as np
 
 from .channels import (
-    INCOHERENT_SINC,
     NOISE_KINDS,
     DephasingGenerator,
     NoiseSpec,
@@ -109,7 +108,7 @@ class NoiseStep:
     """
 
     generators: tuple[DephasingGenerator, ...]
-    kind: str = INCOHERENT_SINC
+    kind: str
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -71,8 +71,9 @@ DEFAULT_SWEEP = tuple(0.5 * k for k in range(25))
 
 DATA_QUBIT = 2
 
-CSV_HEADER = (
-    "scenario,kind,case,kappa0,ratio,ancilla_purity,Cx,Cy,Cz,Fe,Fe_analytic,Px,Py,Pz,P"
+# the sweep config's columns, then the measured ones: MetricReport's fields
+CSV_HEADER = ",".join(
+    ["scenario", "kind", "case", "kappa0", "ratio", "ancilla_purity"] + [f.name for f in fields(MetricReport)]
 )
 
 # columns load_csv_series reads back for a chart
@@ -138,7 +139,6 @@ class ScenarioConfig:
 @dataclass(frozen=True)
 class SweepPoint:
     kappa0: float
-    spec: NoiseSpec
     report: MetricReport
 
 
@@ -229,10 +229,9 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
         spec = config.noise_spec(x)
         outs = _data_outputs(build_scenario_circuit(config.scenario, spec), inputs)
         # C_u = tr(sigma_u out_u) / tr(sigma_u sigma_u), P_u = tr(out_u^2) / tr(ref_u^2)
-        cs = dict(zip(AXES, (hs_overlap_stack(sigmas, outs) / norms).tolist()))
-        ps = dict(zip(AXES, (hs_overlap_stack(outs, outs) / ref_purity).tolist()))
-        fe_ref = analytic_reference(config.scenario, spec)
-        points.append(SweepPoint(x, spec, MetricReport.from_metrics(cs, ps, fe_ref)))
+        cs = (hs_overlap_stack(sigmas, outs) / norms).tolist()
+        ps = (hs_overlap_stack(outs, outs) / ref_purity).tolist()
+        points.append(SweepPoint(x, MetricReport.from_metrics(cs, ps, analytic_reference(config.scenario, spec))))
     return ScenarioResult(config, tuple(points))
 
 
@@ -257,40 +256,21 @@ def hump_demo(config: ScenarioConfig) -> HumpReport:
     return HumpReport(result, float(fes[0]), non_monotone, crosses)
 
 
-def format_number(x: float | None) -> str:
-    """Every printed number's format: 12 significant digits, "" for None."""
-    if x is None:
-        return ""
+def format_number(x: float) -> str:
+    """Every printed number's format: 12 significant digits."""
     return f"{x:.12g}"
 
 
 def emit_csv(result: ScenarioResult, path: str | Path) -> None:
-    """Write one sweep as CSV, 12 significant digits, deterministic bytes."""
+    """Write one sweep as CSV in ``CSV_HEADER`` order, deterministic bytes:
+    every number, kappa0 to the last report field, by ``format_number``."""
     cfg = result.config
+    head = [cfg.scenario, cfg.kind, cfg.coupling_case]
+    measured = [f.name for f in fields(MetricReport)]
     lines = [CSV_HEADER]
     for pt in result.points:
-        r = pt.report
-        lines.append(
-            ",".join(
-                [
-                    cfg.scenario,
-                    cfg.kind,
-                    cfg.coupling_case,
-                    format_number(pt.kappa0),
-                    format_number(cfg.ratio),
-                    format_number(cfg.ancilla_purity),
-                    format_number(r.Cx),
-                    format_number(r.Cy),
-                    format_number(r.Cz),
-                    format_number(r.Fe),
-                    format_number(r.Fe_analytic),
-                    format_number(r.Px),
-                    format_number(r.Py),
-                    format_number(r.Pz),
-                    format_number(r.P),
-                ]
-            )
-        )
+        numbers = [pt.kappa0, cfg.ratio, cfg.ancilla_purity] + [getattr(pt.report, name) for name in measured]
+        lines.append(",".join(head + [format_number(x) for x in numbers]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -309,7 +289,7 @@ _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quo
 
 def _series_from_result(result: ScenarioResult) -> ChartSeries:
     pts = tuple((p.kappa0, p.report.Fe) for p in result.points)
-    curve = tuple((p.kappa0, p.report.Fe_analytic) for p in result.points if p.report.Fe_analytic is not None)
+    curve = tuple((p.kappa0, p.report.Fe_analytic) for p in result.points)
     return ChartSeries(result.config.scenario, pts, curve or None)
 
 
@@ -418,15 +398,16 @@ def write_svg_chart(series: Sequence[ChartSeries], path: str | Path) -> None:
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         label = s.label.translate(_XML_ESCAPES)
+        token = "_".join(label.split())  # one class per series, whatever its spaces
         if s.curve:
             pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in s.curve)
             out.append(
-                f'<polyline class="curve curve-{label}" points="{pts}" fill="none" '
+                f'<polyline class="curve curve-{token}" points="{pts}" fill="none" '
                 f'stroke="{color}" stroke-width="1.5"/>'
             )
         for x, y in s.points:
             out.append(
-                f'<circle class="pt pt-{label}" cx="{px(x):.2f}" cy="{py(y):.2f}" r="3.5" '
+                f'<circle class="pt pt-{token}" cx="{px(x):.2f}" cy="{py(y):.2f}" r="3.5" '
                 f'fill="{color}" fill-opacity="0.85"/>'
             )
         ly = top + 16.0 + 20.0 * i

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,31 +55,26 @@ AXES = ("x", "y", "z")
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Per-sweep-point metric bundle; Fe and P are recomputed from the
-    stored components on construction, never passed in."""
+    """Per-sweep-point metric bundle; its fields, in order, are the CSV's
+    measured columns.  Fe and P are recomputed from the stored
+    components on construction, never passed in."""
 
     Cx: float
     Cy: float
     Cz: float
     Fe: float
+    Fe_analytic: float
     Px: float
     Py: float
     Pz: float
     P: float
-    Fe_analytic: float | None = None
 
     @classmethod
-    def from_metrics(
-        cls,
-        c: Mapping[str, float],
-        p: Mapping[str, float],
-        fe_analytic: float | None = None,
-    ) -> "MetricReport":
-        cs = [float(c[u]) for u in AXES]
-        ps = [float(p[u]) for u in AXES]
+    def from_metrics(cls, c: Sequence[float], p: Sequence[float], fe_analytic: float) -> "MetricReport":
+        """C_u and P_u each come in ``AXES`` order."""
         # left to right, then one division: np.mean's bits on three items
         # (sum() adds floats with compensation from Python 3.12 on)
-        return cls(*cs, entanglement_fidelity(cs), *ps, (ps[0] + ps[1] + ps[2]) / 3.0, fe_analytic)
+        return cls(*c, entanglement_fidelity(c), fe_analytic, *p, (p[0] + p[1] + p[2]) / 3.0)
 
 
 def correlation(input_dev: DensityMatrix, output_dev: DensityMatrix) -> float:
@@ -159,11 +154,11 @@ class ErrorRateFit:
     tau_inv_k: tuple[float, ...]
     lambda_bound: float | None = None
 
-    def satisfies_bound(self, rtol: float = 1e-6) -> bool:
+    def satisfies_bound(self) -> bool:
         if self.lambda_bound is None:
             raise ValueError("no lambda bound was attached to this fit")
         return all(
-            rate <= self.lambda_bound**k * (1.0 + rtol)
+            rate <= self.lambda_bound**k * (1.0 + 1e-6)
             for k, rate in zip(self.orders, self.tau_inv_k)
         )
 
@@ -174,12 +169,12 @@ FIT_GRID_POINTS = 12
 FIT_GRID_MAX_LAMBDA_T = 0.01
 
 
-def fit_grid(lambda_bound: float, points: int = FIT_GRID_POINTS) -> np.ndarray:
-    """Default sample times for fit_error_rates, linear on
+def fit_grid(lambda_bound: float) -> np.ndarray:
+    """FIT_GRID_POINTS sample times for fit_error_rates, linear on
     [0, FIT_GRID_MAX_LAMBDA_T / lambda_bound]."""
     if lambda_bound <= 0:
         raise ValueError("lambda_bound must be > 0")
-    return np.linspace(0.0, FIT_GRID_MAX_LAMBDA_T / lambda_bound, points)
+    return np.linspace(0.0, FIT_GRID_MAX_LAMBDA_T / lambda_bound, FIT_GRID_POINTS)
 
 
 def fit_error_rates(

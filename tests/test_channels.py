@@ -328,6 +328,34 @@ class TestAttenuation:
             with pytest.raises(ValueError, match="^noise attenuation is not finite"):
                 attenuation([DephasingGenerator(np.array([1e308, 1e308]), 1.0)], kind)
 
+    @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
+    def test_zero_strength_generator_with_overflowing_delta_is_one(self, kind):
+        # 0 * inf is nan; a zero strength still leaves every element
+        idle = DephasingGenerator(np.array([1.7e308, 0.0]), 0.0)
+        active = DephasingGenerator(np.array([0.0, 1.0]), 0.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = attenuation([idle], kind)
+            both = attenuation([idle, active], kind)
+        assert alone.shape == (4, 4) and (alone == 1.0).all()
+        assert both.tobytes() == attenuation([active], kind).tobytes()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DephasingGenerator(np.ones((2, 2)), 1.0), "weights must be a per-qubit vector"),
+        (lambda: DephasingGenerator(np.array([]), 1.0), "weights must be a per-qubit vector"),
+        (lambda: attenuation([], "bogus"), "unknown noise kind 'bogus'"),
+        (lambda: noise_strength([single(1, 1, 1.0), single(1, 2, 1.0)]), "generators must share a common qubit count"),
+        (lambda: build_error_model(NoiseSpec(1.0), 5), "error model supports 3 or 4 qubits, got 5"),
+    ],
+)
+def test_error_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
 
 class TestCptpRandomized:
     @settings(max_examples=30, deadline=None)

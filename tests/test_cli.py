@@ -212,7 +212,22 @@ class TestChart:
         legend = [t for t in root.iter("{http://www.w3.org/2000/svg}text") if t.get("class") == "legend-label"]
         assert [t.text for t in legend] == [label]
         circles = root.iter("{http://www.w3.org/2000/svg}circle")
-        assert [c.get("class") for c in circles] == [f"pt pt-{label}"]
+        assert [c.get("class") for c in circles] == ['pt pt-A&B_<x>_"q"']
+
+    def test_label_with_whitespace_is_one_class_token(self, tmp_path):
+        src = tmp_path / "spaced.csv"
+        src.write_text("scenario,kappa0,Fe,Fe_analytic\nx pt,0,1,1\nx pt,1,0.9,0.9\n")
+        out = tmp_path / "chart.svg"
+        assert main(["chart", "--in", str(src), "--out", str(out)]) == 0
+        root = ElementTree.parse(out).getroot()
+        circles = list(root.iter("{http://www.w3.org/2000/svg}circle"))
+        assert len(circles) == 2
+        for c in circles:
+            assert c.get("class").split() == ["pt", "pt-x_pt"]
+        (curve,) = root.iter("{http://www.w3.org/2000/svg}polyline")
+        assert curve.get("class").split() == ["curve", "curve-x_pt"]
+        legend = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text") if t.get("class") == "legend-label"]
+        assert legend == ["x pt"]
 
 
 @pytest.mark.parametrize(
@@ -291,6 +306,36 @@ def test_edge_grid_sweep_succeeds_or_is_one_error_line(scenario, kind, case, kap
 
 def test_check_passes():
     assert main(["check"]) == 0
+
+
+def _no_qec_fe_off_by(delta, run):
+    """run_scenario, with the first no_qec point's Fe moved by delta."""
+
+    def wrapped(config, jobs=1):
+        result = run(config, jobs)
+        if config.scenario != "no_qec":
+            return result
+        first = result.points[0]
+        report = dataclasses.replace(first.report, Fe=first.report.Fe + delta)
+        return dataclasses.replace(result, points=(dataclasses.replace(first, report=report),) + result.points[1:])
+
+    return wrapped
+
+
+@pytest.mark.parametrize("command", ["chart", "check"])
+def test_failure_is_exit_1_and_its_message(command, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x.svg"
+    if command == "chart":
+        # a header-only CSV holds no series
+        src = tmp_path / "header.csv"
+        src.write_text(CSV_HEADER + "\n")
+        argv, message = ["chart", "--in", str(src), "--out", str(out)], "error: no data series found in the input CSV file(s)"
+    else:
+        monkeypatch.setattr(dfsqec.cli, "run_scenario", _no_qec_fe_off_by(1e-6, dfsqec.cli.run_scenario))
+        argv, message = ["check"], "check failed: 1 mismatch(es)"
+    assert main(argv) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
 
 
 def test_module_entry_point():

@@ -348,6 +348,23 @@ class TestScenarioCircuits:
             build_scenario_circuit("five_qubit", NoiseSpec(1.0))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: NoiseStep((), "bogus"), "unknown noise kind 'bogus'"),
+        (lambda: Circuit(2, ("H",)), "unknown step type str"),
+        (
+            lambda: apply_circuit(basis_state("000"), Circuit(2, (hadamard(1),))),
+            "state dimension 8 does not match 2-qubit circuit",
+        ),
+    ],
+)
+def test_error_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestCircuitPlumbing:
     def test_gate_validation(self):
         with pytest.raises(ValueError, match="unitary"):
@@ -364,7 +381,7 @@ class TestCircuitPlumbing:
     def test_circuit_noise_generator_width_checked(self):
         gen = DephasingGenerator(np.array([1.0]), 1.0, "z1")
         with pytest.raises(ValueError, match="generator"):
-            Circuit(2, (NoiseStep((gen,)),))
+            Circuit(2, (NoiseStep((gen,), INCOHERENT_SINC),))
 
     @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
     def test_noise_factor_is_the_attenuation(self, kind):

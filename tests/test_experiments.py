@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -9,6 +10,7 @@ from dfsqec.experiments import (
     CSV_HEADER,
     DEFAULT_SWEEP,
     ScenarioConfig,
+    SweepPoint,
     emit_chart,
     emit_csv,
     hump_demo,
@@ -225,7 +227,7 @@ class TestRunScenario:
         res = run_scenario(cfg)
         zero = basis_state("0").entries
         for point in res.points:
-            circuit = build_scenario_circuit(cfg.scenario, point.spec)
+            circuit = build_scenario_circuit(cfg.scenario, cfg.noise_spec(point.kappa0))
             for axis in ("x", "y", "z"):
                 data = (np.eye(2) + pauli(axis).entries) / 2.0
                 rho = DensityMatrix(np.kron(np.kron(zero, data), zero))
@@ -263,7 +265,7 @@ class TestStackedPath:
 
         refs = per_state(build_scenario_circuit(scenario, config.noise_spec(0.0)))
         for point in result.points:
-            circuit = build_scenario_circuit(scenario, point.spec)
+            circuit = build_scenario_circuit(scenario, config.noise_spec(point.kappa0))
             outs = per_state(circuit)
             stacked = experiments._data_outputs(circuit, inputs)
             assert stacked.shape == (4, 2, 2)
@@ -396,6 +398,12 @@ class TestHump:
 
 
 class TestCsv:
+    def test_header_is_the_config_columns_then_the_report_fields(self):
+        assert CSV_HEADER == "scenario,kind,case,kappa0,ratio,ancilla_purity,Cx,Cy,Cz,Fe,Fe_analytic,Px,Py,Pz,P"
+
+    def test_sweep_point_is_kappa0_and_report(self):
+        assert [f.name for f in dataclasses.fields(SweepPoint)] == ["kappa0", "report"]
+
     def test_header_only_for_empty_sweep(self, tmp_path):
         res = run_scenario(ScenarioConfig("no_qec", sweep=()))
         out = tmp_path / "empty.csv"
@@ -443,6 +451,14 @@ class TestCsv:
         assert series.points[2][1] == pytest.approx(res.points[2].report.Fe, rel=1e-10)
         assert series.curve is not None
 
+    def test_loader_accepts_an_empty_closed_form_cell(self, tmp_path):
+        # hand-written CSVs may leave Fe_analytic out of some rows
+        src = tmp_path / "hand.csv"
+        src.write_text("scenario,kappa0,Fe,Fe_analytic\nA,0,1,\nA,1,0.9,0.95\nB,0,1,\n")
+        a, b = load_csv_series(src)
+        assert a.points == ((0.0, 1.0), (1.0, 0.9)) and a.curve == ((1.0, 0.95),)
+        assert b.points == ((0.0, 1.0),) and b.curve is None
+
     @pytest.mark.parametrize(
         "text, match",
         [
@@ -458,6 +474,23 @@ class TestCsv:
         with pytest.raises(ValueError, match=match) as info:
             load_csv_series(bad)
         assert str(bad) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda path: ScenarioConfig("no_qec", kind="bogus"), "unknown noise kind 'bogus'"),
+        (lambda path: ScenarioConfig("no_qec", coupling_case="c"), "coupling case must be one of ('a', 'b')"),
+        (lambda path: prepare_inputs("x", n_qubits=1), "need the data qubit plus at least one ancilla"),
+        (lambda path: load_csv_series(path), "{path}, line 3: empty scenario"),
+    ],
+)
+def test_error_messages(call, message, tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("scenario,kappa0,Fe,Fe_analytic\nno_qec,0,1,1\n,0,1,1\n")
+    with pytest.raises(ValueError) as info:
+        call(path)
+    assert str(info.value) == message.format(path=path)
 
 
 class TestChart:

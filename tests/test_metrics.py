@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,18 +252,33 @@ class TestFitErrorRates:
         assert fit_i.tau_inv_k[1] > 0.0
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fit_grid(0.0), "lambda_bound must be > 0"),
+        (lambda: fit_error_rates([(0.1 * k, 1.0) for k in range(6)], 4), "max_order must be in 1..3, got 4"),
+        (lambda: fit_error_rates([(0.0, 1.0)] * 5, 1), "samples must span a nonzero time interval"),
+    ],
+)
+def test_error_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestMetricReport:
+    def test_fields_are_the_measured_csv_columns_without_defaults(self):
+        names = ["Cx", "Cy", "Cz", "Fe", "Fe_analytic", "Px", "Py", "Pz", "P"]
+        assert [f.name for f in dataclasses.fields(MetricReport)] == names
+        assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(MetricReport))
+
     def test_fe_recomputed_from_correlations(self):
-        rep = MetricReport.from_metrics(
-            {"x": 0.5, "y": 0.25, "z": 1.0}, {"x": 1.0, "y": 1.0, "z": 1.0}
-        )
+        rep = MetricReport.from_metrics([0.5, 0.25, 1.0], [1.0, 1.0, 1.0], fe_analytic=0.9)
         assert rep.Fe == (0.5 + 0.25 + 1.0 + 1.0) / 4.0
         assert rep.P == 1.0
 
     def test_ideal_channel_reports_all_ones(self):
-        rep = MetricReport.from_metrics(
-            {u: 1.0 for u in "xyz"}, {u: 1.0 for u in "xyz"}, fe_analytic=1.0
-        )
+        rep = MetricReport.from_metrics([1.0] * 3, [1.0] * 3, fe_analytic=1.0)
         for field in (rep.Cx, rep.Cy, rep.Cz, rep.Fe, rep.Px, rep.Py, rep.Pz, rep.P):
             assert abs(field - 1.0) <= 1e-12
 
