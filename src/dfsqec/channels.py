@@ -135,14 +135,16 @@ def attenuation(gens: Sequence[DephasingGenerator], kind: str) -> np.ndarray:
     the factor is prod sinc(kappa Delta / 4) for the incoherent kind and
     prod exp(-lambda Delta^2 / 4) for the Markovian kind (lambda is the
     rate times the storage time); a zero strength gives exactly 1, even
-    where Delta overflows, and no generators give 1.0.  All generators
-    are evaluated as one ``(G, d, d)`` stack, and the product is taken
-    over it in generator order.
+    where Delta overflows, and no generators give 1.0.  The generators,
+    of one qubit count, are evaluated as one ``(G, d, d)`` stack, and the
+    product is taken over it in generator order.
     """
     if kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}")
     if not gens:
         return 1.0
+    if len({gen.n_qubits for gen in gens}) > 1:
+        raise ValueError("generators must share a common qubit count")
     strengths = np.array([gen.strength for gen in gens])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         deltas = np.array([_delta(gen.weights.tobytes()) for gen in gens])
@@ -188,8 +190,7 @@ def noise_strength(gens: Sequence[DephasingGenerator]) -> float:
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    n = gens[0].n_qubits
-    if any(g.n_qubits != n for g in gens):
+    if len({g.n_qubits for g in gens}) > 1:
         raise ValueError("generators must share a common qubit count")
     with np.errstate(over="ignore", invalid="ignore"):
         diags = [np.sqrt(g.strength / 2.0) * g.z_values() for g in gens]
@@ -268,7 +269,7 @@ class NoiseSpec:
         if self.collective:
             try:
                 scale = self.collective_scale()
-            except (ZeroDivisionError, OverflowError):
+            except ZeroDivisionError:  # ratio**2 underflows to 0
                 scale = math.inf
             if not math.isfinite(scale):
                 raise ValueError(
@@ -281,7 +282,11 @@ class NoiseSpec:
             return None
         if self.kind == INCOHERENT_SINC:
             return self.kappa0 / self.ratio
-        return self.kappa0 / self.ratio**2
+        try:
+            return self.kappa0 / self.ratio**2
+        except OverflowError:
+            # the square overflows, so the scale is tiny: divide twice
+            return self.kappa0 / self.ratio / self.ratio
 
 
 def build_error_model(spec: NoiseSpec, n_qubits: int) -> list[DephasingGenerator]:

@@ -24,22 +24,19 @@ The four storage experiments are declared once, in the table
 ``_SCENARIOS``: qubit count, collective noise or not, and the gates
 before and after the noise marker, built once at import.  It is the
 only source of a scenario's qubit count and collectiveness.
+
+Each validity fact is checked once, where it is used: gate targets by
+``embed`` when a gate runs, a noise marker's kind and attenuation when
+it is built, step types and generator widths when a ``Circuit`` is.
 """
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Union
 
 import numpy as np
 
-from .channels import (
-    NOISE_KINDS,
-    DephasingGenerator,
-    NoiseSpec,
-    attenuation,
-    build_error_model,
-)
+from .channels import DephasingGenerator, NoiseSpec, attenuation, build_error_model
 from .qstate import SX, DensityMatrix, Operator, check_stack, conjugate, embed
 
 __all__ = [
@@ -82,7 +79,8 @@ _CNOT_INTO_L = Operator(_CNOT_INTO_L)
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """A named unitary applied to specific qubits (in listed order)."""
+    """A named unitary applied to specific qubits (in listed order);
+    ``embed`` checks the targets against the matrix when the gate runs."""
 
     name: str
     matrix: Operator
@@ -90,36 +88,26 @@ class Gate:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"gate {self.name!r} has duplicate targets {self.targets}")
-        if self.matrix.dim != 2 ** len(self.targets):
-            raise ValueError(
-                f"gate {self.name!r}: matrix dimension {self.matrix.dim} does not fit "
-                f"{len(self.targets)} target(s)"
-            )
 
 
 @dataclass(frozen=True, eq=False)
 class NoiseStep:
     """Marker for the storage interval: the engineered noise acts here.
 
-    Its elementwise attenuation ``factor`` is computed once per marker,
-    read-only, and shared by every state run through it.
+    Its elementwise ``factor`` is computed, and the kind and finiteness
+    checked, by ``attenuation`` when the marker is built; it is
+    read-only and shared by every state run through the marker.
     """
 
     generators: tuple[DephasingGenerator, ...]
     kind: str
+    factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-
-    @functools.cached_property
-    def factor(self) -> np.ndarray:
         factor = np.asarray(attenuation(self.generators, self.kind))
         factor.setflags(write=False)
-        return factor
+        object.__setattr__(self, "factor", factor)
 
 
 Step = Union[Gate, NoiseStep]
@@ -127,24 +115,23 @@ Step = Union[Gate, NoiseStep]
 
 @dataclass(frozen=True, eq=False)
 class Circuit:
+    """Gates and noise markers on ``n_qubits``; building it checks the
+    step types and generator widths, running it the gate targets."""
+
     n_qubits: int
     steps: tuple[Step, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         for step in self.steps:
-            if isinstance(step, Gate):
-                bad = [q for q in step.targets if q < 1 or q > self.n_qubits]
-                if bad:
-                    raise ValueError(f"gate {step.name!r} targets {bad} outside 1..{self.n_qubits}")
-            elif isinstance(step, NoiseStep):
+            if isinstance(step, NoiseStep):
                 for gen in step.generators:
                     if gen.n_qubits != self.n_qubits:
                         raise ValueError(
                             f"noise generator {gen.label!r} is on {gen.n_qubits} qubit(s), "
                             f"circuit has {self.n_qubits}"
                         )
-            else:
+            elif not isinstance(step, Gate):
                 raise ValueError(f"unknown step type {type(step).__name__}")
 
 

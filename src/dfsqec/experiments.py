@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import INCOHERENT_SINC, NOISE_KINDS, COUPLING_CASES, NoiseSpec
-from .codes import SCENARIOS, Circuit, apply_circuit, build_scenario_circuit, scenario_layout
+from .codes import Circuit, apply_circuit, build_scenario_circuit, scenario_layout
 from .metrics import AXES, MetricReport, analytic_reference
 from .qstate import (
     DEVIATION,
@@ -107,8 +107,7 @@ class ScenarioConfig:
         object.__setattr__(self, "sweep", tuple(float(x) + 0.0 for x in self.sweep))
         object.__setattr__(self, "ratio", self.ratio + 0.0)
         object.__setattr__(self, "ancilla_purity", self.ancilla_purity + 0.0)
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
+        scenario_layout(self.scenario)  # raises on an unknown scenario
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.coupling_case not in COUPLING_CASES:

@@ -133,9 +133,14 @@ def analytic_reference(scenario: str, spec: NoiseSpec) -> float:
         if xc is None:
             raise ValueError("qec_hybrid reference needs the collective component")
         if spec.coupling_case == "a":
-            # one environment: the spreads add; the folded products
-            # lambda*t add as amplitudes on one axis
-            s3 = carrier(x + xc) if incoherent else carrier((np.sqrt(x) + np.sqrt(xc)) ** 2)
+            # one environment: the spreads add (halved first, so the sum
+            # cannot overflow); the folded products lambda*t add as
+            # amplitudes on one axis, and an overflowing one attenuates to 0
+            if incoherent:
+                s3 = float(sinc(x / 2.0 + xc / 2.0))
+            else:
+                with np.errstate(over="ignore"):
+                    s3 = carrier((np.sqrt(x) + np.sqrt(xc)) ** 2)
         else:
             # case "b": two environments, carrier-3 attenuation factorizes
             s3 = s0 * float(sinc(xc / 2.0)) if incoherent else carrier(x + xc)

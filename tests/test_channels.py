@@ -348,6 +348,8 @@ class TestAttenuation:
         (lambda: DephasingGenerator(np.array([]), 1.0), "weights must be a per-qubit vector"),
         (lambda: attenuation([], "bogus"), "unknown noise kind 'bogus'"),
         (lambda: noise_strength([single(1, 1, 1.0), single(1, 2, 1.0)]), "generators must share a common qubit count"),
+        (lambda: attenuation([single(1, 2, 1.0), single(1, 3, 1.0)], INCOHERENT_SINC), "generators must share a common qubit count"),
+        (lambda: attenuation([single(1, 2, 1.0), single(1, 3, 1.0)], MARKOVIAN_EXP), "generators must share a common qubit count"),
         (lambda: build_error_model(NoiseSpec(1.0), 5), "error model supports 3 or 4 qubits, got 5"),
     ],
 )
@@ -432,10 +434,11 @@ def test_noise_spec_validation():
         dict(kappa0=1.0, ratio=float("inf")),
         dict(kappa0=1e308, collective=True, ratio=0.5),
         dict(kappa0=1.0, collective=True, ratio=1e-200, kind=MARKOVIAN_EXP),
-        dict(kappa0=1.0, collective=True, ratio=1e200, kind=MARKOVIAN_EXP),
     ):
         with pytest.raises(ValueError, match="finite"):
             NoiseSpec(**bad)
+    # ratio**2 overflows, but the collective scale underflows to 0
+    assert NoiseSpec(1.0, collective=True, ratio=1e200, kind=MARKOVIAN_EXP).collective_scale() == 0.0
     with pytest.raises(ValueError, match="finite"):
         qubit3_strength_ratio(float("inf"))
     spec = NoiseSpec(2.0, collective=True, ratio=0.5)

@@ -283,8 +283,8 @@ def test_bad_input_is_one_error_line_and_no_output(argv, tmp_path, capsys):
 
 
 # one-point sweeps at the edges of the kappa0 and ratio ranges
-EDGE_KAPPA0 = ("0", "1", "1e300", "1.7e308")
-EDGE_RATIO = ("1e-320", "0.5", "1e300", "1.7e308")
+EDGE_KAPPA0 = ("0", "1", "1e300", "1e308", "1.7e308")
+EDGE_RATIO = ("1e-320", "0.5", "1", "1e300", "1.7e308")
 
 
 @pytest.mark.parametrize("ratio", EDGE_RATIO)
@@ -302,6 +302,20 @@ def test_edge_grid_sweep_succeeds_or_is_one_error_line(scenario, kind, case, kap
         assert err == "" and len(out.read_text().splitlines()) == 2
     else:
         assert rc == 1 and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_analytic_at_the_overflow_edge_is_finite(capsys):
+    # warnings are errors here; kappa0 + kappa_c overflows, its half does not
+    assert main(["analytic", "--curve", "qec-strong", "--kappa0", "1e308", "--ratio", "1"]) == 0
+    kappa0, fe = capsys.readouterr().out.splitlines()[1].split(",")
+    assert kappa0 == "1e+308" and math.isfinite(float(fe))
+
+
+@pytest.mark.parametrize("scenario", ["qec_hybrid", "dfs_qec"])
+def test_exp_sweep_accepts_a_ratio_whose_square_overflows(scenario, tmp_path):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--scenario", scenario, "--kind", "exp", "--kappa0", "0", "--ratio", "1e300"]
+    assert main(argv + ["--out", str(out)]) == 0
 
 
 def test_check_passes():

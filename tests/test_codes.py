@@ -347,11 +347,22 @@ class TestScenarioCircuits:
         with pytest.raises(ValueError, match="unknown scenario"):
             build_scenario_circuit("five_qubit", NoiseSpec(1.0))
 
+    def test_noise_marker_is_checked_when_built(self):
+        # the marker's attenuation is computed by build_scenario_circuit,
+        # not by the first run
+        spec = NoiseSpec(1e308, collective=True, ratio=1.0, coupling_case="a", kind=INCOHERENT_SINC)
+        with pytest.raises(ValueError, match="^noise attenuation is not finite"):
+            build_scenario_circuit("qec_hybrid", spec)
+
 
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: NoiseStep((), "bogus"), "unknown noise kind 'bogus'"),
+        (
+            lambda: NoiseStep((DephasingGenerator([1.0], 1.0), DephasingGenerator([1.0, 1.0], 1.0)), MARKOVIAN_EXP),
+            "generators must share a common qubit count",
+        ),
         (lambda: Circuit(2, ("H",)), "unknown step type str"),
         (
             lambda: apply_circuit(basis_state("000"), Circuit(2, (hadamard(1),))),
@@ -365,18 +376,25 @@ def test_error_messages(call, message):
     assert str(info.value) == message
 
 
+def assert_run_rejects(circuit, message):
+    """Both ways of running ``circuit`` raise ``message`` before any state."""
+    rho = basis_state("0" * circuit.n_qubits)
+    with pytest.raises(ValueError, match=message):
+        apply_circuit(rho, circuit)
+    with pytest.raises(ValueError, match=message):
+        next(circuit_states(rho, circuit))
+
+
 class TestCircuitPlumbing:
     def test_gate_validation(self):
         with pytest.raises(ValueError, match="unitary"):
             Gate("bad", Operator(np.diag([1.0, 2.0])), (1,))
-        with pytest.raises(ValueError, match="duplicate"):
-            Gate("bad", cnot(1, 2).matrix, (1, 1))
-        with pytest.raises(ValueError, match="does not fit"):
-            Gate("bad", SZ, (1, 2))
+        # targets are checked by embed, when the gate runs
+        assert_run_rejects(Circuit(2, (Gate("bad", cnot(1, 2).matrix, (1, 1)),)), r"^duplicate target qubit in \[1, 1\]$")
+        assert_run_rejects(Circuit(2, (Gate("bad", SZ, (1, 2)),)), "^gate of dimension 2 does not fit 2 target")
 
     def test_circuit_target_range_checked(self):
-        with pytest.raises(ValueError, match="outside"):
-            Circuit(2, (hadamard(3),))
+        assert_run_rejects(Circuit(2, (hadamard(3),)), r"^targets \[3\] out of range 1..2$")
 
     def test_circuit_noise_generator_width_checked(self):
         gen = DephasingGenerator(np.array([1.0]), 1.0, "z1")
