@@ -289,11 +289,12 @@ class NoiseSpec:
             return self.kappa0 / self.ratio / self.ratio
 
 
-def build_error_model(spec: NoiseSpec, n_qubits: int) -> list[DephasingGenerator]:
-    """Generators realizing a NoiseSpec on a 3- or 4-qubit register.
+def build_error_model(spec: NoiseSpec) -> list[DephasingGenerator]:
+    """Generators realizing a NoiseSpec; the spec fixes the register,
+    qubits 1-3, plus qubit 4 when ``spec.collective`` is set.
 
     Independent axes act on qubits 1, 2 and 3 with scale ``kappa0``.
-    The collective axis (4-qubit layouts only) acts on qubits 3 and 4.
+    The collective axis acts on qubits 3 and 4.
     In case "a" the independent qubit-3 axis and the collective axis
     are one and the same environment: they are emitted as a single
     generator with weights (1 + e, 1) on qubits (3, 4), where e is the
@@ -304,10 +305,7 @@ def build_error_model(spec: NoiseSpec, n_qubits: int) -> list[DephasingGenerator
     collective scale only the residual qubit-3 axis is emitted.  In
     case "b" the collective and residual generators stay separate.
     """
-    if n_qubits not in (3, 4):
-        raise ValueError(f"error model supports 3 or 4 qubits, got {n_qubits}")
-    if spec.collective and n_qubits != 4:
-        raise ValueError("collective dephasing requires the four-qubit layout")
+    n_qubits = 4 if spec.collective else 3
 
     def axis(qubit: int, strength: float, label: str) -> DephasingGenerator:
         w = np.zeros(n_qubits)

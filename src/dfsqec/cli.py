@@ -24,7 +24,7 @@ from .channels import (
     partial_strengths,
     qubit3_strength_ratio,
 )
-from .codes import SCENARIOS, scenario_layout
+from .codes import SCENARIOS
 from .experiments import (
     ScenarioConfig,
     emit_csv,
@@ -46,7 +46,13 @@ ANALYTIC_CURVES = {"qec-independent": "qec_independent", "qec-strong": "qec_hybr
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    """Parse ``start:stop:step``, a comma list, or a single value."""
+    """Parse ``start:stop:step``, a comma list, or a single value.
+
+    A ``start:stop:step`` grid is ``start + k * step`` for ``k < n``,
+    with ``n = floor((stop - start) / step + 1e-9) + 1``: a point less
+    than a billionth of a step past ``stop`` is on the grid.  The count
+    is checked against ``MAX_GRID_POINTS`` before any value is built.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -56,19 +62,12 @@ def parse_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"grid bounds and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError(f"grid step must be > 0, got {step}")
-        if (stop - start) / step + 1 > MAX_GRID_POINTS:
+        last = (stop - start) / step + 1e-9  # the last k before the floor; +-inf on overflow
+        if last >= MAX_GRID_POINTS:
             raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-        values = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-9 * max(1.0, step):
-                break
-            values.append(v)
-            k += 1
-        if not values:
+        if last < 0:
             raise ValueError(f"grid {text!r} is empty")
-        return tuple(values)
+        return tuple(start + k * step for k in range(math.floor(last) + 1))
     return tuple(float(p) + 0.0 for p in text.split(","))  # -0 reads as 0
 
 
@@ -121,7 +120,7 @@ _JSON_FIELDS = {
 def _config_from_json(raw) -> ScenarioConfig:
     """ScenarioConfig from a JSON object whose fields are named and typed
     as its own, plus ``epsilon`` (read by noise-strength); ``kind`` also
-    takes the CLI aliases."""
+    takes the CLI aliases, and ``sweep`` defaults to one point, 1.0."""
     if not isinstance(raw, dict):
         raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     unknown = set(raw) - set(_JSON_FIELDS)
@@ -132,7 +131,7 @@ def _config_from_json(raw) -> ScenarioConfig:
         if not check(value):
             raise ValueError(f"config field {key!r} must be {expected}, got {json.dumps(value)}")
     kind = raw.get("kind", INCOHERENT_SINC)
-    kwargs = {"scenario": "qec_independent", **{k: v for k, v in raw.items() if k != "epsilon"}}
+    kwargs = {"scenario": "qec_independent", "sweep": [1.0], **{k: v for k, v in raw.items() if k != "epsilon"}}
     kwargs["kind"] = KIND_ALIASES.get(kind, kind)
     return ScenarioConfig(**kwargs)
 
@@ -144,16 +143,14 @@ def _cmd_noise_strength(args: argparse.Namespace) -> int:
         except RecursionError:
             raise ValueError(f"{args.spec}: JSON is nested too deeply") from None
     config = _config_from_json(raw)
-    sweep = config.sweep if "sweep" in raw else (1.0,)
-    if not sweep:
+    if not config.sweep:
         raise ValueError("config field 'sweep' is empty")
     epsilon = raw.get("epsilon")
     ratio = None if epsilon is None else qubit3_strength_ratio(epsilon)
-    n, _ = scenario_layout(config.scenario)
     # every point is computed, and checked, before anything is printed
     lines = []
-    for x in sweep:
-        gens = build_error_model(config.noise_spec(x), n)
+    for x in config.sweep:
+        gens = build_error_model(config.noise_spec(x))
         lines.append(f"kappa0={format_number(x)} lambda={format_number(noise_strength(gens))}")
         for gen, lam_mu in zip(gens, partial_strengths(gens)):
             weights = "(" + ",".join(format_number(w) for w in gen.weights) + ")"

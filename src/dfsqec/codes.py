@@ -216,7 +216,7 @@ def build_scenario_circuit(scenario: str, spec: NoiseSpec) -> Circuit:
         want = "the collective noise component" if collective else "independent noise only"
         raise ValueError(f"{scenario} requires {want}")
     _, _, before, after = _SCENARIOS[scenario]
-    noise = NoiseStep(tuple(build_error_model(spec, n)), kind=spec.kind)
+    noise = NoiseStep(tuple(build_error_model(spec)), kind=spec.kind)
     return Circuit(n, before + (noise,) + after)
 
 

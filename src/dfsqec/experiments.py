@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import INCOHERENT_SINC, NOISE_KINDS, COUPLING_CASES, NoiseSpec
+from .channels import INCOHERENT_SINC, NoiseSpec
 from .codes import Circuit, apply_circuit, build_scenario_circuit, scenario_layout
 from .metrics import AXES, MetricReport, analytic_reference
 from .qstate import (
@@ -108,10 +108,7 @@ class ScenarioConfig:
         object.__setattr__(self, "ratio", self.ratio + 0.0)
         object.__setattr__(self, "ancilla_purity", self.ancilla_purity + 0.0)
         scenario_layout(self.scenario)  # raises on an unknown scenario
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.coupling_case not in COUPLING_CASES:
-            raise ValueError(f"coupling case must be one of {COUPLING_CASES}")
+        NoiseSpec(0.0, kind=self.kind, coupling_case=self.coupling_case)  # raises on an unknown kind or case
         if not all(math.isfinite(x) for x in self.sweep):
             raise ValueError("sweep values must be finite")
         if any(x < 0 for x in self.sweep):
@@ -302,8 +299,9 @@ def emit_chart(results: Sequence[ScenarioResult], path: str | Path) -> None:
 
 def load_csv_series(path: str | Path) -> list[ChartSeries]:
     """Rebuild chart series from a CSV written by emit_csv; a missing
-    column, or a row whose kappa0, Fe or Fe_analytic is not a finite
-    number, raises ValueError naming the file and column or line."""
+    column, or a row whose kappa0 is not a finite number >= 0 or whose
+    Fe or Fe_analytic is not a number in [0, 1], raises ValueError
+    naming the file and column or line."""
     groups: dict[str, list[tuple[float, float, float | None]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -319,8 +317,8 @@ def load_csv_series(path: str | Path) -> list[ChartSeries]:
                 fe_a = float(row["Fe_analytic"]) if row["Fe_analytic"] else None
             except (TypeError, ValueError):
                 raise ValueError(f"{where}: kappa0, Fe and Fe_analytic must be numbers") from None
-            if not all(math.isfinite(v) for v in (x, fe, fe_a) if v is not None):
-                raise ValueError(f"{where}: kappa0, Fe and Fe_analytic must be finite")
+            if not (0.0 <= x < math.inf and all(0.0 <= v <= 1.0 for v in (fe, fe_a) if v is not None)):
+                raise ValueError(f"{where}: kappa0 must be finite and >= 0, Fe and Fe_analytic in [0, 1]")
             groups.setdefault(row["scenario"], []).append((x, fe, fe_a))
     series = []
     for label, rows in groups.items():

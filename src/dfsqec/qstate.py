@@ -155,10 +155,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    @property
-    def n_qubits(self) -> int:
-        return self.dim.bit_length() - 1
-
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 

@@ -247,7 +247,7 @@ class TestNoiseStrength:
 
 class TestBuildErrorModel:
     def test_independent_three_generators(self):
-        gens = build_error_model(NoiseSpec(1.5), 3)
+        gens = build_error_model(NoiseSpec(1.5))
         assert [g.label for g in gens] == ["z1", "z2", "z3"]
         got = np.array([g.weights for g in gens])
         assert np.array_equal(got, np.eye(3))
@@ -255,7 +255,7 @@ class TestBuildErrorModel:
 
     def test_case_a_total_qubit3_spread_is_three_x(self):
         x = 0.8
-        gens = build_error_model(NoiseSpec(x, collective=True, ratio=0.5), 4)
+        gens = build_error_model(NoiseSpec(x, collective=True, ratio=0.5))
         combined = gens[-1]
         assert combined.label == "z34-combined"
         # qubit-3 amplitude: weight * spread = (1 + ratio) * kappa_c = 3x
@@ -263,7 +263,7 @@ class TestBuildErrorModel:
         assert combined.weights[3] == 1.0
 
     def test_case_b_keeps_generators_separate(self):
-        gens = build_error_model(NoiseSpec(1.0, collective=True, ratio=0.5, coupling_case="b"), 4)
+        gens = build_error_model(NoiseSpec(1.0, collective=True, ratio=0.5, coupling_case="b"))
         labels = [g.label for g in gens]
         assert labels == ["z1", "z2", "z34-collective", "z3-residual"]
         assert gens[2].strength == pytest.approx(2.0)
@@ -271,20 +271,16 @@ class TestBuildErrorModel:
     def test_zero_scale_generators_act_as_identity(self, rng):
         rho = random_state(rng, 4)
         for case in ("a", "b"):
-            gens = build_error_model(NoiseSpec(0.0, collective=True, coupling_case=case), 4)
+            gens = build_error_model(NoiseSpec(0.0, collective=True, coupling_case=case))
             for kind in (INCOHERENT_SINC, MARKOVIAN_EXP):
                 assert np.array_equal(rho.entries * attenuation(gens, kind), rho.entries)
-
-    def test_collective_requires_four_qubits(self):
-        with pytest.raises(ValueError, match="four-qubit"):
-            build_error_model(NoiseSpec(1.0, collective=True), 3)
 
     def test_nonpositive_ratio_rejected(self):
         with pytest.raises(ValueError, match="ratio"):
             NoiseSpec(1.0, collective=True, ratio=0.0)
 
     def test_markovian_scales(self):
-        gens = build_error_model(NoiseSpec(1.0, collective=True, kind=MARKOVIAN_EXP), 4)
+        gens = build_error_model(NoiseSpec(1.0, collective=True, kind=MARKOVIAN_EXP))
         combined = gens[-1]
         # rates scale as amplitude squared: lambda_c = lambda_0 / ratio^2
         assert combined.strength == pytest.approx(4.0)
@@ -296,7 +292,7 @@ class TestBuildErrorModel:
         # the weight is the spec's ratio, not a quotient of the scales,
         # so it keeps its bits from subnormal kappa0 up
         for x in np.geomspace(1e-320, 1e3, 1000):
-            combined = build_error_model(NoiseSpec(float(x), True, ratio, "a", kind), 4)[-1]
+            combined = build_error_model(NoiseSpec(float(x), True, ratio, "a", kind))[-1]
             assert combined.label == "z34-combined"
             assert combined.weights[2] == 1.0 + ratio
 
@@ -307,9 +303,8 @@ class TestAttenuation:
     def test_factor_is_the_in_order_product_of_single_factors(self, kind, collective, case):
         # the stacked evaluation multiplies generator by generator, in
         # order, from 1.0: the bits of a running product
-        n = 4 if collective else 3
         for x in np.linspace(0.0, 12.0, 49):
-            gens = build_error_model(NoiseSpec(float(x), collective, 0.3, case, kind), n)
+            gens = build_error_model(NoiseSpec(float(x), collective, 0.3, case, kind))
             want = 1.0
             for gen in gens:
                 want = want * attenuation([gen], kind)
@@ -350,7 +345,6 @@ class TestAttenuation:
         (lambda: noise_strength([single(1, 1, 1.0), single(1, 2, 1.0)]), "generators must share a common qubit count"),
         (lambda: attenuation([single(1, 2, 1.0), single(1, 3, 1.0)], INCOHERENT_SINC), "generators must share a common qubit count"),
         (lambda: attenuation([single(1, 2, 1.0), single(1, 3, 1.0)], MARKOVIAN_EXP), "generators must share a common qubit count"),
-        (lambda: build_error_model(NoiseSpec(1.0), 5), "error model supports 3 or 4 qubits, got 5"),
     ],
 )
 def test_error_messages(call, message):

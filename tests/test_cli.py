@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from xml.etree import ElementTree
 import pytest
 
 import dfsqec
-from dfsqec.cli import _JSON_FIELDS, main, parse_grid
+from dfsqec.cli import _JSON_FIELDS, MAX_GRID_POINTS, main, parse_grid
 from dfsqec.experiments import CSV_HEADER, ScenarioConfig
 from dfsqec.metrics import analytic_fe_qec_independent, analytic_fe_qec_strong
 
@@ -40,6 +41,38 @@ class TestParseGrid:
             parse_grid("0:1:-1")
         with pytest.raises(ValueError, match="empty"):
             parse_grid("5:1:1")
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [("0:1e-9:1e-10", 11), ("0:1e-12:1e-13", 11), ("0:1e-13:1e-14", 11), ("5e-324:1e-323:5e-324", 2)],
+    )
+    def test_one_count_sizes_a_small_step_grid(self, text, n):
+        start, _, step = map(float, text.split(":"))
+        assert parse_grid(text) == tuple(start + k * step for k in range(n))
+
+    def test_point_within_a_billionth_of_a_step_past_stop_is_on_the_grid(self):
+        assert parse_grid("0:0.9999999999:0.5") == (0.0, 0.5, 1.0)
+        assert parse_grid("0:0.999999:0.5") == (0.0, 0.5)
+
+    @pytest.mark.parametrize("span", [12.0, 5.0])
+    def test_benchmark_long_sweep_form_gives_exact_points(self, span):
+        # a 1000-point grid written as start:stop:step with stop = start + 999 * step
+        rng = random.Random(1234)
+        step = span / 1000
+        for _ in range(200):
+            start = rng.uniform(0.0, step)
+            stop = start + 999 * step
+            assert parse_grid(f"{start!r}:{stop!r}:{step!r}") == tuple(start + k * step for k in range(1000))
+
+    def test_grid_size_limit(self):
+        assert len(parse_grid(f"0:{MAX_GRID_POINTS - 1}:1")) == MAX_GRID_POINTS
+        # each count is rejected without building a value: 1e300 points,
+        # and a span that overflows to inf
+        for text in (f"0:{MAX_GRID_POINTS}:1", "0:1:1e-300", "-1e308:1e308:1"):
+            with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+                parse_grid(text)
+        with pytest.raises(ValueError, match="empty"):
+            parse_grid("1e308:-1e308:1")
 
 
 class TestSweep:
@@ -259,6 +292,14 @@ class TestChart:
         ["chart", "--in", "scenario,kappa0,Fe\nno_qec,0,1\n"],
         ["chart", "--in", CSV_HEADER + "\nno_qec,incoherent_sinc,a,nan,0.5,1,1,1,1,1,1,1,1,1,1\n"],
         ["chart", "--in", CSV_HEADER + "\nno_qec,incoherent_sinc,a,0,0.5,1,1,1,1,nan,1,1,1,1,1\n"],
+        # the SVG's y ticks run from the lowest Fe up in steps of 0.1, and
+        # its x scale divides by the kappa0 span: such rows hang or give nan
+        ["chart", "--in", "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1,-2000,1\n"],
+        ["chart", "--in", "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1,-1e17,1\n"],
+        ["chart", "--in", "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1,1.5,1\n"],
+        ["chart", "--in", "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1,1,-0.5\n"],
+        ["chart", "--in", "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,-1,1,1\n"],
+        ["chart", "--in", "scenario,kappa0,Fe,Fe_analytic\nA,-1e308,1,1\nA,1e308,1,1\n"],
     ],
 )
 def test_bad_input_is_one_error_line_and_no_output(argv, tmp_path, capsys):

@@ -120,7 +120,7 @@ class TestPrepareInputs:
 
     def test_three_qubit_variant(self):
         rho = prepare_inputs("y", 1.0, 3)
-        assert rho.n_qubits == 3
+        assert rho.dim == 8
 
     def test_invalid_axis_rejected(self):
         with pytest.raises(ValueError, match="axis"):
@@ -480,7 +480,7 @@ class TestCsv:
     "call, message",
     [
         (lambda path: ScenarioConfig("no_qec", kind="bogus"), "unknown noise kind 'bogus'"),
-        (lambda path: ScenarioConfig("no_qec", coupling_case="c"), "coupling case must be one of ('a', 'b')"),
+        (lambda path: ScenarioConfig("no_qec", coupling_case="c"), "coupling case must be one of ('a', 'b'), got 'c'"),
         (lambda path: prepare_inputs("x", n_qubits=1), "need the data qubit plus at least one ancilla"),
         (lambda path: load_csv_series(path), "{path}, line 3: empty scenario"),
     ],
