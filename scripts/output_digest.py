@@ -21,7 +21,9 @@ sets.  In every error model the CLI builds, the generators' squared
 jump diagonals peak on one shared basis state, so the two terms of
 ``noise_strength``, sum_mu max l_mu^2 and max sum_mu l_mu^2, are equal
 there; the hand-built sets, such as weights (1, 1, 0) with (1, -1, 0),
-peak on different states and tell the terms apart.
+peak on different states and tell the terms apart.  The fourth hashes
+the ``emit_chart`` bytes of the four scenarios' ``DEFAULT_SWEEP`` sweeps,
+one chart per noise kind: the figures ``scripts/run_sweeps.py`` draws.
 """
 import contextlib
 import hashlib
@@ -33,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from dfsqec import ScenarioConfig, cli, emit_csv, run_scenario
+from dfsqec import ScenarioConfig, cli, emit_chart, emit_csv, run_scenario
 from dfsqec.channels import COUPLING_CASES, NOISE_KINDS, DephasingGenerator, noise_strength, partial_strengths
 from dfsqec.codes import SCENARIOS
 from dfsqec.experiments import DEFAULT_SWEEP, pauli_transfer_matrix
@@ -144,10 +146,21 @@ def noise_digest() -> str:
     return digest.hexdigest()
 
 
+def svg_digest() -> str:
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fidelity.svg"
+        for kind in NOISE_KINDS:
+            emit_chart([run_scenario(ScenarioConfig(scenario, kind=kind)) for scenario in SCENARIOS], path)
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def main() -> int:
     print(f"csv_sha256 {csv_digest()}  ({len(csv_configs())} configs)")
     print(f"ptm_sha256 {ptm_digest()}  ({len(probes())} probes)")
     print(f"noise_sha256 {noise_digest()}  ({len(noise_configs())} configs, {len(generator_sets())} generator sets)")
+    print(f"svg_sha256 {svg_digest()}  ({len(NOISE_KINDS)} charts)")
     return 0
 
 

@@ -23,6 +23,9 @@ and the correlations and polarizations each come from one batched
 overlap over the sweep's ``(3, 2, 2)`` stack.  The stack's rows have the
 bits that ``partial_trace``, ``correlation`` and ``hs_overlap`` give one
 state at a time.
+
+The chart's one range rule is ``write_svg_chart``'s: kappa0 finite and
+>= 0, fidelities in [0, 1]; ``emit_chart`` and ``load_csv_series`` feed it.
 """
 from __future__ import annotations
 
@@ -72,9 +75,8 @@ DEFAULT_SWEEP = tuple(0.5 * k for k in range(25))
 DATA_QUBIT = 2
 
 # the sweep config's columns, then the measured ones: MetricReport's fields
-CSV_HEADER = ",".join(
-    ["scenario", "kind", "case", "kappa0", "ratio", "ancilla_purity"] + [f.name for f in fields(MetricReport)]
-)
+_MEASURED = tuple(f.name for f in fields(MetricReport))
+CSV_HEADER = ",".join(("scenario", "kind", "case", "kappa0", "ratio", "ancilla_purity") + _MEASURED)
 
 # columns load_csv_series reads back for a chart
 _CHART_COLUMNS = ("scenario", "kappa0", "Fe", "Fe_analytic")
@@ -262,10 +264,9 @@ def emit_csv(result: ScenarioResult, path: str | Path) -> None:
     every number, kappa0 to the last report field, by ``format_number``."""
     cfg = result.config
     head = [cfg.scenario, cfg.kind, cfg.coupling_case]
-    measured = [f.name for f in fields(MetricReport)]
     lines = [CSV_HEADER]
     for pt in result.points:
-        numbers = [pt.kappa0, cfg.ratio, cfg.ancilla_purity] + [getattr(pt.report, name) for name in measured]
+        numbers = [pt.kappa0, cfg.ratio, cfg.ancilla_purity] + [getattr(pt.report, name) for name in _MEASURED]
         lines.append(",".join(head + [format_number(x) for x in numbers]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
@@ -283,25 +284,25 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
-def _series_from_result(result: ScenarioResult) -> ChartSeries:
-    pts = tuple((p.kappa0, p.report.Fe) for p in result.points)
-    curve = tuple((p.kappa0, p.report.Fe_analytic) for p in result.points)
-    return ChartSeries(result.config.scenario, pts, curve or None)
+def _series(label: str, rows: Sequence[tuple[float, float, float | None]]) -> ChartSeries:
+    """A series from (kappa0, Fe, Fe_analytic or None) rows: every row is
+    a point, and the rows with a closed form make the curve, if any."""
+    curve = tuple((x, fa) for x, _, fa in rows if fa is not None)
+    return ChartSeries(label, tuple((x, fe) for x, fe, _ in rows), curve or None)
 
 
 def emit_chart(results: Sequence[ScenarioResult], path: str | Path) -> None:
     """Self-contained SVG: simulated points as markers, closed-form
     references as continuous lines, one legend entry per scenario."""
-    if not results:
-        raise ValueError("need at least one scenario result")
-    write_svg_chart([_series_from_result(r) for r in results], path)
+    rows = [(r.config.scenario, [(p.kappa0, p.report.Fe, p.report.Fe_analytic) for p in r.points]) for r in results]
+    write_svg_chart([_series(label, pts) for label, pts in rows], path)
 
 
 def load_csv_series(path: str | Path) -> list[ChartSeries]:
     """Rebuild chart series from a CSV written by emit_csv; a missing
-    column, or a row whose kappa0 is not a finite number >= 0 or whose
-    Fe or Fe_analytic is not a number in [0, 1], raises ValueError
-    naming the file and column or line."""
+    column, an empty scenario, or a kappa0, Fe or Fe_analytic cell that
+    is not a number raises ValueError naming the file and column or
+    line.  The values' range is the chart's to check."""
     groups: dict[str, list[tuple[float, float, float | None]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -317,33 +318,33 @@ def load_csv_series(path: str | Path) -> list[ChartSeries]:
                 fe_a = float(row["Fe_analytic"]) if row["Fe_analytic"] else None
             except (TypeError, ValueError):
                 raise ValueError(f"{where}: kappa0, Fe and Fe_analytic must be numbers") from None
-            if not (0.0 <= x < math.inf and all(0.0 <= v <= 1.0 for v in (fe, fe_a) if v is not None)):
-                raise ValueError(f"{where}: kappa0 must be finite and >= 0, Fe and Fe_analytic in [0, 1]")
             groups.setdefault(row["scenario"], []).append((x, fe, fe_a))
-    series = []
-    for label, rows in groups.items():
-        pts = tuple((x, fe) for x, fe, _ in rows)
-        curve = tuple((x, fa) for x, _, fa in rows if fa is not None)
-        series.append(ChartSeries(label, pts, curve or None))
-    return series
+    return [_series(label, rows) for label, rows in groups.items()]
 
 
 def write_svg_chart(series: Sequence[ChartSeries], path: str | Path) -> None:
+    """Draw the series as one SVG: points as markers, curves as lines, one
+    legend entry per series.  The domain is kappa0 finite and >= 0, y in
+    [0, 1]; no series, or a point or curve value outside it (NaN is),
+    raises ValueError before the file is opened."""
     if not series:
         raise ValueError("need at least one series")
+    values = [(s.label, x, y) for s in series for x, y in (*s.points, *(s.curve or ()))]
+    for label, x, y in values:
+        if not (0.0 <= x < math.inf and 0.0 <= y <= 1.0):
+            raise ValueError(f"series {label!r} has ({x}, {y}): kappa0 must be finite and >= 0, y in [0, 1]")
     width, height = 720.0, 480.0
     left, right, top, bottom = 70.0, 170.0, 20.0, 50.0
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    xs = [x for s in series for x, _ in s.points] or [0.0]
-    ys = [y for s in series for _, y in s.points]
-    ys += [y for s in series if s.curve for _, y in s.curve]
-    ys = ys or [1.0]
+    # the axes span the points and the curves, so every value lands inside the frame
+    xs = [x for _, x, _ in values] or [0.0]
+    ys = [y for _, _, y in values] or [1.0]
     x_lo, x_hi = min(xs), max(xs)
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 1.0, x_hi + 1.0
-    y_lo = min(0.9, np.floor((min(ys) - 0.03) * 20.0) / 20.0)
+    if x_hi == x_lo:  # one kappa0: pad it by 1, or start the axis at 0 where the padding rounds away
+        x_lo, x_hi = (x_lo - 1.0, x_hi + 1.0) if x_lo - 1.0 < x_hi + 1.0 else (0.0, x_hi)
+    y_lo = min(0.9, math.floor((min(ys) - 0.03) * 20.0) / 20.0)
     y_hi = 1.02
 
     def px(x: float) -> float:
@@ -359,9 +360,9 @@ def write_svg_chart(series: Sequence[ChartSeries], path: str | Path) -> None:
         f'<rect x="{left:.1f}" y="{top:.1f}" width="{plot_w:.1f}" height="{plot_h:.1f}" '
         'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
-    # y ticks at 0.1 intervals, x ticks at 6 even divisions
-    y_tick = np.ceil(y_lo * 10.0) / 10.0
-    while y_tick <= y_hi + 1e-9:
+    # y ticks at k / 10 up to 1, at most 11 since y_lo >= -0.05; x ticks at 6 even divisions
+    for k in range(math.ceil(y_lo * 10.0), 11):
+        y_tick = k / 10.0
         yy = py(y_tick)
         out.append(
             f'<line x1="{left - 4:.1f}" y1="{yy:.2f}" x2="{left:.1f}" y2="{yy:.2f}" stroke="#444444"/>'
@@ -370,9 +371,8 @@ def write_svg_chart(series: Sequence[ChartSeries], path: str | Path) -> None:
             f'<text x="{left - 8:.1f}" y="{yy + 4:.2f}" text-anchor="end" font-size="12" '
             f'font-family="sans-serif">{y_tick:.2f}</text>'
         )
-        y_tick += 0.1
     for k in range(7):
-        xv = x_lo + (x_hi - x_lo) * k / 6.0
+        xv = x_lo + (x_hi - x_lo) * (k / 6.0)  # k / 6 <= 1, so a span near the float limit stays finite
         xx = px(xv)
         out.append(
             f'<line x1="{xx:.2f}" y1="{top + plot_h:.1f}" x2="{xx:.2f}" '

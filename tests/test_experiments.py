@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
@@ -463,10 +465,9 @@ class TestCsv:
         "text, match",
         [
             ("scenario,kappa0,Fe\nno_qec,0,1\n", "missing column.*Fe_analytic"),
-            ("scenario,kappa0,Fe,Fe_analytic\nno_qec,0,1,1\nno_qec,nan,1,1\n", "line 3.*finite"),
             ("scenario,kappa0,Fe,Fe_analytic\nno_qec,0,x,1\n", "line 2.*numbers"),
         ],
-        ids=["missing-column", "nan-kappa0", "text-Fe"],
+        ids=["missing-column", "text-Fe"],
     )
     def test_loader_rejects_bad_csv(self, tmp_path, text, match):
         bad = tmp_path / "bad.csv"
@@ -535,6 +536,68 @@ class TestChart:
         emit_chart([res], a)
         emit_chart([res], b)
         assert file_hash(a) == file_hash(b)
+
+    @pytest.mark.parametrize(
+        "series",
+        [
+            ChartSeries("A", ((0.0, 1.0), (1.0, -2000.0))),
+            ChartSeries("A", ((-1e308, 1.0), (1e308, 0.5))),
+            ChartSeries("A", ((0.0, 1.0), (-1.0, 1.0))),
+            ChartSeries("A", ((0.0, 1.0), (1.0, math.nan))),
+            ChartSeries("A", ((0.0, 1.0), (1.0, 0.9)), ((0.0, 1.0), (1.0, 1.5))),
+        ],
+        ids=["y-2000", "kappa0-1e308", "kappa0-negative", "nan-y", "curve-1.5"],
+    )
+    def test_out_of_domain_value_is_one_error_and_no_file(self, tmp_path, series):
+        # unchecked, y = -2000 draws 20,018 tick lines and kappa0 = +-1e308 nan coordinates
+        out = tmp_path / "bad.svg"
+        with pytest.raises(ValueError, match="finite") as info:
+            write_svg_chart([ChartSeries("ok", ((0.0, 1.0),)), series], out)
+        assert str(info.value).startswith("series 'A' has (") and len(str(info.value).splitlines()) == 1
+        assert not out.exists()
+
+    def test_loaded_nan_kappa0_is_rejected_by_the_chart(self, tmp_path):
+        # the loader only parses; the range is the chart's
+        src, out = tmp_path / "nan.csv", tmp_path / "nan.svg"
+        src.write_text("scenario,kappa0,Fe,Fe_analytic\nno_qec,0,1,1\nno_qec,nan,1,1\n")
+        (series,) = load_csv_series(src)
+        assert math.isnan(series.points[1][0])
+        with pytest.raises(ValueError, match="'no_qec' has \\(nan, 1.0\\).*finite"):
+            write_svg_chart([series], out)
+        assert not out.exists()
+
+    def test_emit_chart_applies_the_same_rule(self, tmp_path):
+        res = run_scenario(ScenarioConfig("no_qec", sweep=(0.0, 1.0)))
+        first = res.points[0]
+        bad = dataclasses.replace(first, report=dataclasses.replace(first.report, Fe_analytic=1.0 + 1e-9))
+        out = tmp_path / "bad.svg"
+        with pytest.raises(ValueError, match="'no_qec'.*finite"):
+            emit_chart([dataclasses.replace(res, points=(bad,) + res.points[1:])], out)
+        assert not out.exists()
+
+    def test_zero_tick_is_unsigned_and_ticks_are_counted(self, tmp_path):
+        # the lowest y 0.01 puts the axis at -0.05; the zero tick is k = 0 of k / 10, so it has no sign
+        out = tmp_path / "low.svg"
+        write_svg_chart([ChartSeries("low", ((0.0, 0.01), (1.0, 1.0)))], out)
+        labels = re.findall(r'text-anchor="end"[^>]*>([^<]*)<', out.read_text())
+        assert labels == [f"{k / 10:.2f}" for k in range(11)]
+
+    @pytest.mark.parametrize("kappa0s", [(0.0,), (1.0,), (1e17,), (1.7976931348623157e308,), (0.0, 1e308)])
+    def test_kappa0_anywhere_in_the_domain_draws(self, tmp_path, kappa0s):
+        # a lone kappa0 past 2**53 absorbs a padding of +-1, and six
+        # times a span past 3e307 overflows
+        out = tmp_path / "wide.svg"
+        points = tuple((x, 0.5) for x in kappa0s)
+        write_svg_chart([ChartSeries("wide", points, points)], out)
+        text = out.read_text()
+        assert "nan" not in text and "inf" not in text and text.count('class="pt pt-wide"') == len(kappa0s)
+
+    def test_curve_past_the_last_point_stays_in_the_frame(self, tmp_path):
+        out = tmp_path / "long.svg"
+        write_svg_chart([ChartSeries("long", ((0.0, 1.0), (1.0, 0.9)), ((0.0, 1.0), (5.0, 0.5)))], out)
+        (points,) = re.findall(r'<polyline[^>]* points="([^"]*)"', out.read_text())
+        # the frame runs from x = 70 to 70 + 480
+        assert [float(p.split(",")[0]) for p in points.split()] == [70.0, 550.0]
 
     def test_series_without_curve(self, tmp_path):
         series = ChartSeries("bare", ((0.0, 1.0), (1.0, 0.9)))
