@@ -46,6 +46,7 @@ __all__ = [
     "partial_strengths",
     "qubit3_strength_ratio",
     "build_error_model",
+    "collective_scale_of",
 ]
 
 INCOHERENT_SINC = "incoherent_sinc"
@@ -278,15 +279,19 @@ class NoiseSpec:
 
     def collective_scale(self) -> float | None:
         """Strength of the collective axis, None when disabled."""
-        if not self.collective:
-            return None
-        if self.kind == INCOHERENT_SINC:
-            return self.kappa0 / self.ratio
-        try:
-            return self.kappa0 / self.ratio**2
-        except OverflowError:
-            # the square overflows, so the scale is tiny: divide twice
-            return self.kappa0 / self.ratio / self.ratio
+        return collective_scale_of(self.kappa0, self.ratio, self.kind) if self.collective else None
+
+
+def collective_scale_of(kappa0, ratio: float, kind: str):
+    """The collective scale of ``kappa0``, a float or an array of them:
+    ``kappa0 / ratio`` (incoherent) or ``kappa0 / ratio**2`` (Markovian)."""
+    if kind == INCOHERENT_SINC:
+        return kappa0 / ratio
+    try:
+        return kappa0 / ratio**2
+    except OverflowError:
+        # the square overflows, so the scale is tiny: divide twice
+        return kappa0 / ratio / ratio
 
 
 def build_error_model(spec: NoiseSpec) -> list[DephasingGenerator]:

@@ -16,13 +16,15 @@ Every sweep, transfer-matrix probe and ``prepare_inputs`` call builds
 the same four inputs as one stack: I/2, sigma_x, sigma_y, sigma_z on
 qubit 2, row 0 checked as a state and rows 1-3 as deviations, with one
 ``check_stack`` call each.  The transfer matrix runs all four rows and a
-sweep rows 1-3.  At each point the circuit runs are the only per-input
-work: ``_data_outputs`` stacks their final states, reduces the stack to
-the data qubit in one pass and checks the outputs by the same layout,
-and the correlations and polarizations each come from one batched
-overlap over the sweep's ``(3, 2, 2)`` stack.  The stack's rows have the
-bits that ``partial_trace``, ``correlation`` and ``hs_overlap`` give one
-state at a time.
+sweep rows 1-3.  The circuit runs are the only per-point work:
+``_data_outputs`` runs each point's circuit, reduces its final states
+to the data qubit in one pass, and checks the sweep's whole
+``(K, 3, 2, 2)`` output stack once per kind.  The correlations and
+polarizations each come from one batched overlap over that stack, and
+the closed form from one ``analytic_curve`` call over the sweep's
+kappa0.  Every row has the bits that ``partial_trace``,
+``correlation``, ``hs_overlap`` and ``analytic_reference`` give one
+state or point at a time.
 
 The chart's one range rule is ``write_svg_chart``'s: kappa0 finite and
 >= 0, fidelities in [0, 1]; ``emit_chart`` and ``load_csv_series`` feed it.
@@ -33,13 +35,13 @@ import csv
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .channels import INCOHERENT_SINC, NoiseSpec
 from .codes import Circuit, apply_circuit, build_scenario_circuit, scenario_layout
-from .metrics import AXES, MetricReport, analytic_reference
+from .metrics import AXES, MetricReport, analytic_curve
 from .qstate import (
     DEVIATION,
     STATE,
@@ -191,45 +193,50 @@ def prepare_inputs(axis: str, ancilla_purity: float = 1.0, n_qubits: int = 4) ->
     return _product_inputs(ancilla_purity, n_qubits)[1 + AXES.index(axis)]
 
 
-def _data_outputs(circuit: Circuit, inputs: Sequence[DensityMatrix]) -> np.ndarray:
-    """The ``(k, 2, 2)`` stack of data-qubit outputs of the inputs, in
-    input order: all four ``_product_inputs`` rows, or the three
-    deviations.  Each input runs through the circuit once; the final
-    states are reduced as one stack and checked by the inputs' layout,
-    the leading state row (present only with four inputs) with one
-    ``check_stack`` call and the deviations with another."""
-    outs = partial_trace_stack(np.array([apply_circuit(rho, circuit).entries for rho in inputs]), {DATA_QUBIT})
+def _data_outputs(circuits: Iterable[Circuit], inputs: Sequence[DensityMatrix]) -> np.ndarray:
+    """The ``(K, k, 2, 2)`` stack of data-qubit outputs, one row per
+    circuit in order and the inputs in input order along it: all four
+    ``_product_inputs`` rows, or the three deviations.  Each input runs
+    through each circuit once, and a circuit's final states are reduced
+    as one stack before the next circuit runs.  The whole stack is then
+    checked by the inputs' layout, the leading state column (present only
+    with four inputs) with one ``check_stack`` call and the deviations
+    with another, so the first failing output in (circuit, input) order
+    raises."""
+    outs = np.array(
+        [partial_trace_stack(np.array([apply_circuit(rho, c).entries for rho in inputs]), {DATA_QUBIT}) for c in circuits]
+    )
     n_states = len(inputs) - len(AXES)
     if n_states:
-        check_stack(outs[:n_states], STATE)
-    check_stack(outs[n_states:], DEVIATION)
+        check_stack(outs[:, :n_states].reshape(-1, 2, 2), STATE)
+    check_stack(outs[:, n_states:].reshape(-1, 2, 2), DEVIATION)
     return outs
 
 
 def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
-    """Evaluate every sweep point of a scenario, in sweep order.
+    """Evaluate every sweep point of a scenario, in sweep order: every
+    point's ``NoiseSpec`` is built first, then the reference run, then one
+    circuit per point; the outputs are checked and scored once per sweep.
 
     ``jobs`` is accepted for compatibility and has no effect.
     """
-    if not config.sweep:
+    specs = [config.noise_spec(x) for x in config.sweep]
+    if not specs:
         return ScenarioResult(config, ())
     reference = build_scenario_circuit(config.scenario, config.noise_spec(0.0))
     inputs = _product_inputs(config.ancilla_purity, reference.n_qubits)[1:]
-    refs = _data_outputs(reference, inputs)
+    refs = _data_outputs([reference], inputs)[0]
     ref_purity = hs_overlap_stack(refs, refs)
     for u, purity in zip(AXES, ref_purity.tolist()):
         if purity <= 1e-12:
             raise ValueError(f"reference output for axis {u!r} has zero purity")
+    outs = _data_outputs((build_scenario_circuit(config.scenario, spec) for spec in specs), inputs)
     sigmas = _PAULI_BASIS[1:]
-    norms = hs_overlap_stack(sigmas, sigmas)
-    points = []
-    for x in config.sweep:
-        spec = config.noise_spec(x)
-        outs = _data_outputs(build_scenario_circuit(config.scenario, spec), inputs)
-        # C_u = tr(sigma_u out_u) / tr(sigma_u sigma_u), P_u = tr(out_u^2) / tr(ref_u^2)
-        cs = (hs_overlap_stack(sigmas, outs) / norms).tolist()
-        ps = (hs_overlap_stack(outs, outs) / ref_purity).tolist()
-        points.append(SweepPoint(x, MetricReport.from_metrics(cs, ps, analytic_reference(config.scenario, spec))))
+    # C_u = tr(sigma_u out_u) / tr(sigma_u sigma_u), P_u = tr(out_u^2) / tr(ref_u^2)
+    cs = (hs_overlap_stack(sigmas, outs) / hs_overlap_stack(sigmas, sigmas)).tolist()
+    ps = (hs_overlap_stack(outs, outs) / ref_purity).tolist()
+    fes = analytic_curve(config.scenario, config.sweep, config.kind, config.coupling_case, config.ratio).tolist()
+    points = (SweepPoint(x, MetricReport.from_metrics(c, p, fe)) for x, c, p, fe in zip(config.sweep, cs, ps, fes))
     return ScenarioResult(config, tuple(points))
 
 
@@ -374,13 +381,14 @@ def write_svg_chart(series: Sequence[ChartSeries], path: str | Path) -> None:
     for k in range(7):
         xv = x_lo + (x_hi - x_lo) * (k / 6.0)  # k / 6 <= 1, so a span near the float limit stays finite
         xx = px(xv)
+        tick = f"{xv:.2f}" if xv < 1e6 else f"{xv:.2e}"  # at most 10 characters either way
         out.append(
             f'<line x1="{xx:.2f}" y1="{top + plot_h:.1f}" x2="{xx:.2f}" '
             f'y2="{top + plot_h + 4:.1f}" stroke="#444444"/>'
         )
         out.append(
             f'<text x="{xx:.2f}" y="{top + plot_h + 18:.1f}" text-anchor="middle" font-size="12" '
-            f'font-family="sans-serif">{xv:.2f}</text>'
+            f'font-family="sans-serif">{tick}</text>'
         )
     out.append(
         f'<text x="{left + plot_w / 2:.1f}" y="{height - 12:.1f}" text-anchor="middle" '
@@ -430,4 +438,4 @@ def pauli_transfer_matrix(scenario: str, spec: NoiseSpec, ancilla_purity: float 
     scales = np.array([1.0, 0.5, 0.5, 0.5])
 
     # R[row, col] = tr(basis[row] outs[col]) * scales[col], one batched overlap
-    return hs_overlap_stack(_PAULI_BASIS[:, None], _data_outputs(circuit, inputs)) * scales
+    return hs_overlap_stack(_PAULI_BASIS[:, None], _data_outputs([circuit], inputs)[0]) * scales

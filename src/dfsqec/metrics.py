@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import INCOHERENT_SINC, NoiseSpec, sinc
+from .channels import INCOHERENT_SINC, NoiseSpec, collective_scale_of, sinc
 from .qstate import DensityMatrix, hs_overlap
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "analytic_fe_qec_independent",
     "analytic_fe_qec_strong",
     "analytic_reference",
+    "analytic_curve",
     "fit_error_rates",
     "fit_grid",
     "FIT_GRID_POINTS",
@@ -91,9 +92,9 @@ def entanglement_fidelity(c: Sequence[float]) -> float:
     return (cx + cy + cz + 1.0) / 4.0
 
 
-def _fe_three_carriers(s_data: float, s_anc_a: float, s_anc_b: float) -> float:
+def _fe_three_carriers(s_data, s_anc_a, s_anc_b):
     # exact fidelity of the phase code under independent per-carrier
-    # phase-flip channels with coherence attenuations s_j
+    # phase-flip channels with coherence attenuations s_j (floats or arrays)
     return 0.5 + (s_data + s_anc_a + s_anc_b - s_data * s_anc_a * s_anc_b) / 4.0
 
 
@@ -111,39 +112,50 @@ def analytic_fe_qec_strong(kappa0: float, kappa3: float) -> float:
 
 
 def analytic_reference(scenario: str, spec: NoiseSpec) -> float:
-    """Ideal-ancilla closed form for a scenario at the spec's scale.
+    """Ideal-ancilla closed form for a scenario at the spec's scale: the
+    one-point ``analytic_curve``.
 
     The concatenated scenario is referenced to the independent-noise
     curve: the collective component must not show up in it.
     """
-    incoherent = spec.kind == INCOHERENT_SINC
+    if scenario == "qec_hybrid" and not spec.collective:
+        raise ValueError("qec_hybrid reference needs the collective component")
+    return analytic_curve(scenario, [spec.kappa0], spec.kind, spec.coupling_case, spec.ratio).item()
 
-    def carrier(x: float) -> float:
+
+def analytic_curve(scenario: str, kappa0: Sequence[float], kind: str, coupling_case: str, ratio: float) -> np.ndarray:
+    """``analytic_reference`` at each of a sweep's kappa0, each a valid
+    ``NoiseSpec`` scale with this kind, case and ratio (collective noise
+    for ``qec_hybrid``), as one array with each point's bits."""
+    incoherent = kind == INCOHERENT_SINC
+
+    def carrier(x: np.ndarray) -> np.ndarray:
         # attenuation at phase spread x, or at the folded product lambda*t
-        return float(sinc(x / 2.0)) if incoherent else float(np.exp(-x))
+        return sinc(x / 2.0) if incoherent else np.exp(-x)
 
-    x = spec.kappa0
+    x = np.array(kappa0, dtype=float)
     s0 = carrier(x)
     if scenario in ("qec_independent", "dfs_qec"):
         s3 = s0
     elif scenario == "no_qec":
         return (2.0 * s0 + 2.0) / 4.0
     elif scenario == "qec_hybrid":
-        xc = spec.collective_scale()
-        if xc is None:
-            raise ValueError("qec_hybrid reference needs the collective component")
-        if spec.coupling_case == "a":
-            # one environment: the spreads add (halved first, so the sum
-            # cannot overflow); the folded products lambda*t add as
-            # amplitudes on one axis, and an overflowing one attenuates to 0
-            if incoherent:
-                s3 = float(sinc(x / 2.0 + xc / 2.0))
+        xc = collective_scale_of(x, ratio, kind)
+        # a lambda*t sum that overflows attenuates to 0
+        with np.errstate(over="ignore"):
+            if coupling_case == "a":
+                # one environment: the spreads add (halved first, so the
+                # sum cannot overflow); the folded products lambda*t add as
+                # amplitudes on one axis.  float_power squares with C pow,
+                # as the float64 scalar's ** 2 of the one-point form did;
+                # an array's ** 2 multiplies, 1 ulp off at times
+                if incoherent:
+                    s3 = sinc(x / 2.0 + xc / 2.0)
+                else:
+                    s3 = carrier(np.float_power(np.sqrt(x) + np.sqrt(xc), 2))
             else:
-                with np.errstate(over="ignore"):
-                    s3 = carrier((np.sqrt(x) + np.sqrt(xc)) ** 2)
-        else:
-            # case "b": two environments, carrier-3 attenuation factorizes
-            s3 = s0 * float(sinc(xc / 2.0)) if incoherent else carrier(x + xc)
+                # case "b": two environments, carrier-3 attenuation factorizes
+                s3 = s0 * sinc(xc / 2.0) if incoherent else carrier(x + xc)
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
     return _fe_three_carriers(s0, s0, s3)

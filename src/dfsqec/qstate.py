@@ -22,8 +22,8 @@ states, positivity) for a ``(k, d, d)`` stack of matrices.  A
 ``DensityMatrix`` runs it on a stack of one; a circuit run
 (``codes.circuit_states``) runs it once over all of its intermediate
 states, with the same tolerances, and raises before it yields any; a
-sweep point (``experiments._data_outputs``) runs it once per kind over
-its inputs' reduced outputs.  A state stack's positivity is decided by
+sweep (``experiments._data_outputs``) runs it once per kind over every
+point's reduced outputs.  A state stack's positivity is decided by
 one batched Cholesky of the stack shifted by ``-STATE_MIN_EIG / 2``
 times the identity; only a stack that fails it pays for a batched
 ``eigvalsh``, which finds the failing matrix and its eigenvalue.  The

@@ -384,7 +384,7 @@ def test_failure_is_exit_1_and_its_message(command, tmp_path, monkeypatch, capsy
         # a header-only CSV holds no series
         src = tmp_path / "header.csv"
         src.write_text(CSV_HEADER + "\n")
-        argv, message = ["chart", "--in", str(src), "--out", str(out)], "error: no data series found in the input CSV file(s)"
+        argv, message = ["chart", "--in", str(src), "--out", str(out)], "error: need at least one series"
     else:
         monkeypatch.setattr(dfsqec.cli, "run_scenario", _no_qec_fe_off_by(1e-6, dfsqec.cli.run_scenario))
         argv, message = ["check"], "check failed: 1 mismatch(es)"

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,20 @@ class TestRunScenario:
         res = run_scenario(ScenarioConfig("no_qec", sweep=()))
         assert res.points == ()
 
+    def test_sweep_peak_memory_is_per_point(self):
+        # each circuit's final states are reduced before the next circuit
+        # runs; a stack of them would add about 24 MB here
+        run_scenario(ScenarioConfig("dfs_qec", sweep=(0.0, 1.0)))  # fills the gate caches first
+        config = ScenarioConfig("dfs_qec", sweep=tuple(0.006 * k for k in range(2000)))
+        tracemalloc.start()
+        try:
+            result = run_scenario(config)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.points) == 2000
+        assert peak - retained < 1.5e6
+
     def test_state_mode_matches_deviation_mode(self):
         # a pure data input (I + sigma_u)/2 in place of the deviation
         # sigma_u yields the same correlation tr(sigma_u E(rho)) for
@@ -266,16 +281,16 @@ class TestStackedPath:
             return {key: partial_trace(apply_circuit(rho, circuit), {2}) for key, rho in zip("Ixyz", inputs)}
 
         refs = per_state(build_scenario_circuit(scenario, config.noise_spec(0.0)))
-        for point in result.points:
-            circuit = build_scenario_circuit(scenario, config.noise_spec(point.kappa0))
+        circuits = [build_scenario_circuit(scenario, config.noise_spec(x)) for x in config.sweep]
+        stacked = experiments._data_outputs(circuits, inputs)
+        assert stacked.shape == (len(STACK_SWEEP), 4, 2, 2)
+        # the sweep's layout: the three deviation columns alone
+        assert experiments._data_outputs(circuits, inputs[1:]).tobytes() == stacked[:, 1:].tobytes()
+        for point, circuit, rows in zip(result.points, circuits, stacked, strict=True):
             outs = per_state(circuit)
-            stacked = experiments._data_outputs(circuit, inputs)
-            assert stacked.shape == (4, 2, 2)
-            for row, out in zip(stacked, outs.values()):
+            for row, out in zip(rows, outs.values()):
                 # array_equal, and the sign of zero too
                 assert row.tobytes() == out.entries.tobytes()
-            # the sweep's layout: the three deviation rows alone
-            assert experiments._data_outputs(circuit, inputs[1:]).tobytes() == stacked[1:].tobytes()
             for u in "xyz":
                 assert getattr(point.report, "C" + u) == correlation(pauli_deviation(u), outs[u])
                 want_p = hs_overlap(outs[u], outs[u]) / hs_overlap(refs[u], refs[u])
@@ -322,8 +337,8 @@ class TestStackedPath:
         with pytest.raises(ValueError, match=r"^state trace is 0\.0, expected 1$"):
             pauli_transfer_matrix("no_qec", NoiseSpec(1.0))
 
-    @pytest.mark.parametrize("first_bad", [1, 4], ids=["reference-run", "sweep-point"])
-    def test_output_with_imaginary_overlap_raises(self, first_bad, monkeypatch):
+    @pytest.mark.parametrize("first_bad, runs", [(1, 3), (4, 9)], ids=["reference-run", "sweep-point"])
+    def test_output_with_imaginary_overlap_raises(self, first_bad, runs, monkeypatch):
         # from the reference run's outputs or from the first point's on:
         # Hermitian within 1e-13, but with entries of 1e4, so that
         # tr(out out) has imaginary part 2 * 1e4 * 1e-13 = 2e-9
@@ -333,8 +348,32 @@ class TestStackedPath:
         calls = self._fake_outputs(monkeypatch, lambda k, m: full if k >= first_bad else m)
         with pytest.raises(ValueError, match="^overlap has imaginary part 2.00e-09; inputs must be Hermitian$"):
             run_scenario(ScenarioConfig("no_qec", sweep=(0.0, 1.0)))
-        # raised after the three circuit runs that gave those outputs
-        assert len(calls) == first_bad + 2
+        # raised after the reference run's three circuit runs, or after
+        # the whole sweep's 3 * (1 + K): a sweep is scored once
+        assert len(calls) == runs
+
+    def test_first_bad_point_in_sweep_order_raises(self, monkeypatch):
+        # points k = 3 and k = 7 of eight each get a k * 1e-9
+        # anti-Hermitian part in their first deviation output; every
+        # circuit runs, then the k = 3 output raises
+        def make(call, m):
+            k, axis = divmod(call - 4, 3)  # calls 1-3 are the reference run
+            if axis == 0 and k in (3, 7):
+                m = m.copy()
+                m[0, m.shape[0] // 4] += k * 1e-9
+            return m
+
+        calls = self._fake_outputs(monkeypatch, make)
+        with pytest.raises(ValueError, match="^matrix is not Hermitian, max deviation 3.00e-09$"):
+            run_scenario(ScenarioConfig("dfs_qec", sweep=tuple(0.5 * k for k in range(8))))
+        assert len(calls) == 3 * (1 + 8)
+
+    def test_bad_spec_at_the_last_point_raises_before_any_run(self, monkeypatch):
+        calls = self._fake_outputs(monkeypatch, lambda k, m: m)
+        config = ScenarioConfig("qec_hybrid", sweep=(0.0, 1.0, 1e300), ratio=1e-10)
+        with pytest.raises(ValueError, match="^collective scale is not finite for kappa0=1e\\+300, ratio=1e-10$"):
+            run_scenario(config)
+        assert calls == []
 
     def test_zero_purity_reference_raises(self, monkeypatch):
         self._fake_outputs(monkeypatch, lambda k, m: np.zeros_like(m))
@@ -591,6 +630,8 @@ class TestChart:
         write_svg_chart([ChartSeries("wide", points, points)], out)
         text = out.read_text()
         assert "nan" not in text and "inf" not in text and text.count('class="pt pt-wide"') == len(kappa0s)
+        # fixed-point x tick labels below 1e6, a short exponent form above
+        assert max(map(len, re.findall(r'font-size="12"[^>]*>([^<]*)<', text))) <= 10
 
     def test_curve_past_the_last_point_stays_in_the_frame(self, tmp_path):
         out = tmp_path / "long.svg"

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfsqec import experiments
-from dfsqec.channels import MARKOVIAN_EXP, DephasingGenerator, NoiseSpec, incoherent_dephase
+from dfsqec.channels import INCOHERENT_SINC, MARKOVIAN_EXP, DephasingGenerator, NoiseSpec, incoherent_dephase, sinc
 from dfsqec.codes import Circuit, Gate, cnot
 from dfsqec.experiments import ScenarioConfig, run_scenario
 from dfsqec.metrics import (
     MetricReport,
+    analytic_curve,
     analytic_fe_qec_independent,
     analytic_fe_qec_strong,
     analytic_reference,
@@ -199,6 +200,64 @@ class TestAnalyticCurves:
 
 def markov(scenario: str, lambda_t: float) -> float:
     return analytic_reference(scenario, NoiseSpec(lambda_t, kind=MARKOVIAN_EXP))
+
+
+def scalar_reference(scenario: str, spec: NoiseSpec) -> float:
+    """The one-point closed form as it was before the array form, kept
+    verbatim as the array form's oracle."""
+    incoherent = spec.kind == INCOHERENT_SINC
+
+    def carrier(x: float) -> float:
+        return float(sinc(x / 2.0)) if incoherent else float(np.exp(-x))
+
+    x = spec.kappa0
+    s0 = carrier(x)
+    if scenario in ("qec_independent", "dfs_qec"):
+        s3 = s0
+    elif scenario == "no_qec":
+        return (2.0 * s0 + 2.0) / 4.0
+    else:
+        xc = spec.collective_scale()
+        if spec.coupling_case == "a":
+            if incoherent:
+                s3 = float(sinc(x / 2.0 + xc / 2.0))
+            else:
+                with np.errstate(over="ignore"):
+                    s3 = carrier((np.sqrt(x) + np.sqrt(xc)) ** 2)
+        else:
+            s3 = s0 * float(sinc(xc / 2.0)) if incoherent else carrier(x + xc)
+    return 0.5 + (s0 + s0 + s3 - s0 * s0 * s3) / 4.0
+
+
+# qec_hybrid, exp, case "a", ratio 1.7: (sqrt(x) + sqrt(xc)) ** 2 is
+# 0.8158943127680641 by C pow (a float64 scalar's ** 2), which the CSV
+# has, and 0.815894312768064 by an ndarray's ** 2, which squares
+POW_TRAP_KAPPA0 = 0.3234478139780117
+
+
+class TestAnalyticCurveArray:
+    @pytest.mark.parametrize("case", ["a", "b"])
+    @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
+    @pytest.mark.parametrize("scenario", ["qec_independent", "qec_hybrid", "no_qec", "dfs_qec"])
+    def test_matches_the_scalar_form_bit_for_bit(self, scenario, kind, case):
+        # 2000 kappa0 in [0, 50] at each of three ratios: 96,000 values over the 16 configs
+        rng = np.random.default_rng(17)
+        kappa0 = np.concatenate([[0.0, POW_TRAP_KAPPA0, 50.0], rng.uniform(0.0, 50.0, 1997)]).tolist()
+        collective = scenario in ("qec_hybrid", "dfs_qec")
+        for ratio in (0.5, 1.7, rng.uniform(0.1, 3.0)):
+            got = analytic_curve(scenario, kappa0, kind, case, ratio)
+            assert got.shape == (2000,)
+            want = [scalar_reference(scenario, NoiseSpec(x, collective, ratio, case, kind)) for x in kappa0]
+            # float.hex: bit for bit, the sign of zero too
+            assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
+
+    def test_pow_trap_is_pinned(self):
+        spec = NoiseSpec(POW_TRAP_KAPPA0, collective=True, ratio=1.7, kind=MARKOVIAN_EXP)
+        v = np.sqrt(POW_TRAP_KAPPA0) + np.sqrt(spec.collective_scale())
+        assert v**2 == 0.8158943127680641 and (np.array([v]) ** 2)[0] == 0.815894312768064
+        want = scalar_reference("qec_hybrid", spec)
+        assert analytic_reference("qec_hybrid", spec) == want
+        assert analytic_curve("qec_hybrid", [POW_TRAP_KAPPA0], MARKOVIAN_EXP, "a", 1.7)[0] == want
 
 
 class TestFitErrorRates:
