@@ -6,11 +6,11 @@ ideal-ancilla reference once the sinc attenuation goes negative.
 Usage:
     python3 scripts/hump_demo.py [--out-dir results] [--purities 0.9,0.7,0.5]
 """
-import argparse
 import sys
 from pathlib import Path
 
 from dfsqec import ScenarioConfig, emit_csv, hump_demo, run_scenario
+from dfsqec.cli import ArgumentParser
 from dfsqec.experiments import ChartSeries, write_svg_chart
 
 
@@ -20,11 +20,11 @@ def series_for(result, label: str) -> ChartSeries:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--purities", default="0.9,0.7,0.5")
-    args = parser.parse_args()
     try:
+        args = parser.parse_args()
         return run(Path(args.out_dir), args.purities)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

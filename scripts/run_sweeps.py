@@ -5,21 +5,20 @@ write CSVs plus a combined chart.
 Usage:
     python3 scripts/run_sweeps.py [--out-dir results] [--kind sinc|exp]
 """
-import argparse
 import sys
 from pathlib import Path
 
 from dfsqec import ScenarioConfig, emit_chart, emit_csv, run_scenario
-from dfsqec.cli import KIND_ALIASES
+from dfsqec.cli import KIND_ALIASES, ArgumentParser
 from dfsqec.codes import SCENARIOS
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results")
     parser.add_argument("--kind", default="sinc", choices=sorted(KIND_ALIASES))
-    args = parser.parse_args()
     try:
+        args = parser.parse_args()
         return run(Path(args.out_dir), args.kind)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -269,17 +269,13 @@ class NoiseSpec:
             raise ValueError(f"ratio must be > 0 with collective noise enabled, got {self.ratio}")
         if self.collective:
             try:
-                scale = self.collective_scale()
+                scale = collective_scale_of(self.kappa0, self.ratio, self.kind)
             except ZeroDivisionError:  # ratio**2 underflows to 0
                 scale = math.inf
             if not math.isfinite(scale):
                 raise ValueError(
                     f"collective scale is not finite for kappa0={self.kappa0}, ratio={self.ratio}"
                 )
-
-    def collective_scale(self) -> float | None:
-        """Strength of the collective axis, None when disabled."""
-        return collective_scale_of(self.kappa0, self.ratio, self.kind) if self.collective else None
 
 
 def collective_scale_of(kappa0, ratio: float, kind: str):
@@ -323,7 +319,7 @@ def build_error_model(spec: NoiseSpec) -> list[DephasingGenerator]:
         gens.append(axis(3, x, "z3"))
         return gens
 
-    base_c = spec.collective_scale()
+    base_c = collective_scale_of(x, spec.ratio, spec.kind)
     if spec.coupling_case == "b":
         w = np.zeros(n_qubits)
         w[2] = w[3] = 1.0

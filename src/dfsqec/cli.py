@@ -88,11 +88,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
     config = ScenarioConfig(ANALYTIC_CURVES[args.curve], ratio=args.ratio)
-    kappa0s = [config.noise_spec(x).kappa0 for x in parse_grid(args.kappa0)]  # each point checked
-    fes = analytic_curve(config.scenario, kappa0s, config.kind, config.coupling_case, config.ratio)
+    specs = [config.noise_spec(x) for x in parse_grid(args.kappa0)]  # each point checked
+    fes = analytic_curve(config.scenario, specs)
     print("kappa0,Fe")
-    for x, fe in zip(kappa0s, fes.tolist()):
-        print(f"{format_number(x)},{format_number(fe)}")
+    for spec, fe in zip(specs, fes.tolist()):
+        print(f"{format_number(spec.kappa0)},{format_number(fe)}")
     return 0
 
 
@@ -196,8 +196,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ValueError, so a bad
+    command line is one ``error:`` line and exit 1 like any bad input;
+    ``--help`` still prints and exits 0."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="dfsqec", description="concatenated passive+active dephasing-code simulator"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -235,9 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

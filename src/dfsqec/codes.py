@@ -32,7 +32,7 @@ it is built, step types and generator widths when a ``Circuit`` is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "dfs_decode",
     "build_scenario_circuit",
     "apply_circuit",
-    "circuit_states",
 ]
 
 _H = Operator(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
@@ -220,9 +219,28 @@ def build_scenario_circuit(scenario: str, spec: NoiseSpec) -> Circuit:
     return Circuit(n, before + (noise,) + after)
 
 
-def _run(rho: DensityMatrix, circuit: Circuit, noise_override: Callable | None) -> np.ndarray:
-    """The read-only ``(steps, d, d)`` buffer of the checked states
-    after each step of a run (see circuit_states)."""
+def apply_circuit(
+    rho: DensityMatrix,
+    circuit: Circuit,
+    *,
+    noise_override: Callable[[DensityMatrix], DensityMatrix] | None = None,
+) -> DensityMatrix:
+    """Run a circuit on a state and return the final state; an empty
+    circuit returns ``rho`` itself.
+
+    One loop writes each gate or noise result straight into one
+    ``(steps, d, d)`` buffer, which ``check_stack`` then checks as one
+    stack, with the tolerances of every ``DensityMatrix``; the final
+    state is a read-only view of it.  The state after the first i + 1
+    steps is the final state of the prefix circuit
+    ``Circuit(n, steps[:i + 1])``, which runs the same loop.
+
+    Markovian noise markers carry lambda*t folded into their generator
+    strengths.  ``noise_override`` replaces the noise marker by an
+    arbitrary map, which is how deterministic error insertions are
+    tested; the states up to it are checked before it receives one,
+    and each state is checked exactly once.
+    """
     if rho.dim != 2**circuit.n_qubits:
         raise ValueError(f"state dimension {rho.dim} does not match {circuit.n_qubits}-qubit circuit")
     states = np.empty((len(circuit.steps), rho.dim, rho.dim), dtype=complex)
@@ -242,41 +260,4 @@ def _run(rho: DensityMatrix, circuit: Circuit, noise_override: Callable | None) 
         m = out
     check_stack(states[checked:], rho.kind)
     states.setflags(write=False)
-    return states
-
-
-def circuit_states(
-    rho: DensityMatrix,
-    circuit: Circuit,
-    *,
-    noise_override: Callable[[DensityMatrix], DensityMatrix] | None = None,
-) -> Iterator[tuple[Step, DensityMatrix]]:
-    """Yield (step, state after the step) along a circuit run.
-
-    One loop, ``_run``, writes each gate or noise result straight into
-    one ``(steps, d, d)`` buffer, which ``check_stack`` then checks as
-    one stack, with the tolerances of every ``DensityMatrix``.  So an
-    invalid run raises before its first yield.  The yielded states are
-    read-only views of the buffer; ``apply_circuit`` runs the same loop
-    and wraps only the final state.
-
-    Markovian noise markers carry lambda*t folded into their generator
-    strengths.  ``noise_override`` replaces the noise marker by an
-    arbitrary map, which is how deterministic error insertions are
-    tested; the states up to it are checked before it receives one,
-    and each state is checked exactly once.
-    """
-    for step, m in zip(circuit.steps, _run(rho, circuit, noise_override)):
-        yield step, DensityMatrix._checked(m, rho.kind)
-
-
-def apply_circuit(
-    rho: DensityMatrix,
-    circuit: Circuit,
-    *,
-    noise_override: Callable[[DensityMatrix], DensityMatrix] | None = None,
-) -> DensityMatrix:
-    """Run a circuit on a state and return the final state (see
-    circuit_states); an empty circuit returns ``rho`` itself."""
-    states = _run(rho, circuit, noise_override)
     return DensityMatrix._checked(states[-1], rho.kind) if len(states) else rho

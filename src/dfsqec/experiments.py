@@ -19,15 +19,16 @@ qubit 2, row 0 checked as a state and rows 1-3 as deviations, with one
 sweep rows 1-3.  The circuit runs are the only per-point work:
 ``_data_outputs`` runs each point's circuit, reduces its final states
 to the data qubit in one pass, and checks the sweep's whole
-``(K, 3, 2, 2)`` output stack once per kind.  The correlations and
-polarizations each come from one batched overlap over that stack, and
-the closed form from one ``analytic_curve`` call over the sweep's
-kappa0.  Every row has the bits that ``partial_trace``,
-``correlation``, ``hs_overlap`` and ``analytic_reference`` give one
+``(K, 3, 2, 2)`` output stack once per kind.  The correlations come
+from one ``correlations`` call and the polarizations from one batched
+overlap over that stack, and the closed form from one ``analytic_curve``
+call over the sweep's specs.  Every row has the bits that
+``partial_trace``, ``correlation`` and ``analytic_reference`` give one
 state or point at a time.
 
-The chart's one range rule is ``write_svg_chart``'s: kappa0 finite and
->= 0, fidelities in [0, 1]; ``emit_chart`` and ``load_csv_series`` feed it.
+The chart's one range rule is ``_in_chart_domain``: kappa0 finite and
+>= 0, fidelities in [0, 1].  ``write_svg_chart`` applies it to every
+value it draws, and ``load_csv_series`` to every row it reads.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ import numpy as np
 
 from .channels import INCOHERENT_SINC, NoiseSpec
 from .codes import Circuit, apply_circuit, build_scenario_circuit, scenario_layout
-from .metrics import AXES, MetricReport, analytic_curve
+from .metrics import AXES, MetricReport, analytic_curve, correlations
 from .qstate import (
     DEVIATION,
     STATE,
@@ -231,11 +232,10 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
         if purity <= 1e-12:
             raise ValueError(f"reference output for axis {u!r} has zero purity")
     outs = _data_outputs((build_scenario_circuit(config.scenario, spec) for spec in specs), inputs)
-    sigmas = _PAULI_BASIS[1:]
     # C_u = tr(sigma_u out_u) / tr(sigma_u sigma_u), P_u = tr(out_u^2) / tr(ref_u^2)
-    cs = (hs_overlap_stack(sigmas, outs) / hs_overlap_stack(sigmas, sigmas)).tolist()
+    cs = correlations(_PAULI_BASIS[1:], outs).tolist()
     ps = (hs_overlap_stack(outs, outs) / ref_purity).tolist()
-    fes = analytic_curve(config.scenario, config.sweep, config.kind, config.coupling_case, config.ratio).tolist()
+    fes = analytic_curve(config.scenario, specs).tolist()
     points = (SweepPoint(x, MetricReport.from_metrics(c, p, fe)) for x, c, p, fe in zip(config.sweep, cs, ps, fes))
     return ScenarioResult(config, tuple(points))
 
@@ -291,6 +291,11 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
+def _in_chart_domain(x: float, y: float) -> bool:
+    """The chart's range rule: kappa0 finite and >= 0, y in [0, 1]; NaN is outside."""
+    return 0.0 <= x < math.inf and 0.0 <= y <= 1.0
+
+
 def _series(label: str, rows: Sequence[tuple[float, float, float | None]]) -> ChartSeries:
     """A series from (kappa0, Fe, Fe_analytic or None) rows: every row is
     a point, and the rows with a closed form make the curve, if any."""
@@ -307,9 +312,9 @@ def emit_chart(results: Sequence[ScenarioResult], path: str | Path) -> None:
 
 def load_csv_series(path: str | Path) -> list[ChartSeries]:
     """Rebuild chart series from a CSV written by emit_csv; a missing
-    column, an empty scenario, or a kappa0, Fe or Fe_analytic cell that
-    is not a number raises ValueError naming the file and column or
-    line.  The values' range is the chart's to check."""
+    column, an empty scenario, a kappa0, Fe or Fe_analytic cell that is
+    not a number, or a row outside the chart's range raises ValueError
+    naming the file and column or line."""
     groups: dict[str, list[tuple[float, float, float | None]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -325,6 +330,8 @@ def load_csv_series(path: str | Path) -> list[ChartSeries]:
                 fe_a = float(row["Fe_analytic"]) if row["Fe_analytic"] else None
             except (TypeError, ValueError):
                 raise ValueError(f"{where}: kappa0, Fe and Fe_analytic must be numbers") from None
+            if not all(_in_chart_domain(x, y) for y in ((fe,) if fe_a is None else (fe, fe_a))):
+                raise ValueError(f"{where}: kappa0 must be finite and >= 0, Fe and Fe_analytic in [0, 1]")
             groups.setdefault(row["scenario"], []).append((x, fe, fe_a))
     return [_series(label, rows) for label, rows in groups.items()]
 
@@ -338,7 +345,7 @@ def write_svg_chart(series: Sequence[ChartSeries], path: str | Path) -> None:
         raise ValueError("need at least one series")
     values = [(s.label, x, y) for s in series for x, y in (*s.points, *(s.curve or ()))]
     for label, x, y in values:
-        if not (0.0 <= x < math.inf and 0.0 <= y <= 1.0):
+        if not _in_chart_domain(x, y):
             raise ValueError(f"series {label!r} has ({x}, {y}): kappa0 must be finite and >= 0, y in [0, 1]")
     width, height = 720.0, 480.0
     left, right, top, bottom = 70.0, 170.0, 20.0, 50.0

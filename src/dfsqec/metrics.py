@@ -33,13 +33,15 @@ from typing import Sequence
 import numpy as np
 
 from .channels import INCOHERENT_SINC, NoiseSpec, collective_scale_of, sinc
-from .qstate import DensityMatrix, hs_overlap
+from .codes import scenario_layout
+from .qstate import DensityMatrix, hs_overlap_stack
 
 __all__ = [
     "AXES",
     "MetricReport",
     "ErrorRateFit",
     "correlation",
+    "correlations",
     "entanglement_fidelity",
     "analytic_fe_qec_independent",
     "analytic_fe_qec_strong",
@@ -78,12 +80,19 @@ class MetricReport:
         return cls(*c, entanglement_fidelity(c), fe_analytic, *p, (p[0] + p[1] + p[2]) / 3.0)
 
 
-def correlation(input_dev: DensityMatrix, output_dev: DensityMatrix) -> float:
-    """Normalized overlap tr(in out) / tr(in in)."""
-    norm = hs_overlap(input_dev, input_dev)
-    if norm <= 1e-12:
+def correlations(inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+    """Normalized overlaps tr(in out) / tr(in in) of two stacks of
+    Hermitian matrices whose leading axes broadcast; an input of zero
+    norm raises."""
+    norms = hs_overlap_stack(inputs, inputs)
+    if (norms <= 1e-12).any():
         raise ValueError("input deviation has zero norm")
-    return hs_overlap(input_dev, output_dev) / norm
+    return hs_overlap_stack(inputs, outputs) / norms
+
+
+def correlation(input_dev: DensityMatrix, output_dev: DensityMatrix) -> float:
+    """Normalized overlap tr(in out) / tr(in in): one row of ``correlations``."""
+    return float(correlations(input_dev.entries[None], output_dev.entries[None])[0])
 
 
 def entanglement_fidelity(c: Sequence[float]) -> float:
@@ -99,9 +108,9 @@ def _fe_three_carriers(s_data, s_anc_a, s_anc_b):
 
 
 def analytic_fe_qec_independent(kappa0: float) -> float:
-    """1/2 + (3 sinc(k0/2) - sinc^3(k0/2)) / 4."""
-    s = float(sinc(kappa0 / 2.0))
-    return _fe_three_carriers(s, s, s)
+    """1/2 + (3 sinc(k0/2) - sinc^3(k0/2)) / 4, at a valid ``NoiseSpec``
+    scale: the one-point ``analytic_curve`` of ``qec_independent``."""
+    return analytic_reference("qec_independent", NoiseSpec(kappa0))
 
 
 def analytic_fe_qec_strong(kappa0: float, kappa3: float) -> float:
@@ -113,51 +122,53 @@ def analytic_fe_qec_strong(kappa0: float, kappa3: float) -> float:
 
 def analytic_reference(scenario: str, spec: NoiseSpec) -> float:
     """Ideal-ancilla closed form for a scenario at the spec's scale: the
-    one-point ``analytic_curve``.
+    one-point ``analytic_curve``."""
+    return analytic_curve(scenario, [spec]).item()
 
-    The concatenated scenario is referenced to the independent-noise
-    curve: the collective component must not show up in it.
-    """
-    if scenario == "qec_hybrid" and not spec.collective:
+
+def analytic_curve(scenario: str, specs: Sequence[NoiseSpec]) -> np.ndarray:
+    """Ideal-ancilla closed form for a scenario at each spec's scale, one
+    array with each point's bits.  The specs, each checked when built,
+    must share kind, case, ratio and collectiveness; ``qec_hybrid`` needs
+    the collective component.  The concatenated scenario is referenced to
+    the independent-noise curve: the collective component must not show."""
+    scenario_layout(scenario)  # raises on an unknown scenario
+    shared = {(s.kind, s.coupling_case, s.ratio, s.collective) for s in specs}
+    if len(shared) > 1:
+        raise ValueError("specs must share kind, coupling case, ratio and collectiveness")
+    if not shared:
+        return np.empty(0)
+    ((kind, coupling_case, ratio, collective),) = shared
+    if scenario == "qec_hybrid" and not collective:
         raise ValueError("qec_hybrid reference needs the collective component")
-    return analytic_curve(scenario, [spec.kappa0], spec.kind, spec.coupling_case, spec.ratio).item()
-
-
-def analytic_curve(scenario: str, kappa0: Sequence[float], kind: str, coupling_case: str, ratio: float) -> np.ndarray:
-    """``analytic_reference`` at each of a sweep's kappa0, each a valid
-    ``NoiseSpec`` scale with this kind, case and ratio (collective noise
-    for ``qec_hybrid``), as one array with each point's bits."""
     incoherent = kind == INCOHERENT_SINC
 
     def carrier(x: np.ndarray) -> np.ndarray:
         # attenuation at phase spread x, or at the folded product lambda*t
         return sinc(x / 2.0) if incoherent else np.exp(-x)
 
-    x = np.array(kappa0, dtype=float)
+    x = np.array([s.kappa0 for s in specs], dtype=float)
     s0 = carrier(x)
-    if scenario in ("qec_independent", "dfs_qec"):
-        s3 = s0
-    elif scenario == "no_qec":
+    if scenario == "no_qec":
         return (2.0 * s0 + 2.0) / 4.0
-    elif scenario == "qec_hybrid":
-        xc = collective_scale_of(x, ratio, kind)
-        # a lambda*t sum that overflows attenuates to 0
-        with np.errstate(over="ignore"):
-            if coupling_case == "a":
-                # one environment: the spreads add (halved first, so the
-                # sum cannot overflow); the folded products lambda*t add as
-                # amplitudes on one axis.  float_power squares with C pow,
-                # as the float64 scalar's ** 2 of the one-point form did;
-                # an array's ** 2 multiplies, 1 ulp off at times
-                if incoherent:
-                    s3 = sinc(x / 2.0 + xc / 2.0)
-                else:
-                    s3 = carrier(np.float_power(np.sqrt(x) + np.sqrt(xc), 2))
+    if scenario != "qec_hybrid":
+        return _fe_three_carriers(s0, s0, s0)
+    xc = collective_scale_of(x, ratio, kind)
+    # a lambda*t sum that overflows attenuates to 0
+    with np.errstate(over="ignore"):
+        if coupling_case == "a":
+            # one environment: the spreads add (halved first, so the
+            # sum cannot overflow); the folded products lambda*t add as
+            # amplitudes on one axis.  float_power squares with C pow,
+            # as the float64 scalar's ** 2 of the one-point form did;
+            # an array's ** 2 multiplies, 1 ulp off at times
+            if incoherent:
+                s3 = sinc(x / 2.0 + xc / 2.0)
             else:
-                # case "b": two environments, carrier-3 attenuation factorizes
-                s3 = s0 * sinc(xc / 2.0) if incoherent else carrier(x + xc)
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}")
+                s3 = carrier(np.float_power(np.sqrt(x) + np.sqrt(xc), 2))
+        else:
+            # case "b": two environments, carrier-3 attenuation factorizes
+            s3 = s0 * sinc(xc / 2.0) if incoherent else carrier(x + xc)
     return _fe_three_carriers(s0, s0, s3)
 
 

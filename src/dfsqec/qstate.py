@@ -20,8 +20,8 @@ Toffoli) by a gather of the entries of ``m``, which gives the products' bits.
 ``check_stack`` holds the state checks (Hermiticity, trace and, for
 states, positivity) for a ``(k, d, d)`` stack of matrices.  A
 ``DensityMatrix`` runs it on a stack of one; a circuit run
-(``codes.circuit_states``) runs it once over all of its intermediate
-states, with the same tolerances, and raises before it yields any; a
+(``codes.apply_circuit``) runs it once over all of its intermediate
+states, with the same tolerances, before it returns the final one; a
 sweep (``experiments._data_outputs``) runs it once per kind over every
 point's reduced outputs.  A state stack's positivity is decided by
 one batched Cholesky of the stack shifted by ``-STATE_MIN_EIG / 2``
@@ -33,8 +33,8 @@ two decide alike.
 
 The reduction and the overlap work on stacks the same way:
 ``partial_trace_stack`` and ``hs_overlap_stack`` hold the only copies of
-the two formulas, and ``partial_trace`` and ``hs_overlap`` are their
-stack-of-one calls, so a stack and its rows give the same bits.
+the two formulas, and ``partial_trace`` is the reduction's stack-of-one
+call, so a stack and its rows give the same bits.
 """
 from __future__ import annotations
 
@@ -62,7 +62,6 @@ __all__ = [
     "apply_unitary",
     "partial_trace",
     "partial_trace_stack",
-    "hs_overlap",
     "hs_overlap_stack",
 ]
 
@@ -338,11 +337,6 @@ def partial_trace_stack(stack: np.ndarray, keep: Iterable[int]) -> np.ndarray:
         current.pop(i)
     dim = 2 ** len(kept)
     return t.reshape(k, dim, dim)
-
-
-def hs_overlap(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Hilbert-Schmidt overlap Re tr(a b) of two Hermitian matrices."""
-    return float(hs_overlap_stack(a.entries[None], b.entries[None])[0])
 
 
 def hs_overlap_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:

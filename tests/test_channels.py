@@ -13,6 +13,7 @@ from dfsqec.channels import (
     _delta,
     attenuation,
     build_error_model,
+    collective_scale_of,
     incoherent_dephase,
     markov_dephase,
     noise_strength,
@@ -432,9 +433,8 @@ def test_noise_spec_validation():
         with pytest.raises(ValueError, match="finite"):
             NoiseSpec(**bad)
     # ratio**2 overflows, but the collective scale underflows to 0
-    assert NoiseSpec(1.0, collective=True, ratio=1e200, kind=MARKOVIAN_EXP).collective_scale() == 0.0
+    NoiseSpec(1.0, collective=True, ratio=1e200, kind=MARKOVIAN_EXP)
+    assert collective_scale_of(1.0, 1e200, MARKOVIAN_EXP) == 0.0
     with pytest.raises(ValueError, match="finite"):
         qubit3_strength_ratio(float("inf"))
-    spec = NoiseSpec(2.0, collective=True, ratio=0.5)
-    assert spec.collective_scale() == pytest.approx(4.0)
-    assert NoiseSpec(2.0).collective_scale() is None
+    assert collective_scale_of(2.0, 0.5, INCOHERENT_SINC) == pytest.approx(4.0)

@@ -263,6 +263,23 @@ class TestChart:
         assert legend == ["x pt"]
 
 
+# chart inputs that fail, each with the place its error names: the file,
+# and the line of the first bad row
+BAD_CHART_CSVS = {
+    "scenario,kappa0,Fe\nno_qec,0,1\n": "input: missing column",
+    CSV_HEADER + "\nno_qec,incoherent_sinc,a,nan,0.5,1,1,1,1,1,1,1,1,1,1\n": "input, line 2: ",
+    CSV_HEADER + "\nno_qec,incoherent_sinc,a,0,0.5,1,1,1,1,nan,1,1,1,1,1\n": "input, line 2: ",
+    # the SVG's y ticks run from the lowest Fe up in steps of 0.1, and
+    # its x scale divides by the kappa0 span: such rows hang or give nan
+    "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1,-2000,1\n": "input, line 3: ",
+    "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1,-1e17,1\n": "input, line 3: ",
+    "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1,1.5,1\n": "input, line 3: ",
+    "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1,1,-0.5\n": "input, line 3: ",
+    "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,-1,1,1\n": "input, line 3: ",
+    "scenario,kappa0,Fe,Fe_analytic\nA,-1e308,1,1\nA,1e308,1,1\n": "input, line 2: ",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -289,18 +306,8 @@ class TestChart:
         ["noise-strength", "--spec", '{"epsilon": 1e999}'],
         ["noise-strength", "--spec", '{"epsilon": -1}'],
         ["noise-strength", "--spec", '{"scenario": "qec_hybrid", "epsilon": 1e200, "sweep": [1.0]}'],
-        ["chart", "--in", "scenario,kappa0,Fe\nno_qec,0,1\n"],
-        ["chart", "--in", CSV_HEADER + "\nno_qec,incoherent_sinc,a,nan,0.5,1,1,1,1,1,1,1,1,1,1\n"],
-        ["chart", "--in", CSV_HEADER + "\nno_qec,incoherent_sinc,a,0,0.5,1,1,1,1,nan,1,1,1,1,1\n"],
-        # the SVG's y ticks run from the lowest Fe up in steps of 0.1, and
-        # its x scale divides by the kappa0 span: such rows hang or give nan
-        ["chart", "--in", "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1,-2000,1\n"],
-        ["chart", "--in", "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1,-1e17,1\n"],
-        ["chart", "--in", "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1,1.5,1\n"],
-        ["chart", "--in", "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1,1,-0.5\n"],
-        ["chart", "--in", "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,-1,1,1\n"],
-        ["chart", "--in", "scenario,kappa0,Fe,Fe_analytic\nA,-1e308,1,1\nA,1e308,1,1\n"],
-    ],
+    ]
+    + [["chart", "--in", text] for text in BAD_CHART_CSVS],
 )
 def test_bad_input_is_one_error_line_and_no_output(argv, tmp_path, capsys):
     out = tmp_path / ("x.svg" if argv[0] == "chart" else "x.csv")
@@ -321,6 +328,8 @@ def test_bad_input_is_one_error_line_and_no_output(argv, tmp_path, capsys):
     assert captured.err.startswith("error:") and len(captured.err.strip().splitlines()) == 1
     if '"epsilon"' in text:
         assert "epsilon" in captured.err
+    if argv[0] == "chart":
+        assert f"error: {tmp_path / BAD_CHART_CSVS[text]}" in captured.err
 
 
 # one-point sweeps at the edges of the kappa0 and ratio ranges
@@ -377,20 +386,45 @@ def _no_qec_fe_off_by(delta, run):
     return wrapped
 
 
-@pytest.mark.parametrize("command", ["chart", "check"])
-def test_failure_is_exit_1_and_its_message(command, tmp_path, monkeypatch, capsys):
-    out = tmp_path / "x.svg"
-    if command == "chart":
+@pytest.mark.parametrize(
+    "argv, message",
+    [
         # a header-only CSV holds no series
-        src = tmp_path / "header.csv"
-        src.write_text(CSV_HEADER + "\n")
-        argv, message = ["chart", "--in", str(src), "--out", str(out)], "error: need at least one series"
-    else:
-        monkeypatch.setattr(dfsqec.cli, "run_scenario", _no_qec_fe_off_by(1e-6, dfsqec.cli.run_scenario))
-        argv, message = ["check"], "check failed: 1 mismatch(es)"
+        (["chart", "--in", "{header}", "--out", "{out}"], "error: need at least one series"),
+        (["check"], "check failed: 1 mismatch(es)"),
+        # usage errors: one line, not argparse's usage block and exit 2
+        (
+            ["sweep", "--scenario", "no_qec", "--kappa0", "1", "--ratio", "x", "--out", "{out}"],
+            "error: argument --ratio: invalid float value: 'x'",
+        ),
+        (
+            ["sweep", "--scenario", "five_qubit", "--kappa0", "1", "--out", "{out}"],
+            "error: argument --scenario: invalid choice: 'five_qubit' (choose from ",
+        ),
+        (["sweep", "--scenario", "no_qec", "--kappa0", "1"], "error: the following arguments are required: --out"),
+        (["bogus"], "error: argument command: invalid choice: 'bogus' (choose from "),
+    ],
+    ids=["chart", "check", "ratio-x", "unknown-scenario", "missing-out", "unknown-subcommand"],
+)
+def test_failure_is_exit_1_and_its_message(argv, message, tmp_path, monkeypatch, capsys):
+    out, header = tmp_path / "x.svg", tmp_path / "header.csv"
+    header.write_text(CSV_HEADER + "\n")
+    argv = [a.format(out=out, header=header) for a in argv]
+    monkeypatch.setattr(dfsqec.cli, "run_scenario", _no_qec_fe_off_by(1e-6, dfsqec.cli.run_scenario))
     assert main(argv) == 1
-    assert capsys.readouterr().err == message + "\n"
+    # a choice error ends with the list of choices, spelled by the Python version
+    err = capsys.readouterr().err
+    assert err == message + "\n" or (message.endswith("(choose from ") and err.startswith(message))
+    assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dfsqec")
 
 
 def test_module_entry_point():

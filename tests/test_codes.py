@@ -19,7 +19,6 @@ from dfsqec.codes import (
     NoiseStep,
     apply_circuit,
     build_scenario_circuit,
-    circuit_states,
     cnot,
     dfs_decode,
     dfs_encode,
@@ -289,10 +288,10 @@ class TestScenarioCircuits:
         proj_bad = np.kron(np.eye(4), bad)
         data = (np.eye(2) + SX.entries) / 2.0
         rho0 = DensityMatrix(np.kron(np.kron(basis_state("0").entries, data), basis_state("00").entries))
-        for idx, (step, rho) in enumerate(circuit_states(rho0, circuit)):
-            if 1 < idx + 1 < n_steps - 1:  # after dfs_encode, before dfs_decode
-                pop = float(np.trace(proj_bad @ rho.entries).real)
-                assert pop <= 1e-12
+        for i in range(1, n_steps - 2):  # the states after dfs_encode and before dfs_decode
+            rho = apply_circuit(rho0, Circuit(4, circuit.steps[: i + 1]))
+            pop = float(np.trace(proj_bad @ rho.entries).real)
+            assert pop <= 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -377,12 +376,9 @@ def test_error_messages(call, message):
 
 
 def assert_run_rejects(circuit, message):
-    """Both ways of running ``circuit`` raise ``message`` before any state."""
-    rho = basis_state("0" * circuit.n_qubits)
+    """Running ``circuit`` on a basis state raises ``message``."""
     with pytest.raises(ValueError, match=message):
-        apply_circuit(rho, circuit)
-    with pytest.raises(ValueError, match=message):
-        next(circuit_states(rho, circuit))
+        apply_circuit(basis_state("0" * circuit.n_qubits), circuit)
 
 
 class TestCircuitPlumbing:
@@ -423,12 +419,14 @@ class TestCircuitPlumbing:
         circuit = build_scenario_circuit(scenario, ScenarioConfig(scenario, kind=kind).noise_spec(1.7))
         n = circuit.n_qubits
         mixed = np.kron(np.kron(basis_state("0").entries, np.eye(2) / 2.0), basis_state("0" * (n - 2)).entries)
-        for rho in (prepare_inputs("y", 0.7, n), DensityMatrix(mixed)):
-            for step, got in circuit_states(rho, circuit):
+        for start in (prepare_inputs("y", 0.7, n), DensityMatrix(mixed)):
+            rho = start
+            for i, step in enumerate(circuit.steps):
                 if isinstance(step, Gate):
                     rho = apply_unitary(rho, embed(step.matrix, step.targets, n))
                 else:
                     rho = DensityMatrix(rho.entries * attenuation(step.generators, step.kind), rho.kind)
+                got = apply_circuit(start, Circuit(n, circuit.steps[: i + 1]))
                 assert got.kind == rho.kind
                 assert np.array_equal(got.entries, rho.entries)
                 assert not got.entries.flags.writeable
@@ -442,17 +440,17 @@ class TestCircuitPlumbing:
             seen.append(r)
             return r
 
-        states = [s for _, s in circuit_states(rho, circuit, noise_override=override)]
+        apply_circuit(rho, circuit, noise_override=override)
         marker = next(i for i, step in enumerate(circuit.steps) if isinstance(step, NoiseStep))
         (got,) = seen
-        assert np.array_equal(got.entries, states[marker - 1].entries)
+        assert np.array_equal(got.entries, apply_circuit(rho, Circuit(3, circuit.steps[:marker])).entries)
         assert not got.entries.flags.writeable
         # a gate within the unitarity tolerance that pushes the trace past
         # TRACE_TOL: the run stops before the override sees its state
         sloppy = Gate("sloppy", Operator(np.eye(2) * (1.0 + 5e-12)), (1,))
         seen.clear()
         with pytest.raises(ValueError, match="state trace"):
-            list(circuit_states(rho, Circuit(3, (sloppy,) + circuit.steps), noise_override=override))
+            apply_circuit(rho, Circuit(3, (sloppy,) + circuit.steps), noise_override=override)
         assert seen == []
 
     def test_each_state_is_checked_once(self, monkeypatch):
@@ -467,25 +465,17 @@ class TestCircuitPlumbing:
             return check_stack(stack, kind)
 
         monkeypatch.setattr(codes, "check_stack", recording_check)
-        states = list(circuit_states(basis_state("010"), twice, noise_override=lambda r: r))
-        assert len(checked) == 3
-        assert sum(checked) == len(states) == len(twice.steps)
-        # apply_circuit runs the same loop
-        checked.clear()
         apply_circuit(basis_state("010"), twice, noise_override=lambda r: r)
         assert len(checked) == 3
         assert sum(checked) == len(twice.steps)
 
-    def test_invalid_run_raises_before_its_first_yield(self):
+    def test_final_state_that_fails_its_check_raises(self):
         circuit = build_scenario_circuit("qec_independent", NoiseSpec(0.4))
         sloppy = Gate("sloppy", Operator(np.eye(2) * (1.0 + 5e-12)), (1,))
-        run = circuit_states(basis_state("010"), Circuit(3, circuit.steps + (sloppy,)))
-        with pytest.raises(ValueError, match="state trace"):
-            next(run)
+        assert_run_rejects(Circuit(3, circuit.steps + (sloppy,)), "state trace")
 
-    def test_empty_circuit_yields_nothing(self):
+    def test_empty_circuit_returns_its_input(self):
         rho = basis_state("01")
-        assert list(circuit_states(rho, Circuit(2, ()))) == []
         assert apply_circuit(rho, Circuit(2, ())) is rho
 
 

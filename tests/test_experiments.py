@@ -30,7 +30,7 @@ from dfsqec.qstate import (
     STATE,
     DensityMatrix,
     _embed,
-    hs_overlap,
+    hs_overlap_stack,
     partial_trace,
     pauli,
     pauli_deviation,
@@ -224,16 +224,16 @@ class TestRunScenario:
 
     def test_sweep_peak_memory_is_per_point(self):
         # each circuit's final states are reduced before the next circuit
-        # runs; a stack of them would add about 24 MB here
+        # runs; a stack of them would add about 4 MB here
         run_scenario(ScenarioConfig("dfs_qec", sweep=(0.0, 1.0)))  # fills the gate caches first
-        config = ScenarioConfig("dfs_qec", sweep=tuple(0.006 * k for k in range(2000)))
+        config = ScenarioConfig("dfs_qec", sweep=tuple(0.04 * k for k in range(300)))
         tracemalloc.start()
         try:
             result = run_scenario(config)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(result.points) == 2000
+        assert len(result.points) == 300
         assert peak - retained < 1.5e6
 
     def test_state_mode_matches_deviation_mode(self):
@@ -293,7 +293,9 @@ class TestStackedPath:
                 assert row.tobytes() == out.entries.tobytes()
             for u in "xyz":
                 assert getattr(point.report, "C" + u) == correlation(pauli_deviation(u), outs[u])
-                want_p = hs_overlap(outs[u], outs[u]) / hs_overlap(refs[u], refs[u])
+                want_p = hs_overlap_stack(outs[u].entries, outs[u].entries) / hs_overlap_stack(
+                    refs[u].entries, refs[u].entries
+                )
                 assert getattr(point.report, "P" + u) == want_p
 
     @staticmethod
@@ -595,15 +597,16 @@ class TestChart:
         assert str(info.value).startswith("series 'A' has (") and len(str(info.value).splitlines()) == 1
         assert not out.exists()
 
-    def test_loaded_nan_kappa0_is_rejected_by_the_chart(self, tmp_path):
-        # the loader only parses; the range is the chart's
-        src, out = tmp_path / "nan.csv", tmp_path / "nan.svg"
-        src.write_text("scenario,kappa0,Fe,Fe_analytic\nno_qec,0,1,1\nno_qec,nan,1,1\n")
-        (series,) = load_csv_series(src)
-        assert math.isnan(series.points[1][0])
-        with pytest.raises(ValueError, match="'no_qec' has \\(nan, 1.0\\).*finite"):
-            write_svg_chart([series], out)
-        assert not out.exists()
+    @pytest.mark.parametrize(
+        "row", ["no_qec,nan,1,1", "no_qec,-1,1,1", "no_qec,1,-2000,1", "no_qec,1,1,1.5", "no_qec,1,nan,"]
+    )
+    def test_loader_applies_the_chart_rule_and_names_the_line(self, tmp_path, row):
+        src = tmp_path / "bad.csv"
+        src.write_text(f"scenario,kappa0,Fe,Fe_analytic\nno_qec,0,1,1\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            load_csv_series(src)
+        want = f"{src}, line 3: kappa0 must be finite and >= 0, Fe and Fe_analytic in [0, 1]"
+        assert str(info.value) == want
 
     def test_emit_chart_applies_the_same_rule(self, tmp_path):
         res = run_scenario(ScenarioConfig("no_qec", sweep=(0.0, 1.0)))

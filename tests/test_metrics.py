@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfsqec import experiments
-from dfsqec.channels import INCOHERENT_SINC, MARKOVIAN_EXP, DephasingGenerator, NoiseSpec, incoherent_dephase, sinc
+from dfsqec.channels import (
+    INCOHERENT_SINC,
+    MARKOVIAN_EXP,
+    DephasingGenerator,
+    NoiseSpec,
+    collective_scale_of,
+    incoherent_dephase,
+    sinc,
+)
 from dfsqec.codes import Circuit, Gate, cnot
 from dfsqec.experiments import ScenarioConfig, run_scenario
 from dfsqec.metrics import (
@@ -16,6 +24,7 @@ from dfsqec.metrics import (
     analytic_fe_qec_strong,
     analytic_reference,
     correlation,
+    correlations,
     entanglement_fidelity,
     fit_error_rates,
     fit_grid,
@@ -30,7 +39,7 @@ def dephased(axis: str, kappa: float) -> DensityMatrix:
     return incoherent_dephase(pauli_deviation(axis), gen)
 
 
-def correlations(outputs) -> tuple[float, float, float]:
+def axis_correlations(outputs) -> tuple[float, float, float]:
     return tuple(correlation(pauli_deviation(u), outputs[u]) for u in "xyz")
 
 
@@ -43,23 +52,33 @@ def polarizations(config: ScenarioConfig) -> np.ndarray:
 class TestCorrelations:
     def test_identity_channel(self):
         ins = {u: pauli_deviation(u) for u in "xyz"}
-        assert correlations(ins) == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
+        assert axis_correlations(ins) == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
 
     def test_complete_dephasing(self):
         outs = {u: dephased(u, 2.0 * np.pi) for u in "xyz"}
-        assert correlations(outs) == pytest.approx((0.0, 0.0, 1.0), abs=1e-14)
+        assert axis_correlations(outs) == pytest.approx((0.0, 0.0, 1.0), abs=1e-14)
 
     def test_sinc_dephasing_at_half_spread_one(self):
         outs = {u: dephased(u, 2.0) for u in "xyz"}
-        assert correlations(outs) == pytest.approx((SINC1, SINC1, 1.0), abs=1e-12)
+        assert axis_correlations(outs) == pytest.approx((SINC1, SINC1, 1.0), abs=1e-12)
         # an input built from the same entries scores the same bits
         fresh = correlation(DensityMatrix(pauli_deviation("x").entries, "deviation"), outs["x"])
-        assert fresh == correlations(outs)[0]
+        assert fresh == axis_correlations(outs)[0]
 
     def test_zero_norm_input_rejected(self):
         zero = DensityMatrix(np.zeros((2, 2)), "deviation")
         with pytest.raises(ValueError, match="zero norm"):
             correlation(zero, pauli_deviation("x"))
+        sigmas = np.array([pauli_deviation(u).entries for u in "xyz"])
+        with pytest.raises(ValueError, match="zero norm"):
+            correlations(np.array([sigmas[0], zero.entries]), sigmas[:2])
+
+    def test_stack_rows_are_the_single_correlations(self):
+        # a (K, 3) table: each sweep point's outputs against the three inputs
+        sigmas = np.array([pauli_deviation(u).entries for u in "xyz"])
+        outs = [{u: dephased(u, kappa) for u in "xyz"} for kappa in (0.0, 2.0, 5.5)]
+        table = correlations(sigmas, np.array([[o[u].entries for u in "xyz"] for o in outs]))
+        assert table.tolist() == [list(axis_correlations(o)) for o in outs]
 
 
 class TestEntanglementFidelity:
@@ -217,7 +236,7 @@ def scalar_reference(scenario: str, spec: NoiseSpec) -> float:
     elif scenario == "no_qec":
         return (2.0 * s0 + 2.0) / 4.0
     else:
-        xc = spec.collective_scale()
+        xc = collective_scale_of(x, spec.ratio, spec.kind)
         if spec.coupling_case == "a":
             if incoherent:
                 s3 = float(sinc(x / 2.0 + xc / 2.0))
@@ -245,19 +264,65 @@ class TestAnalyticCurveArray:
         kappa0 = np.concatenate([[0.0, POW_TRAP_KAPPA0, 50.0], rng.uniform(0.0, 50.0, 1997)]).tolist()
         collective = scenario in ("qec_hybrid", "dfs_qec")
         for ratio in (0.5, 1.7, rng.uniform(0.1, 3.0)):
-            got = analytic_curve(scenario, kappa0, kind, case, ratio)
+            specs = [NoiseSpec(x, collective, ratio, case, kind) for x in kappa0]
+            got = analytic_curve(scenario, specs)
             assert got.shape == (2000,)
-            want = [scalar_reference(scenario, NoiseSpec(x, collective, ratio, case, kind)) for x in kappa0]
+            want = [scalar_reference(scenario, spec) for spec in specs]
             # float.hex: bit for bit, the sign of zero too
             assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
 
     def test_pow_trap_is_pinned(self):
         spec = NoiseSpec(POW_TRAP_KAPPA0, collective=True, ratio=1.7, kind=MARKOVIAN_EXP)
-        v = np.sqrt(POW_TRAP_KAPPA0) + np.sqrt(spec.collective_scale())
+        v = np.sqrt(POW_TRAP_KAPPA0) + np.sqrt(collective_scale_of(POW_TRAP_KAPPA0, 1.7, MARKOVIAN_EXP))
         assert v**2 == 0.8158943127680641 and (np.array([v]) ** 2)[0] == 0.815894312768064
         want = scalar_reference("qec_hybrid", spec)
         assert analytic_reference("qec_hybrid", spec) == want
-        assert analytic_curve("qec_hybrid", [POW_TRAP_KAPPA0], MARKOVIAN_EXP, "a", 1.7)[0] == want
+        assert analytic_curve("qec_hybrid", [spec])[0] == want
+
+
+class TestAnalyticCurveContract:
+    @pytest.mark.parametrize(
+        "other",
+        [
+            dict(kind=MARKOVIAN_EXP),
+            dict(coupling_case="b"),
+            dict(ratio=0.7),
+            dict(collective=False),
+        ],
+        ids=["kind", "case", "ratio", "collectiveness"],
+    )
+    @pytest.mark.parametrize("scenario", ["qec_hybrid", "no_qec"])
+    def test_mixed_specs_raise(self, scenario, other):
+        # also where the closed form reads none of the mixed fields
+        spec = NoiseSpec(1.0, collective=True, ratio=0.5)
+        mixed = [spec, dataclasses.replace(spec, kappa0=2.0, **other)]
+        with pytest.raises(ValueError, match="^specs must share kind, coupling case, ratio and collectiveness$"):
+            analytic_curve(scenario, mixed)
+
+    def test_hybrid_needs_the_collective_component(self):
+        with pytest.raises(ValueError, match="^qec_hybrid reference needs the collective component$"):
+            analytic_curve("qec_hybrid", [NoiseSpec(1.0)])
+
+    @pytest.mark.parametrize("specs", [[], [NoiseSpec(1.0)]])
+    def test_unknown_scenario_raises_with_or_without_specs(self, specs):
+        with pytest.raises(ValueError, match="^unknown scenario 'other'$"):
+            analytic_curve("other", specs)
+
+    def test_no_specs_give_an_empty_curve(self):
+        assert analytic_curve("qec_hybrid", []).shape == (0,)
+
+    @pytest.mark.parametrize("kappa0", [-1.0, float("nan"), float("inf")])
+    def test_independent_form_rejects_an_invalid_scale(self, kappa0):
+        with pytest.raises(ValueError, match="^kappa0 must be finite and >= 0"):
+            analytic_fe_qec_independent(kappa0)
+
+    def test_one_point_forms_are_curve_rows(self):
+        specs = [NoiseSpec(x, collective=True, ratio=0.8, coupling_case="b") for x in (0.0, 1.3, 7.9)]
+        curve = analytic_curve("qec_hybrid", specs).tolist()
+        assert curve == [analytic_reference("qec_hybrid", spec) for spec in specs]
+        plain = [NoiseSpec(x) for x in (0.0, 1.3, 7.9)]
+        curve = analytic_curve("qec_independent", plain).tolist()
+        assert curve == [analytic_fe_qec_independent(spec.kappa0) for spec in plain]
 
 
 class TestFitErrorRates:

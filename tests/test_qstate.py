@@ -17,7 +17,6 @@ from dfsqec.qstate import (
     apply_unitary,
     check_stack,
     embed,
-    hs_overlap,
     hs_overlap_stack,
     maximally_mixed,
     partial_trace,
@@ -440,6 +439,11 @@ class TestPartialTrace:
     def test_stack_keep_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             partial_trace_stack(np.eye(4)[None] / 4, {3})
+
+
+def hs_overlap(a: DensityMatrix, b: DensityMatrix) -> float:
+    """The overlap of two matrices, as a stack of one each."""
+    return float(hs_overlap_stack(a.entries[None], b.entries[None])[0])
 
 
 class TestHsOverlap:

@@ -36,6 +36,21 @@ def test_hump_demo_bad_purities_are_one_error_line(purities, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("run_sweeps.py", ["--kind", "bogus"], "error: argument --kind: invalid choice: 'bogus'"),
+        ("hump_demo.py", ["--purity", "0.5"], "error: unrecognized arguments: --purity 0.5"),
+    ],
+)
+def test_usage_error_is_one_error_line(script, args, message, tmp_path):
+    proc = run_script(script, "--out-dir", str(tmp_path / "out"), *args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(message) and len(proc.stderr.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_sweeps_unwritable_out_dir_is_one_error_line(tmp_path):
     (tmp_path / "file").write_text("")
     proc = run_script("run_sweeps.py", "--out-dir", str(tmp_path / "file" / "out"))
