@@ -54,7 +54,7 @@ MARKOVIAN_EXP = "markovian_exp"
 NOISE_KINDS = (INCOHERENT_SINC, MARKOVIAN_EXP)
 COUPLING_CASES = ("a", "b")
 
-# distinct generator weight vectors kept by attenuation's Delta cache:
+# distinct generator weight vectors kept by attenuation's Delta / 4 cache:
 # the scenario error models have seven fixed ones, plus one case "a"
 # combined generator per ratio, whose weights do not change with kappa0
 DELTA_CACHE_SIZE = 16
@@ -105,7 +105,12 @@ class DephasingGenerator:
 
     def lindblad_matrix(self) -> np.ndarray:
         """Dense jump operator sqrt(strength/2) W."""
-        return np.diag(np.sqrt(self.strength / 2.0) * self.z_values()).astype(complex)
+        return np.diag(_jump_diagonal(self)).astype(complex)
+
+
+def _jump_diagonal(gen: DephasingGenerator) -> np.ndarray:
+    """Diagonal of the jump operator sqrt(strength/2) W."""
+    return np.sqrt(gen.strength / 2.0) * gen.z_values()
 
 
 def _z_values(weights: np.ndarray) -> np.ndarray:
@@ -116,15 +121,15 @@ def _z_values(weights: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=DELTA_CACHE_SIZE)
-def _delta(weights: bytes) -> np.ndarray:
-    """Read-only Delta matrix (ket minus bra eigenvalue of W) of the
-    float64 weight vector with these bytes; it does not depend on the
-    strength, and a case "a" generator's weights change only with the
-    ratio, so every point of a sweep shares it."""
-    z = _z_values(np.frombuffer(weights))
-    delta = z[:, None] - z[None, :]
-    delta.setflags(write=False)
-    return delta
+def _quarter_delta(weights: bytes) -> np.ndarray:
+    """Read-only Delta / 4 matrix of the float64 weight vector with these
+    bytes, formed from z / 4, so finite wherever W's eigenvalues z are; it
+    does not depend on the strength, and a case "a" generator's weights
+    change only with the ratio, so every point of a sweep shares it."""
+    z = _z_values(np.frombuffer(weights)) / 4.0
+    quarter = z[:, None] - z[None, :]
+    quarter.setflags(write=False)
+    return quarter
 
 
 def attenuation(gens: Sequence[DephasingGenerator], kind: str) -> np.ndarray:
@@ -133,12 +138,13 @@ def attenuation(gens: Sequence[DephasingGenerator], kind: str) -> np.ndarray:
     multiplied by it.
 
     With Delta the ket/bra difference of W eigenvalues of each generator,
-    the factor is prod sinc(kappa Delta / 4) for the incoherent kind and
-    prod exp(-lambda Delta^2 / 4) for the Markovian kind (lambda is the
-    rate times the storage time); a zero strength gives exactly 1, even
-    where Delta overflows, and no generators give 1.0.  The generators,
-    of one qubit count, are evaluated as one ``(G, d, d)`` stack, and the
-    product is taken over it in generator order.
+    the factor is prod sinc(kappa (Delta / 4)) for the incoherent kind and
+    prod exp(-lambda (Delta / 2)^2) for the Markovian kind (lambda is the
+    rate times the storage time); Delta is scaled first, so only an
+    argument past the float range raises.  A zero strength gives exactly
+    1, even where W's eigenvalues overflow, and no generators give 1.0.
+    The generators, of one qubit count, are evaluated as one ``(G, d, d)``
+    stack, and the product is taken over it in generator order.
     """
     if kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}")
@@ -148,12 +154,12 @@ def attenuation(gens: Sequence[DephasingGenerator], kind: str) -> np.ndarray:
         raise ValueError("generators must share a common qubit count")
     strengths = np.array([gen.strength for gen in gens])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        deltas = np.array([_delta(gen.weights.tobytes()) for gen in gens])
+        quarters = np.array([_quarter_delta(gen.weights.tobytes()) for gen in gens])
         if kind == INCOHERENT_SINC:
-            factors = sinc(strengths * deltas / 4.0)
+            factors = sinc(strengths * quarters)
         else:
-            factors = np.exp(-strengths * deltas**2 / 4.0)
-        # 0 * inf is nan where Delta overflows; elsewhere this is a no-op
+            factors = np.exp(-strengths * (2.0 * quarters) ** 2)
+        # 0 * inf is nan where W's eigenvalues overflow; elsewhere a no-op
         factors[strengths[:, 0, 0] == 0.0] = 1.0
         factor = np.multiply.reduce(factors, 0)
     if not np.isfinite(factor).all():
@@ -194,7 +200,7 @@ def noise_strength(gens: Sequence[DephasingGenerator]) -> float:
     if len({g.n_qubits for g in gens}) > 1:
         raise ValueError("generators must share a common qubit count")
     with np.errstate(over="ignore", invalid="ignore"):
-        diags = [np.sqrt(g.strength / 2.0) * g.z_values() for g in gens]
+        diags = [_jump_diagonal(g) for g in gens]
         total = sum(np.max(np.abs(d)) ** 2 for d in diags)
         strength = float(total + np.max(sum(d * d for d in diags)))
     if not math.isfinite(strength):
@@ -205,7 +211,7 @@ def noise_strength(gens: Sequence[DephasingGenerator]) -> float:
 def partial_strengths(gens: Sequence[DephasingGenerator]) -> list[float]:
     """Per-generator partial strengths lambda_mu = 2 |L_mu|^2 (see noise_strength)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        strengths = [float(2.0 * np.max(np.abs(np.sqrt(g.strength / 2.0) * g.z_values())) ** 2) for g in gens]
+        strengths = [float(2.0 * np.max(np.abs(_jump_diagonal(g))) ** 2) for g in gens]
     if not all(map(math.isfinite, strengths)):
         raise ValueError("partial noise strength is not finite: generator strengths are too large")
     return strengths

@@ -26,8 +26,8 @@ before and after the noise marker, built once at import.  It is the
 only source of a scenario's qubit count and collectiveness.
 
 Each validity fact is checked once, where it is used: gate targets by
-``embed`` when a gate runs, a noise marker's kind and attenuation when
-it is built, step types and generator widths when a ``Circuit`` is.
+``embed`` when a gate runs, a noise marker's attenuation when it is
+built, step types and noise factor shapes when a ``Circuit`` is.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .channels import DephasingGenerator, NoiseSpec, attenuation, build_error_model
+from .channels import NoiseSpec, attenuation, build_error_model
 from .qstate import SX, DensityMatrix, Operator, check_stack, conjugate, embed
 
 __all__ = [
@@ -91,20 +91,18 @@ class Gate:
 
 @dataclass(frozen=True, eq=False)
 class NoiseStep:
-    """Marker for the storage interval: the engineered noise acts here.
+    """Marker for the storage interval: the noise of ``spec`` acts here.
 
-    Its elementwise ``factor`` is computed, and the kind and finiteness
-    checked, by ``attenuation`` when the marker is built; it is
-    read-only and shared by every state run through the marker.
+    Its elementwise ``factor``, ``attenuation(build_error_model(spec),
+    spec.kind)``, is computed when the marker is built; it is read-only
+    and shared by every state run through the marker.
     """
 
-    generators: tuple[DephasingGenerator, ...]
-    kind: str
+    spec: NoiseSpec
     factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        factor = np.asarray(attenuation(self.generators, self.kind))
+        factor = attenuation(build_error_model(self.spec), self.spec.kind)
         factor.setflags(write=False)
         object.__setattr__(self, "factor", factor)
 
@@ -115,7 +113,7 @@ Step = Union[Gate, NoiseStep]
 @dataclass(frozen=True, eq=False)
 class Circuit:
     """Gates and noise markers on ``n_qubits``; building it checks the
-    step types and generator widths, running it the gate targets."""
+    step types and noise factor shapes, running it the gate targets."""
 
     n_qubits: int
     steps: tuple[Step, ...]
@@ -123,15 +121,10 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         for step in self.steps:
-            if isinstance(step, NoiseStep):
-                for gen in step.generators:
-                    if gen.n_qubits != self.n_qubits:
-                        raise ValueError(
-                            f"noise generator {gen.label!r} is on {gen.n_qubits} qubit(s), "
-                            f"circuit has {self.n_qubits}"
-                        )
-            elif not isinstance(step, Gate):
+            if not isinstance(step, (Gate, NoiseStep)):
                 raise ValueError(f"unknown step type {type(step).__name__}")
+            if isinstance(step, NoiseStep) and step.factor.shape != (2**self.n_qubits,) * 2:
+                raise ValueError(f"noise factor of shape {step.factor.shape} does not fit {self.n_qubits}-qubit circuit")
 
 
 def hadamard(qubit: int) -> Gate:
@@ -215,8 +208,7 @@ def build_scenario_circuit(scenario: str, spec: NoiseSpec) -> Circuit:
         want = "the collective noise component" if collective else "independent noise only"
         raise ValueError(f"{scenario} requires {want}")
     _, _, before, after = _SCENARIOS[scenario]
-    noise = NoiseStep(tuple(build_error_model(spec)), kind=spec.kind)
-    return Circuit(n, before + (noise,) + after)
+    return Circuit(n, before + (NoiseStep(spec),) + after)
 
 
 def apply_circuit(
@@ -235,8 +227,8 @@ def apply_circuit(
     steps is the final state of the prefix circuit
     ``Circuit(n, steps[:i + 1])``, which runs the same loop.
 
-    Markovian noise markers carry lambda*t folded into their generator
-    strengths.  ``noise_override`` replaces the noise marker by an
+    Markovian noise markers carry lambda*t folded into their spec's
+    ``kappa0``.  ``noise_override`` replaces the noise marker by an
     arbitrary map, which is how deterministic error insertions are
     tested; the states up to it are checked before it receives one,
     and each state is checked exactly once.

@@ -199,13 +199,14 @@ def _data_outputs(circuits: Iterable[Circuit], inputs: Sequence[DensityMatrix]) 
     circuit in order and the inputs in input order along it: all four
     ``_product_inputs`` rows, or the three deviations.  Each input runs
     through each circuit once, and a circuit's final states are reduced
-    as one stack before the next circuit runs.  The whole stack is then
-    checked by the inputs' layout, the leading state column (present only
-    with four inputs) with one ``check_stack`` call and the deviations
-    with another, so the first failing output in (circuit, input) order
-    raises."""
-    outs = np.array(
-        [partial_trace_stack(np.array([apply_circuit(rho, c).entries for rho in inputs]), {DATA_QUBIT}) for c in circuits]
+    as one stack into its row of the output array before the next circuit
+    runs.  The whole stack is then checked by the inputs' layout, the
+    leading state column (present only with four inputs) with one
+    ``check_stack`` call and the deviations with another, so the first
+    failing output in (circuit, input) order raises."""
+    outs = np.fromiter(
+        (partial_trace_stack(np.array([apply_circuit(rho, c).entries for rho in inputs]), {DATA_QUBIT}) for c in circuits),
+        np.dtype((complex, (len(inputs), 2, 2))),
     )
     n_states = len(inputs) - len(AXES)
     if n_states:

@@ -10,7 +10,7 @@ from dfsqec.channels import (
     MARKOVIAN_EXP,
     DephasingGenerator,
     NoiseSpec,
-    _delta,
+    _quarter_delta,
     attenuation,
     build_error_model,
     collective_scale_of,
@@ -72,11 +72,15 @@ class TestGenerator:
 def test_delta_is_cached_and_read_only():
     gen = DephasingGenerator(np.array([0.0, 0.0, 1.3, 1.0]), 2.0)
     z = gen.z_values()
-    delta = _delta(gen.weights.tobytes())
-    assert np.array_equal(delta, z[:, None] - z[None, :])
-    assert not delta.flags.writeable
+    quarter = _quarter_delta(gen.weights.tobytes())
+    # scaling by a power of two commutes with rounding in the normal range
+    assert np.array_equal(quarter, (z[:, None] - z[None, :]) / 4.0)
+    assert not quarter.flags.writeable
     same_weights = DephasingGenerator(np.array([0.0, 0.0, 1.3, 1.0]), 5.0)
-    assert _delta(same_weights.weights.tobytes()) is delta
+    assert _quarter_delta(same_weights.weights.tobytes()) is quarter
+    # finite where Delta itself overflows
+    wide = DephasingGenerator(np.array([1e308, 1.0]), 1.0)
+    assert np.isfinite(_quarter_delta(wide.weights.tobytes())).all()
 
 
 class TestIncoherentDephase:

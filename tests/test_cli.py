@@ -287,7 +287,7 @@ BAD_CHART_CSVS = {
         ["sweep", "--scenario", "qec_hybrid", "--kappa0", "1e308:1.7e308:1e307"],
         ["sweep", "--scenario", "no_qec", "--kappa0", "1", "--ratio", "inf"],
         ["sweep", "--scenario", "no_qec", "--kappa0", "0:1:nan"],
-        ["sweep", "--scenario", "qec_independent", "--kappa0", "1e308"],
+        ["sweep", "--scenario", "qec_hybrid", "--kappa0", "1.5e308", "--ratio", "1"],
         ["sweep", "--scenario", "dfs_qec", "--kappa0", "8e307"],
         ["analytic", "--curve", "qec-strong", "--kappa0", "1", "--ratio", "0"],
         ["analytic", "--curve", "qec-strong", "--kappa0", "1", "--ratio", "inf"],

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dfsqec import codes
@@ -10,6 +10,8 @@ from dfsqec.channels import (
     DephasingGenerator,
     NoiseSpec,
     attenuation,
+    build_error_model,
+    collective_scale_of,
     incoherent_dephase,
 )
 from dfsqec.codes import (
@@ -348,19 +350,42 @@ class TestScenarioCircuits:
 
     def test_noise_marker_is_checked_when_built(self):
         # the marker's attenuation is computed by build_scenario_circuit,
-        # not by the first run
-        spec = NoiseSpec(1e308, collective=True, ratio=1.0, coupling_case="a", kind=INCOHERENT_SINC)
+        # not by the first run; kappa_c * Delta / 4 = 1.5e308 * 1.5 overflows
+        spec = NoiseSpec(1.5e308, collective=True, ratio=1.0, coupling_case="a", kind=INCOHERENT_SINC)
         with pytest.raises(ValueError, match="^noise attenuation is not finite"):
             build_scenario_circuit("qec_hybrid", spec)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(SCENARIOS),
+        st.sampled_from([INCOHERENT_SINC, MARKOVIAN_EXP]),
+        st.sampled_from(["a", "b"]),
+        st.floats(0.0, 1e307),
+        st.floats(-308.0, 308.0),
+    )
+    @example("qec_hybrid", INCOHERENT_SINC, "a", 1.0, 308.0)  # Delta = 2e308 overflows
+    def test_every_accepted_spec_builds_a_finite_factor(self, scenario, kind, case, kappa0, log_ratio):
+        # evaluability, not agreement with the closed form: every spec
+        # NoiseSpec accepts, with collective scale <= 1e308, builds
+        collective = scenario_layout(scenario)[1]
+        ratio = 10.0**log_ratio
+        try:
+            spec = NoiseSpec(kappa0, collective, ratio, case, kind)
+        except ValueError:
+            assume(False)
+        assume(not collective or collective_scale_of(kappa0, ratio, kind) <= 1e308)
+        (step,) = [s for s in build_scenario_circuit(scenario, spec).steps if isinstance(s, NoiseStep)]
+        assert np.isfinite(step.factor).all()
+        assert (np.abs(step.factor) <= 1.0).all()
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: NoiseStep((), "bogus"), "unknown noise kind 'bogus'"),
+        (lambda: NoiseStep(NoiseSpec(1.0, kind="bogus")), "unknown noise kind 'bogus'"),
         (
-            lambda: NoiseStep((DephasingGenerator([1.0], 1.0), DephasingGenerator([1.0, 1.0], 1.0)), MARKOVIAN_EXP),
-            "generators must share a common qubit count",
+            lambda: NoiseStep(NoiseSpec(1.5e308, collective=True, ratio=1.0)),
+            "noise attenuation is not finite: generator strengths are too large",
         ),
         (lambda: Circuit(2, ("H",)), "unknown step type str"),
         (
@@ -392,16 +417,18 @@ class TestCircuitPlumbing:
     def test_circuit_target_range_checked(self):
         assert_run_rejects(Circuit(2, (hadamard(3),)), r"^targets \[3\] out of range 1..2$")
 
-    def test_circuit_noise_generator_width_checked(self):
-        gen = DephasingGenerator(np.array([1.0]), 1.0, "z1")
-        with pytest.raises(ValueError, match="generator"):
-            Circuit(2, (NoiseStep((gen,), INCOHERENT_SINC),))
+    def test_circuit_noise_factor_shape_checked(self):
+        four_qubit = NoiseStep(NoiseSpec(1.0, collective=True))
+        with pytest.raises(ValueError, match=r"^noise factor of shape \(16, 16\) does not fit 3-qubit circuit$"):
+            Circuit(3, (four_qubit,))
+        assert Circuit(4, (four_qubit,)).steps == (four_qubit,)
 
     @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
     def test_noise_factor_is_the_attenuation(self, kind):
         spec = NoiseSpec(2.3, collective=True, ratio=0.7, kind=kind)
         (step,) = [s for s in build_scenario_circuit("dfs_qec", spec).steps if isinstance(s, NoiseStep)]
-        assert np.array_equal(step.factor, attenuation(step.generators, step.kind))
+        assert step.spec is spec
+        assert step.factor.tobytes() == attenuation(build_error_model(spec), spec.kind).tobytes()
         assert step.factor is step.factor
         assert not step.factor.flags.writeable
 
@@ -425,7 +452,7 @@ class TestCircuitPlumbing:
                 if isinstance(step, Gate):
                     rho = apply_unitary(rho, embed(step.matrix, step.targets, n))
                 else:
-                    rho = DensityMatrix(rho.entries * attenuation(step.generators, step.kind), rho.kind)
+                    rho = DensityMatrix(rho.entries * attenuation(build_error_model(step.spec), step.spec.kind), rho.kind)
                 got = apply_circuit(start, Circuit(n, circuit.steps[: i + 1]))
                 assert got.kind == rho.kind
                 assert np.array_equal(got.entries, rho.entries)

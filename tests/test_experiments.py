@@ -35,7 +35,8 @@ from dfsqec.qstate import (
     pauli,
     pauli_deviation,
 )
-from dfsqec.metrics import correlation
+from dfsqec.cli import CHECK_TOL
+from dfsqec.metrics import analytic_reference, correlation
 from .conftest import basis_state
 
 
@@ -207,6 +208,22 @@ class TestRunScenario:
     def test_hybrid_value_at_half_spread_one(self):
         res = run_scenario(ScenarioConfig("qec_hybrid", sweep=(2.0,), ratio=0.5))
         assert res.points[0].report.Fe == pytest.approx(0.9241685492011245, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ScenarioConfig("qec_independent", sweep=(1e308,)),
+            ScenarioConfig("qec_hybrid", sweep=(1.0,), ratio=1e308, coupling_case="a"),
+            ScenarioConfig("qec_hybrid", sweep=(1.0,), ratio=1e-308, coupling_case="b"),
+        ],
+        ids=["kappa0-1e308", "case-a-ratio-1e308", "case-b-kappa_c-1e308"],
+    )
+    def test_finite_attenuation_past_an_overflowing_delta_runs(self, config):
+        # kappa * Delta or Delta itself overflows, kappa * Delta / 4 does not
+        (point,) = run_scenario(config).points
+        want = analytic_reference(config.scenario, config.noise_spec(point.kappa0))
+        assert point.report.Fe_analytic == want
+        assert abs(point.report.Fe - want) <= CHECK_TOL
 
     def test_fe_range_across_scenarios(self):
         for scenario in ("qec_independent", "qec_hybrid", "no_qec", "dfs_qec"):
