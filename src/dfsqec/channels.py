@@ -19,11 +19,17 @@ and bra basis states of an element:
 
 An element with ``Delta = 0`` is untouched at any strength.  For the
 collective generator ``sigma_z^3 + sigma_z^4`` this is what makes
-``span{|01>, |10>}`` of qubits 3 and 4 a decoherence-free subspace.
+``span{|01>, |10>}`` of qubits 3 and 4 a decoherence-free subspace
+(Lidar, Chuang and Whaley, PRL 81, 2594 (1998)).
+
+The scenario noise is declared once, in the table ``_LAYOUTS``, as
+environments whose parts share one random phase, so the parts'
+arguments add inside one attenuation.  Case "a" is one environment
+with two parts, the collective pair and qubit 3's residual noise;
+case "b" puts them in two environments.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -46,6 +52,7 @@ __all__ = [
     "partial_strengths",
     "qubit3_strength_ratio",
     "build_error_model",
+    "noise_layout",
     "collective_scale_of",
 ]
 
@@ -53,11 +60,6 @@ INCOHERENT_SINC = "incoherent_sinc"
 MARKOVIAN_EXP = "markovian_exp"
 NOISE_KINDS = (INCOHERENT_SINC, MARKOVIAN_EXP)
 COUPLING_CASES = ("a", "b")
-
-# distinct generator weight vectors kept by attenuation's Delta / 4 cache:
-# the scenario error models have seven fixed ones, plus one case "a"
-# combined generator per ratio, whose weights do not change with kappa0
-DELTA_CACHE_SIZE = 16
 
 
 def sinc(x):
@@ -83,8 +85,6 @@ class DephasingGenerator:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a per-qubit vector")
-        # Python-level checks: one generator per axis is built at every
-        # sweep point, and numpy reductions cost more on so few weights
         values = w.tolist()
         if not all(map(math.isfinite, values)):
             raise ValueError(f"weights must be finite, got {values}")
@@ -120,47 +120,48 @@ def _z_values(weights: np.ndarray) -> np.ndarray:
     return (1.0 - 2.0 * bits) @ weights
 
 
-@functools.lru_cache(maxsize=DELTA_CACHE_SIZE)
-def _quarter_delta(weights: bytes) -> np.ndarray:
-    """Read-only Delta / 4 matrix of the float64 weight vector with these
-    bytes, formed from z / 4, so finite wherever W's eigenvalues z are; it
-    does not depend on the strength, and a case "a" generator's weights
-    change only with the ratio, so every point of a sweep shares it."""
-    z = _z_values(np.frombuffer(weights)) / 4.0
-    quarter = z[:, None] - z[None, :]
+def _quarter_delta(weights: np.ndarray) -> np.ndarray:
+    """Read-only Delta / 4 matrix of a weight vector, formed from z / 4,
+    so finite wherever W's eigenvalues z are."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _z_values(weights) / 4.0
+        quarter = z[:, None] - z[None, :]
     quarter.setflags(write=False)
     return quarter
 
 
-def attenuation(gens: Sequence[DephasingGenerator], kind: str) -> np.ndarray:
-    """Elementwise factor matrix of the combined channel of commuting
-    z-type generators on one register; a state's matrix elements are
-    multiplied by it.
+def _argument(env, kind: str):
+    """One environment's sinc argument or Markovian exponent (see attenuation)."""
+    if len(env) == 1:
+        quarter, strength, *_ = env[0]
+        return strength * quarter if kind == INCOHERENT_SINC else strength * (2.0 * quarter) ** 2
+    if kind == INCOHERENT_SINC:
+        return sum(strength * quarter for quarter, strength, *_ in env)
+    return sum(2.0 * math.sqrt(strength) * quarter for quarter, strength, *_ in env) ** 2
 
-    With Delta the ket/bra difference of W eigenvalues of each generator,
-    the factor is prod sinc(kappa (Delta / 4)) for the incoherent kind and
-    prod exp(-lambda (Delta / 2)^2) for the Markovian kind (lambda is the
-    rate times the storage time); Delta is scaled first, so only an
-    argument past the float range raises.  A zero strength gives exactly
-    1, even where W's eigenvalues overflow, and no generators give 1.0.
-    The generators, of one qubit count, are evaluated as one ``(G, d, d)``
-    stack, and the product is taken over it in generator order.
+
+def attenuation(environments: Sequence[Sequence[tuple]], kind: str) -> np.ndarray:
+    """Elementwise factor matrix of commuting z-type noise on one
+    register; a state's matrix elements are multiplied by it.
+
+    Each environment is a sequence of parts (Delta / 4, strength, ...)
+    that share one random phase, so their arguments add inside one
+    attenuation: sinc(sum_k kappa_k Delta_k / 4), or for the Markovian
+    kind exp(-(sum_k sqrt(lambda_k) Delta_k / 2)^2), lambda being the
+    rate times the storage time; one part gives exp(-lambda (Delta / 2)^2).
+    Only an argument past the float range raises.  An environment at zero
+    strength gives exactly 1, even where W's eigenvalues overflow; no
+    environments give 1.0.  The product runs over the ``(E, d, d)`` stack in order.
     """
     if kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}")
-    if not gens:
-        return 1.0
-    if len({gen.n_qubits for gen in gens}) > 1:
+    if len({part[0].shape for env in environments for part in env}) > 1:
         raise ValueError("generators must share a common qubit count")
-    strengths = np.array([gen.strength for gen in gens])[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        quarters = np.array([_quarter_delta(gen.weights.tobytes()) for gen in gens])
-        if kind == INCOHERENT_SINC:
-            factors = sinc(strengths * quarters)
-        else:
-            factors = np.exp(-strengths * (2.0 * quarters) ** 2)
+        args = np.array([_argument(env, kind) for env in environments])
+        factors = sinc(args) if kind == INCOHERENT_SINC else np.exp(-args)
         # 0 * inf is nan where W's eigenvalues overflow; elsewhere a no-op
-        factors[strengths[:, 0, 0] == 0.0] = 1.0
+        factors[[not any(part[1] for part in env) for env in environments]] = 1.0
         factor = np.multiply.reduce(factors, 0)
     if not np.isfinite(factor).all():
         raise ValueError("noise attenuation is not finite: generator strengths are too large")
@@ -170,7 +171,8 @@ def attenuation(gens: Sequence[DephasingGenerator], kind: str) -> np.ndarray:
 def _dephase(rho: DensityMatrix, gens: Sequence[DephasingGenerator], kind: str) -> DensityMatrix:
     if any(2**g.n_qubits != rho.dim for g in gens):
         raise ValueError(f"generator qubit count does not match dimension {rho.dim}")
-    return DensityMatrix(rho.entries * attenuation(gens, kind), rho.kind)
+    environments = [[(_quarter_delta(g.weights), g.strength)] for g in gens]
+    return DensityMatrix(rho.entries * attenuation(environments, kind), rho.kind)
 
 
 def incoherent_dephase(rho: DensityMatrix, gen: DephasingGenerator) -> DensityMatrix:
@@ -250,10 +252,9 @@ class NoiseSpec:
     rates scale as amplitude squared).
 
     ``coupling_case`` selects how the collective and residual noise on
-    qubit 3 combine: case "a" shares one environment, so the amplitudes
-    add into a single generator and the qubit-3 totals are
-    kappa_3 = kappa_c + kappa_0; case "b" keeps two separate
-    environments.
+    qubit 3 combine: case "a" is one environment, two parts whose
+    arguments add, so the qubit-3 total spread is kappa_c + kappa_0;
+    case "b" keeps two separate environments.
     """
 
     kappa0: float
@@ -296,49 +297,49 @@ def collective_scale_of(kappa0, ratio: float, kind: str):
         return kappa0 / ratio / ratio
 
 
+# (collective, coupling case) -> environments, each a tuple of parts
+# (label, weights, scale): a unit pattern of sigma_z on the register, at
+# the scale "kappa0" or "collective"
+_Z1, _Z2, _Z3 = ("z1", (1, 0, 0), "kappa0"), ("z2", (0, 1, 0), "kappa0"), ("z3", (0, 0, 1), "kappa0")
+_C1, _C2 = ("z1", (1, 0, 0, 0), "kappa0"), ("z2", (0, 1, 0, 0), "kappa0")
+_C34, _C3 = ("z34-collective", (0, 0, 1, 1), "collective"), ("z3-residual", (0, 0, 1, 0), "kappa0")
+_LAYOUTS = {
+    (False, "a"): ((_Z1,), (_Z2,), (_Z3,)),
+    (False, "b"): ((_Z1,), (_Z2,), (_Z3,)),
+    (True, "a"): ((_C1,), (_C2,), (_C34, _C3)),
+    (True, "b"): ((_C1,), (_C2,), (_C34,), (_C3,)),
+}
+# Delta / 4 of each unit pattern, built once
+_UNIT_QUARTERS = {
+    w: _quarter_delta(np.array(w, dtype=float)) for envs in _LAYOUTS.values() for env in envs for _, w, _ in env
+}
+
+
+def noise_layout(spec: NoiseSpec) -> list[list[tuple]]:
+    """The spec's environments from the layout table, each part as
+    (Delta / 4, strength, label, weights): ``attenuation``'s parts, labeled."""
+    scales = {"kappa0": spec.kappa0}
+    if spec.collective:
+        scales["collective"] = collective_scale_of(spec.kappa0, spec.ratio, spec.kind)
+    envs = _LAYOUTS[spec.collective, spec.coupling_case]
+    return [[(_UNIT_QUARTERS[w], scales[scale], label, w) for label, w, scale in env] for env in envs]
+
+
 def build_error_model(spec: NoiseSpec) -> list[DephasingGenerator]:
-    """Generators realizing a NoiseSpec; the spec fixes the register,
-    qubits 1-3, plus qubit 4 when ``spec.collective`` is set.
-
-    Independent axes act on qubits 1, 2 and 3 with scale ``kappa0``.
-    The collective axis acts on qubits 3 and 4.
-    In case "a" the independent qubit-3 axis and the collective axis
-    are one and the same environment: they are emitted as a single
-    generator with weights (1 + e, 1) on qubits (3, 4), where e is the
-    residual/collective amplitude ratio, the spec's ``ratio``
-    (kappa0/kappa_c, or sqrt(lambda0/lambda_c) for the Markovian kind),
-    so the qubit-3 total spread is exactly kappa_c + kappa_0 while the
-    decoherence-free pair sees only the residual kappa_0; at a zero
-    collective scale only the residual qubit-3 axis is emitted.  In
-    case "b" the collective and residual generators stay separate.
+    """Generator view of ``noise_layout(spec)``, for the noise strengths:
+    one generator per environment.  Case "a"'s is "z34-combined", weights
+    (1 + ratio, 1) on qubits (3, 4) at the collective scale, ratio being
+    the residual/collective amplitude ratio (kappa0/kappa_c, or
+    sqrt(lambda0/lambda_c)).  Parts at a zero scale are left out, so at a
+    zero collective scale only the residual part is emitted; an
+    environment all at zero keeps its last part.
     """
-    n_qubits = 4 if spec.collective else 3
-
-    def axis(qubit: int, strength: float, label: str) -> DephasingGenerator:
-        w = np.zeros(n_qubits)
-        w[qubit - 1] = 1.0
-        return DephasingGenerator(w, strength, label)
-
-    x = spec.kappa0
-    gens = [axis(1, x, "z1"), axis(2, x, "z2")]
-    if not spec.collective:
-        gens.append(axis(3, x, "z3"))
-        return gens
-
-    base_c = collective_scale_of(x, spec.ratio, spec.kind)
-    if spec.coupling_case == "b":
-        w = np.zeros(n_qubits)
-        w[2] = w[3] = 1.0
-        gens.append(DephasingGenerator(w, base_c, "z34-collective"))
-        gens.append(axis(3, x, "z3-residual"))
-        return gens
-
-    # case "a": one environment; amplitudes on qubit 3 add coherently
-    if base_c > 0.0:
-        w = np.zeros(n_qubits)
-        w[2] = 1.0 + spec.ratio
-        w[3] = 1.0
-        gens.append(DephasingGenerator(w, base_c, "z34-combined"))
-    else:
-        gens.append(axis(3, x, "z3-residual"))
+    gens = []
+    for env in noise_layout(spec):
+        (_, strength, label, weights), *residuals = [part for part in env if part[1] > 0.0] or env[-1:]
+        weights = np.array(weights, dtype=float)
+        for *_, residual in residuals:  # case "a": amplitude ratio times the collective part's
+            weights = weights + spec.ratio * np.array(residual, dtype=float)
+            label = "z34-combined"
+        gens.append(DephasingGenerator(weights, strength, label))
     return gens

@@ -11,12 +11,14 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 from typing import Sequence
 
 from .channels import (
+    COUPLING_CASES,
     INCOHERENT_SINC,
     MARKOVIAN_EXP,
     build_error_model,
@@ -175,21 +177,17 @@ def _cmd_chart(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    failures = 0
-    curves: dict[str, list[float]] = {}
-    for scenario in SCENARIOS:
-        config = ScenarioConfig(scenario)
-        result = run_scenario(config)
-        fes = [p.report.Fe for p in result.points]
-        curves[scenario] = fes
-        dev = max(abs(p.report.Fe - p.report.Fe_analytic) for p in result.points)
-        ok = dev <= CHECK_TOL
-        failures += not ok
-        print(f"{scenario}: max |Fe - analytic| = {dev:.3e} {'OK' if ok else 'MISMATCH'}")
-    dev = max(abs(a - b) for a, b in zip(curves["dfs_qec"], curves["qec_independent"]))
-    ok = dev <= CHECK_TOL
-    failures += not ok
-    print(f"dfs_qec vs qec_independent: max |dFe| = {dev:.3e} {'OK' if ok else 'MISMATCH'}")
+    rows = []  # (label, deviation) of every sweep, all run before printing
+    for (alias, kind), case in itertools.product(KIND_ALIASES.items(), COUPLING_CASES):
+        runs = {s: run_scenario(ScenarioConfig(s, kind=kind, coupling_case=case)).points for s in SCENARIOS}
+        for scenario, points in runs.items():
+            dev = max(abs(p.report.Fe - p.report.Fe_analytic) for p in points)
+            rows.append((f"{scenario} {alias} case {case}: max |Fe - analytic|", dev))
+        dev = max(abs(p.report.Fe - q.report.Fe) for p, q in zip(runs["dfs_qec"], runs["qec_independent"]))
+        rows.append((f"dfs_qec vs qec_independent {alias} case {case}: max |dFe|", dev))
+    for label, dev in rows:
+        print(f"{label} = {dev:.3e} {'OK' if dev <= CHECK_TOL else 'MISMATCH'}")
+    failures = sum(not dev <= CHECK_TOL for _, dev in rows)
     if failures:
         print(f"check failed: {failures} mismatch(es)", file=sys.stderr)
         return 1

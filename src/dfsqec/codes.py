@@ -36,7 +36,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .channels import NoiseSpec, attenuation, build_error_model
+from .channels import NoiseSpec, attenuation, noise_layout
 from .qstate import SX, DensityMatrix, Operator, check_stack, conjugate, embed
 
 __all__ = [
@@ -93,7 +93,7 @@ class Gate:
 class NoiseStep:
     """Marker for the storage interval: the noise of ``spec`` acts here.
 
-    Its elementwise ``factor``, ``attenuation(build_error_model(spec),
+    Its elementwise ``factor``, ``attenuation(noise_layout(spec),
     spec.kind)``, is computed when the marker is built; it is read-only
     and shared by every state run through the marker.
     """
@@ -102,7 +102,7 @@ class NoiseStep:
     factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        factor = attenuation(build_error_model(self.spec), self.spec.kind)
+        factor = attenuation(noise_layout(self.spec), self.spec.kind)
         factor.setflags(write=False)
         object.__setattr__(self, "factor", factor)
 

@@ -16,6 +16,7 @@ from dfsqec.channels import (
     collective_scale_of,
     incoherent_dephase,
     markov_dephase,
+    noise_layout,
     noise_strength,
     partial_strengths,
     qubit3_strength_ratio,
@@ -37,6 +38,11 @@ def single(weight_index: int, n: int, strength: float) -> DephasingGenerator:
     w = np.zeros(n)
     w[weight_index - 1] = 1.0
     return DephasingGenerator(w, strength)
+
+
+def environments(gens) -> list:
+    """Each generator as a one-part environment of ``attenuation``."""
+    return [[(_quarter_delta(g.weights), g.strength)] for g in gens]
 
 
 def dfs_coherence() -> DensityMatrix:
@@ -69,18 +75,18 @@ class TestGenerator:
             assert np.max(np.abs(gen.z_values() - oracle_z_values(w))) <= 1e-12
 
 
-def test_delta_is_cached_and_read_only():
+def test_quarter_delta_is_read_only_and_finite_where_delta_overflows():
     gen = DephasingGenerator(np.array([0.0, 0.0, 1.3, 1.0]), 2.0)
     z = gen.z_values()
-    quarter = _quarter_delta(gen.weights.tobytes())
+    quarter = _quarter_delta(gen.weights)
     # scaling by a power of two commutes with rounding in the normal range
     assert np.array_equal(quarter, (z[:, None] - z[None, :]) / 4.0)
     assert not quarter.flags.writeable
-    same_weights = DephasingGenerator(np.array([0.0, 0.0, 1.3, 1.0]), 5.0)
-    assert _quarter_delta(same_weights.weights.tobytes()) is quarter
     # finite where Delta itself overflows
-    wide = DephasingGenerator(np.array([1e308, 1.0]), 1.0)
-    assert np.isfinite(_quarter_delta(wide.weights.tobytes())).all()
+    assert np.isfinite(_quarter_delta(np.array([1e308, 1.0]))).all()
+    # the layout's unit patterns are constants shared by every spec
+    for part, again in zip(noise_layout(NoiseSpec(1.0, True)), noise_layout(NoiseSpec(2.0, True))):
+        assert all(p[0] is q[0] and not p[0].flags.writeable for p, q in zip(part, again))
 
 
 class TestIncoherentDephase:
@@ -273,12 +279,12 @@ class TestBuildErrorModel:
         assert labels == ["z1", "z2", "z34-collective", "z3-residual"]
         assert gens[2].strength == pytest.approx(2.0)
 
-    def test_zero_scale_generators_act_as_identity(self, rng):
+    def test_zero_scale_environments_act_as_identity(self, rng):
         rho = random_state(rng, 4)
         for case in ("a", "b"):
-            gens = build_error_model(NoiseSpec(0.0, collective=True, coupling_case=case))
             for kind in (INCOHERENT_SINC, MARKOVIAN_EXP):
-                assert np.array_equal(rho.entries * attenuation(gens, kind), rho.entries)
+                envs = noise_layout(NoiseSpec(0.0, collective=True, coupling_case=case, kind=kind))
+                assert np.array_equal(rho.entries * attenuation(envs, kind), rho.entries)
 
     def test_nonpositive_ratio_rejected(self):
         with pytest.raises(ValueError, match="ratio"):
@@ -306,14 +312,14 @@ class TestAttenuation:
     @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
     @pytest.mark.parametrize("collective, case", [(False, "a"), (True, "a"), (True, "b")])
     def test_factor_is_the_in_order_product_of_single_factors(self, kind, collective, case):
-        # the stacked evaluation multiplies generator by generator, in
-        # order, from 1.0: the bits of a running product
+        # the stacked evaluation multiplies environment by environment,
+        # in order, from 1.0: the bits of a running product
         for x in np.linspace(0.0, 12.0, 49):
-            gens = build_error_model(NoiseSpec(float(x), collective, 0.3, case, kind))
+            envs = noise_layout(NoiseSpec(float(x), collective, 0.3, case, kind))
             want = 1.0
-            for gen in gens:
-                want = want * attenuation([gen], kind)
-            assert attenuation(gens, kind).tobytes() == want.tobytes()
+            for env in envs:
+                want = want * attenuation([env], kind)
+            assert attenuation(envs, kind).tobytes() == want.tobytes()
 
     def test_no_generators_give_one(self):
         for kind in (INCOHERENT_SINC, MARKOVIAN_EXP):
@@ -326,7 +332,7 @@ class TestAttenuation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^noise attenuation is not finite"):
-                attenuation([DephasingGenerator(np.array([1e308, 1e308]), 1.0)], kind)
+                attenuation(environments([DephasingGenerator(np.array([1e308, 1e308]), 1.0)]), kind)
 
     @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
     def test_zero_strength_generator_with_overflowing_delta_is_one(self, kind):
@@ -335,10 +341,10 @@ class TestAttenuation:
         active = DephasingGenerator(np.array([0.0, 1.0]), 0.8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            alone = attenuation([idle], kind)
-            both = attenuation([idle, active], kind)
+            alone = attenuation(environments([idle]), kind)
+            both = attenuation(environments([idle, active]), kind)
         assert alone.shape == (4, 4) and (alone == 1.0).all()
-        assert both.tobytes() == attenuation([active], kind).tobytes()
+        assert both.tobytes() == attenuation(environments([active]), kind).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -348,8 +354,8 @@ class TestAttenuation:
         (lambda: DephasingGenerator(np.array([]), 1.0), "weights must be a per-qubit vector"),
         (lambda: attenuation([], "bogus"), "unknown noise kind 'bogus'"),
         (lambda: noise_strength([single(1, 1, 1.0), single(1, 2, 1.0)]), "generators must share a common qubit count"),
-        (lambda: attenuation([single(1, 2, 1.0), single(1, 3, 1.0)], INCOHERENT_SINC), "generators must share a common qubit count"),
-        (lambda: attenuation([single(1, 2, 1.0), single(1, 3, 1.0)], MARKOVIAN_EXP), "generators must share a common qubit count"),
+        (lambda: attenuation(environments([single(1, 2, 1.0), single(1, 3, 1.0)]), INCOHERENT_SINC), "generators must share a common qubit count"),
+        (lambda: attenuation(environments([single(1, 2, 1.0), single(1, 3, 1.0)]), MARKOVIAN_EXP), "generators must share a common qubit count"),
     ],
 )
 def test_error_messages(call, message):

@@ -208,6 +208,19 @@ class TestNoiseStrength:
         assert main(["noise-strength", "--spec", str(cfg)]) == 0
         assert "  z34-combined: weights=(0,0,2.7,1) " in capsys.readouterr().out
 
+    def test_zero_collective_scale_keeps_the_residual(self, tmp_path, capsys):
+        # lambda_c = 6 / 1e340 underflows to 0 while lambda0 = 6: the
+        # printed noise keeps qubit 3's residual part
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(json.dumps({"scenario": "qec_hybrid", "kind": "exp", "ratio": 1e170, "sweep": [6]}))
+        assert main(["noise-strength", "--spec", str(cfg)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "kappa0=6 lambda=18",
+            "  z1: weights=(1,0,0,0) strength=6 lambda_mu=6",
+            "  z2: weights=(0,1,0,0) strength=6 lambda_mu=6",
+            "  z3-residual: weights=(0,0,1,0) strength=6 lambda_mu=6",
+        ]
+
     def test_missing_file(self, capsys):
         rc = main(["noise-strength", "--spec", "/nonexistent.json"])
         assert rc == 1
@@ -368,8 +381,12 @@ def test_exp_sweep_accepts_a_ratio_whose_square_overflows(scenario, tmp_path):
     assert main(argv + ["--out", str(out)]) == 0
 
 
-def test_check_passes():
+def test_check_passes_on_every_kind_and_case(capsys):
     assert main(["check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 20 and all(line.endswith(" OK") for line in lines)
+    pairs = [line.split(":")[0] for line in lines if line.startswith("dfs_qec vs qec_independent")]
+    assert pairs == [f"dfs_qec vs qec_independent {k} case {c}" for k in ("sinc", "exp") for c in "ab"]
 
 
 def _no_qec_fe_off_by(delta, run):
@@ -391,7 +408,8 @@ def _no_qec_fe_off_by(delta, run):
     [
         # a header-only CSV holds no series
         (["chart", "--in", "{header}", "--out", "{out}"], "error: need at least one series"),
-        (["check"], "check failed: 1 mismatch(es)"),
+        # no_qec runs once per kind and case, each run with one bad point
+        (["check"], "check failed: 4 mismatch(es)"),
         # usage errors: one line, not argparse's usage block and exit 2
         (
             ["sweep", "--scenario", "no_qec", "--kappa0", "1", "--ratio", "x", "--out", "{out}"],

@@ -9,10 +9,12 @@ from dfsqec.channels import (
     MARKOVIAN_EXP,
     DephasingGenerator,
     NoiseSpec,
+    _quarter_delta,
     attenuation,
-    build_error_model,
     collective_scale_of,
     incoherent_dephase,
+    noise_layout,
+    sinc,
 )
 from dfsqec.codes import (
     SCENARIOS,
@@ -299,17 +301,21 @@ class TestScenarioCircuits:
     @given(
         st.sampled_from([INCOHERENT_SINC, MARKOVIAN_EXP]),
         st.sampled_from(["a", "b"]),
-        st.floats(0.1, 2.0),
+        st.floats(-308.0, 308.0),
         st.floats(0.5, 1.0),
         st.floats(0.0, 12.0),
     )
-    def test_data_qubit_channel_equals_reference_code(self, kind, case, ratio, purity, kappa0):
+    def test_data_qubit_channel_equals_reference_code(self, kind, case, log_ratio, purity, kappa0):
         # the concatenated circuit under hybrid noise must realize the
         # same data-qubit channel as the bare code under independent
-        # noise; every channel is unital (the premise of F_e), also with
-        # impure ancillae, which in the encoded pair leave the
-        # decoherence-free subspace, so the two codes agree only at purity 1
-        hybrid = NoiseSpec(kappa0, collective=True, ratio=ratio, coupling_case=case, kind=kind)
+        # noise, at any ratio NoiseSpec accepts; every channel is unital
+        # (the premise of F_e), also with impure ancillae, which in the
+        # encoded pair leave the decoherence-free subspace, so the two
+        # codes agree only at purity 1
+        try:
+            hybrid = NoiseSpec(kappa0, collective=True, ratio=10.0**log_ratio, coupling_case=case, kind=kind)
+        except ValueError:
+            assume(False)
         bare = NoiseSpec(kappa0, kind=kind)
         for scenario, spec in (("dfs_qec", hybrid), ("qec_independent", bare)):
             got = pauli_transfer_matrix(scenario, spec, ancilla_purity=purity)
@@ -428,7 +434,16 @@ class TestCircuitPlumbing:
         spec = NoiseSpec(2.3, collective=True, ratio=0.7, kind=kind)
         (step,) = [s for s in build_scenario_circuit("dfs_qec", spec).steps if isinstance(s, NoiseStep)]
         assert step.spec is spec
-        assert step.factor.tobytes() == attenuation(build_error_model(spec), spec.kind).tobytes()
+        # the table's environments: z1, z2 and case "a"'s two parts whose
+        # arguments add, each from its unit pattern's Delta / 4
+        q1, q2, q3, q34 = (_quarter_delta(np.isin(np.arange(1, 5), qubits) * 1.0) for qubits in (1, 2, 3, (3, 4)))
+        x, xc = spec.kappa0, collective_scale_of(spec.kappa0, spec.ratio, kind)
+        if kind == INCOHERENT_SINC:
+            want = sinc(x * q1) * sinc(x * q2) * sinc(xc * q34 + x * q3)
+        else:
+            pair = (np.sqrt(xc) * (2.0 * q34) + np.sqrt(x) * (2.0 * q3)) ** 2
+            want = np.exp(-x * (2.0 * q1) ** 2) * np.exp(-x * (2.0 * q2) ** 2) * np.exp(-pair)
+        assert step.factor.tobytes() == want.tobytes()
         assert step.factor is step.factor
         assert not step.factor.flags.writeable
 
@@ -452,7 +467,7 @@ class TestCircuitPlumbing:
                 if isinstance(step, Gate):
                     rho = apply_unitary(rho, embed(step.matrix, step.targets, n))
                 else:
-                    rho = DensityMatrix(rho.entries * attenuation(build_error_model(step.spec), step.spec.kind), rho.kind)
+                    rho = DensityMatrix(rho.entries * attenuation(noise_layout(step.spec), step.spec.kind), rho.kind)
                 got = apply_circuit(start, Circuit(n, circuit.steps[: i + 1]))
                 assert got.kind == rho.kind
                 assert np.array_equal(got.entries, rho.entries)

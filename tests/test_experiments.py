@@ -6,9 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dfsqec import experiments
-from dfsqec.channels import NoiseSpec
+from dfsqec.channels import COUPLING_CASES, NOISE_KINDS, NoiseSpec, collective_scale_of
 from dfsqec.experiments import (
     CSV_HEADER,
     DEFAULT_SWEEP,
@@ -24,7 +26,7 @@ from dfsqec.experiments import (
     write_svg_chart,
     ChartSeries,
 )
-from dfsqec.codes import apply_circuit, build_scenario_circuit
+from dfsqec.codes import SCENARIOS, apply_circuit, build_scenario_circuit
 from dfsqec.qstate import (
     DEVIATION,
     STATE,
@@ -224,6 +226,55 @@ class TestRunScenario:
         want = analytic_reference(config.scenario, config.noise_spec(point.kappa0))
         assert point.report.Fe_analytic == want
         assert abs(point.report.Fe - want) <= CHECK_TOL
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ScenarioConfig("dfs_qec", sweep=(6.0,), ratio=1e-17),
+            ScenarioConfig("qec_hybrid", kind="markovian_exp", sweep=(6.0,), ratio=1e160),
+        ],
+        ids=["dfs-sinc-ratio-1e-17", "hybrid-exp-ratio-1e160"],
+    )
+    def test_case_a_keeps_both_parts_of_its_environment(self, config):
+        # a combined qubit-3 weight fl(1 + ratio) drops the residual kappa0
+        # noise on the pair at ratio 1e-17, and its (Delta / 2)^2 overflows
+        # beside the subnormal lambda_c of ratio 1e160
+        (point,) = run_scenario(config).points
+        assert abs(point.report.Fe - analytic_reference(config.scenario, config.noise_spec(6.0))) <= CHECK_TOL
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(SCENARIOS),
+        st.sampled_from(NOISE_KINDS),
+        st.sampled_from(COUPLING_CASES),
+        st.floats(-308.0, 308.0),
+        st.lists(
+            st.one_of(st.floats(0.0, 20.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        ),
+    )
+    def test_every_accepted_sweep_row_matches_its_closed_form(self, scenario, kind, case, log_ratio, kappa0s):
+        config = ScenarioConfig(scenario, kind=kind, sweep=sorted(kappa0s), ratio=10.0**log_ratio, coupling_case=case)
+        try:
+            specs = [config.noise_spec(x) for x in config.sweep]
+        except ValueError:
+            assume(False)
+        # a case "a" sinc argument kappa_c + kappa0 / 2 past the float
+        # range is an error, not a row
+        assume(all(math.isfinite(collective_scale_of(s.kappa0, s.ratio, kind) + s.kappa0 / 2) for s in specs if s.collective))
+        points = run_scenario(config).points
+        for point in points:
+            r = point.report
+            assert all(map(math.isfinite, dataclasses.astuple(r)))
+            assert abs(r.Fe - r.Fe_analytic) <= CHECK_TOL
+            assert 0.0 <= r.Fe <= 1.0
+            assert all(-1.0 <= c <= 1.0 for c in (r.Cx, r.Cy, r.Cz))
+        if scenario == "dfs_qec":
+            bare = run_scenario(dataclasses.replace(config, scenario="qec_independent")).points
+            for point, want in zip(points, bare):
+                assert np.max(np.abs(np.subtract(dataclasses.astuple(point.report), dataclasses.astuple(want.report)))) <= CHECK_TOL
 
     def test_fe_range_across_scenarios(self):
         for scenario in ("qec_independent", "qec_hybrid", "no_qec", "dfs_qec"):
