@@ -214,7 +214,7 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--kind", default="sinc", choices=sorted(KIND_ALIASES))
     p.add_argument("--kappa0", required=True, help="grid as start:stop:step or comma list")
     p.add_argument("--ratio", type=float, default=0.5, help="kappa0/kappa_c (default 0.5)")
-    p.add_argument("--case", default="a", choices=("a", "b"))
+    p.add_argument("--case", default="a", choices=COUPLING_CASES)
     p.add_argument("--purity", type=float, default=1.0, help="ancilla purity in [0, 1]")
     p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--out", required=True)
@@ -241,13 +241,21 @@ def build_parser() -> ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def run_command(parser: argparse.ArgumentParser, argv: Sequence[str] | None = None) -> int:
+    """The one input-error boundary of ``dfsqec`` and the scripts: run the
+    command (``func``) that ``parser`` reads from ``argv`` (default
+    sys.argv[1:]).  A usage error of an ``ArgumentParser``, a bad value or
+    an unwritable path is one ``error:`` line on stderr and exit 1."""
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    return run_command(build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -340,13 +340,13 @@ def partial_trace_stack(stack: np.ndarray, keep: Iterable[int]) -> np.ndarray:
 
 
 def hs_overlap_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Overlaps Re tr(a_i b_i) of two stacks of Hermitian matrices whose
-    leading axes broadcast, from one batched product.  An imaginary part
-    above ``OVERLAP_IMAG_TOL`` raises, the first one in C order."""
+    """Overlaps Re sum_jk conj(a_jk) b_jk of two stacks of matrices whose
+    leading axes broadcast: Re tr(a b) for a Hermitian ``a``, and for a
+    self-overlap a sum of squared moduli, never negative.  An imaginary
+    part above ``OVERLAP_IMAG_TOL`` raises, the first one in C order."""
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    # ndarray.trace's own diagonal sum, as in check_stack (same bits)
-    vals = np.add.reduce((a @ b).diagonal(0, -2, -1), -1)
+    vals = (np.conj(a) * b).sum((-2, -1))
     for imag in vals.imag.ravel().tolist():
         if abs(imag) > OVERLAP_IMAG_TOL:
             raise ValueError(f"overlap has imaginary part {imag:.2e}; inputs must be Hermitian")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dfsqec.channels import (
     INCOHERENT_SINC,
     MARKOVIAN_EXP,
+    NOISE_KINDS,
     DephasingGenerator,
     NoiseSpec,
     _quarter_delta,
@@ -22,6 +23,7 @@ from dfsqec.channels import (
     qubit3_strength_ratio,
     sinc,
 )
+from dfsqec.codes import NoiseStep
 from dfsqec.metrics import fit_error_rates, fit_grid
 from dfsqec.qstate import DEVIATION, DensityMatrix, maximally_mixed
 from .conftest import (
@@ -306,6 +308,25 @@ class TestBuildErrorModel:
             combined = build_error_model(NoiseSpec(float(x), True, ratio, "a", kind))[-1]
             assert combined.label == "z34-combined"
             assert combined.weights[2] == 1.0 + ratio
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-3.0, 3.0), st.floats(0.0, 12.0))
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("collective, case", [(False, "a"), (False, "b"), (True, "a"), (True, "b")])
+    def test_printed_generators_apply_the_circuit_noise(self, collective, case, kind, log_ratio, kappa0):
+        # noise-strength prints build_error_model(spec), the circuit's
+        # marker applies attenuation(noise_layout(spec)): each generator
+        # as its own environment gives the marker's factor, bit for bit
+        # where every environment has one part, and within rounding for
+        # case "a"'s combined weight 1 + ratio.  Ratios below 1e-3 are
+        # left out: that printed weight rounds the residual part away.
+        spec = NoiseSpec(kappa0, collective, 10.0**log_ratio, case, kind)
+        got = attenuation(environments(build_error_model(spec)), kind)
+        want = NoiseStep(spec).factor
+        if collective and case == "a":
+            assert np.max(np.abs(got - want)) <= 1e-12
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 class TestAttenuation:

@@ -125,6 +125,15 @@ class TestSweep:
         row = out.read_text().splitlines()[1].split(",")
         assert row[3:6] == ["0", "0", "0"]
 
+    def test_polarization_at_kappa0_1e308_is_not_negative(self, tmp_path):
+        # the y and z outputs keep entries of order 1e-17 that are
+        # Hermitian only within rounding; Py and Pz sum their squared
+        # moduli, so they print as tiny positive numbers
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--scenario", "qec_independent", "--kappa0", "1e308", "--out", str(out)]) == 0
+        row = "qec_independent,incoherent_sinc,a,1e+308,0.5,1,1,0,0,0.5,0.5,1,5.57706020744e-34,5.57706020744e-34,0.333333333333"
+        assert out.read_text().splitlines()[1] == row
+
     def test_config_error_is_one_line_nonzero(self, tmp_path, capsys):
         rc = main(
             ["sweep", "--scenario", "no_qec", "--kappa0", "2,1", "--out", str(tmp_path / "x.csv")]
@@ -290,6 +299,8 @@ BAD_CHART_CSVS = {
     "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1,1,-0.5\n": "input, line 3: ",
     "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,-1,1,1\n": "input, line 3: ",
     "scenario,kappa0,Fe,Fe_analytic\nA,-1e308,1,1\nA,1e308,1,1\n": "input, line 2: ",
+    # a cell past the csv module's field size limit, 131072 characters
+    "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1," + "1" * 131073 + ",1\n": "input, line 3: ",
 }
 
 

@@ -271,6 +271,7 @@ class TestRunScenario:
             assert abs(r.Fe - r.Fe_analytic) <= CHECK_TOL
             assert 0.0 <= r.Fe <= 1.0
             assert all(-1.0 <= c <= 1.0 for c in (r.Cx, r.Cy, r.Cz))
+            assert all(p >= 0.0 for p in (r.Px, r.Py, r.Pz, r.P))
         if scenario == "dfs_qec":
             bare = run_scenario(dataclasses.replace(config, scenario="qec_independent")).points
             for point, want in zip(points, bare):
@@ -406,21 +407,6 @@ class TestStackedPath:
         self._fake_outputs(monkeypatch, lambda k, m: m - np.eye(m.shape[0]) / m.shape[0] if k == 1 else m)
         with pytest.raises(ValueError, match=r"^state trace is 0\.0, expected 1$"):
             pauli_transfer_matrix("no_qec", NoiseSpec(1.0))
-
-    @pytest.mark.parametrize("first_bad, runs", [(1, 3), (4, 9)], ids=["reference-run", "sweep-point"])
-    def test_output_with_imaginary_overlap_raises(self, first_bad, runs, monkeypatch):
-        # from the reference run's outputs or from the first point's on:
-        # Hermitian within 1e-13, but with entries of 1e4, so that
-        # tr(out out) has imaginary part 2 * 1e4 * 1e-13 = 2e-9
-        r = np.array([[0.0, 1e4], [1e4 + 1e-13j, 0.0]])
-        zero = np.diag([1.0, 0.0])
-        full = np.kron(np.kron(zero, r), zero)
-        calls = self._fake_outputs(monkeypatch, lambda k, m: full if k >= first_bad else m)
-        with pytest.raises(ValueError, match="^overlap has imaginary part 2.00e-09; inputs must be Hermitian$"):
-            run_scenario(ScenarioConfig("no_qec", sweep=(0.0, 1.0)))
-        # raised after the reference run's three circuit runs, or after
-        # the whole sweep's 3 * (1 + K): a sweep is scored once
-        assert len(calls) == runs
 
     def test_first_bad_point_in_sweep_order_raises(self, monkeypatch):
         # points k = 3 and k = 7 of eight each get a k * 1e-9
