@@ -22,8 +22,9 @@ qubit 1 and on qubit 3, which is the Z_L carrier of the pair.
 
 The four storage experiments are declared once, in the table
 ``_SCENARIOS``: qubit count, collective noise or not, and the gates
-before and after the noise marker, built once at import.  It is the
-only source of a scenario's qubit count and collectiveness.
+before and after the noise marker, multiplied at import into the one
+``encode`` and one ``recover`` gate that a circuit runs.  It is the only
+source of a scenario's qubit count, collectiveness and gates.
 
 Each validity fact is checked once, where it is used: gate targets by
 ``embed`` when a gate runs, a noise marker's attenuation when it is
@@ -31,6 +32,7 @@ built, step types and noise factor shapes when a ``Circuit`` is.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -182,6 +184,24 @@ _SCENARIOS = {
 }
 SCENARIOS = tuple(_SCENARIOS)
 
+# up to sign, the entries of any product of the table's gates: 0, 1/2 and sqrt(2)/4, the last two
+# as h^2 and h^3 of its Hadamard's h = fl(1/sqrt 2); the nearest doubles are larger: Fe(0) > 1
+_h = _H.entries[0, 0].real
+_EXACT_ENTRIES = np.array([0.0, _h * _h, _h * _h * _h])
+
+
+def _compile(name: str, gates: tuple[Gate, ...], n: int) -> tuple[Gate, ...]:
+    """The ordered product of ``gates`` as one n-qubit gate, rounded onto ``+-_EXACT_ENTRIES``."""
+    if not gates:
+        return ()
+    u = functools.reduce(lambda acc, g: embed(g.matrix, g.targets, n).entries @ acc, gates, np.eye(2**n))
+    exact = np.copysign(_EXACT_ENTRIES[abs(abs(u.real)[..., None] - _EXACT_ENTRIES).argmin(-1)], u.real)
+    assert (abs(u - exact) <= 2 * np.spacing(abs(exact))).all(), f"{name} entries are not exact"
+    return (Gate(name, Operator(exact), tuple(range(1, n + 1))),)
+
+
+_COMPILED = {s: (_compile("encode", b, n), _compile("recover", a, n)) for s, (n, _, b, a) in _SCENARIOS.items()}
+
 
 def scenario_layout(scenario: str) -> tuple[int, bool]:
     """(qubit count, collective noise?) of a scenario."""
@@ -192,7 +212,7 @@ def scenario_layout(scenario: str) -> tuple[int, bool]:
 
 def build_scenario_circuit(scenario: str, spec: NoiseSpec) -> Circuit:
     """Assemble one of the four storage experiments around a new noise
-    marker for ``spec``; the gates are the table's, built once.
+    marker for ``spec``, between its compiled ``encode`` and ``recover``.
 
     * ``qec_independent``: three-qubit phase code (data qubit 2,
       ancillae 1 and 3) under independent noise.
@@ -207,8 +227,8 @@ def build_scenario_circuit(scenario: str, spec: NoiseSpec) -> Circuit:
     if spec.collective != collective:
         want = "the collective noise component" if collective else "independent noise only"
         raise ValueError(f"{scenario} requires {want}")
-    _, _, before, after = _SCENARIOS[scenario]
-    return Circuit(n, before + (NoiseStep(spec),) + after)
+    encode, recover = _COMPILED[scenario]
+    return Circuit(n, encode + (NoiseStep(spec),) + recover)
 
 
 def apply_circuit(

@@ -33,6 +33,7 @@ value it draws, and ``load_csv_series`` to every row it reads.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -312,32 +313,37 @@ def emit_chart(results: Sequence[ScenarioResult], path: str | Path) -> None:
 
 
 def load_csv_series(path: str | Path) -> list[ChartSeries]:
-    """Rebuild chart series from a CSV written by emit_csv; a missing
-    column, an empty scenario, a kappa0, Fe or Fe_analytic cell that is
-    not a number, a row outside the chart's range or a ``csv.Error`` (an
-    oversized cell) raises ValueError naming the file and column or line."""
+    """Rebuild chart series from a CSV written by emit_csv; a missing column, an empty scenario,
+    a kappa0, Fe or Fe_analytic cell that is not a number, a row outside the chart's range, a
+    byte that is not UTF-8 or a ``csv.Error`` (an oversized cell) raises ValueError naming the
+    file and column or line."""
     groups: dict[str, list[tuple[float, float, float | None]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            missing = [c for c in _CHART_COLUMNS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-            for row in reader:
-                where = f"{path}, line {reader.line_num}"
-                if not row["scenario"]:
-                    raise ValueError(f"{where}: empty scenario")
-                try:
-                    x, fe = float(row["kappa0"]), float(row["Fe"])
-                    fe_a = float(row["Fe_analytic"]) if row["Fe_analytic"] else None
-                except (TypeError, ValueError):
-                    raise ValueError(f"{where}: kappa0, Fe and Fe_analytic must be numbers") from None
-                if not all(_in_chart_domain(x, y) for y in ((fe,) if fe_a is None else (fe, fe_a))):
-                    raise ValueError(f"{where}: kappa0 must be finite and >= 0, Fe and Fe_analytic in [0, 1]")
-                groups.setdefault(row["scenario"], []).append((x, fe, fe_a))
-        except csv.Error as exc:
-            # DictReader.line_num stops at the last good row, its reader's counts the failing line
-            raise ValueError(f"{path}, line {reader.reader.line_num}: {exc}") from None
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}, line {line}: {exc}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
+        missing = [c for c in _CHART_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if not row["scenario"]:
+                raise ValueError(f"{where}: empty scenario")
+            try:
+                x, fe = float(row["kappa0"]), float(row["Fe"])
+                fe_a = float(row["Fe_analytic"]) if row["Fe_analytic"] else None
+            except (TypeError, ValueError):
+                raise ValueError(f"{where}: kappa0, Fe and Fe_analytic must be numbers") from None
+            if not all(_in_chart_domain(x, y) for y in ((fe,) if fe_a is None else (fe, fe_a))):
+                raise ValueError(f"{where}: kappa0 must be finite and >= 0, Fe and Fe_analytic in [0, 1]")
+            groups.setdefault(row["scenario"], []).append((x, fe, fe_a))
+    except csv.Error as exc:
+        # DictReader.line_num stops at the last good row, its reader's counts the failing line
+        raise ValueError(f"{path}, line {reader.reader.line_num}: {exc}") from None
     return [_series(label, rows) for label, rows in groups.items()]
 
 

@@ -14,8 +14,8 @@ construction checks ``U^dag U = I``).  Operators are immutable, so
 ``embed`` caches its results: the same gate on the same targets is built
 and checked once, then shared by every circuit, sweep point and probe
 that uses it.  Each operator keeps its adjoint, and ``conjugate`` is the
-one place that computes ``U m U^dag``: for a permutation (X, CNOT,
-Toffoli) by a gather of the entries of ``m``, which gives the products' bits.
+one place that computes ``U m U^dag``, by two matrix products, which for
+a permutation (X, CNOT, Toffoli) reorder the entries of ``m`` exactly.
 
 ``check_stack`` holds the state checks (Hermiticity, trace and, for
 states, positivity) for a ``(k, d, d)`` stack of matrices.  A
@@ -98,9 +98,6 @@ class Operator:
     entries: np.ndarray
     # entries.conj().T, read-only, computed once (``conjugate`` reads it)
     adjoint: np.ndarray = field(init=False, repr=False)
-    # for a permutation, U[i, p[i]] = 1, the read-only flat index
-    # p[:, None] * d + p[None, :] of (U m U^dag)[i, j] = m[p[i], p[j]]; else None
-    gather: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         m = _frozen_square(self.entries)
@@ -110,11 +107,6 @@ class Operator:
             raise ValueError(f"operator is not unitary: U^dag U = I is violated by {dev:.2e}")
         adj.setflags(write=False)
         object.__setattr__(self, "adjoint", adj)
-        if ((m == 0) | (m == 1)).all():
-            p = m.nonzero()[1]  # one 1 per row, rows in order
-            gather = p[:, None] * m.shape[0] + p[None, :]
-            gather.setflags(write=False)
-            object.__setattr__(self, "gather", gather)
         object.__setattr__(self, "entries", m)
 
     @property
@@ -300,9 +292,6 @@ def conjugate(u: Operator, m: np.ndarray, *, out: np.ndarray | None = None) -> n
     """``U m U^dag`` of a square array, into ``out`` if given."""
     if u.dim != m.shape[0]:
         raise ValueError(f"dimension mismatch: operator {u.dim} vs state {m.shape[0]}")
-    if u.gather is not None:
-        # in range by construction; "clip" lets take fill out unbuffered
-        return m.take(u.gather, out=out, mode="clip")
     return np.matmul(u.entries @ m, u.adjoint, out=out)
 
 

@@ -257,6 +257,19 @@ class TestChart:
         assert text.count('class="legend-label"') == 2
         assert text.count('class="pt pt-qec_independent"') == 3
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"\xff\xfe", 1), (b"scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\r\nA,1,\xff,1\n", 3)],
+    )
+    def test_non_utf8_input_names_its_file_and_line(self, data, line, tmp_path, capsys):
+        src, out = tmp_path / "bad.csv", tmp_path / "chart.svg"
+        src.write_bytes(data)
+        assert main(["chart", "--in", str(src), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"error: {src}, line {line}: 'utf-8' codec can't decode byte 0xff")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_label_is_escaped(self, tmp_path):
         label = 'A&B <x> "q"'
         src = tmp_path / "odd.csv"

@@ -1,9 +1,11 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dfsqec import codes
+from dfsqec import codes, experiments
 from dfsqec.channels import (
     INCOHERENT_SINC,
     MARKOVIAN_EXP,
@@ -30,7 +32,7 @@ from dfsqec.codes import (
     scenario_layout,
     toffoli,
 )
-from dfsqec.experiments import ScenarioConfig, pauli_transfer_matrix, prepare_inputs
+from dfsqec.experiments import ScenarioConfig, pauli_transfer_matrix, prepare_inputs, run_scenario
 from dfsqec.metrics import correlation, entanglement_fidelity
 from dfsqec.qstate import (
     SX,
@@ -68,6 +70,13 @@ def plus_minus_state(sign: int, n: int = 3) -> np.ndarray:
     for _ in range(n - 1):
         vec = np.kron(vec, one)
     return vec
+
+
+def gate_level_circuit(scenario: str, spec: NoiseSpec) -> Circuit:
+    # the scenario's network as the table declares it, gate by gate,
+    # around a noise marker for spec: the reference for the compiled one
+    n, _, before, after = codes._SCENARIOS[scenario]
+    return Circuit(n, before + (NoiseStep(spec),) + after)
 
 
 def table_gates(scenario: str, name: str | None = None):
@@ -249,6 +258,42 @@ class TestScenarioCircuits:
             scenario_layout("five_qubit")
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_compiled_gates_are_the_exact_products_of_the_table(self, scenario):
+        n, collective, before, after = codes._SCENARIOS[scenario]
+        steps = build_scenario_circuit(scenario, NoiseSpec(1.0, collective=collective)).steps
+        gates = [(step, table) for step, table in zip((steps[0], steps[-1]), (before, after)) if table]
+        assert [step.name for step, _ in gates] == (["encode", "recover"] if before else [])
+        assert len(steps) == 1 + len(gates)
+        # 1/2 and sqrt(2)/4 as products of the table's h = fl(1/sqrt 2)
+        h = table_gates("qec_independent", "H").matrix.entries[0, 0].real
+        exact = [0.0, h * h, h * h * h]
+        assert abs(exact[1] - 0.5) <= 2 * np.spacing(0.5)
+        assert abs(exact[2] - np.sqrt(2.0) / 4.0) <= 2 * np.spacing(np.sqrt(2.0) / 4.0)
+        for step, table in gates:
+            u = step.matrix.entries
+            assert step.targets == tuple(range(1, n + 1))
+            assert not u.imag.any() and np.isin(np.abs(u.real), exact).all()
+            product = np.eye(2**n)
+            for g in table:
+                product = embed(g.matrix, g.targets, n).entries @ product
+            assert (np.abs(u - product) <= 2 * np.spacing(np.abs(u))).all()
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
+    @pytest.mark.parametrize("case", ["a", "b"])
+    @pytest.mark.parametrize("purity", [0.0, 0.3, 0.7, 1.0])
+    def test_compiled_circuit_matches_the_gate_level_network(self, scenario, kind, case, purity, monkeypatch):
+        config = ScenarioConfig(scenario, kind=kind, coupling_case=case, ancilla_purity=purity)
+        spec = config.noise_spec(2.9)
+        compiled = run_scenario(config), pauli_transfer_matrix(scenario, spec, purity)
+        monkeypatch.setattr(experiments, "build_scenario_circuit", gate_level_circuit)
+        gate_level = run_scenario(config), pauli_transfer_matrix(scenario, spec, purity)
+        for got, want in zip(compiled[0].points, gate_level[0].points):
+            assert got.kappa0 == want.kappa0
+            assert np.max(np.abs(np.subtract(astuple(got.report), astuple(want.report)))) <= 1e-14
+        assert np.max(np.abs(compiled[1] - gate_level[1])) <= 1e-14
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_gates_are_shared_across_noise_strengths(self, scenario):
         # only the noise marker depends on kappa0; the gates are built once
         collective = scenario_layout(scenario)[1]
@@ -284,18 +329,22 @@ class TestScenarioCircuits:
     def test_no_leakage_along_dfs_circuit(self):
         # population outside span{|01>,|10>} of qubits 3,4 stays zero
         # between the pair encoding and the pair decoding
-        spec = NoiseSpec(1.3, collective=True)
-        circuit = build_scenario_circuit("dfs_qec", spec)
+        circuit = gate_level_circuit("dfs_qec", NoiseSpec(1.3, collective=True))
         n_steps = len(circuit.steps)
         bad = np.zeros((4, 4))
         bad[0, 0] = bad[3, 3] = 1.0
         proj_bad = np.kron(np.eye(4), bad)
         data = (np.eye(2) + SX.entries) / 2.0
         rho0 = DensityMatrix(np.kron(np.kron(basis_state("0").entries, data), basis_state("00").entries))
+        visited = 0
         for i in range(1, n_steps - 2):  # the states after dfs_encode and before dfs_decode
             rho = apply_circuit(rho0, Circuit(4, circuit.steps[: i + 1]))
             pop = float(np.trace(proj_bad @ rho.entries).real)
             assert pop <= 1e-12
+            visited += 1
+        # the state after dfs_encode, then one after each of the 5 logical
+        # encode gates, the marker and the 6 logical recovery gates
+        assert visited == 13
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -521,7 +570,7 @@ class TestCircuitPlumbing:
         assert apply_circuit(rho, Circuit(2, ())) is rho
 
 
-class TestPermutationGather:
+class TestPermutationConjugation:
     # every gate of the scenario table, embedded at its scenario's size
     GATES = [(n, g) for n, _, before, after in codes._SCENARIOS.values() for g in before + after]
 
@@ -532,7 +581,6 @@ class TestPermutationGather:
                 continue
             names.add(gate.name)
             u = embed(gate.matrix, gate.targets, n)
-            assert u.gather is not None and not u.gather.flags.writeable
             g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
             for m in (g + g.conj().T, (g + g.conj().T) / 7.0):
                 want = u.entries @ m @ u.entries.conj().T
@@ -541,9 +589,3 @@ class TestPermutationGather:
                 assert conjugate(u, m, out=out) is out
                 assert np.array_equal(out, want)
         assert names == {"X", "CNOT", "TOFFOLI", "CNOT_into_L"}
-
-    def test_other_operators_carry_no_gather_index(self):
-        rotations = {g.name for n, g in self.GATES if embed(g.matrix, g.targets, n).gather is None}
-        assert rotations == {"H", "H_L"}
-        assert SZ.gather is None
-

@@ -36,6 +36,15 @@ def test_hump_demo_bad_purities_are_one_error_line(purities, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("purities, entry", [("", "''"), ("0.9,abc", "'abc'")])
+def test_hump_demo_names_the_option_and_the_bad_entry(purities, entry, tmp_path):
+    proc = run_script("hump_demo.py", "--out-dir", str(tmp_path / "out"), "--purities", purities)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: argument --purities: not a number: {entry}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "script, args, message",
     [
