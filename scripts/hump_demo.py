@@ -6,11 +6,10 @@ ideal-ancilla reference once the sinc attenuation goes negative.
 Usage:
     python3 scripts/hump_demo.py [--out-dir results] [--purities 0.9,0.7,0.5]
 """
-from argparse import ArgumentTypeError
 from pathlib import Path
 
 from dfsqec import ScenarioConfig, emit_csv, hump_demo, run_scenario
-from dfsqec.cli import ArgumentParser, run_command
+from dfsqec.cli import ArgumentParser, number_list, run_command
 from dfsqec.experiments import ChartSeries, write_svg_chart
 
 
@@ -19,21 +18,10 @@ def series_for(result, label: str) -> ChartSeries:
     return ChartSeries(label, pts)
 
 
-def purity_list(text: str) -> list[float]:
-    """The comma-separated numbers of ``--purities``; a bad entry is named."""
-    purities = []
-    for entry in text.split(","):
-        try:
-            purities.append(float(entry))
-        except ValueError:
-            raise ArgumentTypeError(f"not a number: {entry!r}") from None
-    return purities
-
-
 def main() -> int:
     parser = ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", type=Path, default="results")
-    parser.add_argument("--purities", type=purity_list, default="0.9,0.7,0.5")
+    parser.add_argument("--purities", type=number_list, default="0.9,0.7,0.5")
     parser.set_defaults(func=run)
     return run_command(parser)
 

@@ -47,6 +47,21 @@ MAX_GRID_POINTS = 100_000
 ANALYTIC_CURVES = {"qec-independent": "qec_independent", "qec-strong": "qec_hybrid", "no-qec": "no_qec"}
 
 
+class OptionValueError(argparse.ArgumentTypeError, ValueError):
+    """A ValueError that argparse, when an option's ``type`` raises it, reports after the option's name."""
+
+
+def number_list(text: str, sep: str = ",") -> tuple[float, ...]:
+    """The numbers of a ``sep``-separated list, -0 read as 0; a bad entry is named."""
+    values = []
+    for entry in text.split(sep):
+        try:
+            values.append(float(entry) + 0.0)
+        except ValueError:
+            raise OptionValueError(f"not a number: {entry!r}") from None
+    return tuple(values)
+
+
 def parse_grid(text: str) -> tuple[float, ...]:
     """Parse ``start:stop:step``, a comma list, or a single value.
 
@@ -55,29 +70,29 @@ def parse_grid(text: str) -> tuple[float, ...]:
     than a billionth of a step past ``stop`` is on the grid.  The count
     is checked against ``MAX_GRID_POINTS`` before any value is built.
     """
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if not all(math.isfinite(v) for v in (start, stop, step)):
-            raise ValueError(f"grid bounds and step must be finite, got {text!r}")
-        if step <= 0:
-            raise ValueError(f"grid step must be > 0, got {step}")
-        last = (stop - start) / step + 1e-9  # the last k before the floor; +-inf on overflow
-        if last >= MAX_GRID_POINTS:
-            raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
-        if last < 0:
-            raise ValueError(f"grid {text!r} is empty")
-        return tuple(start + k * step for k in range(math.floor(last) + 1))
-    return tuple(float(p) + 0.0 for p in text.split(","))  # -0 reads as 0
+    if ":" not in text:
+        return number_list(text)
+    bounds = number_list(text, ":")
+    if len(bounds) != 3:
+        raise OptionValueError(f"grid must be start:stop:step, got {text!r}")
+    start, stop, step = bounds
+    if not all(math.isfinite(v) for v in bounds):
+        raise OptionValueError(f"grid bounds and step must be finite, got {text!r}")
+    if step <= 0:
+        raise OptionValueError(f"grid step must be > 0, got {step}")
+    last = (stop - start) / step + 1e-9  # the last k before the floor; +-inf on overflow
+    if last >= MAX_GRID_POINTS:
+        raise OptionValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
+    if last < 0:
+        raise OptionValueError(f"grid {text!r} is empty")
+    return tuple(start + k * step for k in range(math.floor(last) + 1))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = ScenarioConfig(
         scenario=args.scenario,
         kind=KIND_ALIASES[args.kind],
-        sweep=parse_grid(args.kappa0),
+        sweep=args.kappa0,
         ratio=args.ratio,
         coupling_case=args.case,
         ancilla_purity=args.purity,
@@ -90,7 +105,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
     config = ScenarioConfig(ANALYTIC_CURVES[args.curve], ratio=args.ratio)
-    specs = [config.noise_spec(x) for x in parse_grid(args.kappa0)]  # each point checked
+    specs = [config.noise_spec(x) for x in args.kappa0]  # each point checked
     fes = analytic_curve(config.scenario, specs)
     print("kappa0,Fe")
     for spec, fe in zip(specs, fes.tolist()):
@@ -212,7 +227,7 @@ def build_parser() -> ArgumentParser:
     p = sub.add_parser("sweep", help="run one scenario over a noise grid and write CSV")
     p.add_argument("--scenario", required=True, choices=SCENARIOS)
     p.add_argument("--kind", default="sinc", choices=sorted(KIND_ALIASES))
-    p.add_argument("--kappa0", required=True, help="grid as start:stop:step or comma list")
+    p.add_argument("--kappa0", required=True, type=parse_grid, help="grid as start:stop:step or comma list")
     p.add_argument("--ratio", type=float, default=0.5, help="kappa0/kappa_c (default 0.5)")
     p.add_argument("--case", default="a", choices=COUPLING_CASES)
     p.add_argument("--purity", type=float, default=1.0, help="ancilla purity in [0, 1]")
@@ -222,7 +237,7 @@ def build_parser() -> ArgumentParser:
 
     p = sub.add_parser("analytic", help="print a closed-form curve as CSV on stdout")
     p.add_argument("--curve", required=True, choices=tuple(ANALYTIC_CURVES))
-    p.add_argument("--kappa0", required=True, help="grid as start:stop:step or comma list")
+    p.add_argument("--kappa0", required=True, type=parse_grid, help="grid as start:stop:step or comma list")
     p.add_argument("--ratio", type=float, default=0.5, help="kappa0/kappa_c for qec-strong, > 0")
     p.set_defaults(func=_cmd_analytic)
 

@@ -10,26 +10,16 @@ Conventions used everywhere in this package:
   is immutable and safe to share between threads.
 
 Every ``Operator`` is unitary (the gates are unitary pulse sequences;
-construction checks ``U^dag U = I``).  Operators are immutable, so
-``embed`` caches its results: the same gate on the same targets is built
-and checked once, then shared by every circuit, sweep point and probe
-that uses it.  Each operator keeps its adjoint, and ``conjugate`` is the
-one place that computes ``U m U^dag``, by two matrix products, which for
-a permutation (X, CNOT, Toffoli) reorder the entries of ``m`` exactly.
+construction checks ``U^dag U = I``) and keeps its adjoint, and
+``conjugate`` is the one place that computes ``U m U^dag``.  ``embed``
+keeps no state between calls.
 
 ``check_stack`` holds the state checks (Hermiticity, trace and, for
 states, positivity) for a ``(k, d, d)`` stack of matrices.  A
 ``DensityMatrix`` runs it on a stack of one; a circuit run
 (``codes.apply_circuit``) runs it once over all of its intermediate
-states, with the same tolerances, before it returns the final one; a
-sweep (``experiments._data_outputs``) runs it once per kind over every
-point's reduced outputs.  A state stack's positivity is decided by
-one batched Cholesky of the stack shifted by ``-STATE_MIN_EIG / 2``
-times the identity; only a stack that fails it pays for a batched
-``eigvalsh``, which finds the failing matrix and its eigenvalue.  The
-Cholesky can pass only where every lowest eigenvalue is above
-``STATE_MIN_EIG`` (the margin argument is in ``check_stack``), so the
-two decide alike.
+states; a sweep (``experiments._data_outputs``) runs it once per kind
+over every point's reduced outputs.
 
 The reduction and the overlap work on stacks the same way:
 ``partial_trace_stack`` and ``hs_overlap_stack`` hold the only copies of
@@ -38,7 +28,6 @@ call, so a stack and its rows give the same bits.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -70,10 +59,6 @@ TRACE_TOL = 1e-12
 OVERLAP_IMAG_TOL = 1e-10
 STATE_MIN_EIG = -1e-10
 UNITARY_TOL = 1e-10
-
-# distinct (gate, targets, n_qubits) keys kept by embed's cache; the
-# scenario circuits use a few dozen
-EMBED_CACHE_SIZE = 256
 
 STATE = "state"
 DEVIATION = "deviation"
@@ -257,19 +242,14 @@ def embed(gate: Operator, targets: Sequence[int], n_qubits: int) -> Operator:
     """Extend ``gate`` to act on the listed qubits of an n-qubit system.
 
     ``targets`` maps the gate's own qubits, in order, onto system qubit
-    labels; every other qubit is left alone.
-
-    Results are cached by gate identity, targets and size, so a fixed
-    gate network is embedded and checked once however often it runs.
-    Sharing is safe because operators are read-only, and the cache
-    holds its gates, so their ids cannot be reused.  Invalid calls are
-    not cached and raise every time.
+    labels; every other qubit is left alone.  A gate on the whole
+    register with targets ``1..n`` in order is returned itself: the
+    general path would only rebuild the same matrix.  Every other call
+    checks the targets and builds and checks a new operator; an invalid
+    one raises.
     """
-    return _embed(gate, tuple(targets), n_qubits)
-
-
-@functools.lru_cache(maxsize=EMBED_CACHE_SIZE)
-def _embed(gate: Operator, targets: tuple[int, ...], n_qubits: int) -> Operator:
+    if gate.dim == 2**n_qubits and tuple(targets) == tuple(range(1, n_qubits + 1)):
+        return gate
     targets = list(targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate target qubit in {targets}")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -12,8 +13,10 @@ from xml.etree import ElementTree
 import pytest
 
 import dfsqec
+from dfsqec.channels import COUPLING_CASES, NOISE_KINDS
 from dfsqec.cli import _JSON_FIELDS, MAX_GRID_POINTS, main, parse_grid
-from dfsqec.experiments import CSV_HEADER, ScenarioConfig
+from dfsqec.codes import SCENARIOS
+from dfsqec.experiments import CSV_HEADER, ScenarioConfig, _in_chart_domain, emit_csv, run_scenario
 from dfsqec.metrics import analytic_fe_qec_independent, analytic_fe_qec_strong
 
 
@@ -41,6 +44,8 @@ class TestParseGrid:
             parse_grid("0:1:-1")
         with pytest.raises(ValueError, match="empty"):
             parse_grid("5:1:1")
+        with pytest.raises(ValueError, match="not a number: '2,3'"):
+            parse_grid("1:2,3")
 
     @pytest.mark.parametrize(
         "text, n",
@@ -270,6 +275,23 @@ class TestChart:
         assert captured.err.startswith(f"error: {src}, line {line}: 'utf-8' codec can't decode byte 0xff")
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_zero_noise_rows_are_inside_the_domain(self, tmp_path):
+        # Fe is 1 up to rounding at kappa0 = 0; it is not above 1 only
+        # because the table Hadamard's h = fl(1/sqrt 2) rounds down.  The
+        # values are checked before the CSV's 12 digits round them, as
+        # emit_chart charts them unrounded
+        inputs = []
+        for scenario, kind, case, purity in itertools.product(SCENARIOS, NOISE_KINDS, COUPLING_CASES, (0, 0.3, 0.7, 1)):
+            config = ScenarioConfig(scenario, kind=kind, sweep=(0.0,), coupling_case=case, ancilla_purity=purity)
+            result = run_scenario(config)
+            (point,) = result.points
+            assert _in_chart_domain(0.0, point.report.Fe), (config, point.report.Fe)
+            assert _in_chart_domain(0.0, point.report.Fe_analytic), (config, point.report.Fe_analytic)
+            inputs.append(tmp_path / f"{len(inputs)}.csv")
+            emit_csv(result, inputs[-1])
+        assert len(inputs) == 64
+        assert main(["chart", "--in", *map(str, inputs), "--out", str(tmp_path / "chart.svg")]) == 0
+
     def test_label_is_escaped(self, tmp_path):
         label = 'A&B <x> "q"'
         src = tmp_path / "odd.csv"
@@ -445,8 +467,30 @@ def _no_qec_fe_off_by(delta, run):
         ),
         (["sweep", "--scenario", "no_qec", "--kappa0", "1"], "error: the following arguments are required: --out"),
         (["bogus"], "error: argument command: invalid choice: 'bogus' (choose from "),
+        # a bad grid entry is named after its option
+        (
+            ["sweep", "--scenario", "no_qec", "--kappa0", "0,,1", "--out", "{out}"],
+            "error: argument --kappa0: not a number: ''",
+        ),
+        (
+            ["sweep", "--scenario", "no_qec", "--kappa0", "1:2:x", "--out", "{out}"],
+            "error: argument --kappa0: not a number: 'x'",
+        ),
+        (["analytic", "--curve", "no-qec", "--kappa0", "0,abc"], "error: argument --kappa0: not a number: 'abc'"),
+        (["analytic", "--curve", "no-qec", "--kappa0", "0:1"], "error: argument --kappa0: grid must be start:stop:step, got '0:1'"),
     ],
-    ids=["chart", "check", "ratio-x", "unknown-scenario", "missing-out", "unknown-subcommand"],
+    ids=[
+        "chart",
+        "check",
+        "ratio-x",
+        "unknown-scenario",
+        "missing-out",
+        "unknown-subcommand",
+        "sweep-empty-entry",
+        "sweep-grid-step-x",
+        "analytic-entry-abc",
+        "analytic-two-part-grid",
+    ],
 )
 def test_failure_is_exit_1_and_its_message(argv, message, tmp_path, monkeypatch, capsys):
     out, header = tmp_path / "x.svg", tmp_path / "header.csv"

@@ -72,10 +72,19 @@ def plus_minus_state(sign: int, n: int = 3) -> np.ndarray:
     return vec
 
 
+def _whole_register(gates, n: int) -> tuple[Gate, ...]:
+    return tuple(Gate(g.name, embed(g.matrix, g.targets, n), tuple(range(1, n + 1))) for g in gates)
+
+
+# each scenario's table gates, embedded once into whole-register gates
+# that every run then takes unchanged from embed
+_GATE_LEVEL = {s: (n, _whole_register(b, n), _whole_register(a, n)) for s, (n, _, b, a) in codes._SCENARIOS.items()}
+
+
 def gate_level_circuit(scenario: str, spec: NoiseSpec) -> Circuit:
     # the scenario's network as the table declares it, gate by gate,
     # around a noise marker for spec: the reference for the compiled one
-    n, _, before, after = codes._SCENARIOS[scenario]
+    n, before, after = _GATE_LEVEL[scenario]
     return Circuit(n, before + (NoiseStep(spec),) + after)
 
 

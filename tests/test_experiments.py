@@ -31,7 +31,6 @@ from dfsqec.qstate import (
     DEVIATION,
     STATE,
     DensityMatrix,
-    _embed,
     hs_overlap_stack,
     partial_trace,
     pauli,
@@ -528,14 +527,6 @@ class TestCsv:
         out = tmp_path / "pinned.csv"
         emit_csv(run_scenario(cfg), out)
         assert file_hash(out) == PINNED_CSV_SHA256[scenario, kind, case, purity]
-
-    def test_cold_and_warm_embed_cache_give_same_bytes(self, tmp_path):
-        cfg = ScenarioConfig("dfs_qec", kind="markovian_exp", ancilla_purity=0.7)
-        _embed.cache_clear()
-        cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
-        emit_csv(run_scenario(cfg), cold)
-        emit_csv(run_scenario(cfg), warm)
-        assert file_hash(cold) == file_hash(warm)
 
     def test_roundtrip_through_loader(self, tmp_path):
         cfg = ScenarioConfig("dfs_qec", sweep=(0.0, 1.0, 2.0))

@@ -316,12 +316,19 @@ class TestEmbed:
         with pytest.raises(ValueError, match="does not fit"):
             embed(CNOT, [1], 2)
 
-    def test_results_are_cached_and_read_only(self):
+    def test_results_are_read_only(self):
         got = embed(SZ, [3], 4)
-        assert embed(SZ, (3,), 4) is got
         assert not got.entries.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             got.entries[0, 0] = 2.0
+
+    def test_whole_register_gate_in_order_is_its_own_embedding(self):
+        for gate, n in ((H, 1), (CNOT, 2)):
+            assert embed(gate, range(1, n + 1), n) is gate
+        # any other order builds a new operator: the reversed CNOT swaps |01> and |11>
+        rev = embed(CNOT, [2, 1], 2)
+        assert rev is not CNOT
+        assert np.array_equal(rev.entries, np.eye(4)[[0, 3, 2, 1]])
 
     def test_invalid_call_raises_every_time(self):
         for _ in range(3):
