@@ -27,12 +27,19 @@ environments whose parts share one random phase, so the parts'
 arguments add inside one attenuation.  Case "a" is one environment
 with two parts, the collective pair and qubit 3's residual noise;
 case "b" puts them in two environments.
+
+A sweep varies only the strengths, so each environment's attenuation
+over a whole sweep is one table: its few distinct Delta / 4 values
+against the column of the sweep's strengths (``sweep_attenuation``).
+The DFS protection is the Delta = 0 column of the collective pair's table.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -53,6 +60,7 @@ __all__ = [
     "qubit3_strength_ratio",
     "build_error_model",
     "noise_layout",
+    "sweep_attenuation",
     "collective_scale_of",
 ]
 
@@ -137,7 +145,7 @@ def _argument(env, kind: str):
         return strength * quarter if kind == INCOHERENT_SINC else strength * (2.0 * quarter) ** 2
     if kind == INCOHERENT_SINC:
         return sum(strength * quarter for quarter, strength, *_ in env)
-    return sum(2.0 * math.sqrt(strength) * quarter for quarter, strength, *_ in env) ** 2
+    return sum(2.0 * np.sqrt(strength) * quarter for quarter, strength, *_ in env) ** 2
 
 
 def attenuation(environments: Sequence[Sequence[tuple]], kind: str) -> np.ndarray:
@@ -149,9 +157,12 @@ def attenuation(environments: Sequence[Sequence[tuple]], kind: str) -> np.ndarra
     attenuation: sinc(sum_k kappa_k Delta_k / 4), or for the Markovian
     kind exp(-(sum_k sqrt(lambda_k) Delta_k / 2)^2), lambda being the
     rate times the storage time; one part gives exp(-lambda (Delta / 2)^2).
-    Only an argument past the float range raises.  An environment at zero
-    strength gives exactly 1, even where W's eigenvalues overflow; no
-    environments give 1.0.  The product runs over the ``(E, d, d)`` stack in order.
+    A strength is a number >= 0, or a ``(K, 1)`` column of them against
+    Delta / 4 values of shape ``(m,)``, which gives a ``(K, m)`` table
+    (see ``sweep_attenuation``).  Only an argument past the float range
+    raises.  An environment at zero strength, or a row of it, gives
+    exactly 1, even where W's eigenvalues overflow; no environments give
+    1.0.  The product runs over the ``(E, ...)`` stack in order.
     """
     if kind not in NOISE_KINDS:
         raise ValueError(f"unknown noise kind {kind!r}")
@@ -160,8 +171,10 @@ def attenuation(environments: Sequence[Sequence[tuple]], kind: str) -> np.ndarra
     with np.errstate(over="ignore", invalid="ignore"):
         args = np.array([_argument(env, kind) for env in environments])
         factors = sinc(args) if kind == INCOHERENT_SINC else np.exp(-args)
-        # 0 * inf is nan where W's eigenvalues overflow; elsewhere a no-op
-        factors[[not any(part[1] for part in env) for env in environments]] = 1.0
+        # 0 * inf is nan where W's eigenvalues overflow; elsewhere a no-op.
+        # idle is (E,) or, for strength columns, (E, K, 1): pad it to broadcast
+        idle = np.array([sum(part[1] for part in env) for env in environments]) == 0.0
+        np.copyto(factors, 1.0, where=idle.reshape(idle.shape + (1,) * (factors.ndim - idle.ndim)))
         factor = np.multiply.reduce(factors, 0)
     if not np.isfinite(factor).all():
         raise ValueError("noise attenuation is not finite: generator strengths are too large")
@@ -315,14 +328,62 @@ _UNIT_QUARTERS = {
 }
 
 
+def _distinct(env) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """An environment's distinct (Delta / 4 of each part) tuples, as one
+    ``(m,)`` vector per part, and the ``(d, d)`` index of each matrix
+    entry into them, all read-only."""
+    quarters = [_UNIT_QUARTERS[w] for _, w, _ in env]
+    values, index = np.unique(np.stack([q.ravel() for q in quarters], 1), axis=0, return_inverse=True)
+    index = index.reshape(quarters[0].shape)
+    values.setflags(write=False)
+    index.setflags(write=False)
+    return tuple(values.T), index
+
+
+# each environment of the layouts as _distinct tables, built once: 3 values for
+# a unit pattern, 5 for the collective pair, 9 pairs for case "a"'s two parts
+_DISTINCT = {env: _distinct(env) for env in {env for envs in _LAYOUTS.values() for env in envs}}
+
+
+def _scales(spec: NoiseSpec, kappa0) -> dict:
+    """Each layout scale of ``spec`` at ``kappa0``, a float or an array of them."""
+    scales = {"kappa0": kappa0}
+    if spec.collective:
+        scales["collective"] = collective_scale_of(kappa0, spec.ratio, spec.kind)
+    return scales
+
+
 def noise_layout(spec: NoiseSpec) -> list[list[tuple]]:
     """The spec's environments from the layout table, each part as
     (Delta / 4, strength, label, weights): ``attenuation``'s parts, labeled."""
-    scales = {"kappa0": spec.kappa0}
-    if spec.collective:
-        scales["collective"] = collective_scale_of(spec.kappa0, spec.ratio, spec.kind)
+    scales = _scales(spec, spec.kappa0)
     envs = _LAYOUTS[spec.collective, spec.coupling_case]
     return [[(_UNIT_QUARTERS[w], scales[scale], label, w) for label, w, scale in env] for env in envs]
+
+
+def sweep_attenuation(specs: Sequence[NoiseSpec]) -> Iterator[np.ndarray]:
+    """The factor ``attenuation(noise_layout(spec), spec.kind)`` of each
+    spec of a sweep, which differ only in kappa0, in order and bit for bit.
+
+    ``attenuation`` runs once per environment, now, on its distinct
+    Delta / 4 values against the sweep's ``(K, 1)`` column of strengths,
+    so a non-finite factor anywhere in the sweep raises before this
+    returns.  The iterator gathers point k's factor when it reaches it:
+    row k of each environment's table through its index, multiplied in
+    layout order as ``attenuation`` multiplies.
+    """
+    if len({(s.collective, s.ratio, s.coupling_case, s.kind) for s in specs}) > 1:
+        raise ValueError("a sweep's noise specs must differ only in kappa0")
+    if not specs:
+        return iter(())
+    spec = specs[0]
+    scales = _scales(spec, np.array([s.kappa0 for s in specs])[:, None])
+    tables = []
+    for env in _LAYOUTS[spec.collective, spec.coupling_case]:
+        values, index = _DISTINCT[env]
+        parts = [(q, scales[scale]) for q, (_, _, scale) in zip(values, env)]
+        tables.append((attenuation([parts], spec.kind), index))
+    return (functools.reduce(operator.mul, [table[k][index] for table, index in tables]) for k in range(len(specs)))
 
 
 def build_error_model(spec: NoiseSpec) -> list[DephasingGenerator]:

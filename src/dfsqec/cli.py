@@ -62,6 +62,17 @@ def number_list(text: str, sep: str = ",") -> tuple[float, ...]:
     return tuple(values)
 
 
+def positive_int(text: str) -> int:
+    """An integer >= 1; anything else is named."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise OptionValueError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise OptionValueError(f"must be >= 1, got {value}")
+    return value
+
+
 def parse_grid(text: str) -> tuple[float, ...]:
     """Parse ``start:stop:step``, a comma list, or a single value.
 
@@ -231,7 +242,7 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.5, help="kappa0/kappa_c (default 0.5)")
     p.add_argument("--case", default="a", choices=COUPLING_CASES)
     p.add_argument("--purity", type=float, default=1.0, help="ancilla purity in [0, 1]")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
+    p.add_argument("--jobs", type=positive_int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

@@ -28,7 +28,8 @@ source of a scenario's qubit count, collectiveness and gates.
 
 Each validity fact is checked once, where it is used: gate targets by
 ``embed`` when a gate runs, a noise marker's attenuation when it is
-built, step types and noise factor shapes when a ``Circuit`` is.
+computed (a sweep's, all at once, by ``channels.sweep_attenuation``),
+step types and noise factor shapes when a ``Circuit`` is built.
 """
 from __future__ import annotations
 
@@ -95,16 +96,18 @@ class Gate:
 class NoiseStep:
     """Marker for the storage interval: the noise of ``spec`` acts here.
 
-    Its elementwise ``factor``, ``attenuation(noise_layout(spec),
-    spec.kind)``, is computed when the marker is built; it is read-only
-    and shared by every state run through the marker.
+    Its elementwise ``factor`` is ``attenuation(noise_layout(spec),
+    spec.kind)``: computed when ``NoiseStep(spec)`` is built, or, in a
+    sweep, the factor ``channels.sweep_attenuation`` gathered for the
+    spec.  It is read-only and shared by every state run through the
+    marker.
     """
 
     spec: NoiseSpec
-    factor: np.ndarray = field(init=False, repr=False)
+    factor: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        factor = attenuation(noise_layout(self.spec), self.spec.kind)
+        factor = attenuation(noise_layout(self.spec), self.spec.kind) if self.factor is None else self.factor
         factor.setflags(write=False)
         object.__setattr__(self, "factor", factor)
 
@@ -210,9 +213,10 @@ def scenario_layout(scenario: str) -> tuple[int, bool]:
     return _SCENARIOS[scenario][:2]
 
 
-def build_scenario_circuit(scenario: str, spec: NoiseSpec) -> Circuit:
-    """Assemble one of the four storage experiments around a new noise
-    marker for ``spec``, between its compiled ``encode`` and ``recover``.
+def build_scenario_circuit(scenario: str, spec: NoiseSpec | NoiseStep) -> Circuit:
+    """Assemble one of the four storage experiments around the noise
+    marker ``spec``, or a new one for it, between its compiled
+    ``encode`` and ``recover``.
 
     * ``qec_independent``: three-qubit phase code (data qubit 2,
       ancillae 1 and 3) under independent noise.
@@ -224,11 +228,12 @@ def build_scenario_circuit(scenario: str, spec: NoiseSpec) -> Circuit:
       ancilla encoded in the qubit-(3,4) pair, under collective noise.
     """
     n, collective = scenario_layout(scenario)
-    if spec.collective != collective:
+    ready = isinstance(spec, NoiseStep)
+    if (spec.spec if ready else spec).collective != collective:
         want = "the collective noise component" if collective else "independent noise only"
         raise ValueError(f"{scenario} requires {want}")
     encode, recover = _COMPILED[scenario]
-    return Circuit(n, encode + (NoiseStep(spec),) + recover)
+    return Circuit(n, encode + (spec if ready else NoiseStep(spec),) + recover)
 
 
 def apply_circuit(

@@ -16,13 +16,16 @@ Every sweep, transfer-matrix probe and ``prepare_inputs`` call builds
 the same four inputs as one stack: I/2, sigma_x, sigma_y, sigma_z on
 qubit 2, row 0 checked as a state and rows 1-3 as deviations, with one
 ``check_stack`` call each.  The transfer matrix runs all four rows and a
-sweep rows 1-3.  The circuit runs are the only per-point work:
-``_data_outputs`` runs each point's circuit, reduces its final states
-to the data qubit in one pass, and checks the sweep's whole
-``(K, 3, 2, 2)`` output stack once per kind.  The correlations come
-from one ``correlations`` call and the polarizations from one batched
-overlap over that stack, and the closed form from one ``analytic_curve``
-call over the sweep's specs.  Every row has the bits that
+sweep rows 1-3.  A sweep's noise is evaluated once, before any circuit
+runs: ``channels.sweep_attenuation`` makes one attenuation table per
+environment, and each point's marker gathers its factor from them.
+The circuit runs are then the only per-point work: ``_data_outputs``
+runs each point's circuit, reduces its final states to the data qubit
+in one pass, and checks the sweep's whole ``(K, 3, 2, 2)`` output
+stack once per kind.  The correlations come from one ``correlations``
+call and the polarizations from one batched overlap over that stack,
+and the closed form from one ``analytic_curve`` call over the sweep's
+specs.  Every row has the bits that
 ``partial_trace``, ``correlation`` and ``analytic_reference`` give one
 state or point at a time.
 
@@ -41,8 +44,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .channels import INCOHERENT_SINC, NoiseSpec
-from .codes import Circuit, apply_circuit, build_scenario_circuit, scenario_layout
+from .channels import INCOHERENT_SINC, NoiseSpec, sweep_attenuation
+from .codes import Circuit, NoiseStep, apply_circuit, build_scenario_circuit, scenario_layout
 from .metrics import AXES, MetricReport, analytic_curve, correlations
 from .qstate import (
     DEVIATION,
@@ -218,14 +221,17 @@ def _data_outputs(circuits: Iterable[Circuit], inputs: Sequence[DensityMatrix]) 
 
 def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
     """Evaluate every sweep point of a scenario, in sweep order: every
-    point's ``NoiseSpec`` is built first, then the reference run, then one
-    circuit per point; the outputs are checked and scored once per sweep.
+    point's ``NoiseSpec`` is built first, then the noise tables of the
+    whole sweep, then the reference run, then one circuit per point around
+    a marker that gathers its factor from the tables; the outputs are
+    checked and scored once per sweep.
 
     ``jobs`` is accepted for compatibility and has no effect.
     """
     specs = [config.noise_spec(x) for x in config.sweep]
     if not specs:
         return ScenarioResult(config, ())
+    factors = sweep_attenuation(specs)  # a non-finite attenuation raises here, before any circuit runs
     reference = build_scenario_circuit(config.scenario, config.noise_spec(0.0))
     inputs = _product_inputs(config.ancilla_purity, reference.n_qubits)[1:]
     refs = _data_outputs([reference], inputs)[0]
@@ -233,7 +239,8 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
     for u, purity in zip(AXES, ref_purity.tolist()):
         if purity <= 1e-12:
             raise ValueError(f"reference output for axis {u!r} has zero purity")
-    outs = _data_outputs((build_scenario_circuit(config.scenario, spec) for spec in specs), inputs)
+    circuits = (build_scenario_circuit(config.scenario, NoiseStep(spec, f)) for spec, f in zip(specs, factors))
+    outs = _data_outputs(circuits, inputs)
     # C_u = tr(sigma_u out_u) / tr(sigma_u sigma_u), P_u = tr(out_u^2) / tr(ref_u^2)
     cs = correlations(_PAULI_BASIS[1:], outs).tolist()
     ps = (hs_overlap_stack(outs, outs) / ref_purity).tolist()

@@ -22,6 +22,7 @@ from dfsqec.channels import (
     partial_strengths,
     qubit3_strength_ratio,
     sinc,
+    sweep_attenuation,
 )
 from dfsqec.codes import NoiseStep
 from dfsqec.metrics import fit_error_rates, fit_grid
@@ -366,6 +367,64 @@ class TestAttenuation:
             both = attenuation(environments([idle, active]), kind)
         assert alone.shape == (4, 4) and (alone == 1.0).all()
         assert both.tobytes() == attenuation(environments([active]), kind).tobytes()
+
+
+# every layout and kind at these ratios and kappa0s: 288 specs, from a
+# subnormal collective scale to 1e300, 284 of which NoiseSpec accepts
+SWEEP_RATIOS = (1e-17, 1e-3, 0.3, 1.7, 1e5, 1e160)
+SWEEP_KAPPAS = (0.0, 1e-320, 2.9, 6.0, 1e100, 1e300)
+LAYOUTS = [(False, "a"), (False, "b"), (True, "a"), (True, "b")]
+
+
+class TestSweepAttenuation:
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("collective, case", LAYOUTS)
+    def test_sweep_factors_are_the_point_factors(self, collective, case, kind):
+        # one sweep per ratio over every kappa0 whose spec NoiseSpec
+        # accepts: each factor has the bits of NoiseStep(spec).factor
+        for ratio in SWEEP_RATIOS:
+            specs = []
+            for kappa0 in SWEEP_KAPPAS:
+                try:
+                    specs.append(NoiseSpec(kappa0, collective, ratio, case, kind))
+                except ValueError:  # the collective scale overflows
+                    pass
+            got = list(sweep_attenuation(specs))
+            assert len(got) == len(specs)
+            for spec, factor in zip(specs, got):
+                want = NoiseStep(spec).factor
+                assert factor.shape == want.shape and factor.tobytes() == want.tobytes()
+
+    def test_one_overflowing_point_fails_the_sweep_with_the_point_message(self):
+        # kappa_c * Delta / 4 = 1.5e308 * 1.5 overflows at the last point
+        specs = [NoiseSpec(k, True, 1.0, "a") for k in (0.0, 2.9, 1.5e308)]
+        with pytest.raises(ValueError) as point:
+            NoiseStep(specs[-1])
+        with pytest.raises(ValueError) as sweep:
+            sweep_attenuation(specs)
+        assert str(sweep.value) == str(point.value) == "noise attenuation is not finite: generator strengths are too large"
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_zero_strength_rows_are_exactly_one(self, kind):
+        # the zero-strength rule holds row by row for a column of
+        # strengths, even where Delta / 4 is past the float range
+        quarters = np.array([0.0, 0.5, np.inf])
+        table = attenuation([[(quarters, np.array([[0.0], [0.0]]))]], kind)
+        assert table.shape == (2, 3) and (table == 1.0).all()
+        table = attenuation([[(quarters[:2], np.array([[0.0], [2.0]])), (quarters[:2], np.array([[0.0], [0.0]]))]], kind)
+        row = attenuation([[(quarters[:2], 2.0), (quarters[:2], 0.0)]], kind)
+        assert (table[0] == 1.0).all() and table[1].tobytes() == row.tobytes() and (row != 1.0).any()
+        for collective, case in LAYOUTS:
+            (factor,) = sweep_attenuation([NoiseSpec(0.0, collective, 0.5, case, kind)])
+            assert (factor == 1.0).all()
+
+    def test_no_specs_give_no_factors(self):
+        assert list(sweep_attenuation([])) == []
+
+    def test_specs_must_differ_only_in_kappa0(self):
+        for other in (NoiseSpec(1.0, ratio=0.3), NoiseSpec(1.0, coupling_case="b"), NoiseSpec(1.0, kind=MARKOVIAN_EXP)):
+            with pytest.raises(ValueError, match="^a sweep's noise specs must differ only in kappa0$"):
+                sweep_attenuation([NoiseSpec(0.5), other])
 
 
 @pytest.mark.parametrize(

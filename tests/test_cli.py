@@ -478,6 +478,10 @@ def _no_qec_fe_off_by(delta, run):
         ),
         (["analytic", "--curve", "no-qec", "--kappa0", "0,abc"], "error: argument --kappa0: not a number: 'abc'"),
         (["analytic", "--curve", "no-qec", "--kappa0", "0:1"], "error: argument --kappa0: grid must be start:stop:step, got '0:1'"),
+        # --jobs has no effect, but it must still be a positive integer
+        (["sweep", "--scenario", "no_qec", "--kappa0", "1", "--jobs", "0", "--out", "{out}"], "error: argument --jobs: must be >= 1, got 0"),
+        (["sweep", "--scenario", "no_qec", "--kappa0", "1", "--jobs", "-3", "--out", "{out}"], "error: argument --jobs: must be >= 1, got -3"),
+        (["sweep", "--scenario", "no_qec", "--kappa0", "1", "--jobs", "2.5", "--out", "{out}"], "error: argument --jobs: not an integer: '2.5'"),
     ],
     ids=[
         "chart",
@@ -490,6 +494,9 @@ def _no_qec_fe_off_by(delta, run):
         "sweep-grid-step-x",
         "analytic-entry-abc",
         "analytic-two-part-grid",
+        "jobs-0",
+        "jobs-negative",
+        "jobs-not-an-integer",
     ],
 )
 def test_failure_is_exit_1_and_its_message(argv, message, tmp_path, monkeypatch, capsys):

@@ -17,6 +17,7 @@ from dfsqec.channels import (
     incoherent_dephase,
     noise_layout,
     sinc,
+    sweep_attenuation,
 )
 from dfsqec.codes import (
     SCENARIOS,
@@ -81,11 +82,13 @@ def _whole_register(gates, n: int) -> tuple[Gate, ...]:
 _GATE_LEVEL = {s: (n, _whole_register(b, n), _whole_register(a, n)) for s, (n, _, b, a) in codes._SCENARIOS.items()}
 
 
-def gate_level_circuit(scenario: str, spec: NoiseSpec) -> Circuit:
+def gate_level_circuit(scenario: str, noise: NoiseSpec | NoiseStep) -> Circuit:
     # the scenario's network as the table declares it, gate by gate,
-    # around a noise marker for spec: the reference for the compiled one
+    # around the marker a sweep passes, or a new one for a spec: the
+    # reference for the compiled one
     n, before, after = _GATE_LEVEL[scenario]
-    return Circuit(n, before + (NoiseStep(spec),) + after)
+    marker = noise if isinstance(noise, NoiseStep) else NoiseStep(noise)
+    return Circuit(n, before + (marker,) + after)
 
 
 def table_gates(scenario: str, name: str | None = None):
@@ -313,6 +316,17 @@ class TestScenarioCircuits:
                 assert a is b
             else:
                 assert isinstance(b, NoiseStep) and a is not b
+
+    def test_a_ready_marker_is_used_as_given(self):
+        # a sweep passes each point's marker with its gathered factor
+        spec = NoiseSpec(1.3, collective=True, coupling_case="b")
+        (factor,) = sweep_attenuation([spec])
+        marker = NoiseStep(spec, factor)
+        assert marker.factor is factor and not factor.flags.writeable
+        assert factor.tobytes() == NoiseStep(spec).factor.tobytes()
+        assert [step for step in build_scenario_circuit("dfs_qec", marker).steps if isinstance(step, NoiseStep)] == [marker]
+        with pytest.raises(ValueError, match="independent"):
+            build_scenario_circuit("qec_independent", marker)
 
     def test_dfs_collective_only_noise_is_harmless(self):
         circuit = build_scenario_circuit("dfs_qec", NoiseSpec(0.0, collective=True))

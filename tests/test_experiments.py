@@ -9,8 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dfsqec import experiments
-from dfsqec.channels import COUPLING_CASES, NOISE_KINDS, NoiseSpec, collective_scale_of
+from dfsqec import channels, codes, experiments
+from dfsqec.channels import COUPLING_CASES, NOISE_KINDS, NoiseSpec, attenuation, collective_scale_of
 from dfsqec.experiments import (
     CSV_HEADER,
     DEFAULT_SWEEP,
@@ -290,19 +290,48 @@ class TestRunScenario:
         res = run_scenario(ScenarioConfig("no_qec", sweep=()))
         assert res.points == ()
 
-    def test_sweep_peak_memory_is_per_point(self):
+    @pytest.mark.parametrize("points, case", [(300, "a"), (1000, "b")])
+    def test_sweep_peak_memory_is_per_point(self, points, case):
         # each circuit's final states are reduced before the next circuit
-        # runs; a stack of them would add about 4 MB here
-        run_scenario(ScenarioConfig("dfs_qec", sweep=(0.0, 1.0)))  # fills the gate caches first
-        config = ScenarioConfig("dfs_qec", sweep=tuple(0.04 * k for k in range(300)))
+        # runs, and each marker gathers its factor when its circuit is
+        # built; a stack of final states would add about 4 MB at 300
+        # points, a list of the 2 KB factors about 2 MB at 1000
+        run_scenario(ScenarioConfig("dfs_qec", sweep=(0.0, 1.0)))  # warms numpy up first
+        config = ScenarioConfig("dfs_qec", sweep=tuple(12.0 * k / points for k in range(points)), coupling_case=case)
         tracemalloc.start()
         try:
             result = run_scenario(config)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(result.points) == 300
+        assert len(result.points) == points
         assert peak - retained < 1.5e6
+
+    def test_an_overflowing_point_fails_before_any_circuit_runs(self, monkeypatch):
+        # the whole sweep's attenuation is evaluated first: kappa_c * Delta / 4
+        # = 1.5e308 * 1.5 overflows at the last point
+        runs = []
+        monkeypatch.setattr(experiments, "apply_circuit", lambda *a, **k: runs.append(a) or apply_circuit(*a, **k))
+        config = ScenarioConfig("qec_hybrid", sweep=(0.0, 2.9, 1.5e308), ratio=1.0)
+        with pytest.raises(ValueError, match="^noise attenuation is not finite: generator strengths are too large$"):
+            run_scenario(config)
+        assert runs == []
+
+    @pytest.mark.parametrize("scenario, case", [("no_qec", "a"), ("dfs_qec", "a"), ("dfs_qec", "b")])
+    def test_a_sweep_evaluates_its_noise_once_per_environment(self, scenario, case, monkeypatch):
+        # one attenuation per environment for the sweep's tables, plus one
+        # for the reference run's marker, however many points
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return attenuation(*args)
+
+        monkeypatch.setattr(channels, "attenuation", counted)
+        monkeypatch.setattr(codes, "attenuation", counted)
+        config = ScenarioConfig(scenario, sweep=tuple(0.012 * k for k in range(1000)), coupling_case=case)
+        assert len(run_scenario(config).points) == 1000
+        assert len(calls) <= len(channels._LAYOUTS[config.collective, case]) + 1
 
     def test_state_mode_matches_deviation_mode(self):
         # a pure data input (I + sigma_u)/2 in place of the deviation

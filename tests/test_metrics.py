@@ -110,8 +110,9 @@ class TestAvgPolarization:
         u = Gate("U", Operator(_random_unitary(rng, 2)), (2,))
         build = experiments.build_scenario_circuit
 
-        def with_error(scenario, spec):
-            circuit = build(scenario, spec)
+        def with_error(scenario, noise):
+            # noise is the sweep point's marker, or the reference run's spec
+            circuit = build(scenario, noise)
             return Circuit(circuit.n_qubits, circuit.steps + (u,))
 
         monkeypatch.setattr(experiments, "build_scenario_circuit", with_error)
