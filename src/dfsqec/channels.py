@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -59,6 +60,7 @@ __all__ = [
     "partial_strengths",
     "qubit3_strength_ratio",
     "build_error_model",
+    "error_model_strengths",
     "noise_layout",
     "sweep_attenuation",
     "collective_scale_of",
@@ -288,10 +290,7 @@ class NoiseSpec:
         if self.collective and not (self.ratio > 0.0):
             raise ValueError(f"ratio must be > 0 with collective noise enabled, got {self.ratio}")
         if self.collective:
-            try:
-                scale = collective_scale_of(self.kappa0, self.ratio, self.kind)
-            except ZeroDivisionError:  # ratio**2 underflows to 0
-                scale = math.inf
+            scale = collective_scale_of(self.kappa0, self.ratio, self.kind)
             if not math.isfinite(scale):
                 raise ValueError(
                     f"collective scale is not finite for kappa0={self.kappa0}, ratio={self.ratio}"
@@ -304,10 +303,13 @@ def collective_scale_of(kappa0, ratio: float, kind: str):
     if kind == INCOHERENT_SINC:
         return kappa0 / ratio
     try:
-        return kappa0 / ratio**2
+        square = ratio**2
     except OverflowError:
-        # the square overflows, so the scale is tiny: divide twice
-        return kappa0 / ratio / ratio
+        square = math.inf
+    if sys.float_info.min <= square < math.inf:
+        return kappa0 / square
+    # the square overflows, or underflows and loses bits: divide twice
+    return kappa0 / ratio / ratio
 
 
 # (collective, coupling case) -> environments, each a tuple of parts
@@ -404,3 +406,38 @@ def build_error_model(spec: NoiseSpec) -> list[DephasingGenerator]:
             label = "z34-combined"
         gens.append(DephasingGenerator(weights, strength, label))
     return gens
+
+
+def error_model_strengths(spec: NoiseSpec) -> tuple[list[DephasingGenerator], float, list[float]]:
+    """``build_error_model(spec)`` with its overall and partial noise
+    strengths (``noise_strength`` and ``partial_strengths``).
+
+    Case "a"'s parts have the amplitudes a_c = sqrt(s_c / 2), s_c being
+    the collective scale, and a_r = ratio * a_c: sqrt(kappa0 ratio / 2)
+    (incoherent) or sqrt(kappa0 / 2) (Markovian).  Where s_c is
+    subnormal or 0 and kappa0 is not, its generator has lost a_c's bits,
+    and its weight 1 + ratio would multiply the loss back up; so that
+    environment's lambda_mu is 2 (2 a_c + a_r)^2 from the amplitudes,
+    each taken from kappa0 and the ratio directly, and lambda is the sum
+    of the lambda_mu (every weight is >= 0, so every |L_mu| peaks on the
+    same basis state).
+    """
+    gens = build_error_model(spec)
+    if not (
+        spec.collective
+        and spec.coupling_case == "a"
+        and spec.kappa0 > 0.0
+        and collective_scale_of(spec.kappa0, spec.ratio, spec.kind) < sys.float_info.min
+    ):
+        return gens, noise_strength(gens), partial_strengths(gens)
+    root = math.sqrt(spec.kappa0) * math.sqrt(0.5)  # sqrt(kappa0 / 2), without halving a subnormal
+    if spec.kind == INCOHERENT_SINC:
+        a_c, a_r = root / math.sqrt(spec.ratio), root * math.sqrt(spec.ratio)
+    else:
+        a_c, a_r = root / spec.ratio, root
+    amplitude = 2.0 * a_c + a_r
+    partials = partial_strengths(gens[:-1]) + [2.0 * amplitude * amplitude]
+    total = sum(partials)
+    if not math.isfinite(total):
+        raise ValueError("noise strength is not finite: generator strengths are too large")
+    return gens, total, partials

@@ -21,9 +21,7 @@ from .channels import (
     COUPLING_CASES,
     INCOHERENT_SINC,
     MARKOVIAN_EXP,
-    build_error_model,
-    noise_strength,
-    partial_strengths,
+    error_model_strengths,
     qubit3_strength_ratio,
 )
 from .codes import SCENARIOS
@@ -179,9 +177,9 @@ def _cmd_noise_strength(args: argparse.Namespace) -> int:
     # every point is computed, and checked, before anything is printed
     lines = []
     for x in config.sweep:
-        gens = build_error_model(config.noise_spec(x))
-        lines.append(f"kappa0={format_number(x)} lambda={format_number(noise_strength(gens))}")
-        for gen, lam_mu in zip(gens, partial_strengths(gens)):
+        gens, total, partials = error_model_strengths(config.noise_spec(x))
+        lines.append(f"kappa0={format_number(x)} lambda={format_number(total)}")
+        for gen, lam_mu in zip(gens, partials):
             weights = "(" + ",".join(format_number(w) for w in gen.weights) + ")"
             strength = f"strength={format_number(gen.strength)} lambda_mu={format_number(lam_mu)}"
             lines.append(f"  {gen.label}: weights={weights} {strength}")

@@ -144,21 +144,8 @@ def check_stack(stack: np.ndarray, kind: str) -> None:
     ``STATE_MIN_EIG``.  The first failing matrix raises the message a
     ``DensityMatrix`` of it alone would.  Positivity is tested only on
     the matrices before the first one whose Hermiticity error is not
-    finite (a non-finite matrix, or a finite one whose error overflows).
-
-    Positivity is decided by one batched Cholesky of ``A + s I``, with
-    ``s = -STATE_MIN_EIG / 2``; only if it raises does a batched
-    ``eigvalsh`` find the failing matrix and its eigenvalue.  Both decide
-    alike.  A Cholesky that succeeds shows ``lambda_min(A) >= -s - delta
-    - d * HERMITICITY_TOL``.  ``delta``, its backward error, is at most
-    about ``d^2 eps ||A||`` (Higham, Thm 10.3), and ``||A||`` is about 1
-    for a unit-trace matrix with no eigenvalue below ``-s - delta``
-    (positivity decides only for matrices whose trace passed).
-    ``d * HERMITICITY_TOL`` allows for ``cholesky`` and ``eigvalsh``
-    reading different triangles of a matrix that passed the Hermiticity
-    check.  Matrices of every ``d <= 32``, where that bound is above
-    ``STATE_MIN_EIG``, take this path; larger ones go straight to
-    ``eigvalsh``.
+    finite (a non-finite matrix, or a finite one whose error overflows),
+    by one batched ``eigvalsh`` over them.
     """
     if kind not in (STATE, DEVIATION):
         raise ValueError(f"unknown density-matrix kind {kind!r}")
@@ -182,7 +169,8 @@ def check_stack(stack: np.ndarray, kind: str) -> None:
         # before its NaN placeholder is read, and the ones after it are
         # never reached
         finite = next((i for i, herm in enumerate(herms) if not math.isfinite(herm)), len(herms))
-        target, lowests = 1, _lowest_eigenvalues(stack[:finite]) + [math.nan] * (len(herms) - finite)
+        target = 1
+        lowests = np.linalg.eigvalsh(stack[:finite])[:, 0].tolist() + [math.nan] * (len(herms) - finite)
     else:
         target, lowests = 0, [0.0] * len(herms)  # no positivity check
     for i, (herm, tr, lowest) in enumerate(zip(herms, traces, lowests)):
@@ -194,22 +182,6 @@ def check_stack(stack: np.ndarray, kind: str) -> None:
             raise ValueError(f"{kind} trace is {tr.real!r}, expected {target}")
         if lowest < STATE_MIN_EIG:
             raise ValueError(f"state has negative eigenvalue {lowest:.2e}")
-
-
-def _lowest_eigenvalues(stack: np.ndarray) -> list[float]:
-    """The lowest eigenvalue of each matrix of a finite ``(k, d, d)``
-    stack, from ``eigvalsh``; or 0.0 for each, when the shifted Cholesky
-    shows that none is below ``STATE_MIN_EIG`` (see ``check_stack``)."""
-    d = stack.shape[-1]
-    shift = -STATE_MIN_EIG / 2
-    if d * HERMITICITY_TOL + d * d * math.ulp(1.0) < shift:
-        try:
-            np.linalg.cholesky(stack + shift * np.eye(d))
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return [0.0] * len(stack)
-    return np.linalg.eigvalsh(stack)[:, 0].tolist()
 
 
 SX = Operator(np.array([[0.0, 1.0], [1.0, 0.0]]))

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -528,3 +529,12 @@ def test_noise_spec_validation():
     with pytest.raises(ValueError, match="finite"):
         qubit3_strength_ratio(float("inf"))
     assert collective_scale_of(2.0, 0.5, INCOHERENT_SINC) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("kappa0, ratio", [(1e-7, 1e-157), (1e-320, 1e-170)])
+def test_markovian_scale_keeps_its_bits_where_the_square_underflows(kappa0, ratio):
+    # ratio**2 is subnormal (1e-314) or 0 (1e-340): dividing by it lost
+    # the scale's bits or raised, dividing twice rounds twice
+    NoiseSpec(kappa0, collective=True, ratio=ratio, kind=MARKOVIAN_EXP)
+    want = Fraction(kappa0) / Fraction(ratio) ** 2
+    assert abs(Fraction(collective_scale_of(kappa0, ratio, MARKOVIAN_EXP)) - want) <= want / 2**51

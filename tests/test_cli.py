@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -7,17 +9,39 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import dfsqec
-from dfsqec.channels import COUPLING_CASES, NOISE_KINDS
-from dfsqec.cli import _JSON_FIELDS, MAX_GRID_POINTS, main, parse_grid
+from dfsqec.channels import COUPLING_CASES, NOISE_KINDS, NoiseSpec
+from dfsqec.cli import _JSON_FIELDS, KIND_ALIASES, MAX_GRID_POINTS, main, parse_grid
 from dfsqec.codes import SCENARIOS
 from dfsqec.experiments import CSV_HEADER, ScenarioConfig, _in_chart_domain, emit_csv, run_scenario
 from dfsqec.metrics import analytic_fe_qec_independent, analytic_fe_qec_strong
+
+
+# log-uniform over the positive floats, from 5e-324 to 1.8e308
+LOG_UNIFORM = st.floats(-323.3, 308.25).map(lambda e: 10.0**e)
+
+
+def exact_case_a_strengths(kappa0: float, ratio: float, kind: str) -> tuple[Decimal, Decimal]:
+    """(lambda, lambda_mu of case "a"'s environment) of a collective
+    spec, from its parts' amplitudes a_c and a_r in 50-digit decimal
+    arithmetic on the exact inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        k, r = Decimal(kappa0), Decimal(ratio)
+        if kind == "sinc":
+            a_c, a_r = (k / r / 2).sqrt(), (k * r / 2).sqrt()
+        else:
+            a_c, a_r = (k / (r * r) / 2).sqrt(), (k / 2).sqrt()
+        lam_mu = 2 * (2 * a_c + a_r) ** 2
+        return 2 * k + lam_mu, lam_mu
 
 
 def sha(path) -> str:
@@ -235,6 +259,27 @@ class TestNoiseStrength:
             "  z3-residual: weights=(0,0,1,0) strength=6 lambda_mu=6",
         ]
 
+    @pytest.mark.parametrize("kind", ["sinc", "exp"])
+    @settings(max_examples=100, deadline=None)
+    @given(kappa0=LOG_UNIFORM, ratio=LOG_UNIFORM)
+    @example(kappa0=6.0, ratio=1e160)  # exp: the collective scale 6e-320 is subnormal
+    @example(kappa0=1e-300, ratio=1e100)  # sinc: the collective scale underflows to 0
+    def test_case_a_strengths_are_the_exact_amplitudes(self, kind, kappa0, ratio, tmp_path_factory):
+        try:
+            NoiseSpec(kappa0, True, ratio, "a", KIND_ALIASES[kind])
+        except ValueError:
+            assume(False)
+        lam, lam_mu = exact_case_a_strengths(kappa0, ratio, kind)
+        assume(Decimal(sys.float_info.min) <= lam <= Decimal(sys.float_info.max))
+        cfg = tmp_path_factory.getbasetemp() / f"case-a-{kind}.json"
+        cfg.write_text(json.dumps({"scenario": "qec_hybrid", "kind": kind, "ratio": ratio, "sweep": [kappa0]}))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["noise-strength", "--spec", str(cfg)]) == 0
+        lines = out.getvalue().splitlines()
+        printed = [Decimal(lines[0].rpartition(" lambda=")[2]), Decimal(lines[-1].rpartition(" lambda_mu=")[2])]
+        for got, want in zip(printed, (lam, lam_mu)):
+            assert abs(got - want) <= want * Decimal("1e-11"), (got, want)
+
     def test_missing_file(self, capsys):
         rc = main(["noise-strength", "--spec", "/nonexistent.json"])
         assert rc == 1
@@ -361,6 +406,8 @@ BAD_CHART_CSVS = {
         ["noise-strength", "--spec", '{"ratio": 1' + "0" * 400 + "}"],
         ["noise-strength", "--spec", '{"sweep": [1e308]}'],
         ["noise-strength", "--spec", '{"sweep": [1, 1e308]}'],
+        # case "a" whose collective scale is subnormal and whose strength overflows
+        ["noise-strength", "--spec", '{"scenario": "qec_hybrid", "ratio": 1.7e308, "sweep": [3]}'],
         ["noise-strength", "--spec", '{"sweep": []}'],
         ["noise-strength", "--spec", '{"epsilon": 1e999}'],
         ["noise-strength", "--spec", '{"epsilon": -1}'],

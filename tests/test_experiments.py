@@ -276,6 +276,30 @@ class TestRunScenario:
             for point, want in zip(points, bare):
                 assert np.max(np.abs(np.subtract(dataclasses.astuple(point.report), dataclasses.astuple(want.report)))) <= CHECK_TOL
 
+    @pytest.mark.parametrize("case", COUPLING_CASES)
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @settings(max_examples=2, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(-2.0, 2.0), st.floats(0.1, 20.0))
+    def test_data_qubit_channel_is_a_pauli_channel(self, scenario, kind, case, purity, log_ratio, stop):
+        # a Pauli channel R = diag(1, lambda) gives C_u = lambda_u, and P_u,
+        # the output's squared norm over the noise-free run's, is then
+        # (C_u / C_u at kappa0 = 0)^2
+        for ancilla_purity in (1.0, 0.7, 0.3, 0.0, purity):
+            config = ScenarioConfig(
+                scenario,
+                kind=kind,
+                sweep=np.linspace(0.0, stop, 25),
+                ratio=10.0**log_ratio,
+                coupling_case=case,
+                ancilla_purity=ancilla_purity,
+            )
+            points = run_scenario(config).points
+            zero = points[0].report
+            for r in (point.report for point in points):
+                for c, c0, p in ((r.Cx, zero.Cx, r.Px), (r.Cy, zero.Cy, r.Py), (r.Cz, zero.Cz, r.Pz)):
+                    assert abs(p - (c / c0) ** 2) <= 1e-14
+
     def test_fe_range_across_scenarios(self):
         for scenario in ("qec_independent", "qec_hybrid", "no_qec", "dfs_qec"):
             res = run_scenario(ScenarioConfig(scenario))
