@@ -17,7 +17,7 @@ status of ``dfsqec noise-strength`` on 200 JSON configs: 4 scenarios x
 0, 0.3, 2.5}, each over a sweep from 0 to 1e100, plus eight inputs
 that overflow or are out of range.  It then hashes ``noise_strength``
 and ``partial_strengths`` (or their error) on 324 hand-built generator
-sets.  In every error model the CLI builds, the generators' squared
+sets.  In every error model the CLI builds, the environments' squared
 jump diagonals peak on one shared basis state, so the two terms of
 ``noise_strength``, sum_mu max l_mu^2 and max sum_mu l_mu^2, are equal
 there; the hand-built sets, such as weights (1, 1, 0) with (1, -1, 0),

@@ -216,8 +216,14 @@ def noise_strength(gens: Sequence[DephasingGenerator]) -> float:
         raise ValueError("need at least one generator")
     if len({g.n_qubits for g in gens}) > 1:
         raise ValueError("generators must share a common qubit count")
+    return _diagonal_strength(map(_jump_diagonal, gens))
+
+
+def _diagonal_strength(diags) -> float:
+    """``noise_strength`` of the jump operators diag(l_mu), each l_mu from
+    ``diags``, an iterable evaluated here, under the errstate."""
     with np.errstate(over="ignore", invalid="ignore"):
-        diags = [_jump_diagonal(g) for g in gens]
+        diags = list(diags)
         total = sum(np.max(np.abs(d)) ** 2 for d in diags)
         strength = float(total + np.max(sum(d * d for d in diags)))
     if not math.isfinite(strength):
@@ -227,8 +233,13 @@ def noise_strength(gens: Sequence[DephasingGenerator]) -> float:
 
 def partial_strengths(gens: Sequence[DephasingGenerator]) -> list[float]:
     """Per-generator partial strengths lambda_mu = 2 |L_mu|^2 (see noise_strength)."""
+    return _diagonal_partials(map(_jump_diagonal, gens))
+
+
+def _diagonal_partials(diags) -> list[float]:
+    """``partial_strengths`` of the jump operators diag(l_mu) (see _diagonal_strength)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        strengths = [float(2.0 * np.max(np.abs(_jump_diagonal(g))) ** 2) for g in gens]
+        strengths = [float(2.0 * np.max(np.abs(d)) ** 2) for d in diags]
     if not all(map(math.isfinite, strengths)):
         raise ValueError("partial noise strength is not finite: generator strengths are too large")
     return strengths
@@ -388,56 +399,39 @@ def sweep_attenuation(specs: Sequence[NoiseSpec]) -> Iterator[np.ndarray]:
     return (functools.reduce(operator.mul, [table[k][index] for table, index in tables]) for k in range(len(specs)))
 
 
-def build_error_model(spec: NoiseSpec) -> list[DephasingGenerator]:
-    """Generator view of ``noise_layout(spec)``, for the noise strengths:
-    one generator per environment.  Case "a"'s is "z34-combined", weights
-    (1 + ratio, 1) on qubits (3, 4) at the collective scale, ratio being
-    the residual/collective amplitude ratio (kappa0/kappa_c, or
-    sqrt(lambda0/lambda_c)).  Parts at a zero scale are left out, so at a
-    zero collective scale only the residual part is emitted; an
-    environment all at zero keeps its last part.
+def build_error_model(spec: NoiseSpec) -> list[np.ndarray]:
+    """Each environment's jump-operator diagonal l_mu = sum_k a_k z(w_k)
+    over the parts of ``noise_layout(spec)``, for the noise strengths.
+
+    Every amplitude comes from kappa0 and the ratio, never from a scale
+    that may have lost bits.  A kappa0 part's is r0 = sqrt(kappa0 / 2); a
+    collective part's r0 / sqrt(ratio) (incoherent, kappa_c = kappa0 /
+    ratio) or r0 / ratio (Markovian, lambda_c = lambda0 / ratio**2).
+    Markovian parts add their amplitudes, incoherent parts their spreads
+    at the first part's scale, so case "a"'s residual is then
+    kappa0 / sqrt(2 kappa_c) = r0 * sqrt(ratio).
     """
-    gens = []
-    for env in noise_layout(spec):
-        (_, strength, label, weights), *residuals = [part for part in env if part[1] > 0.0] or env[-1:]
-        weights = np.array(weights, dtype=float)
-        for *_, residual in residuals:  # case "a": amplitude ratio times the collective part's
-            weights = weights + spec.ratio * np.array(residual, dtype=float)
-            label = "z34-combined"
-        gens.append(DephasingGenerator(weights, strength, label))
-    return gens
+    root = math.sqrt(spec.kappa0) * math.sqrt(0.5)  # r0, without halving a subnormal kappa0
+    incoherent = spec.kind == INCOHERENT_SINC
+    diags = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for env in _LAYOUTS[spec.collective, spec.coupling_case]:
+            diag = 0.0
+            for k, (_, weights, scale) in enumerate(env):
+                if scale == "collective":
+                    amplitude = root / (math.sqrt(spec.ratio) if incoherent else spec.ratio)
+                elif k and incoherent:  # a residual after the collective part
+                    amplitude = root * math.sqrt(spec.ratio)
+                else:
+                    amplitude = root
+                diag = diag + amplitude * _z_values(np.array(weights, dtype=float))
+            diags.append(diag)
+    return diags
 
 
-def error_model_strengths(spec: NoiseSpec) -> tuple[list[DephasingGenerator], float, list[float]]:
-    """``build_error_model(spec)`` with its overall and partial noise
-    strengths (``noise_strength`` and ``partial_strengths``).
-
-    Case "a"'s parts have the amplitudes a_c = sqrt(s_c / 2), s_c being
-    the collective scale, and a_r = ratio * a_c: sqrt(kappa0 ratio / 2)
-    (incoherent) or sqrt(kappa0 / 2) (Markovian).  Where s_c is
-    subnormal or 0 and kappa0 is not, its generator has lost a_c's bits,
-    and its weight 1 + ratio would multiply the loss back up; so that
-    environment's lambda_mu is 2 (2 a_c + a_r)^2 from the amplitudes,
-    each taken from kappa0 and the ratio directly, and lambda is the sum
-    of the lambda_mu (every weight is >= 0, so every |L_mu| peaks on the
-    same basis state).
-    """
-    gens = build_error_model(spec)
-    if not (
-        spec.collective
-        and spec.coupling_case == "a"
-        and spec.kappa0 > 0.0
-        and collective_scale_of(spec.kappa0, spec.ratio, spec.kind) < sys.float_info.min
-    ):
-        return gens, noise_strength(gens), partial_strengths(gens)
-    root = math.sqrt(spec.kappa0) * math.sqrt(0.5)  # sqrt(kappa0 / 2), without halving a subnormal
-    if spec.kind == INCOHERENT_SINC:
-        a_c, a_r = root / math.sqrt(spec.ratio), root * math.sqrt(spec.ratio)
-    else:
-        a_c, a_r = root / spec.ratio, root
-    amplitude = 2.0 * a_c + a_r
-    partials = partial_strengths(gens[:-1]) + [2.0 * amplitude * amplitude]
-    total = sum(partials)
-    if not math.isfinite(total):
-        raise ValueError("noise strength is not finite: generator strengths are too large")
-    return gens, total, partials
+def error_model_strengths(spec: NoiseSpec) -> tuple[float, list[float]]:
+    """The overall noise strength lambda of ``build_error_model(spec)``
+    and each environment's lambda_mu, in ``noise_layout(spec)``'s order:
+    the formulas of ``noise_strength`` and ``partial_strengths``."""
+    diags = build_error_model(spec)
+    return _diagonal_strength(diags), _diagonal_partials(diags)

@@ -4,7 +4,7 @@ Subcommands:
 
 * ``sweep``           run one scenario over a noise-strength grid, write CSV
 * ``analytic``        print a closed-form reference curve as CSV on stdout
-* ``noise-strength``  print the overall and per-generator noise strengths
+* ``noise-strength``  print the overall and per-environment noise strengths
 * ``chart``           render sweep CSVs into a self-contained SVG
 * ``check``           verify the simulated curves against the closed forms
 """
@@ -22,6 +22,7 @@ from .channels import (
     INCOHERENT_SINC,
     MARKOVIAN_EXP,
     error_model_strengths,
+    noise_layout,
     qubit3_strength_ratio,
 )
 from .codes import SCENARIOS
@@ -177,12 +178,13 @@ def _cmd_noise_strength(args: argparse.Namespace) -> int:
     # every point is computed, and checked, before anything is printed
     lines = []
     for x in config.sweep:
-        gens, total, partials = error_model_strengths(config.noise_spec(x))
+        spec = config.noise_spec(x)
+        total, partials = error_model_strengths(spec)
         lines.append(f"kappa0={format_number(x)} lambda={format_number(total)}")
-        for gen, lam_mu in zip(gens, partials):
-            weights = "(" + ",".join(format_number(w) for w in gen.weights) + ")"
-            strength = f"strength={format_number(gen.strength)} lambda_mu={format_number(lam_mu)}"
-            lines.append(f"  {gen.label}: weights={weights} {strength}")
+        for env, lam_mu in zip(noise_layout(spec), partials):
+            parts = [(label, "(" + ",".join(map(format_number, w)) + ")", format_number(s)) for _, s, label, w in env]
+            label, weights, strength = ("+".join(column) for column in zip(*parts))
+            lines.append(f"  {label}: weights={weights} strength={strength} lambda_mu={format_number(lam_mu)}")
     if ratio is not None:
         eps = format_number(epsilon)
         lines.append(f"qubit-3 single/two-environment strength ratio (epsilon={eps}): {format_number(ratio)}")
@@ -250,7 +252,7 @@ def build_parser() -> ArgumentParser:
     p.add_argument("--ratio", type=float, default=0.5, help="kappa0/kappa_c for qec-strong, > 0")
     p.set_defaults(func=_cmd_analytic)
 
-    p = sub.add_parser("noise-strength", help="print lambda and per-generator partial strengths")
+    p = sub.add_parser("noise-strength", help="print lambda and per-environment partial strengths")
     p.add_argument("--spec", required=True, help="JSON config mirroring the sweep fields")
     p.set_defaults(func=_cmd_noise_strength)
 

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from dfsqec.channels import (
     attenuation,
     build_error_model,
     collective_scale_of,
+    error_model_strengths,
     incoherent_dephase,
     markov_dephase,
     noise_layout,
@@ -261,27 +263,45 @@ class TestNoiseStrength:
 
 
 class TestBuildErrorModel:
-    def test_independent_three_generators(self):
-        gens = build_error_model(NoiseSpec(1.5))
-        assert [g.label for g in gens] == ["z1", "z2", "z3"]
-        got = np.array([g.weights for g in gens])
-        assert np.array_equal(got, np.eye(3))
-        assert all(g.strength == 1.5 for g in gens)
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("collective, case", [(False, "a"), (False, "b"), (True, "a"), (True, "b")])
+    def test_jump_diagonals_apply_the_circuit_noise(self, collective, case, kind):
+        # an environment whose jump operator is diag(l) attenuates entry
+        # (i, j) by exp(-(l_i - l_j)^2 / 2) (Markovian), or, its parts
+        # adding their spreads at the first part's scale s, by
+        # sinc(sqrt(2 s) (l_i - l_j) / 4): the circuit's noise, from the
+        # diagonals noise-strength reads
+        for ratio, x in itertools.product((0.01, 0.3, 1.7, 100.0), np.linspace(0.0, 12.0, 25)):
+            spec = NoiseSpec(float(x), collective, ratio, case, kind)
+            got = 1.0
+            for env, l in zip(noise_layout(spec), build_error_model(spec)):
+                delta = l[:, None] - l[None, :]
+                spread = np.sqrt(2.0 * env[0][1])
+                got = got * (np.exp(-delta**2 / 2.0) if kind == MARKOVIAN_EXP else sinc(spread * delta / 4.0))
+            assert np.max(np.abs(got - NoiseStep(spec).factor)) <= 1e-12
 
-    def test_case_a_total_qubit3_spread_is_three_x(self):
-        x = 0.8
-        gens = build_error_model(NoiseSpec(x, collective=True, ratio=0.5))
-        combined = gens[-1]
-        assert combined.label == "z34-combined"
-        # qubit-3 amplitude: weight * spread = (1 + ratio) * kappa_c = 3x
-        assert combined.weights[2] * combined.strength == pytest.approx(3.0 * x, abs=1e-12)
-        assert combined.weights[3] == 1.0
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("collective", [False, True])
+    def test_one_part_environments_are_their_generators(self, collective, kind):
+        # where every environment has one part, its strengths are those of
+        # the generator of weights w at the part's scale, within rounding
+        # of the amplitudes sqrt(kappa0 / 2) and sqrt(kappa_c / 2)
+        for x in np.geomspace(1e-300, 1e300, 301):
+            spec = NoiseSpec(float(x), collective, 0.3, "b", kind)
+            gens = [DephasingGenerator(np.array(w, dtype=float), s) for ((_, s, _, w),) in noise_layout(spec)]
+            total, partials = error_model_strengths(spec)
+            assert total == pytest.approx(noise_strength(gens), rel=1e-15)
+            assert partials == pytest.approx(partial_strengths(gens), rel=1e-15)
 
-    def test_case_b_keeps_generators_separate(self):
-        gens = build_error_model(NoiseSpec(1.0, collective=True, ratio=0.5, coupling_case="b"))
-        labels = [g.label for g in gens]
-        assert labels == ["z1", "z2", "z34-collective", "z3-residual"]
-        assert gens[2].strength == pytest.approx(2.0)
+    @pytest.mark.parametrize(
+        "spec",
+        [NoiseSpec(1.7e308), NoiseSpec(1e308, True, 1.0, "b"), NoiseSpec(3.0, True, 1.7e308, "a")],
+    )
+    def test_overflowing_strength_is_one_error_and_no_warning(self, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^noise strength is not finite"):
+                error_model_strengths(spec)
 
     def test_zero_scale_environments_act_as_identity(self, rng):
         rho = random_state(rng, 4)
@@ -294,41 +314,9 @@ class TestBuildErrorModel:
         with pytest.raises(ValueError, match="ratio"):
             NoiseSpec(1.0, collective=True, ratio=0.0)
 
-    def test_markovian_scales(self):
-        gens = build_error_model(NoiseSpec(1.0, collective=True, kind=MARKOVIAN_EXP))
-        combined = gens[-1]
-        # rates scale as amplitude squared: lambda_c = lambda_0 / ratio^2
-        assert combined.strength == pytest.approx(4.0)
-        assert combined.weights[2] == pytest.approx(1.5)
-
-    @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
-    @pytest.mark.parametrize("ratio", [1.7, 0.7])
-    def test_case_a_weight_is_one_plus_ratio_at_every_point(self, ratio, kind):
-        # the weight is the spec's ratio, not a quotient of the scales,
-        # so it keeps its bits from subnormal kappa0 up
-        for x in np.geomspace(1e-320, 1e3, 1000):
-            combined = build_error_model(NoiseSpec(float(x), True, ratio, "a", kind))[-1]
-            assert combined.label == "z34-combined"
-            assert combined.weights[2] == 1.0 + ratio
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.floats(-3.0, 3.0), st.floats(0.0, 12.0))
-    @pytest.mark.parametrize("kind", NOISE_KINDS)
-    @pytest.mark.parametrize("collective, case", [(False, "a"), (False, "b"), (True, "a"), (True, "b")])
-    def test_printed_generators_apply_the_circuit_noise(self, collective, case, kind, log_ratio, kappa0):
-        # noise-strength prints build_error_model(spec), the circuit's
-        # marker applies attenuation(noise_layout(spec)): each generator
-        # as its own environment gives the marker's factor, bit for bit
-        # where every environment has one part, and within rounding for
-        # case "a"'s combined weight 1 + ratio.  Ratios below 1e-3 are
-        # left out: that printed weight rounds the residual part away.
-        spec = NoiseSpec(kappa0, collective, 10.0**log_ratio, case, kind)
-        got = attenuation(environments(build_error_model(spec)), kind)
-        want = NoiseStep(spec).factor
-        if collective and case == "a":
-            assert np.max(np.abs(got - want)) <= 1e-12
-        else:
-            assert got.tobytes() == want.tobytes()
+    def test_nonpositive_ratio_rejected(self):
+        with pytest.raises(ValueError, match="ratio"):
+            NoiseSpec(1.0, collective=True, ratio=0.0)
 
 
 class TestAttenuation:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -18,10 +19,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dfsqec
-from dfsqec.channels import COUPLING_CASES, NOISE_KINDS, NoiseSpec
+from dfsqec.channels import COUPLING_CASES, NOISE_KINDS, NoiseSpec, noise_layout
 from dfsqec.cli import _JSON_FIELDS, KIND_ALIASES, MAX_GRID_POINTS, main, parse_grid
 from dfsqec.codes import SCENARIOS
-from dfsqec.experiments import CSV_HEADER, ScenarioConfig, _in_chart_domain, emit_csv, run_scenario
+from dfsqec.experiments import CSV_HEADER, ScenarioConfig, _in_chart_domain, emit_csv, format_number, run_scenario
 from dfsqec.metrics import analytic_fe_qec_independent, analytic_fe_qec_strong
 
 
@@ -29,19 +30,22 @@ from dfsqec.metrics import analytic_fe_qec_independent, analytic_fe_qec_strong
 LOG_UNIFORM = st.floats(-323.3, 308.25).map(lambda e: 10.0**e)
 
 
-def exact_case_a_strengths(kappa0: float, ratio: float, kind: str) -> tuple[Decimal, Decimal]:
-    """(lambda, lambda_mu of case "a"'s environment) of a collective
-    spec, from its parts' amplitudes a_c and a_r in 50-digit decimal
-    arithmetic on the exact inputs."""
+def exact_strengths(kappa0: float, ratio: float, kind: str, case: str) -> tuple[Decimal, list[Decimal]]:
+    """(lambda, [lambda_mu of each environment]) of a collective spec,
+    from its parts' amplitudes in 50-digit decimal arithmetic on the
+    exact inputs: case "a" (kappa0, kappa0, 2 (2 a_c + a_r)^2), case "b"
+    (kappa0, kappa0, 4 kappa_c, kappa0)."""
     with localcontext() as ctx:
         ctx.prec = 50
         k, r = Decimal(kappa0), Decimal(ratio)
-        if kind == "sinc":
-            a_c, a_r = (k / r / 2).sqrt(), (k * r / 2).sqrt()
+        k_c = k / r if kind == "sinc" else k / (r * r)
+        if case == "b":
+            partials = [k, k, 4 * k_c, k]
         else:
-            a_c, a_r = (k / (r * r) / 2).sqrt(), (k / 2).sqrt()
-        lam_mu = 2 * (2 * a_c + a_r) ** 2
-        return 2 * k + lam_mu, lam_mu
+            a_c, a_r = (k_c / 2).sqrt(), (k * r / 2 if kind == "sinc" else k / 2).sqrt()
+            partials = [k, k, 2 * (2 * a_c + a_r) ** 2]
+        # every l_mu peaks on |0000>, so lambda = sum_mu max l_mu^2 + max sum_mu l_mu^2 = sum lambda_mu
+        return sum(partials), partials
 
 
 def sha(path) -> str:
@@ -239,46 +243,61 @@ class TestNoiseStrength:
         assert main(["noise-strength", "--spec", str(cfg)]) == 0
         assert "epsilon" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("kind, kappa0", [("sinc", 1e-320), ("exp", 1e-320), ("sinc", 5e-324)])
-    def test_case_a_weight_at_subnormal_kappa0(self, kind, kappa0, tmp_path, capsys):
+    @pytest.mark.parametrize("ratio", [0.5, 1e170])
+    @pytest.mark.parametrize("case", COUPLING_CASES)
+    @pytest.mark.parametrize("kind", ["sinc", "exp"])
+    @pytest.mark.parametrize("scenario", ["qec_independent", "qec_hybrid"])
+    def test_printed_lines_are_the_layout(self, scenario, kind, case, ratio, tmp_path, capsys):
+        # one line per environment of noise_layout(spec), its parts' labels,
+        # weights and scales joined by "+", at every kappa0: at ratio 1e170
+        # the collective scale is 0 below kappa0 = 1e100 (exp) or 1e-320 (sinc)
+        raw = {"scenario": scenario, "kind": kind, "coupling_case": case, "ratio": ratio}
+        sweep = [0, 5e-324, 1e-320, 0.37, 6, 1e100]
         cfg = tmp_path / "spec.json"
-        cfg.write_text(json.dumps({"scenario": "qec_hybrid", "kind": kind, "ratio": 1.7, "sweep": [kappa0]}))
+        cfg.write_text(json.dumps({**raw, "sweep": sweep}))
         assert main(["noise-strength", "--spec", str(cfg)]) == 0
-        assert "  z34-combined: weights=(0,0,2.7,1) " in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        config = ScenarioConfig(**{**raw, "kind": KIND_ALIASES[kind]})
+        labels = set()
+        for x in sweep:
+            layout = noise_layout(config.noise_spec(x))
+            assert lines.pop(0).startswith(f"kappa0={format_number(x)} lambda=")
+            for env in layout:
+                line = re.fullmatch(r"  (\S+): weights=(\S+) strength=(\S+) lambda_mu=\S+", lines.pop(0))
+                label, weights, strengths = line.groups()
+                assert label.split("+") == [part[2] for part in env]
+                assert weights == "+".join("(" + ",".join(format_number(w) for w in part[3]) + ")" for part in env)
+                assert re.split(r"(?<!e)\+", strengths) == [format_number(part[1]) for part in env]
+                labels.add(label)
+        assert lines == []
+        assert len(labels) == len(layout)  # the same labels at every kappa0
 
-    def test_zero_collective_scale_keeps_the_residual(self, tmp_path, capsys):
-        # lambda_c = 6 / 1e340 underflows to 0 while lambda0 = 6: the
-        # printed noise keeps qubit 3's residual part
-        cfg = tmp_path / "spec.json"
-        cfg.write_text(json.dumps({"scenario": "qec_hybrid", "kind": "exp", "ratio": 1e170, "sweep": [6]}))
-        assert main(["noise-strength", "--spec", str(cfg)]) == 0
-        assert capsys.readouterr().out.splitlines() == [
-            "kappa0=6 lambda=18",
-            "  z1: weights=(1,0,0,0) strength=6 lambda_mu=6",
-            "  z2: weights=(0,1,0,0) strength=6 lambda_mu=6",
-            "  z3-residual: weights=(0,0,1,0) strength=6 lambda_mu=6",
-        ]
-
+    @pytest.mark.parametrize("case", COUPLING_CASES)
     @pytest.mark.parametrize("kind", ["sinc", "exp"])
     @settings(max_examples=100, deadline=None)
     @given(kappa0=LOG_UNIFORM, ratio=LOG_UNIFORM)
     @example(kappa0=6.0, ratio=1e160)  # exp: the collective scale 6e-320 is subnormal
     @example(kappa0=1e-300, ratio=1e100)  # sinc: the collective scale underflows to 0
-    def test_case_a_strengths_are_the_exact_amplitudes(self, kind, kappa0, ratio, tmp_path_factory):
+    @example(kappa0=5.4e-323, ratio=1e15)  # sinc: sqrt(kappa0 / 2) would halve a subnormal
+    @example(kappa0=0.0, ratio=1e-320)  # exp: 1 / ratio overflows; every strength is 0
+    def test_strengths_are_the_exact_amplitudes(self, kind, case, kappa0, ratio, tmp_path_factory):
         try:
-            NoiseSpec(kappa0, True, ratio, "a", KIND_ALIASES[kind])
+            NoiseSpec(kappa0, True, ratio, case, KIND_ALIASES[kind])
         except ValueError:
             assume(False)
-        lam, lam_mu = exact_case_a_strengths(kappa0, ratio, kind)
-        assume(Decimal(sys.float_info.min) <= lam <= Decimal(sys.float_info.max))
-        cfg = tmp_path_factory.getbasetemp() / f"case-a-{kind}.json"
-        cfg.write_text(json.dumps({"scenario": "qec_hybrid", "kind": kind, "ratio": ratio, "sweep": [kappa0]}))
+        lam, partials = exact_strengths(kappa0, ratio, kind, case)
+        assume(lam == 0 or Decimal(sys.float_info.min) <= lam <= Decimal(sys.float_info.max))
+        cfg = tmp_path_factory.getbasetemp() / f"collective-{kind}-{case}.json"
+        raw = {"scenario": "qec_hybrid", "kind": kind, "coupling_case": case, "ratio": ratio, "sweep": [kappa0]}
+        cfg.write_text(json.dumps(raw))
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert main(["noise-strength", "--spec", str(cfg)]) == 0
-        lines = out.getvalue().splitlines()
-        printed = [Decimal(lines[0].rpartition(" lambda=")[2]), Decimal(lines[-1].rpartition(" lambda_mu=")[2])]
-        for got, want in zip(printed, (lam, lam_mu)):
-            assert abs(got - want) <= want * Decimal("1e-11"), (got, want)
+        head, *lines = out.getvalue().splitlines()
+        assert len(lines) == len(partials)
+        printed = [head.rpartition(" lambda=")[2]] + [line.rpartition(" lambda_mu=")[2] for line in lines]
+        # relative to the exact value, or a few units of 5e-324 where a partial is subnormal
+        for got, want in zip(map(Decimal, printed), [lam] + partials):
+            assert abs(got - want) <= want * Decimal("1e-11") + Decimal("2e-323"), (got, want)
 
     def test_missing_file(self, capsys):
         rc = main(["noise-strength", "--spec", "/nonexistent.json"])
