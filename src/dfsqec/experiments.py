@@ -39,6 +39,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -84,6 +85,7 @@ DATA_QUBIT = 2
 # the sweep config's columns, then the measured ones: MetricReport's fields
 _MEASURED = tuple(f.name for f in fields(MetricReport))
 CSV_HEADER = ",".join(("scenario", "kind", "case", "kappa0", "ratio", "ancilla_purity") + _MEASURED)
+_NUMBER_SPEC = ".12g"  # every printed number's format: 12 significant digits
 
 # columns load_csv_series reads back for a chart
 _CHART_COLUMNS = ("scenario", "kappa0", "Fe", "Fe_analytic")
@@ -271,19 +273,20 @@ def hump_demo(config: ScenarioConfig) -> HumpReport:
 
 
 def format_number(x: float) -> str:
-    """Every printed number's format: 12 significant digits."""
-    return f"{x:.12g}"
+    """Every printed number's format, ``_NUMBER_SPEC``."""
+    return format(x, _NUMBER_SPEC)
 
 
 def emit_csv(result: ScenarioResult, path: str | Path) -> None:
     """Write one sweep as CSV in ``CSV_HEADER`` order, deterministic bytes:
-    every number, kappa0 to the last report field, by ``format_number``."""
+    kappa0 to the last report field as ``format_number`` writes them, from one ``%``-template per row."""
     cfg = result.config
-    head = [cfg.scenario, cfg.kind, cfg.coupling_case]
+    head = f"{cfg.scenario},{cfg.kind},{cfg.coupling_case},"
+    row = ",".join(["%" + _NUMBER_SPEC] * (3 + len(_MEASURED)))
+    measured = attrgetter(*_MEASURED)
     lines = [CSV_HEADER]
     for pt in result.points:
-        numbers = [pt.kappa0, cfg.ratio, cfg.ancilla_purity] + [getattr(pt.report, name) for name in _MEASURED]
-        lines.append(",".join(head + [format_number(x) for x in numbers]))
+        lines.append(head + row % (pt.kappa0, cfg.ratio, cfg.ancilla_purity, *measured(pt.report)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

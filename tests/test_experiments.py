@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dfsqec import channels, codes, experiments
@@ -15,9 +15,11 @@ from dfsqec.experiments import (
     CSV_HEADER,
     DEFAULT_SWEEP,
     ScenarioConfig,
+    ScenarioResult,
     SweepPoint,
     emit_chart,
     emit_csv,
+    format_number,
     hump_demo,
     load_csv_series,
     pauli_transfer_matrix,
@@ -37,7 +39,7 @@ from dfsqec.qstate import (
     pauli_deviation,
 )
 from dfsqec.cli import CHECK_TOL
-from dfsqec.metrics import analytic_reference, correlation
+from dfsqec.metrics import MetricReport, analytic_reference, correlation
 from .conftest import basis_state
 
 
@@ -580,6 +582,40 @@ class TestCsv:
         out = tmp_path / "pinned.csv"
         emit_csv(run_scenario(cfg), out)
         assert file_hash(out) == PINNED_CSV_SHA256[scenario, kind, case, purity]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scenario=st.sampled_from(SCENARIOS),
+        kind=st.sampled_from(NOISE_KINDS),
+        case=st.sampled_from(COUPLING_CASES),
+        ratio=st.floats(),
+        purity=st.floats(0.0, 1.0),
+        rows=st.lists(st.lists(st.floats(), min_size=10, max_size=10), max_size=4),
+    )
+    @example(scenario="dfs_qec", kind="markovian_exp", case="b", ratio=-0.0, purity=0.0, rows=[[-0.0] * 10])
+    @example(
+        scenario="qec_independent", kind="incoherent_sinc", case="a", ratio=math.inf, purity=1.0,
+        rows=[[math.inf] * 10, [-math.inf] * 10],
+    )
+    @example(scenario="qec_hybrid", kind="markovian_exp", case="a", ratio=math.nan, purity=0.5, rows=[[math.nan] * 10])
+    @example(scenario="no_qec", kind="incoherent_sinc", case="b", ratio=5e-324, purity=5e-324, rows=[[5e-324] * 10])
+    @example(
+        scenario="no_qec", kind="markovian_exp", case="a", ratio=1.7976931348623157e308, purity=1.0,
+        rows=[[1.7976931348623157e308] * 10],
+    )
+    def test_rows_are_the_text_fields_and_format_number(self, scenario, kind, case, ratio, purity, rows, tmp_path_factory):
+        # each row is [kappa0, *report fields]; the report's fields are
+        # stored as given, so every measured column sees arbitrary floats
+        cfg = ScenarioConfig(scenario, kind=kind, coupling_case=case, ratio=ratio, ancilla_purity=purity)
+        points = tuple(SweepPoint(x, MetricReport(*report)) for x, *report in rows)
+        out = tmp_path_factory.getbasetemp() / "template.csv"
+        emit_csv(ScenarioResult(cfg, points), out)
+        header, *lines = out.read_text(encoding="utf-8").split("\n")[:-1]
+        assert header == CSV_HEADER
+        assert lines == [
+            ",".join([scenario, kind, case] + [format_number(v) for v in (x, cfg.ratio, cfg.ancilla_purity, *report)])
+            for x, *report in rows
+        ]
 
     def test_roundtrip_through_loader(self, tmp_path):
         cfg = ScenarioConfig("dfs_qec", sweep=(0.0, 1.0, 2.0))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsqec import qstate
+from dfsqec import codes, qstate
 from dfsqec.qstate import (
     DEVIATION,
     STATE,
@@ -16,6 +16,7 @@ from dfsqec.qstate import (
     Operator,
     apply_unitary,
     check_stack,
+    conjugate,
     embed,
     hs_overlap_stack,
     maximally_mixed,
@@ -28,6 +29,11 @@ from .conftest import basis_state, oracle_partial_trace, random_deviation, rando
 
 H = Operator(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 CNOT = Operator(np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 class TestConstruction:
@@ -374,6 +380,48 @@ class TestApplyUnitary:
         assert np.array_equal(u.adjoint, u.entries.conj().T)
         assert u.adjoint is u.adjoint
         assert not u.adjoint.flags.writeable
+
+
+class TestConjugate:
+    @staticmethod
+    def operators(rng, dim):
+        """The compiled encode and recover unitaries of that size, one
+        embedded gate and a random unitary."""
+        compiled = [g.matrix for pair in codes._COMPILED.values() for steps in pair for g in steps]
+        n = dim.bit_length() - 1
+        gate = embed(CNOT, (n, 1), n) if n > 1 else H
+        return [u for u in compiled if u.dim == dim] + [gate, Operator(_random_unitary(rng, dim))]
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_same_bits_as_the_matmul_products(self, rng, dim):
+        us = self.operators(rng, dim)
+        assert len(us) >= (4 if dim >= 8 else 2)  # the compiled pair of a 3- or 4-qubit scenario is there
+        for u in us:
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            m = g + g.conj().T
+            for arg in (m, _read_only(m.view()), m / 7.0):
+                want = (u.entries @ arg) @ u.adjoint
+                assert conjugate(u, arg).tobytes() == want.tobytes()
+                buf = np.empty((dim, dim), dtype=complex)
+                assert conjugate(u, arg, out=buf) is buf
+                assert buf.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((4, 4)),
+            np.empty((4, 4), dtype=np.complex64),
+            np.empty((4, 4), dtype=complex, order="F"),
+            np.empty((4, 8), dtype=complex)[:, ::2],
+            np.empty((4, 5), dtype=complex),
+            np.empty((1, 4, 4), dtype=complex),
+            _read_only(np.zeros((4, 4), dtype=complex)),
+        ],
+        ids=["real", "complex64", "fortran", "strided", "shape", "stack", "read-only"],
+    )
+    def test_any_other_out_raises(self, out):
+        with pytest.raises(ValueError):
+            conjugate(CNOT, np.eye(4, dtype=complex) / 4, out=out)
 
 
 class TestPartialTrace:
