@@ -383,18 +383,14 @@ class TestApplyUnitary:
 
 
 class TestConjugate:
-    @staticmethod
-    def operators(rng, dim):
-        """The compiled encode and recover unitaries of that size, one
-        embedded gate and a random unitary."""
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_same_bits_as_the_matmul_products(self, rng, dim):
+        # the compiled encode and recover unitaries of that size, one
+        # embedded gate and a random unitary
         compiled = [g.matrix for pair in codes._COMPILED.values() for steps in pair for g in steps]
         n = dim.bit_length() - 1
         gate = embed(CNOT, (n, 1), n) if n > 1 else H
-        return [u for u in compiled if u.dim == dim] + [gate, Operator(_random_unitary(rng, dim))]
-
-    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
-    def test_same_bits_as_the_matmul_products(self, rng, dim):
-        us = self.operators(rng, dim)
+        us = [u for u in compiled if u.dim == dim] + [gate, Operator(_random_unitary(rng, dim))]
         assert len(us) >= (4 if dim >= 8 else 2)  # the compiled pair of a 3- or 4-qubit scenario is there
         for u in us:
             g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
