@@ -29,13 +29,14 @@ source of a scenario's qubit count, collectiveness and gates.
 Each validity fact is checked once, where it is used: gate targets by
 ``embed`` when a gate runs, a noise marker's attenuation when it is
 computed (a sweep's, all at once, by ``channels.sweep_attenuation``),
-step types and noise factor shapes when a ``Circuit`` is built.
+step types and noise factor shapes when a ``Circuit`` is built, and a
+block of runs' states by one ``check_stack`` call in ``run_circuits``.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -55,6 +56,7 @@ __all__ = [
     "dfs_encode",
     "dfs_decode",
     "build_scenario_circuit",
+    "run_circuits",
     "apply_circuit",
 ]
 
@@ -236,28 +238,59 @@ def build_scenario_circuit(scenario: str, spec: NoiseSpec | NoiseStep) -> Circui
     return Circuit(n, encode + (spec if ready else NoiseStep(spec),) + recover)
 
 
+def run_circuits(inputs: Sequence[DensityMatrix], circuits: Sequence[Circuit]) -> np.ndarray:
+    """Run every input (all of one kind) through every circuit (all with
+    the same qubit and step counts, at least one; an empty block raises)
+    and return the read-only ``(B, k, d, d)`` final states.  One loop
+    writes each step's state, in (circuit, input) order, into one
+    ``(B, k, steps, d, d)`` buffer, and one ``check_stack`` call checks
+    it with ``DensityMatrix``'s tolerances: the first failing state in
+    (circuit, input, step) order raises, after the whole block has run."""
+    if not (inputs and circuits and circuits[0].steps):
+        raise ValueError("need at least one input, one circuit and one step")
+    kind, n, steps = inputs[0].kind, circuits[0].n_qubits, len(circuits[0].steps)
+    for rho in inputs:
+        if rho.kind != kind:
+            raise ValueError("inputs of one run must all be of one kind")
+        if rho.dim != 2**n:
+            raise ValueError(f"state dimension {rho.dim} does not match {n}-qubit circuit")
+    for c in circuits:
+        if c.n_qubits != n or len(c.steps) != steps:
+            raise ValueError("circuits of one run must have the same qubit and step counts")
+    states = np.empty((len(circuits), len(inputs), steps, 2**n, 2**n), dtype=complex)
+    for circuit, row in zip(circuits, states):
+        for rho, run in zip(inputs, row):
+            m = rho.entries
+            for step, out in zip(circuit.steps, run):
+                if isinstance(step, Gate):
+                    conjugate(embed(step.matrix, step.targets, n), m, out=out)
+                else:
+                    np.multiply(m, step.factor, out=out)
+                m = out
+    check_stack(states.reshape(-1, 2**n, 2**n), kind)
+    states.setflags(write=False)
+    return states[:, :, -1]
+
+
 def apply_circuit(
     rho: DensityMatrix,
     circuit: Circuit,
     *,
     noise_override: Callable[[DensityMatrix], DensityMatrix] | None = None,
 ) -> DensityMatrix:
-    """Run a circuit on a state and return the final state; an empty
-    circuit returns ``rho`` itself.
-
-    One loop writes each gate or noise result straight into one
-    ``(steps, d, d)`` buffer, which ``check_stack`` then checks as one
-    stack, with the tolerances of every ``DensityMatrix``; the final
-    state is a read-only view of it.  The state after the first i + 1
-    steps is the final state of the prefix circuit
-    ``Circuit(n, steps[:i + 1])``, which runs the same loop.
+    """Run a circuit on a state and return the final state, as
+    ``run_circuits`` of the one state and circuit; an empty circuit
+    returns ``rho`` itself.  The state after the first i + 1 steps is
+    the final state of the prefix circuit ``Circuit(n, steps[:i + 1])``.
 
     Markovian noise markers carry lambda*t folded into their spec's
     ``kappa0``.  ``noise_override`` replaces the noise marker by an
     arbitrary map, which is how deterministic error insertions are
-    tested; the states up to it are checked before it receives one,
-    and each state is checked exactly once.
+    tested; the states up to it are checked by one ``check_stack`` call
+    before it receives one, and each state is checked exactly once.
     """
+    if noise_override is None and circuit.steps:
+        return DensityMatrix._checked(run_circuits([rho], [circuit])[0, 0], rho.kind)
     if rho.dim != 2**circuit.n_qubits:
         raise ValueError(f"state dimension {rho.dim} does not match {circuit.n_qubits}-qubit circuit")
     states = np.empty((len(circuit.steps), rho.dim, rho.dim), dtype=complex)
@@ -266,14 +299,12 @@ def apply_circuit(
     for i, (step, out) in enumerate(zip(circuit.steps, states)):
         if isinstance(step, Gate):
             conjugate(embed(step.matrix, step.targets, circuit.n_qubits), m, out=out)
-        elif noise_override is not None:
+        else:
             check_stack(states[checked:i], rho.kind)
             checked = i
             m = m.view()
             m.setflags(write=False)
             out[...] = noise_override(DensityMatrix._checked(m, rho.kind)).entries
-        else:
-            np.multiply(m, step.factor, out=out)
         m = out
     check_stack(states[checked:], rho.kind)
     states.setflags(write=False)

@@ -20,14 +20,14 @@ sweep rows 1-3.  A sweep's noise is evaluated once, before any circuit
 runs: ``channels.sweep_attenuation`` makes one attenuation table per
 environment, and each point's marker gathers its factor from them.
 The circuit runs are then the only per-point work: ``_data_outputs``
-runs each point's circuit, reduces its final states to the data qubit
-in one pass, and checks the sweep's whole ``(K, 3, 2, 2)`` output
-stack once per kind.  The correlations come from one ``correlations``
-call and the polarizations from one batched overlap over that stack,
-and the closed form from one ``analytic_curve`` call over the sweep's
-specs.  Every row has the bits that
-``partial_trace``, ``correlation`` and ``analytic_reference`` give one
-state or point at a time.
+runs the points' circuits ``_BLOCK`` at a time, one ``run_circuits``
+call per block, reduces each block's final states to the data qubit in
+one pass, and checks the sweep's whole ``(K, 3, 2, 2)`` output stack
+once.  The correlations come from one ``correlations`` call and the
+polarizations from one batched overlap over that stack, and the closed
+form from one ``analytic_curve`` call over the sweep's specs.  Every row
+has the bits that ``apply_circuit``, ``partial_trace``, ``correlation``
+and ``analytic_reference`` give one state or point at a time.
 
 The chart's one range rule is ``_in_chart_domain``: kappa0 finite and
 >= 0, fidelities in [0, 1].  ``write_svg_chart`` applies it to every
@@ -39,6 +39,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -46,7 +47,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .channels import INCOHERENT_SINC, NoiseSpec, sweep_attenuation
-from .codes import Circuit, NoiseStep, apply_circuit, build_scenario_circuit, scenario_layout
+from .codes import Circuit, NoiseStep, apply_circuit, build_scenario_circuit, run_circuits, scenario_layout
 from .metrics import AXES, MetricReport, analytic_curve, correlations
 from .qstate import (
     DEVIATION,
@@ -100,6 +101,8 @@ _PAULI_BASIS.setflags(write=False)
 # sweep's deviations sigma_x, sigma_y, sigma_z
 _INPUT_DATA = np.array([np.eye(2) / 2.0, *_PAULI_BASIS[1:]], dtype=complex)
 _INPUT_DATA.setflags(write=False)
+
+_BLOCK = 8  # circuits per run_circuits call: a (8, 3, 3, 16, 16) buffer is 295 KB
 
 
 @dataclass(frozen=True)
@@ -202,23 +205,17 @@ def prepare_inputs(axis: str, ancilla_purity: float = 1.0, n_qubits: int = 4) ->
 
 def _data_outputs(circuits: Iterable[Circuit], inputs: Sequence[DensityMatrix]) -> np.ndarray:
     """The ``(K, k, 2, 2)`` stack of data-qubit outputs, one row per
-    circuit in order and the inputs in input order along it: all four
-    ``_product_inputs`` rows, or the three deviations.  Each input runs
-    through each circuit once, and a circuit's final states are reduced
-    as one stack into its row of the output array before the next circuit
-    runs.  The whole stack is then checked by the inputs' layout, the
-    leading state column (present only with four inputs) with one
-    ``check_stack`` call and the deviations with another, so the first
-    failing output in (circuit, input) order raises."""
-    outs = np.fromiter(
-        (partial_trace_stack(np.array([apply_circuit(rho, c).entries for rho in inputs]), {DATA_QUBIT}) for c in circuits),
-        np.dtype((complex, (len(inputs), 2, 2))),
-    )
-    n_states = len(inputs) - len(AXES)
-    if n_states:
-        check_stack(outs[:, :n_states].reshape(-1, 2, 2), STATE)
-    check_stack(outs[:, n_states:].reshape(-1, 2, 2), DEVIATION)
-    return outs
+    circuit in order and the inputs, all of one kind, in input order
+    along it.  ``run_circuits`` takes the circuits ``_BLOCK`` at a time,
+    and each block's final states are reduced in one pass into their
+    rows before the next block's circuits are drawn.  The whole stack
+    is then checked with one ``check_stack`` call, so the first failing
+    output in (circuit, input) order raises."""
+    circuits, shape = iter(circuits), (-1,) + inputs[0].entries.shape
+    blocks = iter(lambda: list(islice(circuits, _BLOCK)), [])
+    outs = np.concatenate([partial_trace_stack(run_circuits(inputs, b).reshape(shape), {DATA_QUBIT}) for b in blocks])
+    check_stack(outs, inputs[0].kind)
+    return outs.reshape(-1, len(inputs), 2, 2)
 
 
 def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
@@ -463,7 +460,9 @@ def pauli_transfer_matrix(scenario: str, spec: NoiseSpec, ancilla_purity: float 
     # identity column is probed with the maximally mixed data qubit,
     # E(I)/2; Pauli columns with the deviation inputs, E(sigma_v)
     inputs = _product_inputs(ancilla_purity, circuit.n_qubits)
+    outs = partial_trace_stack(np.array([apply_circuit(rho, circuit).entries for rho in inputs]), {DATA_QUBIT})
+    check_stack(outs[:1], STATE)
+    check_stack(outs[1:], DEVIATION)
     scales = np.array([1.0, 0.5, 0.5, 0.5])
-
     # R[row, col] = tr(basis[row] outs[col]) * scales[col], one batched overlap
-    return hs_overlap_stack(_PAULI_BASIS[:, None], _data_outputs([circuit], inputs)[0]) * scales
+    return hs_overlap_stack(_PAULI_BASIS[:, None], outs) * scales

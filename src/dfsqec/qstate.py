@@ -16,9 +16,9 @@ keeps no state between calls.
 
 ``check_stack`` holds the state checks (Hermiticity, trace and, for
 states, positivity) for a ``(k, d, d)`` stack of matrices.  A
-``DensityMatrix`` runs it on a stack of one; a circuit run
-(``codes.apply_circuit``) runs it once over all of its intermediate
-states; a sweep (``experiments._data_outputs``) runs it once per kind
+``DensityMatrix`` runs it on a stack of one; a block of circuit runs
+(``codes.run_circuits``) runs it once over every intermediate state of
+the block; a sweep (``experiments._data_outputs``) runs it once more
 over every point's reduced outputs.
 
 The reduction and the overlap work on stacks the same way:

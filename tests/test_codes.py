@@ -30,6 +30,7 @@ from dfsqec.codes import (
     dfs_decode,
     dfs_encode,
     hadamard,
+    run_circuits,
     scenario_layout,
     toffoli,
 )
@@ -470,6 +471,28 @@ class TestScenarioCircuits:
             lambda: apply_circuit(basis_state("000"), Circuit(2, (hadamard(1),))),
             "state dimension 8 does not match 2-qubit circuit",
         ),
+        # run_circuits' contract: apply_circuit's message for a dimension
+        # mismatch; one kind of input and one shape of circuit per block;
+        # an empty block, or circuits of no steps, rejected
+        (
+            lambda: run_circuits([basis_state("00"), basis_state("000")], [Circuit(2, (hadamard(1),))]),
+            "state dimension 8 does not match 2-qubit circuit",
+        ),
+        (
+            lambda: run_circuits([basis_state("00"), pauli_deviation("z")], [Circuit(2, (hadamard(1),))]),
+            "inputs of one run must all be of one kind",
+        ),
+        (
+            lambda: run_circuits([basis_state("00")], [Circuit(2, (hadamard(1),)), Circuit(2, (hadamard(1),) * 2)]),
+            "circuits of one run must have the same qubit and step counts",
+        ),
+        (
+            lambda: run_circuits([basis_state("00")], [Circuit(2, (hadamard(1),)), Circuit(1, (hadamard(1),))]),
+            "circuits of one run must have the same qubit and step counts",
+        ),
+        (lambda: run_circuits([], [Circuit(2, (hadamard(1),))]), "need at least one input, one circuit and one step"),
+        (lambda: run_circuits([basis_state("00")], []), "need at least one input, one circuit and one step"),
+        (lambda: run_circuits([basis_state("00")], [Circuit(2, ())]), "need at least one input, one circuit and one step"),
     ],
 )
 def test_error_messages(call, message):
@@ -587,6 +610,18 @@ class TestCircuitPlumbing:
         circuit = build_scenario_circuit("qec_independent", NoiseSpec(0.4))
         sloppy = Gate("sloppy", Operator(np.eye(2) * (1.0 + 5e-12)), (1,))
         assert_run_rejects(Circuit(3, circuit.steps + (sloppy,)), "state trace")
+
+    def test_a_block_is_every_input_through_every_circuit(self):
+        # row i, column j is apply_circuit of input j and circuit i, bit
+        # for bit, and the block is read-only
+        inputs = [basis_state("010"), basis_state("111"), DensityMatrix(np.eye(8) / 8)]
+        circuits = [build_scenario_circuit("qec_independent", NoiseSpec(x)) for x in (0.0, 1.3, 2.9)]
+        block = run_circuits(inputs, circuits)
+        assert block.shape == (3, 3, 8, 8)
+        assert not block.flags.writeable
+        for row, circuit in zip(block, circuits, strict=True):
+            for out, rho in zip(row, inputs, strict=True):
+                assert out.tobytes() == apply_circuit(rho, circuit).entries.tobytes()
 
     def test_empty_circuit_returns_its_input(self):
         rho = basis_state("01")

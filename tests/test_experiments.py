@@ -28,7 +28,7 @@ from dfsqec.experiments import (
     write_svg_chart,
     ChartSeries,
 )
-from dfsqec.codes import SCENARIOS, apply_circuit, build_scenario_circuit
+from dfsqec.codes import SCENARIOS, NoiseStep, apply_circuit, build_scenario_circuit, run_circuits
 from dfsqec.qstate import (
     DEVIATION,
     STATE,
@@ -318,8 +318,9 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("points, case", [(300, "a"), (1000, "b")])
     def test_sweep_peak_memory_is_per_point(self, points, case):
-        # each circuit's final states are reduced before the next circuit
-        # runs, and each marker gathers its factor when its circuit is
+        # the circuits run in blocks of experiments._BLOCK, each block's
+        # final states are reduced before the next block's circuits are
+        # built, and each marker gathers its factor when its circuit is
         # built; a stack of final states would add about 4 MB at 300
         # points, a list of the 2 KB factors about 2 MB at 1000
         run_scenario(ScenarioConfig("dfs_qec", sweep=(0.0, 1.0)))  # warms numpy up first
@@ -337,7 +338,7 @@ class TestRunScenario:
         # the whole sweep's attenuation is evaluated first: kappa_c * Delta / 4
         # = 1.5e308 * 1.5 overflows at the last point
         runs = []
-        monkeypatch.setattr(experiments, "apply_circuit", lambda *a, **k: runs.append(a) or apply_circuit(*a, **k))
+        monkeypatch.setattr(experiments, "run_circuits", lambda *a: runs.append(a) or run_circuits(*a))
         config = ScenarioConfig("qec_hybrid", sweep=(0.0, 2.9, 1.5e308), ratio=1.0)
         with pytest.raises(ValueError, match="^noise attenuation is not finite: generator strengths are too large$"):
             run_scenario(config)
@@ -386,29 +387,27 @@ class TestRunScenario:
 
 # a few points through both sinc zeros; 0 is the reference run's point
 STACK_SWEEP = (0.0, 0.8, 2.9, 5.3)
+BLOCK = experiments._BLOCK
 
 
 class TestStackedPath:
-    @pytest.mark.parametrize("purity", [1.0, 0.7])
-    @pytest.mark.parametrize("case", ["a", "b"])
-    @pytest.mark.parametrize("kind", ["incoherent_sinc", "markovian_exp"])
-    @pytest.mark.parametrize("scenario", ["qec_independent", "qec_hybrid", "no_qec", "dfs_qec"])
-    def test_stack_matches_the_per_state_path_bit_for_bit(self, scenario, kind, case, purity):
-        config = ScenarioConfig(scenario, kind=kind, sweep=STACK_SWEEP, coupling_case=case, ancilla_purity=purity)
+    @staticmethod
+    def _assert_rows_are_the_per_state_path(config):
+        # every sweep row has the bits of apply_circuit and partial_trace
+        # run one state and one point at a time
         result = run_scenario(config)
-        n = build_scenario_circuit(scenario, config.noise_spec(0.0)).n_qubits
+        n = build_scenario_circuit(config.scenario, config.noise_spec(0.0)).n_qubits
         # the transfer-matrix inputs: a state, then the three deviations
-        inputs = experiments._product_inputs(purity, n)
+        inputs = experiments._product_inputs(config.ancilla_purity, n)
 
         def per_state(circuit):
             return {key: partial_trace(apply_circuit(rho, circuit), {2}) for key, rho in zip("Ixyz", inputs)}
 
-        refs = per_state(build_scenario_circuit(scenario, config.noise_spec(0.0)))
-        circuits = [build_scenario_circuit(scenario, config.noise_spec(x)) for x in config.sweep]
-        stacked = experiments._data_outputs(circuits, inputs)
-        assert stacked.shape == (len(STACK_SWEEP), 4, 2, 2)
-        # the sweep's layout: the three deviation columns alone
-        assert experiments._data_outputs(circuits, inputs[1:]).tobytes() == stacked[:, 1:].tobytes()
+        refs = per_state(build_scenario_circuit(config.scenario, config.noise_spec(0.0)))
+        circuits = [build_scenario_circuit(config.scenario, config.noise_spec(x)) for x in config.sweep]
+        # the state column, then the sweep's layout: the three deviation columns
+        stacked = np.concatenate([experiments._data_outputs(circuits, ins) for ins in (inputs[:1], inputs[1:])], 1)
+        assert stacked.shape == (len(config.sweep), 4, 2, 2)
         for point, circuit, rows in zip(result.points, circuits, stacked, strict=True):
             outs = per_state(circuit)
             for row, out in zip(rows, outs.values()):
@@ -421,18 +420,66 @@ class TestStackedPath:
                 )
                 assert getattr(point.report, "P" + u) == want_p
 
+    @pytest.mark.parametrize("purity", [1.0, 0.7])
+    @pytest.mark.parametrize("case", ["a", "b"])
+    @pytest.mark.parametrize("kind", ["incoherent_sinc", "markovian_exp"])
+    @pytest.mark.parametrize("scenario", ["qec_independent", "qec_hybrid", "no_qec", "dfs_qec"])
+    def test_stack_matches_the_per_state_path_bit_for_bit(self, scenario, kind, case, purity):
+        config = ScenarioConfig(scenario, kind=kind, sweep=STACK_SWEEP, coupling_case=case, ancilla_purity=purity)
+        self._assert_rows_are_the_per_state_path(config)
+
+    @pytest.mark.parametrize("points", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("scenario", ["qec_independent", "dfs_qec"])
+    def test_sweeps_across_block_boundaries_match_the_per_state_path(self, scenario, points):
+        config = ScenarioConfig(scenario, sweep=tuple(0.7 * k for k in range(points)), ancilla_purity=0.8)
+        self._assert_rows_are_the_per_state_path(config)
+
+    def test_bad_noise_factors_across_a_block_boundary_raise_the_first_ones_message(self, monkeypatch):
+        # the last point of the first block and the first of the second get
+        # different non-Hermitian factors; the sweep raises what
+        # apply_circuit raises for the first of them, run alone
+        config = ScenarioConfig("dfs_qec", sweep=tuple(0.5 * k for k in range(2 * BLOCK)))
+        skew = {BLOCK - 1: 1e-6, BLOCK: 2e-6}
+        upper = np.triu(np.ones((16, 16)), 1)
+
+        def skewed(specs):
+            factors = channels.sweep_attenuation(specs)
+            return (f * (1.0 + skew[k] * upper) if k in skew else f for k, f in enumerate(factors))
+
+        specs = [config.noise_spec(x) for x in config.sweep]
+        messages = []
+        for k, factor in enumerate(skewed(specs)):
+            if k in skew:
+                circuit = build_scenario_circuit("dfs_qec", NoiseStep(specs[k], factor))
+                with pytest.raises(ValueError, match="^matrix is not Hermitian") as info:
+                    apply_circuit(prepare_inputs("x", 1.0, 4), circuit)
+                messages.append(str(info.value))
+        assert messages[0] != messages[1]
+        monkeypatch.setattr(experiments, "sweep_attenuation", skewed)
+        with pytest.raises(ValueError) as info:
+            run_scenario(config)
+        assert str(info.value) == messages[0]
+
     @staticmethod
     def _fake_outputs(monkeypatch, make):
-        # apply_circuit returns, for its k-th call, the state that
-        # make(k, true output) builds, unchecked
+        # the k-th circuit run in (circuit, input) order, whether a sweep's
+        # run_circuits or the transfer matrix's apply_circuit makes it,
+        # returns the state that make(k, true output) builds, unchecked
         calls = []
 
-        def fake(rho, circuit):
-            calls.append(rho)
-            m = make(len(calls), apply_circuit(rho, circuit).entries)
-            return DensityMatrix._checked(m, rho.kind)
+        def fake_run(inputs, circuits):
+            outs = np.array(run_circuits(inputs, circuits))
+            for row in outs:
+                for rho, out in zip(inputs, row):
+                    calls.append(rho)
+                    out[...] = make(len(calls), out)
+            return outs
 
-        monkeypatch.setattr(experiments, "apply_circuit", fake)
+        def fake_apply(rho, circuit):
+            return DensityMatrix._checked(fake_run([rho], [circuit])[0, 0], rho.kind)
+
+        monkeypatch.setattr(experiments, "run_circuits", fake_run)
+        monkeypatch.setattr(experiments, "apply_circuit", fake_apply)
         return calls
 
     @pytest.mark.parametrize("scenario", ["qec_independent", "dfs_qec"])
