@@ -27,10 +27,12 @@ before and after the noise marker, multiplied at import into the one
 source of a scenario's qubit count, collectiveness and gates.
 
 Each validity fact is checked once, where it is used: gate targets by
-``embed`` when a gate runs, a noise marker's attenuation when it is
-computed (a sweep's, all at once, by ``channels.sweep_attenuation``),
-step types and noise factor shapes when a ``Circuit`` is built, and a
-block of runs' states by one ``check_stack`` call in ``run_circuits``.
+``embed`` when a gate runs (in a block, once per run), a noise marker's
+attenuation when it is computed (a sweep's, all at once, by
+``channels.sweep_attenuation``), step types and noise factor shapes
+when a ``Circuit`` is built, and, in ``run_circuits``, which steps a
+block of runs together, its shared steps (one ``Gate`` object or only
+markers at each position) and its states, by one ``check_stack`` call.
 """
 from __future__ import annotations
 
@@ -241,10 +243,12 @@ def build_scenario_circuit(scenario: str, spec: NoiseSpec | NoiseStep) -> Circui
 def run_circuits(inputs: Sequence[DensityMatrix], circuits: Sequence[Circuit]) -> np.ndarray:
     """Run every input (all of one kind) through every circuit (all with
     the same qubit and step counts, at least one; an empty block raises)
-    and return the read-only ``(B, k, d, d)`` final states.  One loop
-    writes each step's state, in (circuit, input) order, into one
-    ``(B, k, steps, d, d)`` buffer, and one ``check_stack`` call checks
-    it with ``DensityMatrix``'s tolerances: the first failing state in
+    and return the read-only ``(B, k, d, d)`` final states.  The block
+    runs one step position at a time into one ``(B, k, steps, d, d)``
+    buffer: a gate, the same ``Gate`` object in every circuit, is one
+    ``conjugate`` of the whole stack, and a noise marker one ``np.multiply``
+    by the stacked factors.  One ``check_stack`` call checks the buffer with
+    ``DensityMatrix``'s tolerances: the first failing state in
     (circuit, input, step) order raises, after the whole block has run."""
     if not (inputs and circuits and circuits[0].steps):
         raise ValueError("need at least one input, one circuit and one step")
@@ -258,15 +262,20 @@ def run_circuits(inputs: Sequence[DensityMatrix], circuits: Sequence[Circuit]) -
         if c.n_qubits != n or len(c.steps) != steps:
             raise ValueError("circuits of one run must have the same qubit and step counts")
     states = np.empty((len(circuits), len(inputs), steps, 2**n, 2**n), dtype=complex)
-    for circuit, row in zip(circuits, states):
-        for rho, run in zip(inputs, row):
-            m = rho.entries
-            for step, out in zip(circuit.steps, run):
-                if isinstance(step, Gate):
-                    conjugate(embed(step.matrix, step.targets, n), m, out=out)
-                else:
-                    np.multiply(m, step.factor, out=out)
-                m = out
+    m = np.array([rho.entries for rho in inputs])  # broadcast along the circuits
+    for column, out in zip(zip(*(c.steps for c in circuits)), np.moveaxis(states, 2, 0)):
+        step = column[0]
+        if len({type(s) for s in column}) > 1:
+            raise ValueError("circuits of one run must have their gates and noise markers at the same steps")
+        if isinstance(step, Gate):
+            if any(s is not step for s in column):
+                raise ValueError("circuits of one run must hold the same gate at each gate step")
+            for _ in range(len(circuits) * len(inputs)):  # each run checks its gate's targets
+                u = embed(step.matrix, step.targets, n)
+            conjugate(u, m, out=out)
+        else:
+            np.multiply(m, np.array([s.factor for s in column])[:, None], out=out)
+        m = out
     check_stack(states.reshape(-1, 2**n, 2**n), kind)
     states.setflags(write=False)
     return states[:, :, -1]
@@ -278,8 +287,8 @@ def apply_circuit(
     *,
     noise_override: Callable[[DensityMatrix], DensityMatrix] | None = None,
 ) -> DensityMatrix:
-    """Run a circuit on a state and return the final state, as
-    ``run_circuits`` of the one state and circuit; an empty circuit
+    """Run a circuit on one state, a step at a time, with the bits of
+    ``run_circuits``, and return the final state; an empty circuit
     returns ``rho`` itself.  The state after the first i + 1 steps is
     the final state of the prefix circuit ``Circuit(n, steps[:i + 1])``.
 
@@ -289,8 +298,6 @@ def apply_circuit(
     tested; the states up to it are checked by one ``check_stack`` call
     before it receives one, and each state is checked exactly once.
     """
-    if noise_override is None and circuit.steps:
-        return DensityMatrix._checked(run_circuits([rho], [circuit])[0, 0], rho.kind)
     if rho.dim != 2**circuit.n_qubits:
         raise ValueError(f"state dimension {rho.dim} does not match {circuit.n_qubits}-qubit circuit")
     states = np.empty((len(circuit.steps), rho.dim, rho.dim), dtype=complex)
@@ -299,6 +306,8 @@ def apply_circuit(
     for i, (step, out) in enumerate(zip(circuit.steps, states)):
         if isinstance(step, Gate):
             conjugate(embed(step.matrix, step.targets, circuit.n_qubits), m, out=out)
+        elif noise_override is None:
+            np.multiply(m, step.factor, out=out)
         else:
             check_stack(states[checked:i], rho.kind)
             checked = i

@@ -21,13 +21,14 @@ runs: ``channels.sweep_attenuation`` makes one attenuation table per
 environment, and each point's marker gathers its factor from them.
 The circuit runs are then the only per-point work: ``_data_outputs``
 runs the points' circuits ``_BLOCK`` at a time, one ``run_circuits``
-call per block, reduces each block's final states to the data qubit in
-one pass, and checks the sweep's whole ``(K, 3, 2, 2)`` output stack
-once.  The correlations come from one ``correlations`` call and the
-polarizations from one batched overlap over that stack, and the closed
-form from one ``analytic_curve`` call over the sweep's specs.  Every row
-has the bits that ``apply_circuit``, ``partial_trace``, ``correlation``
-and ``analytic_reference`` give one state or point at a time.
+call per block and one stacked call per step of it, reduces each
+block's final states to the data qubit in one pass, and checks the
+sweep's whole ``(K, 3, 2, 2)`` output stack once.  The correlations
+come from one ``correlations`` call and the polarizations from one
+batched overlap over that stack, and the closed form from one
+``analytic_curve`` call over the sweep's specs.  Every row has the bits
+that ``apply_circuit``, ``partial_trace``, ``correlation`` and
+``analytic_reference`` give one state or point at a time.
 
 The chart's one range rule is ``_in_chart_domain``: kappa0 finite and
 >= 0, fidelities in [0, 1].  ``write_svg_chart`` applies it to every

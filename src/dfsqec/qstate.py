@@ -11,8 +11,9 @@ Conventions used everywhere in this package:
 
 Every ``Operator`` is unitary (the gates are unitary pulse sequences;
 construction checks ``U^dag U = I``) and keeps its adjoint, and
-``conjugate`` is the one place that computes ``U m U^dag``.  ``embed``
-keeps no state between calls.
+``conjugate`` is the one place that computes ``U m U^dag``: of one
+matrix by ``np.dot``, or of a stack, such as one step of a block of
+circuit runs, by ``np.matmul``.  ``embed`` keeps no state between calls.
 
 ``check_stack`` holds the state checks (Hermiticity, trace and, for
 states, positivity) for a ``(k, d, d)`` stack of matrices.  A
@@ -243,10 +244,13 @@ def embed(gate: Operator, targets: Sequence[int], n_qubits: int) -> Operator:
 def conjugate(u: Operator, m: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """``U m U^dag`` of a square array by two ``np.dot`` calls (``@``'s
     ``zgemm`` bits, less dispatch), into ``out`` if given: a C-contiguous,
-    writable complex ``(d, d)`` array, or ValueError."""
-    if u.dim != m.shape[0]:
-        raise ValueError(f"dimension mismatch: operator {u.dim} vs state {m.shape[0]}")
-    return np.dot(np.dot(u.entries, m), u.adjoint, out=out)
+    writable complex ``(d, d)`` array, or ValueError.  A ``(..., d, d)``
+    stack takes two ``np.matmul`` calls, the same ``zgemm`` per matrix,
+    into any ``out`` of its broadcast shape, such as ``states[:, :, i]``."""
+    if u.dim != m.shape[-1]:
+        raise ValueError(f"dimension mismatch: operator {u.dim} vs state {m.shape[-1]}")
+    mul = np.dot if m.ndim == 2 else np.matmul
+    return mul(mul(u.entries, m), u.adjoint, out=out)
 
 
 def apply_unitary(rho: DensityMatrix, u: Operator) -> DensityMatrix:

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import astuple
 
 import numpy as np
@@ -493,6 +494,18 @@ class TestScenarioCircuits:
         (lambda: run_circuits([], [Circuit(2, (hadamard(1),))]), "need at least one input, one circuit and one step"),
         (lambda: run_circuits([basis_state("00")], []), "need at least one input, one circuit and one step"),
         (lambda: run_circuits([basis_state("00")], [Circuit(2, ())]), "need at least one input, one circuit and one step"),
+        # the block contract: at each position, every circuit holds the
+        # same Gate object, or every circuit a noise marker
+        (
+            lambda: run_circuits(
+                [basis_state("00")], [Circuit(2, (hadamard(1),)), Circuit(2, (NoiseStep(NoiseSpec(0.0), np.ones((4, 4))),))]
+            ),
+            "circuits of one run must have their gates and noise markers at the same steps",
+        ),
+        (
+            lambda: run_circuits([basis_state("00")], [Circuit(2, (hadamard(1),)), Circuit(2, (hadamard(1),))]),
+            "circuits of one run must hold the same gate at each gate step",
+        ),
     ],
 )
 def test_error_messages(call, message):
@@ -613,15 +626,23 @@ class TestCircuitPlumbing:
 
     def test_a_block_is_every_input_through_every_circuit(self):
         # row i, column j is apply_circuit of input j and circuit i, bit
-        # for bit, and the block is read-only
-        inputs = [basis_state("010"), basis_state("111"), DensityMatrix(np.eye(8) / 8)]
-        circuits = [build_scenario_circuit("qec_independent", NoiseSpec(x)) for x in (0.0, 1.3, 2.9)]
-        block = run_circuits(inputs, circuits)
-        assert block.shape == (3, 3, 8, 8)
-        assert not block.flags.writeable
-        for row, circuit in zip(block, circuits, strict=True):
-            for out, rho in zip(row, inputs, strict=True):
-                assert out.tobytes() == apply_circuit(rho, circuit).entries.tobytes()
+        # for bit, and the block is read-only: the block steps the whole
+        # stack at once, apply_circuit one state alone.  Every scenario,
+        # ancilla purity and input kind, over both noise kinds, in blocks
+        # of one, of fewer, of exactly and of more than experiments._BLOCK
+        for scenario, purity in itertools.product(SCENARIOS, (1.0, 0.7, 0.0)):
+            n = scenario_layout(scenario)[0]
+            state, *deviations = experiments._product_inputs(purity, n)
+            configs = [ScenarioConfig(scenario, kind=kind) for kind in (INCOHERENT_SINC, MARKOVIAN_EXP)]
+            for size in (1, 7, 8, 9):
+                circuits = [build_scenario_circuit(scenario, configs[i % 2].noise_spec(0.37 * i)) for i in range(size)]
+                for inputs in ([state, DensityMatrix(np.eye(2**n) / 2**n)], deviations):
+                    block = run_circuits(inputs, circuits)
+                    assert block.shape == (size, len(inputs), 2**n, 2**n)
+                    assert not block.flags.writeable
+                    for row, circuit in zip(block, circuits, strict=True):
+                        for out, rho in zip(row, inputs, strict=True):
+                            assert out.tobytes() == apply_circuit(rho, circuit).entries.tobytes()
 
     def test_empty_circuit_returns_its_input(self):
         rho = basis_state("01")

@@ -386,7 +386,9 @@ class TestConjugate:
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
     def test_same_bits_as_the_matmul_products(self, rng, dim):
         # the compiled encode and recover unitaries of that size, one
-        # embedded gate and a random unitary
+        # embedded gate and a random unitary; a (B, k, d, d) stack into a
+        # strided step view of a block's buffer, and a (k, d, d) stack
+        # broadcast into one, have the bits of each matrix alone
         compiled = [g.matrix for pair in codes._COMPILED.values() for steps in pair for g in steps]
         n = dim.bit_length() - 1
         gate = embed(CNOT, (n, 1), n) if n > 1 else H
@@ -401,6 +403,15 @@ class TestConjugate:
                 buf = np.empty((dim, dim), dtype=complex)
                 assert conjugate(u, arg, out=buf) is buf
                 assert buf.tobytes() == want.tobytes()
+            g = rng.normal(size=(3, 2, dim, dim)) + 1j * rng.normal(size=(3, 2, dim, dim))
+            stack = g + g.conj().swapaxes(-1, -2)
+            states = np.empty((3, 2, 4, dim, dim), dtype=complex)
+            for arg, out in ((stack, states[:, :, 1]), (stack[0], states[:, :, 2])):
+                assert conjugate(u, arg, out=out) is out
+                rows = np.broadcast_to(arg, out.shape).reshape(-1, dim, dim)
+                for rho, got in zip(rows, out.reshape(-1, dim, dim), strict=True):
+                    assert got.tobytes() == conjugate(u, rho).tobytes()
+            assert conjugate(u, stack).tobytes() == states[:, :, 1].tobytes()
 
     @pytest.mark.parametrize(
         "out",
