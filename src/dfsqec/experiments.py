@@ -16,19 +16,19 @@ Every sweep, transfer-matrix probe and ``prepare_inputs`` call builds
 the same four inputs as one stack: I/2, sigma_x, sigma_y, sigma_z on
 qubit 2, row 0 checked as a state and rows 1-3 as deviations, with one
 ``check_stack`` call each.  The transfer matrix runs all four rows and a
-sweep rows 1-3.  A sweep's noise is evaluated once, before any circuit
-runs: ``channels.sweep_attenuation`` makes one attenuation table per
-environment, and each point's marker gathers its factor from them.
-The circuit runs are then the only per-point work: ``_data_outputs``
-runs the points' circuits ``_BLOCK`` at a time, one ``run_circuits``
-call per block and one stacked call per step of it, reduces each
-block's final states to the data qubit in one pass, and checks the
-sweep's whole ``(K, 3, 2, 2)`` output stack once.  The correlations
-come from one ``correlations`` call and the polarizations from one
-batched overlap over that stack, and the closed form from one
-``analytic_curve`` call over the sweep's specs.  Every row has the bits
-that ``apply_circuit``, ``partial_trace``, ``correlation`` and
-``analytic_reference`` give one state or point at a time.
+sweep rows 1-3.  A sweep of K points is one stream of K + 1 runs, run 0
+the noise-free kappa0 = 0 reference whose output purities the
+polarizations divide by.  Their noise is evaluated first: one
+``channels.sweep_attenuation`` table per environment, from which each
+run's marker gathers its factor.  ``_data_outputs`` then runs the
+circuits ``_BLOCK`` at a time (one ``run_circuits`` call each), reduces
+each block to the data qubit in one pass and checks the whole
+``(K + 1, 3, 2, 2)`` output stack once.  One batched overlap over it
+gives the reference purities and the polarizations' numerators, one
+``correlations`` call the correlations, and one ``analytic_curve`` call
+the closed form.  Every row has the bits that ``apply_circuit``,
+``partial_trace``, ``correlation`` and ``analytic_reference`` give one
+state or point at a time.
 
 The chart's one range rule is ``_in_chart_domain``: kappa0 finite and
 >= 0, fidelities in [0, 1].  ``write_svg_chart`` applies it to every
@@ -205,13 +205,10 @@ def prepare_inputs(axis: str, ancilla_purity: float = 1.0, n_qubits: int = 4) ->
 
 
 def _data_outputs(circuits: Iterable[Circuit], inputs: Sequence[DensityMatrix]) -> np.ndarray:
-    """The ``(K, k, 2, 2)`` stack of data-qubit outputs, one row per
-    circuit in order and the inputs, all of one kind, in input order
-    along it.  ``run_circuits`` takes the circuits ``_BLOCK`` at a time,
-    and each block's final states are reduced in one pass into their
-    rows before the next block's circuits are drawn.  The whole stack
-    is then checked with one ``check_stack`` call, so the first failing
-    output in (circuit, input) order raises."""
+    """The ``(K, k, 2, 2)`` data-qubit outputs of every circuit, in order,
+    on every input, all of one kind: ``_BLOCK`` circuits per ``run_circuits``
+    call, each block reduced before the next is drawn, then one ``check_stack``
+    call on the whole stack, which raises the first bad (circuit, input) output."""
     circuits, shape = iter(circuits), (-1,) + inputs[0].entries.shape
     blocks = iter(lambda: list(islice(circuits, _BLOCK)), [])
     outs = np.concatenate([partial_trace_stack(run_circuits(inputs, b).reshape(shape), {DATA_QUBIT}) for b in blocks])
@@ -220,31 +217,25 @@ def _data_outputs(circuits: Iterable[Circuit], inputs: Sequence[DensityMatrix]) 
 
 
 def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
-    """Evaluate every sweep point of a scenario, in sweep order: every
-    point's ``NoiseSpec`` is built first, then the noise tables of the
-    whole sweep, then the reference run, then one circuit per point around
-    a marker that gathers its factor from the tables; the outputs are
-    checked and scored once per sweep.
+    """Evaluate every sweep point of a scenario, in sweep order, after the
+    kappa0 = 0 reference run: every run's ``NoiseSpec`` is built first,
+    then the noise tables, then one circuit per run around a marker that
+    gathers its factor from them; the outputs are checked and scored once.
 
     ``jobs`` is accepted for compatibility and has no effect.
     """
-    specs = [config.noise_spec(x) for x in config.sweep]
-    if not specs:
-        return ScenarioResult(config, ())
+    specs = [config.noise_spec(x) for x in (0.0, *config.sweep)]
     factors = sweep_attenuation(specs)  # a non-finite attenuation raises here, before any circuit runs
-    reference = build_scenario_circuit(config.scenario, config.noise_spec(0.0))
-    inputs = _product_inputs(config.ancilla_purity, reference.n_qubits)[1:]
-    refs = _data_outputs([reference], inputs)[0]
-    ref_purity = hs_overlap_stack(refs, refs)
-    for u, purity in zip(AXES, ref_purity.tolist()):
+    circuits = (build_scenario_circuit(config.scenario, NoiseStep(spec, f)) for spec, f in zip(specs, factors))
+    outs = _data_outputs(circuits, _product_inputs(config.ancilla_purity, scenario_layout(config.scenario)[0])[1:])
+    # C_u = tr(sigma_u out_u) / tr(sigma_u sigma_u), P_u = tr(out_u^2) / tr(ref_u^2)
+    purities = hs_overlap_stack(outs, outs)
+    for u, purity in zip(AXES, purities[0].tolist()):
         if purity <= 1e-12:
             raise ValueError(f"reference output for axis {u!r} has zero purity")
-    circuits = (build_scenario_circuit(config.scenario, NoiseStep(spec, f)) for spec, f in zip(specs, factors))
-    outs = _data_outputs(circuits, inputs)
-    # C_u = tr(sigma_u out_u) / tr(sigma_u sigma_u), P_u = tr(out_u^2) / tr(ref_u^2)
-    cs = correlations(_PAULI_BASIS[1:], outs).tolist()
-    ps = (hs_overlap_stack(outs, outs) / ref_purity).tolist()
-    fes = analytic_curve(config.scenario, specs).tolist()
+    cs = correlations(_PAULI_BASIS[1:], outs[1:]).tolist()
+    ps = (purities[1:] / purities[0]).tolist()
+    fes = analytic_curve(config.scenario, specs[1:]).tolist()
     points = (SweepPoint(x, MetricReport.from_metrics(c, p, fe)) for x, c, p, fe in zip(config.sweep, cs, ps, fes))
     return ScenarioResult(config, tuple(points))
 

@@ -114,7 +114,10 @@ def analytic_fe_qec_independent(kappa0: float) -> float:
 
 
 def analytic_fe_qec_strong(kappa0: float, kappa3: float) -> float:
-    """1/2 + (2 sinc(k0/2) + sinc(k3/2) - sinc^2(k0/2) sinc(k3/2)) / 4."""
+    """1/2 + (2 sinc(k0/2) + sinc(k3/2) - sinc^2(k0/2) sinc(k3/2)) / 4, at finite spreads >= 0."""
+    for name, value in (("kappa0", kappa0), ("kappa3", kappa3)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     s0 = float(sinc(kappa0 / 2.0))
     s3 = float(sinc(kappa3 / 2.0))
     return _fe_three_carriers(s0, s0, s3)
@@ -199,10 +202,13 @@ FIT_GRID_MAX_LAMBDA_T = 0.01
 
 def fit_grid(lambda_bound: float) -> np.ndarray:
     """FIT_GRID_POINTS sample times for fit_error_rates, linear on
-    [0, FIT_GRID_MAX_LAMBDA_T / lambda_bound]."""
+    [0, FIT_GRID_MAX_LAMBDA_T / lambda_bound]; that end must be finite and > 0."""
     if lambda_bound <= 0:
         raise ValueError("lambda_bound must be > 0")
-    return np.linspace(0.0, FIT_GRID_MAX_LAMBDA_T / lambda_bound, FIT_GRID_POINTS)
+    end = FIT_GRID_MAX_LAMBDA_T / lambda_bound
+    if not 0.0 < end < math.inf:
+        raise ValueError(f"lambda_bound must be finite, with a finite grid end, got {lambda_bound}")
+    return np.linspace(0.0, end, FIT_GRID_POINTS)
 
 
 def fit_error_rates(
@@ -210,8 +216,8 @@ def fit_error_rates(
     max_order: int,
     lambda_bound: float | None = None,
 ) -> ErrorRateFit:
-    """Ordinary least-squares fit of 1 - F_e(t) by a polynomial without
-    constant term; reports 1/|tau_k^k| = k! |c_k| for k = 1..max_order.
+    """Ordinary least-squares fit of 1 - F_e(t), at finite samples, by a polynomial
+    without constant term; reports 1/|tau_k^k| = k! |c_k| for k = 1..max_order.
     """
     if not 1 <= max_order <= 3:
         raise ValueError(f"max_order must be in 1..3, got {max_order}")
@@ -220,6 +226,8 @@ def fit_error_rates(
         raise ValueError(f"need at least {max_order + 2} samples, got {len(samples)}")
     ts = np.array([s[0] for s in samples], dtype=float)
     fes = np.array([s[1] for s in samples], dtype=float)
+    if not (np.isfinite(ts).all() and np.isfinite(fes).all()):
+        raise ValueError("sample times and fidelities must be finite")
     scale = float(np.max(np.abs(ts)))
     if scale == 0.0:
         raise ValueError("samples must span a nonzero time interval")

@@ -20,7 +20,7 @@ states, positivity) for a ``(k, d, d)`` stack of matrices.  A
 ``DensityMatrix`` runs it on a stack of one; a block of circuit runs
 (``codes.run_circuits``) runs it once over every intermediate state of
 the block; a sweep (``experiments._data_outputs``) runs it once more
-over every point's reduced outputs.
+over every run's reduced outputs, its reference run's included.
 
 The reduction and the overlap work on stacks the same way:
 ``partial_trace_stack`` and ``hs_overlap_stack`` hold the only copies of

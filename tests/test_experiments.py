@@ -47,6 +47,9 @@ def file_hash(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+BLOCK = experiments._BLOCK  # circuits per run_circuits call
+
+
 # SHA-256 of emit_csv bytes on DEFAULT_SWEEP (ratio 0.5): a change that
 # moves any printed digit fails here, so update these only together with
 # an intended change of the numbers
@@ -346,8 +349,8 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("scenario, case", [("no_qec", "a"), ("dfs_qec", "a"), ("dfs_qec", "b")])
     def test_a_sweep_evaluates_its_noise_once_per_environment(self, scenario, case, monkeypatch):
-        # one attenuation per environment for the sweep's tables, plus one
-        # for the reference run's marker, however many points
+        # one attenuation per environment for the sweep's tables, whose
+        # row 0 is the reference run's, however many points
         calls = []
 
         def counted(*args):
@@ -358,7 +361,28 @@ class TestRunScenario:
         monkeypatch.setattr(codes, "attenuation", counted)
         config = ScenarioConfig(scenario, sweep=tuple(0.012 * k for k in range(1000)), coupling_case=case)
         assert len(run_scenario(config).points) == 1000
-        assert len(calls) <= len(channels._LAYOUTS[config.collective, case]) + 1
+        assert len(calls) == len(channels._LAYOUTS[config.collective, case])
+
+    @pytest.mark.parametrize("points", [0, 1, BLOCK - 1, BLOCK, 25])
+    def test_a_sweep_runs_its_reference_and_points_as_one_stream(self, points, monkeypatch):
+        # the reference run is row 0 of the points' blocks: one _data_outputs
+        # call, ceil((K + 1) / BLOCK) run_circuits calls, and, besides the
+        # two input checks, one check_stack call on the outputs
+        calls = {"outputs": 0, "runs": 0, "checks": 0}
+
+        def counted(key, f):
+            def wrapper(*args):
+                calls[key] += 1
+                return f(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(experiments, "_data_outputs", counted("outputs", experiments._data_outputs))
+        monkeypatch.setattr(experiments, "run_circuits", counted("runs", run_circuits))
+        monkeypatch.setattr(experiments, "check_stack", counted("checks", experiments.check_stack))
+        config = ScenarioConfig("dfs_qec", sweep=tuple(0.5 * k for k in range(points)))
+        assert len(run_scenario(config).points) == points
+        assert calls == {"outputs": 1, "runs": math.ceil((points + 1) / BLOCK), "checks": 2 + 1}
 
     def test_state_mode_matches_deviation_mode(self):
         # a pure data input (I + sigma_u)/2 in place of the deviation
@@ -387,7 +411,6 @@ class TestRunScenario:
 
 # a few points through both sinc zeros; 0 is the reference run's point
 STACK_SWEEP = (0.0, 0.8, 2.9, 5.3)
-BLOCK = experiments._BLOCK
 
 
 class TestStackedPath:
@@ -435,7 +458,8 @@ class TestStackedPath:
         self._assert_rows_are_the_per_state_path(config)
 
     def test_bad_noise_factors_across_a_block_boundary_raise_the_first_ones_message(self, monkeypatch):
-        # the last point of the first block and the first of the second get
+        # the last row of the first block and the first of the second, after
+        # the reference run's row 0 the points BLOCK - 2 and BLOCK - 1, get
         # different non-Hermitian factors; the sweep raises what
         # apply_circuit raises for the first of them, run alone
         config = ScenarioConfig("dfs_qec", sweep=tuple(0.5 * k for k in range(2 * BLOCK)))
@@ -446,7 +470,7 @@ class TestStackedPath:
             factors = channels.sweep_attenuation(specs)
             return (f * (1.0 + skew[k] * upper) if k in skew else f for k, f in enumerate(factors))
 
-        specs = [config.noise_spec(x) for x in config.sweep]
+        specs = [config.noise_spec(x) for x in (0.0, *config.sweep)]
         messages = []
         for k, factor in enumerate(skewed(specs)):
             if k in skew:

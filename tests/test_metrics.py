@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ class TestAvgPolarization:
         build = experiments.build_scenario_circuit
 
         def with_error(scenario, noise):
-            # noise is the sweep point's marker, or the reference run's spec
+            # noise is the marker of the reference run or of a sweep point
             circuit = build(scenario, noise)
             return Circuit(circuit.n_qubits, circuit.steps + (u,))
 
@@ -377,12 +378,26 @@ class TestFitErrorRates:
         assert fit_i.tau_inv_k[1] > 0.0
 
 
+_NON_FINITE_SAMPLES = "sample times and fidelities must be finite"
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
         (lambda: fit_grid(0.0), "lambda_bound must be > 0"),
         (lambda: fit_error_rates([(0.1 * k, 1.0) for k in range(6)], 4), "max_order must be in 1..3, got 4"),
         (lambda: fit_error_rates([(0.0, 1.0)] * 5, 1), "samples must span a nonzero time interval"),
+        (lambda: fit_grid(math.nan), "lambda_bound must be finite, with a finite grid end, got nan"),
+        (lambda: fit_grid(math.inf), "lambda_bound must be finite, with a finite grid end, got inf"),
+        (lambda: fit_grid(5e-324), "lambda_bound must be finite, with a finite grid end, got 5e-324"),
+        (lambda: fit_grid(-math.inf), "lambda_bound must be > 0"),
+        (lambda: fit_error_rates([(0.1 * k, 1.0 if k else math.nan) for k in range(5)], 1), _NON_FINITE_SAMPLES),
+        (lambda: fit_error_rates([(0.1 * k if k else math.nan, 1.0) for k in range(5)], 1), _NON_FINITE_SAMPLES),
+        (lambda: fit_error_rates([(0.1 * k if k else -math.inf, 1.0) for k in range(5)], 1), _NON_FINITE_SAMPLES),
+        (lambda: analytic_fe_qec_strong(1.0, math.inf), "kappa3 must be finite and >= 0, got inf"),
+        (lambda: analytic_fe_qec_strong(1.0, math.nan), "kappa3 must be finite and >= 0, got nan"),
+        (lambda: analytic_fe_qec_strong(-1.0, 2.0), "kappa0 must be finite and >= 0, got -1.0"),
+        (lambda: analytic_fe_qec_independent(math.nan), "kappa0 must be finite and >= 0, got nan"),
     ],
 )
 def test_error_messages(call, message):

@@ -24,6 +24,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 def test_script_writes_its_outputs(script, expected, tmp_path):
     proc = run_script(script, "--out-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
 
 
@@ -69,11 +70,12 @@ def test_run_sweeps_unwritable_out_dir_is_one_error_line(tmp_path):
 
 
 def run_script(script: str, *args: str) -> subprocess.CompletedProcess:
-    # the child finds the package where this process did, installed or not
+    # the child finds the package where this process did, installed or not,
+    # and fails on any warning
     src = str(Path(dfsqec.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / script), *args], capture_output=True, text=True, env=env
+        [sys.executable, "-W", "error", str(SCRIPTS / script), *args], capture_output=True, text=True, env=env
     )
 
 
