@@ -30,26 +30,28 @@ Each validity fact is checked once, where it is used: gate targets by
 ``embed`` when a gate runs (in a block, once per run), a noise marker's
 attenuation when it is computed (a sweep's, all at once, by
 ``channels.sweep_attenuation``), step types and noise factor shapes
-when a ``Circuit`` is built, and, in ``run_circuits``, which steps a
-block of runs together, its shared steps (one ``Gate`` object or only
-markers at each position) and its states, by one ``check_stack`` call.
+when a ``Circuit`` is built, a sweep's inputs by ``sweep_outputs``, and
+the states of each ``_run_block`` block and a sweep's reduced outputs by
+one ``check_stack`` call each.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .channels import NoiseSpec, attenuation, noise_layout
-from .qstate import SX, DensityMatrix, Operator, check_stack, conjugate, embed
+from .channels import NoiseSpec, attenuation, noise_layout, sweep_attenuation
+from .qstate import SX, DensityMatrix, Operator, check_stack, conjugate, embed, partial_trace_stack
 
 __all__ = [
     "Gate",
     "NoiseStep",
     "Circuit",
     "SCENARIOS",
+    "DATA_QUBIT",
     "scenario_layout",
     "hadamard",
     "pauli_x",
@@ -58,7 +60,7 @@ __all__ = [
     "dfs_encode",
     "dfs_decode",
     "build_scenario_circuit",
-    "run_circuits",
+    "sweep_outputs",
     "apply_circuit",
 ]
 
@@ -190,6 +192,8 @@ _SCENARIOS = {
     "dfs_qec": (4, True, tuple(dfs_encode()) + _LOGICAL_ENCODE, _LOGICAL_RECOVER + tuple(dfs_decode())),
 }
 SCENARIOS = tuple(_SCENARIOS)
+DATA_QUBIT = 2  # the phase code's data qubit
+_BLOCK = 8  # circuits per _run_block call: a (8, 3, 3, 16, 16) buffer is 295 KB
 
 # up to sign, the entries of any product of the table's gates: 0, 1/2 and sqrt(2)/4, the last two
 # as h^2 and h^3 of its Hadamard's h = fl(1/sqrt 2); the nearest doubles are larger: Fe(0) > 1
@@ -240,43 +244,48 @@ def build_scenario_circuit(scenario: str, spec: NoiseSpec | NoiseStep) -> Circui
     return Circuit(n, encode + (spec if ready else NoiseStep(spec),) + recover)
 
 
-def run_circuits(inputs: Sequence[DensityMatrix], circuits: Sequence[Circuit]) -> np.ndarray:
-    """Run every input (all of one kind) through every circuit (all with
-    the same qubit and step counts, at least one; an empty block raises)
-    and return the read-only ``(B, k, d, d)`` final states.  The block
-    runs one step position at a time into one ``(B, k, steps, d, d)``
-    buffer: a gate, the same ``Gate`` object in every circuit, is one
-    ``conjugate`` of the whole stack, and a noise marker one ``np.multiply``
-    by the stacked factors.  One ``check_stack`` call checks the buffer with
-    ``DensityMatrix``'s tolerances: the first failing state in
-    (circuit, input, step) order raises, after the whole block has run."""
-    if not (inputs and circuits and circuits[0].steps):
-        raise ValueError("need at least one input, one circuit and one step")
-    kind, n, steps = inputs[0].kind, circuits[0].n_qubits, len(circuits[0].steps)
+def sweep_outputs(scenario: str, specs: Sequence[NoiseSpec], inputs: Sequence[DensityMatrix]) -> np.ndarray:
+    """The read-only ``(K, k, 2, 2)`` ``DATA_QUBIT`` outputs of the scenario at each
+    of a sweep's K specs, on each of k inputs of one kind.  All factors are evaluated
+    first, then ``_BLOCK`` circuits at a time are built, run and reduced, and one
+    ``check_stack`` call on the whole stack raises the first bad (spec, input) output."""
+    if not (specs and inputs):
+        raise ValueError("need at least one spec and one input")
+    n, kind = scenario_layout(scenario)[0], inputs[0].kind
     for rho in inputs:
         if rho.kind != kind:
-            raise ValueError("inputs of one run must all be of one kind")
+            raise ValueError("inputs of one sweep must all be of one kind")
         if rho.dim != 2**n:
             raise ValueError(f"state dimension {rho.dim} does not match {n}-qubit circuit")
-    for c in circuits:
-        if c.n_qubits != n or len(c.steps) != steps:
-            raise ValueError("circuits of one run must have the same qubit and step counts")
+    circuits = (build_scenario_circuit(scenario, NoiseStep(s, f)) for s, f in zip(specs, sweep_attenuation(specs)))
+    blocks = iter(lambda: list(islice(circuits, _BLOCK)), [])
+    outs = np.concatenate([partial_trace_stack(_run_block(inputs, b).reshape(-1, 2**n, 2**n), {DATA_QUBIT}) for b in blocks])
+    check_stack(outs, kind)
+    outs.setflags(write=False)
+    return outs.reshape(-1, len(inputs), 2, 2)
+
+
+def _run_block(inputs: Sequence[DensityMatrix], circuits: Sequence[Circuit]) -> np.ndarray:
+    """The read-only ``(B, k, d, d)`` final states of every input through every
+    circuit of a block, which hold one ``Gate`` object or only noise markers at
+    each step.  The block runs one step position at a time into one
+    ``(B, k, steps, d, d)`` buffer: a gate is one ``conjugate`` of the whole
+    stack, a marker one ``np.multiply`` by the stacked factors.  One
+    ``check_stack`` call on the buffer, with ``DensityMatrix``'s tolerances,
+    raises the first failing state in (circuit, input, step) order."""
+    n, steps = circuits[0].n_qubits, len(circuits[0].steps)
     states = np.empty((len(circuits), len(inputs), steps, 2**n, 2**n), dtype=complex)
     m = np.array([rho.entries for rho in inputs])  # broadcast along the circuits
     for column, out in zip(zip(*(c.steps for c in circuits)), np.moveaxis(states, 2, 0)):
         step = column[0]
-        if len({type(s) for s in column}) > 1:
-            raise ValueError("circuits of one run must have their gates and noise markers at the same steps")
         if isinstance(step, Gate):
-            if any(s is not step for s in column):
-                raise ValueError("circuits of one run must hold the same gate at each gate step")
             for _ in range(len(circuits) * len(inputs)):  # each run checks its gate's targets
                 u = embed(step.matrix, step.targets, n)
             conjugate(u, m, out=out)
         else:
             np.multiply(m, np.array([s.factor for s in column])[:, None], out=out)
         m = out
-    check_stack(states.reshape(-1, 2**n, 2**n), kind)
+    check_stack(states.reshape(-1, 2**n, 2**n), inputs[0].kind)
     states.setflags(write=False)
     return states[:, :, -1]
 
@@ -288,7 +297,7 @@ def apply_circuit(
     noise_override: Callable[[DensityMatrix], DensityMatrix] | None = None,
 ) -> DensityMatrix:
     """Run a circuit on one state, a step at a time, with the bits of
-    ``run_circuits``, and return the final state; an empty circuit
+    ``_run_block``, and return the final state; an empty circuit
     returns ``rho`` itself.  The state after the first i + 1 steps is
     the final state of the prefix circuit ``Circuit(n, steps[:i + 1])``.
 

@@ -18,12 +18,11 @@ qubit 2, row 0 checked as a state and rows 1-3 as deviations, with one
 ``check_stack`` call each.  The transfer matrix runs all four rows and a
 sweep rows 1-3.  A sweep of K points is one stream of K + 1 runs, run 0
 the noise-free kappa0 = 0 reference whose output purities the
-polarizations divide by.  Their noise is evaluated first: one
-``channels.sweep_attenuation`` table per environment, from which each
-run's marker gathers its factor.  ``_data_outputs`` then runs the
-circuits ``_BLOCK`` at a time (one ``run_circuits`` call each), reduces
-each block to the data qubit in one pass and checks the whole
-``(K + 1, 3, 2, 2)`` output stack once.  One batched overlap over it
+polarizations divide by.  One ``codes.sweep_outputs`` call evaluates
+their noise first, one ``channels.sweep_attenuation`` table per
+environment, then runs the circuits a block at a time (one ``_run_block``
+call each), reduces each block to the data qubit in one pass and checks
+the whole ``(K + 1, 3, 2, 2)`` output stack once.  One batched overlap over it
 gives the reference purities and the polarizations' numerators, one
 ``correlations`` call the correlations, and one ``analytic_curve`` call
 the closed form.  Every row has the bits that ``apply_circuit``,
@@ -40,15 +39,14 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
-from itertools import islice
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .channels import INCOHERENT_SINC, NoiseSpec, sweep_attenuation
-from .codes import Circuit, NoiseStep, apply_circuit, build_scenario_circuit, run_circuits, scenario_layout
+from .channels import INCOHERENT_SINC, NoiseSpec
+from .codes import DATA_QUBIT, apply_circuit, build_scenario_circuit, scenario_layout, sweep_outputs
 from .metrics import AXES, MetricReport, analytic_curve, correlations
 from .qstate import (
     DEVIATION,
@@ -82,8 +80,6 @@ __all__ = [
 # kappa0/2 from 0 to 6 in steps of 0.25, i.e. through both sinc zeros
 DEFAULT_SWEEP = tuple(0.5 * k for k in range(25))
 
-DATA_QUBIT = 2
-
 # the sweep config's columns, then the measured ones: MetricReport's fields
 _MEASURED = tuple(f.name for f in fields(MetricReport))
 CSV_HEADER = ",".join(("scenario", "kind", "case", "kappa0", "ratio", "ancilla_purity") + _MEASURED)
@@ -102,8 +98,6 @@ _PAULI_BASIS.setflags(write=False)
 # sweep's deviations sigma_x, sigma_y, sigma_z
 _INPUT_DATA = np.array([np.eye(2) / 2.0, *_PAULI_BASIS[1:]], dtype=complex)
 _INPUT_DATA.setflags(write=False)
-
-_BLOCK = 8  # circuits per run_circuits call: a (8, 3, 3, 16, 16) buffer is 295 KB
 
 
 @dataclass(frozen=True)
@@ -204,30 +198,16 @@ def prepare_inputs(axis: str, ancilla_purity: float = 1.0, n_qubits: int = 4) ->
     return _product_inputs(ancilla_purity, n_qubits)[1 + AXES.index(axis)]
 
 
-def _data_outputs(circuits: Iterable[Circuit], inputs: Sequence[DensityMatrix]) -> np.ndarray:
-    """The ``(K, k, 2, 2)`` data-qubit outputs of every circuit, in order,
-    on every input, all of one kind: ``_BLOCK`` circuits per ``run_circuits``
-    call, each block reduced before the next is drawn, then one ``check_stack``
-    call on the whole stack, which raises the first bad (circuit, input) output."""
-    circuits, shape = iter(circuits), (-1,) + inputs[0].entries.shape
-    blocks = iter(lambda: list(islice(circuits, _BLOCK)), [])
-    outs = np.concatenate([partial_trace_stack(run_circuits(inputs, b).reshape(shape), {DATA_QUBIT}) for b in blocks])
-    check_stack(outs, inputs[0].kind)
-    return outs.reshape(-1, len(inputs), 2, 2)
-
-
 def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
     """Evaluate every sweep point of a scenario, in sweep order, after the
     kappa0 = 0 reference run: every run's ``NoiseSpec`` is built first,
-    then the noise tables, then one circuit per run around a marker that
-    gathers its factor from them; the outputs are checked and scored once.
+    then one ``sweep_outputs`` call gives the outputs, which are scored once.
 
     ``jobs`` is accepted for compatibility and has no effect.
     """
     specs = [config.noise_spec(x) for x in (0.0, *config.sweep)]
-    factors = sweep_attenuation(specs)  # a non-finite attenuation raises here, before any circuit runs
-    circuits = (build_scenario_circuit(config.scenario, NoiseStep(spec, f)) for spec, f in zip(specs, factors))
-    outs = _data_outputs(circuits, _product_inputs(config.ancilla_purity, scenario_layout(config.scenario)[0])[1:])
+    inputs = _product_inputs(config.ancilla_purity, scenario_layout(config.scenario)[0])[1:]
+    outs = sweep_outputs(config.scenario, specs, inputs)  # a non-finite attenuation raises before any circuit runs
     # C_u = tr(sigma_u out_u) / tr(sigma_u sigma_u), P_u = tr(out_u^2) / tr(ref_u^2)
     purities = hs_overlap_stack(outs, outs)
     for u, purity in zip(AXES, purities[0].tolist()):

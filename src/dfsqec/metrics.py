@@ -221,6 +221,8 @@ def fit_error_rates(
     """
     if not 1 <= max_order <= 3:
         raise ValueError(f"max_order must be in 1..3, got {max_order}")
+    if lambda_bound is not None and not 0.0 < lambda_bound < math.inf:
+        raise ValueError(f"lambda_bound must be finite and > 0, got {lambda_bound}")
     samples = list(samples)
     if len(samples) < max_order + 2:
         raise ValueError(f"need at least {max_order + 2} samples, got {len(samples)}")
@@ -235,7 +237,10 @@ def fit_error_rates(
     design = np.column_stack([u**k for k in range(1, max_order + 1)])
     coef_u, *_ = np.linalg.lstsq(design, 1.0 - fes, rcond=None)
     orders = tuple(range(1, max_order + 1))
-    rates = tuple(
-        float(math.factorial(k) * abs(c) / scale**k) for k, c in zip(orders, coef_u)
-    )
+    try:
+        rates = tuple(
+            float(math.factorial(k) * abs(c) / scale**k) for k, c in zip(orders, coef_u)
+        )
+    except OverflowError:  # scale**k of a float does not return inf, it raises
+        raise ValueError(f"sample times up to {scale:g} overflow an order-{max_order} fit") from None
     return ErrorRateFit(orders, rates, lambda_bound)

@@ -18,9 +18,9 @@ circuit runs, by ``np.matmul``.  ``embed`` keeps no state between calls.
 ``check_stack`` holds the state checks (Hermiticity, trace and, for
 states, positivity) for a ``(k, d, d)`` stack of matrices.  A
 ``DensityMatrix`` runs it on a stack of one; a block of circuit runs
-(``codes.run_circuits``) runs it once over every intermediate state of
-the block; a sweep (``experiments._data_outputs``) runs it once more
-over every run's reduced outputs, its reference run's included.
+(``codes._run_block``) runs it once over every intermediate state of
+the block; a sweep (``codes.sweep_outputs``) runs it once more over
+every run's reduced outputs, its reference run's included.
 
 The reduction and the overlap work on stacks the same way:
 ``partial_trace_stack`` and ``hs_overlap_stack`` hold the only copies of

@@ -31,8 +31,8 @@ from dfsqec.codes import (
     dfs_decode,
     dfs_encode,
     hadamard,
-    run_circuits,
     scenario_layout,
+    sweep_outputs,
     toffoli,
 )
 from dfsqec.experiments import ScenarioConfig, pauli_transfer_matrix, prepare_inputs, run_scenario
@@ -300,6 +300,7 @@ class TestScenarioCircuits:
         config = ScenarioConfig(scenario, kind=kind, coupling_case=case, ancilla_purity=purity)
         spec = config.noise_spec(2.9)
         compiled = run_scenario(config), pauli_transfer_matrix(scenario, spec, purity)
+        monkeypatch.setattr(codes, "build_scenario_circuit", gate_level_circuit)
         monkeypatch.setattr(experiments, "build_scenario_circuit", gate_level_circuit)
         gate_level = run_scenario(config), pauli_transfer_matrix(scenario, spec, purity)
         for got, want in zip(compiled[0].points, gate_level[0].points):
@@ -472,40 +473,19 @@ class TestScenarioCircuits:
             lambda: apply_circuit(basis_state("000"), Circuit(2, (hadamard(1),))),
             "state dimension 8 does not match 2-qubit circuit",
         ),
-        # run_circuits' contract: apply_circuit's message for a dimension
-        # mismatch; one kind of input and one shape of circuit per block;
-        # an empty block, or circuits of no steps, rejected
+        # sweep_outputs' contract: apply_circuit's message for a dimension
+        # mismatch; one kind of input per sweep; no specs, or no inputs,
+        # rejected
         (
-            lambda: run_circuits([basis_state("00"), basis_state("000")], [Circuit(2, (hadamard(1),))]),
-            "state dimension 8 does not match 2-qubit circuit",
+            lambda: sweep_outputs("no_qec", [NoiseSpec(0.0)], [basis_state("000"), basis_state("0000")]),
+            "state dimension 16 does not match 3-qubit circuit",
         ),
         (
-            lambda: run_circuits([basis_state("00"), pauli_deviation("z")], [Circuit(2, (hadamard(1),))]),
-            "inputs of one run must all be of one kind",
+            lambda: sweep_outputs("no_qec", [NoiseSpec(0.0)], [basis_state("000"), prepare_inputs("z", 1.0, 3)]),
+            "inputs of one sweep must all be of one kind",
         ),
-        (
-            lambda: run_circuits([basis_state("00")], [Circuit(2, (hadamard(1),)), Circuit(2, (hadamard(1),) * 2)]),
-            "circuits of one run must have the same qubit and step counts",
-        ),
-        (
-            lambda: run_circuits([basis_state("00")], [Circuit(2, (hadamard(1),)), Circuit(1, (hadamard(1),))]),
-            "circuits of one run must have the same qubit and step counts",
-        ),
-        (lambda: run_circuits([], [Circuit(2, (hadamard(1),))]), "need at least one input, one circuit and one step"),
-        (lambda: run_circuits([basis_state("00")], []), "need at least one input, one circuit and one step"),
-        (lambda: run_circuits([basis_state("00")], [Circuit(2, ())]), "need at least one input, one circuit and one step"),
-        # the block contract: at each position, every circuit holds the
-        # same Gate object, or every circuit a noise marker
-        (
-            lambda: run_circuits(
-                [basis_state("00")], [Circuit(2, (hadamard(1),)), Circuit(2, (NoiseStep(NoiseSpec(0.0), np.ones((4, 4))),))]
-            ),
-            "circuits of one run must have their gates and noise markers at the same steps",
-        ),
-        (
-            lambda: run_circuits([basis_state("00")], [Circuit(2, (hadamard(1),)), Circuit(2, (hadamard(1),))]),
-            "circuits of one run must hold the same gate at each gate step",
-        ),
+        (lambda: sweep_outputs("no_qec", [], [basis_state("000")]), "need at least one spec and one input"),
+        (lambda: sweep_outputs("no_qec", [NoiseSpec(0.0)], []), "need at least one spec and one input"),
     ],
 )
 def test_error_messages(call, message):
@@ -629,7 +609,7 @@ class TestCircuitPlumbing:
         # for bit, and the block is read-only: the block steps the whole
         # stack at once, apply_circuit one state alone.  Every scenario,
         # ancilla purity and input kind, over both noise kinds, in blocks
-        # of one, of fewer, of exactly and of more than experiments._BLOCK
+        # of one, of fewer, of exactly and of more than codes._BLOCK
         for scenario, purity in itertools.product(SCENARIOS, (1.0, 0.7, 0.0)):
             n = scenario_layout(scenario)[0]
             state, *deviations = experiments._product_inputs(purity, n)
@@ -637,7 +617,7 @@ class TestCircuitPlumbing:
             for size in (1, 7, 8, 9):
                 circuits = [build_scenario_circuit(scenario, configs[i % 2].noise_spec(0.37 * i)) for i in range(size)]
                 for inputs in ([state, DensityMatrix(np.eye(2**n) / 2**n)], deviations):
-                    block = run_circuits(inputs, circuits)
+                    block = codes._run_block(inputs, circuits)
                     assert block.shape == (size, len(inputs), 2**n, 2**n)
                     assert not block.flags.writeable
                     for row, circuit in zip(block, circuits, strict=True):

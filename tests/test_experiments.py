@@ -28,7 +28,7 @@ from dfsqec.experiments import (
     write_svg_chart,
     ChartSeries,
 )
-from dfsqec.codes import SCENARIOS, NoiseStep, apply_circuit, build_scenario_circuit, run_circuits
+from dfsqec.codes import SCENARIOS, NoiseStep, apply_circuit, build_scenario_circuit
 from dfsqec.qstate import (
     DEVIATION,
     STATE,
@@ -47,7 +47,19 @@ def file_hash(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-BLOCK = experiments._BLOCK  # circuits per run_circuits call
+BLOCK = codes._BLOCK  # circuits per _run_block call
+# bound at import, so that a fake installed twice in one test wraps the real one
+_run_block = codes._run_block
+
+
+def counted(calls, key, f):
+    """``f``, adding one to ``calls[key]`` on each call."""
+
+    def wrapper(*args):
+        calls[key] += 1
+        return f(*args)
+
+    return wrapper
 
 
 # SHA-256 of emit_csv bytes on DEFAULT_SWEEP (ratio 0.5): a change that
@@ -321,7 +333,7 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("points, case", [(300, "a"), (1000, "b")])
     def test_sweep_peak_memory_is_per_point(self, points, case):
-        # the circuits run in blocks of experiments._BLOCK, each block's
+        # the circuits run in blocks of codes._BLOCK, each block's
         # final states are reduced before the next block's circuits are
         # built, and each marker gathers its factor when its circuit is
         # built; a stack of final states would add about 4 MB at 300
@@ -341,7 +353,7 @@ class TestRunScenario:
         # the whole sweep's attenuation is evaluated first: kappa_c * Delta / 4
         # = 1.5e308 * 1.5 overflows at the last point
         runs = []
-        monkeypatch.setattr(experiments, "run_circuits", lambda *a: runs.append(a) or run_circuits(*a))
+        monkeypatch.setattr(codes, "_run_block", lambda *a: runs.append(a) or _run_block(*a))
         config = ScenarioConfig("qec_hybrid", sweep=(0.0, 2.9, 1.5e308), ratio=1.0)
         with pytest.raises(ValueError, match="^noise attenuation is not finite: generator strengths are too large$"):
             run_scenario(config)
@@ -365,24 +377,32 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("points", [0, 1, BLOCK - 1, BLOCK, 25])
     def test_a_sweep_runs_its_reference_and_points_as_one_stream(self, points, monkeypatch):
-        # the reference run is row 0 of the points' blocks: one _data_outputs
-        # call, ceil((K + 1) / BLOCK) run_circuits calls, and, besides the
-        # two input checks, one check_stack call on the outputs
+        # the reference run is row 0 of the points' blocks: one sweep_outputs
+        # call, ceil((K + 1) / BLOCK) _run_block calls, and, besides the
+        # two input checks and each block's state check, one check_stack
+        # call on the outputs
         calls = {"outputs": 0, "runs": 0, "checks": 0}
-
-        def counted(key, f):
-            def wrapper(*args):
-                calls[key] += 1
-                return f(*args)
-
-            return wrapper
-
-        monkeypatch.setattr(experiments, "_data_outputs", counted("outputs", experiments._data_outputs))
-        monkeypatch.setattr(experiments, "run_circuits", counted("runs", run_circuits))
-        monkeypatch.setattr(experiments, "check_stack", counted("checks", experiments.check_stack))
+        monkeypatch.setattr(experiments, "sweep_outputs", counted(calls, "outputs", codes.sweep_outputs))
+        monkeypatch.setattr(codes, "_run_block", counted(calls, "runs", _run_block))
+        monkeypatch.setattr(experiments, "check_stack", counted(calls, "checks", experiments.check_stack))
+        monkeypatch.setattr(codes, "check_stack", counted(calls, "checks", codes.check_stack))
         config = ScenarioConfig("dfs_qec", sweep=tuple(0.5 * k for k in range(points)))
         assert len(run_scenario(config).points) == points
-        assert calls == {"outputs": 1, "runs": math.ceil((points + 1) / BLOCK), "checks": 2 + 1}
+        runs = math.ceil((points + 1) / BLOCK)
+        assert calls == {"outputs": 1, "runs": runs, "checks": 2 + runs + 1}
+
+    @pytest.mark.parametrize("scenario, gates", [("no_qec", 0), ("dfs_qec", 2)])
+    def test_a_sweep_builds_each_circuit_once_and_embeds_each_gate_once_per_run(self, scenario, gates, monkeypatch):
+        # K points and the reference run are K + 1 circuits, and every run of
+        # each of the three inputs embeds each gate once, across block edges
+        spec = ScenarioConfig(scenario).noise_spec(0.0)
+        assert sum(isinstance(s, codes.Gate) for s in build_scenario_circuit(scenario, spec).steps) == gates
+        calls = {"builds": 0, "embeds": 0}
+        monkeypatch.setattr(codes, "build_scenario_circuit", counted(calls, "builds", codes.build_scenario_circuit))
+        monkeypatch.setattr(codes, "embed", counted(calls, "embeds", codes.embed))
+        points = 2 * BLOCK + 3
+        assert len(run_scenario(ScenarioConfig(scenario, sweep=tuple(0.5 * k for k in range(points)))).points) == points
+        assert calls == {"builds": points + 1, "embeds": (points + 1) * 3 * gates}
 
     def test_state_mode_matches_deviation_mode(self):
         # a pure data input (I + sigma_u)/2 in place of the deviation
@@ -427,9 +447,10 @@ class TestStackedPath:
             return {key: partial_trace(apply_circuit(rho, circuit), {2}) for key, rho in zip("Ixyz", inputs)}
 
         refs = per_state(build_scenario_circuit(config.scenario, config.noise_spec(0.0)))
-        circuits = [build_scenario_circuit(config.scenario, config.noise_spec(x)) for x in config.sweep]
+        specs = [config.noise_spec(x) for x in config.sweep]
+        circuits = [build_scenario_circuit(config.scenario, spec) for spec in specs]
         # the state column, then the sweep's layout: the three deviation columns
-        stacked = np.concatenate([experiments._data_outputs(circuits, ins) for ins in (inputs[:1], inputs[1:])], 1)
+        stacked = np.concatenate([codes.sweep_outputs(config.scenario, specs, ins) for ins in (inputs[:1], inputs[1:])], 1)
         assert stacked.shape == (len(config.sweep), 4, 2, 2)
         for point, circuit, rows in zip(result.points, circuits, stacked, strict=True):
             outs = per_state(circuit)
@@ -479,7 +500,7 @@ class TestStackedPath:
                     apply_circuit(prepare_inputs("x", 1.0, 4), circuit)
                 messages.append(str(info.value))
         assert messages[0] != messages[1]
-        monkeypatch.setattr(experiments, "sweep_attenuation", skewed)
+        monkeypatch.setattr(codes, "sweep_attenuation", skewed)
         with pytest.raises(ValueError) as info:
             run_scenario(config)
         assert str(info.value) == messages[0]
@@ -487,12 +508,12 @@ class TestStackedPath:
     @staticmethod
     def _fake_outputs(monkeypatch, make):
         # the k-th circuit run in (circuit, input) order, whether a sweep's
-        # run_circuits or the transfer matrix's apply_circuit makes it,
+        # _run_block or the transfer matrix's apply_circuit makes it,
         # returns the state that make(k, true output) builds, unchecked
         calls = []
 
         def fake_run(inputs, circuits):
-            outs = np.array(run_circuits(inputs, circuits))
+            outs = np.array(_run_block(inputs, circuits))
             for row in outs:
                 for rho, out in zip(inputs, row):
                     calls.append(rho)
@@ -502,7 +523,7 @@ class TestStackedPath:
         def fake_apply(rho, circuit):
             return DensityMatrix._checked(fake_run([rho], [circuit])[0, 0], rho.kind)
 
-        monkeypatch.setattr(experiments, "run_circuits", fake_run)
+        monkeypatch.setattr(codes, "_run_block", fake_run)
         monkeypatch.setattr(experiments, "apply_circuit", fake_apply)
         return calls
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsqec import experiments
+from dfsqec import codes
 from dfsqec.channels import (
     INCOHERENT_SINC,
     MARKOVIAN_EXP,
@@ -109,14 +109,14 @@ class TestAvgPolarization:
         config = ScenarioConfig("qec_independent", sweep=(1.3,))
         plain = run_scenario(config).points[0].report
         u = Gate("U", Operator(_random_unitary(rng, 2)), (2,))
-        build = experiments.build_scenario_circuit
+        build = codes.build_scenario_circuit
 
         def with_error(scenario, noise):
             # noise is the marker of the reference run or of a sweep point
             circuit = build(scenario, noise)
             return Circuit(circuit.n_qubits, circuit.steps + (u,))
 
-        monkeypatch.setattr(experiments, "build_scenario_circuit", with_error)
+        monkeypatch.setattr(codes, "build_scenario_circuit", with_error)
         rotated = run_scenario(config).points[0].report
         assert abs(rotated.Fe - plain.Fe) > 1e-3
         for field in ("Px", "Py", "Pz", "P"):
@@ -127,7 +127,7 @@ class TestAvgPolarization:
         # qubit 2 even without noise
         swap = [cnot(1, 2), cnot(2, 1), cnot(1, 2)]
         monkeypatch.setattr(
-            experiments, "build_scenario_circuit", lambda s, spec: Circuit(3, swap)
+            codes, "build_scenario_circuit", lambda s, spec: Circuit(3, swap)
         )
         with pytest.raises(ValueError, match="zero purity"):
             run_scenario(ScenarioConfig("no_qec", sweep=(0.0,)))
@@ -363,6 +363,13 @@ class TestFitErrorRates:
         with pytest.raises(ValueError, match="bound"):
             fit_error_rates(samples, 1).satisfies_bound()
 
+    @pytest.mark.parametrize("bound", [math.nan, -1.0, 0.0, math.inf])
+    def test_bound_must_be_finite_and_positive(self, bound):
+        # satisfies_bound() would read False for the first three and True for inf
+        samples = [(0.01 * k, 1.0) for k in range(12)]
+        with pytest.raises(ValueError, match=rf"^lambda_bound must be finite and > 0, got {bound}$"):
+            fit_error_rates(samples, 1, bound)
+
     def test_initial_slope_distinguishes_noise_kinds(self):
         # without correction, Markovian noise decays linearly from t=0
         # while the incoherent average starts flat (curvature only)
@@ -394,6 +401,11 @@ _NON_FINITE_SAMPLES = "sample times and fidelities must be finite"
         (lambda: fit_error_rates([(0.1 * k, 1.0 if k else math.nan) for k in range(5)], 1), _NON_FINITE_SAMPLES),
         (lambda: fit_error_rates([(0.1 * k if k else math.nan, 1.0) for k in range(5)], 1), _NON_FINITE_SAMPLES),
         (lambda: fit_error_rates([(0.1 * k if k else -math.inf, 1.0) for k in range(5)], 1), _NON_FINITE_SAMPLES),
+        # scale**3 of the largest time overflows
+        (
+            lambda: fit_error_rates([(1e120 * k, 1 - 0.01 * k) for k in range(6)], 3),
+            "sample times up to 5e+120 overflow an order-3 fit",
+        ),
         (lambda: analytic_fe_qec_strong(1.0, math.inf), "kappa3 must be finite and >= 0, got inf"),
         (lambda: analytic_fe_qec_strong(1.0, math.nan), "kappa3 must be finite and >= 0, got nan"),
         (lambda: analytic_fe_qec_strong(-1.0, 2.0), "kappa0 must be finite and >= 0, got -1.0"),
