@@ -29,9 +29,10 @@ with two parts, the collective pair and qubit 3's residual noise;
 case "b" puts them in two environments.
 
 A sweep varies only the strengths, so each environment's attenuation
-over a whole sweep is one table: its few distinct Delta / 4 values
-against the column of the sweep's strengths (``sweep_attenuation``).
-The DFS protection is the Delta = 0 column of the collective pair's table.
+over a whole sweep is one table of its few distinct Delta / 4 values
+against the sweep's strengths, and ``sweep_attenuation`` multiplies the
+tables at the m joint tuples that a layout's matrix entries take (27 on
+3 qubits, 81 on 4).  The DFS protection is the collective pair's Delta = 0 column.
 """
 from __future__ import annotations
 
@@ -341,21 +342,29 @@ _UNIT_QUARTERS = {
 }
 
 
-def _distinct(env) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """An environment's distinct (Delta / 4 of each part) tuples, as one
-    ``(m,)`` vector per part, and the ``(d, d)`` index of each matrix
-    entry into them, all read-only."""
-    quarters = [_UNIT_QUARTERS[w] for _, w, _ in env]
-    values, index = np.unique(np.stack([q.ravel() for q in quarters], 1), axis=0, return_inverse=True)
-    index = index.reshape(quarters[0].shape)
+def _distinct_tuples(arrays) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The distinct tuples of same-shape arrays' entries, one ``(m,)``
+    column per array, and the index of each entry into them, all read-only."""
+    values, index = np.unique(np.stack([a.ravel() for a in arrays], 1), axis=0, return_inverse=True)
+    index = index.reshape(arrays[0].shape)
     values.setflags(write=False)
     index.setflags(write=False)
     return tuple(values.T), index
 
 
-# each environment of the layouts as _distinct tables, built once: 3 values for
-# a unit pattern, 5 for the collective pair, 9 pairs for case "a"'s two parts
-_DISTINCT = {env: _distinct(env) for env in {env for envs in _LAYOUTS.values() for env in envs}}
+def _distinct(envs) -> tuple[tuple, tuple[np.ndarray, ...], np.ndarray]:
+    """A layout's tables: each environment's distinct (Delta / 4 of each part) tuples,
+    one ``(m_e,)`` vector per part; the joint tuples of their indices, one ``(m,)``
+    column per environment; and the ``(d, d)`` index of each entry into the latter."""
+    values, indices = zip(*(_distinct_tuples([_UNIT_QUARTERS[w] for _, w, _ in env]) for env in envs))
+    return (values, *_distinct_tuples(indices))
+
+
+# each layout's _distinct tables, built once: 3 values for a unit pattern,
+# 5 for the collective pair, 9 pairs for case "a"'s two parts; 27 joint
+# tuples of the 64 entries on 3 qubits, 81 of the 256 on 4
+_DISTINCT = {layout: _distinct(envs) for layout, envs in _LAYOUTS.items()}
+_ROWS = 32  # sweep points per block of joint factor rows
 
 
 def _scales(spec: NoiseSpec, kappa0) -> dict:
@@ -381,22 +390,24 @@ def sweep_attenuation(specs: Sequence[NoiseSpec]) -> Iterator[np.ndarray]:
     ``attenuation`` runs once per environment, now, on its distinct
     Delta / 4 values against the sweep's ``(K, 1)`` column of strengths,
     so a non-finite factor anywhere in the sweep raises before this
-    returns.  The iterator gathers point k's factor when it reaches it:
-    row k of each environment's table through its index, multiplied in
-    layout order as ``attenuation`` multiplies.
+    returns.  The iterator multiplies the ``(K, m_e)`` tables at their
+    joint columns, ``_ROWS`` points at a time and in layout order as
+    ``attenuation`` multiplies, into a block of ``(m,)`` joint rows, and
+    gathers the block's factors through the joint ``(d, d)`` index.
     """
     if len({(s.collective, s.ratio, s.coupling_case, s.kind) for s in specs}) > 1:
         raise ValueError("a sweep's noise specs must differ only in kappa0")
     if not specs:
         return iter(())
     spec = specs[0]
+    layout = spec.collective, spec.coupling_case
+    values, columns, index = _DISTINCT[layout]
     scales = _scales(spec, np.array([s.kappa0 for s in specs])[:, None])
-    tables = []
-    for env in _LAYOUTS[spec.collective, spec.coupling_case]:
-        values, index = _DISTINCT[env]
-        parts = [(q, scales[scale]) for q, (_, _, scale) in zip(values, env)]
-        tables.append((attenuation([parts], spec.kind), index))
-    return (functools.reduce(operator.mul, [table[k][index] for table, index in tables]) for k in range(len(specs)))
+    envs = [[(q, scales[scale]) for q, (_, _, scale) in zip(qs, env)] for qs, env in zip(values, _LAYOUTS[layout])]
+    tables = [attenuation([env], spec.kind) for env in envs]
+    starts = range(0, len(specs), _ROWS)
+    blocks = (functools.reduce(operator.mul, [t[k : k + _ROWS, c] for t, c in zip(tables, columns)]) for k in starts)
+    return (factor for block in blocks for factor in block[:, index])
 
 
 def build_error_model(spec: NoiseSpec) -> list[np.ndarray]:

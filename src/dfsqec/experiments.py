@@ -24,10 +24,10 @@ environment, then runs the circuits a block at a time (one ``_run_block``
 call each), reduces each block to the data qubit in one pass and checks
 the whole ``(K + 1, 3, 2, 2)`` output stack once.  One batched overlap over it
 gives the reference purities and the polarizations' numerators, one
-``correlations`` call the correlations, and one ``analytic_curve`` call
-the closed form.  Every row has the bits that ``apply_circuit``,
-``partial_trace``, ``correlation`` and ``analytic_reference`` give one
-state or point at a time.
+``correlations`` call the correlations, one ``analytic_curve`` call the
+closed form and one ``MetricReport.from_metrics`` call the K reports.
+Every row has the bits that ``apply_circuit``, ``partial_trace``,
+``correlation`` and ``analytic_reference`` give one state or point at a time.
 
 The chart's one range rule is ``_in_chart_domain``: kappa0 finite and
 >= 0, fidelities in [0, 1].  ``write_svg_chart`` applies it to every
@@ -213,11 +213,9 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
     for u, purity in zip(AXES, purities[0].tolist()):
         if purity <= 1e-12:
             raise ValueError(f"reference output for axis {u!r} has zero purity")
-    cs = correlations(_PAULI_BASIS[1:], outs[1:]).tolist()
-    ps = (purities[1:] / purities[0]).tolist()
-    fes = analytic_curve(config.scenario, specs[1:]).tolist()
-    points = (SweepPoint(x, MetricReport.from_metrics(c, p, fe)) for x, c, p, fe in zip(config.sweep, cs, ps, fes))
-    return ScenarioResult(config, tuple(points))
+    cs = correlations(_PAULI_BASIS[1:], outs[1:])
+    reports = MetricReport.from_metrics(cs, purities[1:] / purities[0], analytic_curve(config.scenario, specs[1:]))
+    return ScenarioResult(config, tuple(map(SweepPoint, config.sweep, reports)))
 
 
 def hump_demo(config: ScenarioConfig) -> HumpReport:
@@ -247,16 +245,15 @@ def format_number(x: float) -> str:
 
 
 def emit_csv(result: ScenarioResult, path: str | Path) -> None:
-    """Write one sweep as CSV in ``CSV_HEADER`` order, deterministic bytes:
-    kappa0 to the last report field as ``format_number`` writes them, from one ``%``-template per row."""
+    """Write one sweep as CSV in ``CSV_HEADER`` order, deterministic bytes: every number as ``format_number``
+    writes it.  The text fields (``%`` escaped), ratio and purity go into the row template once."""
     cfg = result.config
-    head = f"{cfg.scenario},{cfg.kind},{cfg.coupling_case},"
-    row = ",".join(["%" + _NUMBER_SPEC] * (3 + len(_MEASURED)))
+    number = "%" + _NUMBER_SPEC
+    text = [field.replace("%", "%%") for field in (cfg.scenario, cfg.kind, cfg.coupling_case)]
+    row = ",".join([*text, number, *map(format_number, (cfg.ratio, cfg.ancilla_purity))] + [number] * len(_MEASURED))
     measured = attrgetter(*_MEASURED)
-    lines = [CSV_HEADER]
-    for pt in result.points:
-        lines.append(head + row % (pt.kappa0, cfg.ratio, cfg.ancilla_purity, *measured(pt.report)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    rows = [row % ((pt.kappa0,) + measured(pt.report)) for pt in result.points]
+    Path(path).write_text("\n".join([CSV_HEADER, *rows, ""]), encoding="utf-8", newline="\n")
 
 
 @dataclass(frozen=True)

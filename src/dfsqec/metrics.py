@@ -58,9 +58,9 @@ AXES = ("x", "y", "z")
 
 @dataclass(frozen=True)
 class MetricReport:
-    """Per-sweep-point metric bundle; its fields, in order, are the CSV's
-    measured columns.  Fe and P are recomputed from the stored
-    components on construction, never passed in."""
+    """Per-sweep-point metric bundle; its fields, in order, are the CSV's measured
+    columns.  ``from_metrics`` builds a sweep's reports from its columns; it computes
+    the Fe and P columns from the components, never takes them in."""
 
     Cx: float
     Cy: float
@@ -73,11 +73,14 @@ class MetricReport:
     P: float
 
     @classmethod
-    def from_metrics(cls, c: Sequence[float], p: Sequence[float], fe_analytic: float) -> "MetricReport":
-        """C_u and P_u each come in ``AXES`` order."""
+    def from_metrics(cls, c: np.ndarray, p: np.ndarray, fe_analytic: np.ndarray) -> tuple["MetricReport", ...]:
+        """The K reports of a sweep's ``(K, 3)`` C_u and P_u arrays, columns in ``AXES``
+        order, and ``(K,)`` closed forms: each row has the one-point formulas' bits."""
+        c, p = c.T, p.T
         # left to right, then one division: np.mean's bits on three items
         # (sum() adds floats with compensation from Python 3.12 on)
-        return cls(*c, entanglement_fidelity(c), fe_analytic, *p, (p[0] + p[1] + p[2]) / 3.0)
+        columns = (*c, entanglement_fidelity(c), fe_analytic, *p, (p[0] + p[1] + p[2]) / 3.0)
+        return tuple(map(cls, *(col.tolist() for col in columns)))
 
 
 def correlations(inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:
@@ -96,7 +99,7 @@ def correlation(input_dev: DensityMatrix, output_dev: DensityMatrix) -> float:
 
 
 def entanglement_fidelity(c: Sequence[float]) -> float:
-    """(Cx + Cy + Cz + 1)/4 for unital one-qubit dynamics."""
+    """(Cx + Cy + Cz + 1)/4 for unital one-qubit dynamics, of floats or columns."""
     cx, cy, cz = c
     return (cx + cy + cz + 1.0) / 4.0
 

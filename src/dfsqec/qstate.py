@@ -289,12 +289,16 @@ def partial_trace_stack(stack: np.ndarray, keep: Iterable[int]) -> np.ndarray:
 def hs_overlap_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Overlaps Re sum_jk conj(a_jk) b_jk of two stacks of matrices whose
     leading axes broadcast: Re tr(a b) for a Hermitian ``a``, and for a
-    self-overlap a sum of squared moduli, never negative.  An imaginary
-    part above ``OVERLAP_IMAG_TOL`` raises, the first one in C order."""
+    self-overlap a sum of squared moduli, never negative.  The first one in
+    C order that is not finite or has an imaginary part above ``OVERLAP_IMAG_TOL`` raises."""
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    vals = (np.conj(a) * b).sum((-2, -1))
-    for imag in vals.imag.ravel().tolist():
-        if abs(imag) > OVERLAP_IMAG_TOL:
-            raise ValueError(f"overlap has imaginary part {imag:.2e}; inputs must be Hermitian")
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = (np.conj(a) * b).sum((-2, -1))
+    ok = np.isfinite(vals) & (np.abs(vals.imag) <= OVERLAP_IMAG_TOL)
+    if not ok.all():
+        bad = vals.ravel()[np.argmin(ok)]
+        if not np.isfinite(bad):
+            raise ValueError(f"overlap is not finite, got {bad}; inputs must be finite")
+        raise ValueError(f"overlap has imaginary part {bad.imag:.2e}; inputs must be Hermitian")
     return vals.real

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfsqec import channels
 from dfsqec.channels import (
     INCOHERENT_SINC,
     MARKOVIAN_EXP,
@@ -383,6 +384,38 @@ class TestSweepAttenuation:
             for spec, factor in zip(specs, got):
                 want = NoiseStep(spec).factor
                 assert factor.shape == want.shape and factor.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("collective, case", LAYOUTS)
+    def test_sweeps_across_row_block_edges_give_the_point_factors(self, collective, case, kind):
+        # the joint rows come in blocks of 32: sweeps that end inside, at and past
+        # a block's edge, and the same around 8, the block of circuits a sweep runs
+        assert channels._ROWS == 32
+        for n in (1, 7, 8, 9, 17, 31, 32, 33, 65, 1001):
+            specs = [NoiseSpec(12.0 * k / n, collective, 0.5, case, kind) for k in range(n)]
+            got = list(sweep_attenuation(specs))
+            assert len(got) == n
+            for spec, factor in zip(specs, got):
+                want = attenuation(noise_layout(spec), kind)
+                assert factor.shape == want.shape and factor.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("collective, case", LAYOUTS)
+    def test_joint_columns_reproduce_each_environment_index(self, collective, case):
+        # every combination of the environments' distinct tuples is one joint
+        # tuple: 3 ** 3 for the three unit patterns, 3 * 3 * 9 with the pair
+        values, columns, index = channels._DISTINCT[collective, case]
+        envs = channels._LAYOUTS[collective, case]
+        d = 16 if collective else 8
+        assert index.shape == (d, d) and len(values) == len(columns) == len(envs)
+        assert [len(c) for c in columns] == [81 if collective else 27] * len(envs)
+        for env, parts, column in zip(envs, values, columns):
+            quarters = [_quarter_delta(np.array(w, dtype=float)) for _, w, _ in env]
+            _, env_index = np.unique(np.stack([q.ravel() for q in quarters], 1), axis=0, return_inverse=True)
+            assert (column[index] == env_index.reshape(d, d)).all()
+            for part, quarter in zip(parts, quarters):
+                assert part[column[index]].tobytes() == quarter.tobytes()
+        read_only = [index, *columns, *(v for parts in values for v in parts)]
+        assert not any(a.flags.writeable for a in read_only)
 
     def test_one_overflowing_point_fails_the_sweep_with_the_point_message(self):
         # kappa_c * Delta / 4 = 1.5e308 * 1.5 overflows at the last point

@@ -130,6 +130,18 @@ class TestSweep:
         fe = float(lines[-1].split(",")[9])
         assert fe == pytest.approx(analytic_fe_qec_independent(2.0), abs=1e-9)
 
+    def test_long_sweeps_have_their_recorded_digests(self, tmp_path):
+        # scripts/long_sweeps.sha256, which CI checks with sha256sum -c: each
+        # "# dfsqec sweep ..." comment is the sweep that writes the next file
+        lines = (Path(__file__).resolve().parents[1] / "scripts" / "long_sweeps.sha256").read_text().splitlines()
+        sweeps = [line.split()[2:] for line in lines if line.startswith("# dfsqec ")]
+        digests = [line.split() for line in lines if not line.startswith("#")]
+        assert len(sweeps) == len(digests) == 2
+        for argv, (digest, name) in zip(sweeps, digests):
+            assert argv[-2:] == ["--out", name]
+            assert main(argv[:-1] + [str(tmp_path / name)]) == 0
+            assert sha(tmp_path / name) == digest
+
     def test_deterministic_across_runs_and_jobs(self, tmp_path):
         hashes = set()
         for k, jobs in enumerate(("1", "1", "4")):

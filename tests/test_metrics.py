@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -425,12 +426,26 @@ class TestMetricReport:
         assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(MetricReport))
 
     def test_fe_recomputed_from_correlations(self):
-        rep = MetricReport.from_metrics([0.5, 0.25, 1.0], [1.0, 1.0, 1.0], fe_analytic=0.9)
+        c, p = np.array([[0.5, 0.25, 1.0]]), np.array([[1.0, 1.0, 1.0]])
+        (rep,) = MetricReport.from_metrics(c, p, fe_analytic=np.array([0.9]))
         assert rep.Fe == (0.5 + 0.25 + 1.0 + 1.0) / 4.0
         assert rep.P == 1.0
 
     def test_ideal_channel_reports_all_ones(self):
-        rep = MetricReport.from_metrics([1.0] * 3, [1.0] * 3, fe_analytic=1.0)
+        (rep,) = MetricReport.from_metrics(np.ones((1, 3)), np.ones((1, 3)), fe_analytic=np.ones(1))
         for field in (rep.Cx, rep.Cy, rep.Cz, rep.Fe, rep.Px, rep.Py, rep.Pz, rep.P):
             assert abs(field - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("purity", [1.0, 0.7, 0.3, 0.0])
+    def test_every_sweep_report_has_the_bits_of_the_one_point_formulas(self, purity):
+        # from_metrics computes Fe and P as columns: each row must have the
+        # bits of the formulas on that row's Python floats
+        for scenario, kind, case in itertools.product(codes.SCENARIOS, (INCOHERENT_SINC, MARKOVIAN_EXP), ("a", "b")):
+            result = run_scenario(ScenarioConfig(scenario, kind=kind, coupling_case=case, ancilla_purity=purity))
+            assert len(result.points) == 25
+            for point in result.points:
+                r = point.report
+                assert all(type(v) is float for v in dataclasses.astuple(r))
+                assert r.Fe.hex() == entanglement_fidelity((r.Cx, r.Cy, r.Cz)).hex()
+                assert r.P.hex() == ((r.Px + r.Py + r.Pz) / 3.0).hex()
 

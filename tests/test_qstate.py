@@ -25,6 +25,7 @@ from dfsqec.qstate import (
     pauli,
     pauli_deviation,
 )
+from dfsqec.metrics import correlations
 from .conftest import basis_state, oracle_partial_trace, random_deviation, random_state
 
 H = Operator(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
@@ -521,6 +522,35 @@ class TestHsOverlap:
         b = np.stack([eye, 1j * eye, 1j * eye])
         with pytest.raises(ValueError, match="^overlap has imaginary part 6.00e-10; inputs must be Hermitian$"):
             hs_overlap_stack(a, b)
+
+    def test_nan_overlap_raises(self):
+        # one NaN entry made the overlap [nan], which correlations passed on
+        a = np.eye(2, dtype=complex)[None]
+        b = a.copy()
+        b[0, 1, 1] = np.nan
+        with pytest.raises(ValueError, match=r"^overlap is not finite, got \(nan\+nanj\); inputs must be finite$"):
+            hs_overlap_stack(a, b)
+        with pytest.raises(ValueError, match="^overlap is not finite"):
+            correlations(a, b)
+
+    def test_overflowing_overlap_raises_without_a_warning(self):
+        # 1e200 entries overflowed to inf with an overflow RuntimeWarning
+        a = np.full((1, 2, 2), 1e200, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^overlap is not finite, got \(inf\+0j\); inputs must be finite$"):
+                hs_overlap_stack(a, a)
+            with pytest.raises(ValueError, match="^overlap is not finite"):
+                correlations(a, a)
+
+    def test_first_bad_overlap_in_c_order_raises(self):
+        # an imaginary part before a non-finite overlap, and after one
+        eye = np.eye(2, dtype=complex)
+        pairs = np.stack([eye, 1e-9j * eye, np.nan * eye])
+        with pytest.raises(ValueError, match="^overlap has imaginary part 2.00e-09"):
+            hs_overlap_stack(eye, pairs)
+        with pytest.raises(ValueError, match="^overlap is not finite"):
+            hs_overlap_stack(eye, pairs[::-1])
 
 
 def test_pauli_lookup():
