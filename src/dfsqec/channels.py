@@ -53,6 +53,7 @@ __all__ = [
     "INCOHERENT_SINC",
     "MARKOVIAN_EXP",
     "COUPLING_CASES",
+    "check_range",
     "sinc",
     "attenuation",
     "incoherent_dephase",
@@ -71,6 +72,12 @@ INCOHERENT_SINC = "incoherent_sinc"
 MARKOVIAN_EXP = "markovian_exp"
 NOISE_KINDS = (INCOHERENT_SINC, MARKOVIAN_EXP)
 COUPLING_CASES = ("a", "b")
+
+
+def check_range(name: str, value: float) -> None:
+    """The one range rule of every noise scale (kappa0, kappa3, t, epsilon): finite and >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def sinc(x):
@@ -201,8 +208,7 @@ def markov_dephase(rho: DensityMatrix, gens: Sequence[DephasingGenerator], t: fl
     """Exact Lindblad evolution for commuting z-type jump operators over
     time t; for a single-qubit generator the coherence decays as
     exp(-lambda t)."""
-    if not (0.0 <= t < math.inf):
-        raise ValueError(f"time must be >= 0 and finite, got {t}")
+    check_range("t", t)
     return _dephase(rho, [replace(g, strength=g.strength * t) for g in gens], MARKOVIAN_EXP)
 
 
@@ -255,8 +261,7 @@ def qubit3_strength_ratio(epsilon: float) -> float:
     the exact value of the ratio is (1 + eps)^2 / (1 + eps^2), but it is
     computed here from the operator-norm definition.
     """
-    if not (0.0 <= epsilon < math.inf):
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    check_range("epsilon", epsilon)
     if not math.isfinite(epsilon * epsilon):
         raise ValueError(f"epsilon squared overflows, got epsilon={epsilon}")
     # the qubit-3 components: one generator of amplitude 1 + eps, or the
@@ -291,8 +296,7 @@ class NoiseSpec:
     kind: str = INCOHERENT_SINC
 
     def __post_init__(self):
-        if not (0.0 <= self.kappa0 < math.inf):
-            raise ValueError(f"kappa0 must be finite and >= 0, got {self.kappa0}")
+        check_range("kappa0", self.kappa0)
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.coupling_case not in COUPLING_CASES:
@@ -385,7 +389,7 @@ def noise_layout(spec: NoiseSpec) -> list[list[tuple]]:
 
 def sweep_attenuation(specs: Sequence[NoiseSpec]) -> Iterator[np.ndarray]:
     """The factor ``attenuation(noise_layout(spec), spec.kind)`` of each
-    spec of a sweep, which differ only in kappa0, in order and bit for bit.
+    spec of a non-empty sweep, which differ only in kappa0, in order and bit for bit.
 
     ``attenuation`` runs once per environment, now, on its distinct
     Delta / 4 values against the sweep's ``(K, 1)`` column of strengths,
@@ -397,8 +401,6 @@ def sweep_attenuation(specs: Sequence[NoiseSpec]) -> Iterator[np.ndarray]:
     """
     if len({(s.collective, s.ratio, s.coupling_case, s.kind) for s in specs}) > 1:
         raise ValueError("a sweep's noise specs must differ only in kappa0")
-    if not specs:
-        return iter(())
     spec = specs[0]
     layout = spec.collective, spec.coupling_case
     values, columns, index = _DISTINCT[layout]

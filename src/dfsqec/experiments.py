@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import INCOHERENT_SINC, NoiseSpec
+from .channels import INCOHERENT_SINC, NoiseSpec, check_range
 from .codes import DATA_QUBIT, apply_circuit, build_scenario_circuit, scenario_layout, sweep_outputs
 from .metrics import AXES, MetricReport, analytic_curve, correlations
 from .qstate import (
@@ -102,7 +102,8 @@ _INPUT_DATA.setflags(write=False)
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Declarative description of one sweep experiment."""
+    """Declarative description of one sweep experiment; each sweep value is a kappa0 that meets ``check_range``.
+    Each run's ``NoiseSpec`` checks ``ratio`` and the per-kappa0 collective scale: ``emit_csv`` writes any ratio."""
 
     scenario: str
     kind: str = INCOHERENT_SINC
@@ -118,10 +119,8 @@ class ScenarioConfig:
         object.__setattr__(self, "ancilla_purity", self.ancilla_purity + 0.0)
         scenario_layout(self.scenario)  # raises on an unknown scenario
         NoiseSpec(0.0, kind=self.kind, coupling_case=self.coupling_case)  # raises on an unknown kind or case
-        if not all(math.isfinite(x) for x in self.sweep):
-            raise ValueError("sweep values must be finite")
-        if any(x < 0 for x in self.sweep):
-            raise ValueError("sweep values must be >= 0")
+        for x in self.sweep:
+            check_range("kappa0", x)
         if any(b <= a for a, b in zip(self.sweep, self.sweep[1:])):
             raise ValueError("sweep values must be strictly increasing")
         if not 0.0 <= self.ancilla_purity <= 1.0:

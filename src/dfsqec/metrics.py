@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import INCOHERENT_SINC, NoiseSpec, collective_scale_of, sinc
+from .channels import INCOHERENT_SINC, NoiseSpec, check_range, collective_scale_of, sinc
 from .codes import scenario_layout
 from .qstate import DensityMatrix, hs_overlap_stack
 
@@ -118,9 +118,8 @@ def analytic_fe_qec_independent(kappa0: float) -> float:
 
 def analytic_fe_qec_strong(kappa0: float, kappa3: float) -> float:
     """1/2 + (2 sinc(k0/2) + sinc(k3/2) - sinc^2(k0/2) sinc(k3/2)) / 4, at finite spreads >= 0."""
-    for name, value in (("kappa0", kappa0), ("kappa3", kappa3)):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    check_range("kappa0", kappa0)
+    check_range("kappa3", kappa3)
     s0 = float(sinc(kappa0 / 2.0))
     s3 = float(sinc(kappa3 / 2.0))
     return _fe_three_carriers(s0, s0, s3)

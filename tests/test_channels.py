@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 from fractions import Fraction
 
@@ -29,7 +30,8 @@ from dfsqec.channels import (
     sweep_attenuation,
 )
 from dfsqec.codes import NoiseStep
-from dfsqec.metrics import fit_error_rates, fit_grid
+from dfsqec.experiments import ScenarioConfig
+from dfsqec.metrics import analytic_fe_qec_strong, fit_error_rates, fit_grid
 from dfsqec.qstate import DEVIATION, DensityMatrix, maximally_mixed
 from .conftest import (
     oracle_lindblad_evolve,
@@ -440,9 +442,6 @@ class TestSweepAttenuation:
             (factor,) = sweep_attenuation([NoiseSpec(0.0, collective, 0.5, case, kind)])
             assert (factor == 1.0).all()
 
-    def test_no_specs_give_no_factors(self):
-        assert list(sweep_attenuation([])) == []
-
     def test_specs_must_differ_only_in_kappa0(self):
         for other in (NoiseSpec(1.0, ratio=0.3), NoiseSpec(1.0, coupling_case="b"), NoiseSpec(1.0, kind=MARKOVIAN_EXP)):
             with pytest.raises(ValueError, match="^a sweep's noise specs must differ only in kappa0$"):
@@ -550,6 +549,28 @@ def test_noise_spec_validation():
     with pytest.raises(ValueError, match="finite"):
         qubit3_strength_ratio(float("inf"))
     assert collective_scale_of(2.0, 0.5, INCOHERENT_SINC) == pytest.approx(4.0)
+
+
+# each site that takes a noise scale: (the scale's name, a call with the scale set to x)
+_NOISE_SCALE_SITES = {
+    "NoiseSpec": ("kappa0", lambda x: NoiseSpec(x)),
+    "ScenarioConfig": ("kappa0", lambda x: ScenarioConfig("no_qec", sweep=(x,))),
+    "analytic_fe_qec_strong-kappa0": ("kappa0", lambda x: analytic_fe_qec_strong(x, 1.0)),
+    "analytic_fe_qec_strong-kappa3": ("kappa3", lambda x: analytic_fe_qec_strong(1.0, x)),
+    "markov_dephase": ("t", lambda x: markov_dephase(maximally_mixed(1), [single(1, 1, 1.0)], x)),
+    "qubit3_strength_ratio": ("epsilon", qubit3_strength_ratio),
+}
+
+
+@pytest.mark.parametrize("site", _NOISE_SCALE_SITES)
+def test_every_noise_scale_must_be_finite_and_nonnegative(site):
+    name, call = _NOISE_SCALE_SITES[site]
+    for bad in (math.nan, math.inf, -1.0, -5e-324):
+        with pytest.raises(ValueError) as info:
+            call(bad)
+        assert str(info.value) == f"{name} must be finite and >= 0, got {bad}"
+    for zero in (0.0, -0.0):
+        call(zero)
 
 
 @pytest.mark.parametrize("kappa0, ratio", [(1e-7, 1e-157), (1e-320, 1e-170)])

@@ -136,7 +136,7 @@ class TestSweep:
         lines = (Path(__file__).resolve().parents[1] / "scripts" / "long_sweeps.sha256").read_text().splitlines()
         sweeps = [line.split()[2:] for line in lines if line.startswith("# dfsqec ")]
         digests = [line.split() for line in lines if not line.startswith("#")]
-        assert len(sweeps) == len(digests) == 2
+        assert len(sweeps) == len(digests) == 3
         for argv, (digest, name) in zip(sweeps, digests):
             assert argv[-2:] == ["--out", name]
             assert main(argv[:-1] + [str(tmp_path / name)]) == 0

@@ -21,6 +21,7 @@ from dfsqec.channels import (
     sweep_attenuation,
 )
 from dfsqec.codes import (
+    DATA_QUBIT,
     SCENARIOS,
     Circuit,
     Gate,
@@ -307,6 +308,36 @@ class TestScenarioCircuits:
             assert got.kappa0 == want.kappa0
             assert np.max(np.abs(np.subtract(astuple(got.report), astuple(want.report)))) <= 1e-14
         assert np.max(np.abs(compiled[1] - gate_level[1])) <= 1e-14
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
+    @pytest.mark.parametrize("case", ["a", "b"])
+    @pytest.mark.parametrize("purity", [0.0, 0.3, 0.7, 1.0])
+    def test_outputs_are_the_noise_factor_against_heisenberg_weights(self, scenario, kind, case, purity):
+        # R_vu = 1/2 tr(sigma_v U2 (F o U1 rho_u U1^dag) U2^dag) = sum_ij F_ij W_vu[i, j], with
+        # W_vu = 1/2 (A_v^T o B_u), A_v = U2^dag sigma_v U2 and B_u = U1 rho_u U1^dag, v and u
+        # over (I, x, y, z), rho_u the probe's inputs: one sweep is one product F @ W
+        n = scenario_layout(scenario)[0]
+        u1, u2 = (gates[0].matrix if gates else Operator(np.eye(2**n)) for gates in codes._COMPILED[scenario])
+        b = conjugate(u1, np.array([rho.entries for rho in experiments._product_inputs(purity, n)]))
+        sigma = np.array([embed(Operator(s), (DATA_QUBIT,), n).entries for s in experiments._PAULI_BASIS])
+        a = conjugate(Operator(u2.adjoint), sigma)
+        w = 0.5 * a.swapaxes(-1, -2)[:, None] * b
+        # W is Hermitian, so a real symmetric F sees only Re W
+        assert np.abs(w.imag + w.imag.swapaxes(-1, -2)).max() <= 4 * np.spacing(np.abs(w).max())
+        nonzero = {"no_qec": 4 if purity == 1.0 else 16, "qec_independent": 64}.get(scenario, 64 if purity == 1.0 else 128)
+        assert np.count_nonzero(w[1:, 1:].any(axis=(0, 1))) == nonzero
+        config = ScenarioConfig(scenario, kind=kind, coupling_case=case, ancilla_purity=purity)
+        specs = [config.noise_spec(x) for x in config.sweep]
+        r = np.einsum("kij,vuij->kvu", np.array([attenuation(noise_layout(s), kind) for s in specs]), w.real)
+        cs = [[p.report.Cx, p.report.Cy, p.report.Cz] for p in run_scenario(config).points]
+        assert len(cs) >= 20
+        assert np.abs(np.diagonal(r[:, 1:, 1:], axis1=1, axis2=2) - cs).max() <= 1e-14
+        # the 3x3 block is diagonal: the data-qubit channel is a Pauli channel
+        assert np.abs(r[:, 1:, 1:] * (1.0 - np.eye(3))).max() <= 1e-30
+        scales = np.array([1.0, 0.5, 0.5, 0.5])  # the probe's column scales, against W's 1/2
+        for k in (0, 6, 17):
+            assert np.abs(r[k] * (2.0 * scales) - pauli_transfer_matrix(scenario, specs[k], purity)).max() <= 1e-14
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_gates_are_shared_across_noise_strengths(self, scenario):
