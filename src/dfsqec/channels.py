@@ -40,7 +40,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -75,7 +75,7 @@ COUPLING_CASES = ("a", "b")
 
 
 def check_range(name: str, value: float) -> None:
-    """The one range rule of every noise scale (kappa0, kappa3, t, epsilon): finite and >= 0."""
+    """The one range rule of every noise scale (kappa0, kappa3, t, epsilon, strength): finite and >= 0."""
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
@@ -108,8 +108,7 @@ class DephasingGenerator:
             raise ValueError(f"weights must be finite, got {values}")
         if not any(values):
             raise ValueError("weights must not all be zero")
-        if not (self.strength >= 0.0):
-            raise ValueError(f"strength must be >= 0, got {self.strength}")
+        check_range("strength", self.strength)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -150,11 +149,11 @@ def _quarter_delta(weights: np.ndarray) -> np.ndarray:
 
 def _argument(env, kind: str):
     """One environment's sinc argument or Markovian exponent (see attenuation)."""
-    if len(env) == 1:
-        quarter, strength, *_ = env[0]
-        return strength * quarter if kind == INCOHERENT_SINC else strength * (2.0 * quarter) ** 2
     if kind == INCOHERENT_SINC:
         return sum(strength * quarter for quarter, strength, *_ in env)
+    if len(env) == 1:
+        quarter, strength, *_ = env[0]
+        return strength * (2.0 * quarter) ** 2
     return sum(2.0 * np.sqrt(strength) * quarter for quarter, strength, *_ in env) ** 2
 
 
@@ -191,17 +190,17 @@ def attenuation(environments: Sequence[Sequence[tuple]], kind: str) -> np.ndarra
     return factor
 
 
-def _dephase(rho: DensityMatrix, gens: Sequence[DephasingGenerator], kind: str) -> DensityMatrix:
+def _dephase(rho: DensityMatrix, gens: Sequence[DephasingGenerator], t: float, kind: str) -> DensityMatrix:
     if any(2**g.n_qubits != rho.dim for g in gens):
         raise ValueError(f"generator qubit count does not match dimension {rho.dim}")
-    environments = [[(_quarter_delta(g.weights), g.strength)] for g in gens]
+    environments = [[(_quarter_delta(g.weights), g.strength * t)] for g in gens]
     return DensityMatrix(rho.entries * attenuation(environments, kind), rho.kind)
 
 
 def incoherent_dephase(rho: DensityMatrix, gen: DephasingGenerator) -> DensityMatrix:
     """Exact uniform-phase average of exp(-i phi W / 2) conjugation:
     each matrix element is multiplied by sinc(kappa * Delta / 4)."""
-    return _dephase(rho, [gen], INCOHERENT_SINC)
+    return _dephase(rho, [gen], 1.0, INCOHERENT_SINC)
 
 
 def markov_dephase(rho: DensityMatrix, gens: Sequence[DephasingGenerator], t: float) -> DensityMatrix:
@@ -209,7 +208,7 @@ def markov_dephase(rho: DensityMatrix, gens: Sequence[DephasingGenerator], t: fl
     time t; for a single-qubit generator the coherence decays as
     exp(-lambda t)."""
     check_range("t", t)
-    return _dephase(rho, [replace(g, strength=g.strength * t) for g in gens], MARKOVIAN_EXP)
+    return _dephase(rho, gens, t, MARKOVIAN_EXP)
 
 
 def noise_strength(gens: Sequence[DephasingGenerator]) -> float:
@@ -306,7 +305,7 @@ class NoiseSpec:
         if self.collective and not (self.ratio > 0.0):
             raise ValueError(f"ratio must be > 0 with collective noise enabled, got {self.ratio}")
         if self.collective:
-            scale = collective_scale_of(self.kappa0, self.ratio, self.kind)
+            scale = collective_scale_of(float(self.kappa0), float(self.ratio), self.kind)
             if not math.isfinite(scale):
                 raise ValueError(
                     f"collective scale is not finite for kappa0={self.kappa0}, ratio={self.ratio}"
@@ -319,7 +318,7 @@ def collective_scale_of(kappa0, ratio: float, kind: str):
     if kind == INCOHERENT_SINC:
         return kappa0 / ratio
     try:
-        square = ratio**2
+        square = float(ratio) ** 2
     except OverflowError:
         square = math.inf
     if sys.float_info.min <= square < math.inf:

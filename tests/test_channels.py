@@ -30,7 +30,7 @@ from dfsqec.channels import (
     sweep_attenuation,
 )
 from dfsqec.codes import NoiseStep
-from dfsqec.experiments import ScenarioConfig
+from dfsqec.experiments import ScenarioConfig, run_scenario
 from dfsqec.metrics import analytic_fe_qec_strong, fit_error_rates, fit_grid
 from dfsqec.qstate import DEVIATION, DensityMatrix, maximally_mixed
 from .conftest import (
@@ -559,6 +559,7 @@ _NOISE_SCALE_SITES = {
     "analytic_fe_qec_strong-kappa3": ("kappa3", lambda x: analytic_fe_qec_strong(1.0, x)),
     "markov_dephase": ("t", lambda x: markov_dephase(maximally_mixed(1), [single(1, 1, 1.0)], x)),
     "qubit3_strength_ratio": ("epsilon", qubit3_strength_ratio),
+    "DephasingGenerator": ("strength", lambda x: DephasingGenerator(np.array([1.0]), x)),
 }
 
 
@@ -571,6 +572,38 @@ def test_every_noise_scale_must_be_finite_and_nonnegative(site):
         assert str(info.value) == f"{name} must be finite and >= 0, got {bad}"
     for zero in (0.0, -0.0):
         call(zero)
+
+
+def test_overflowing_rate_times_time_is_a_too_large_attenuation():
+    # strength * t is inf; the generator's own strength is in range
+    with pytest.raises(ValueError) as info:
+        markov_dephase(maximally_mixed(1), [DephasingGenerator(np.array([1.0]), 1e300)], 1e10)
+    assert str(info.value) == "noise attenuation is not finite: generator strengths are too large"
+
+
+def _outcome(call):
+    """What a call gives under -W error: its ValueError's message, a sweep's MetricReports, or its result."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = call()
+        except ValueError as error:
+            return str(error)
+    return [p.report for p in result.points] if hasattr(result, "points") else result
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: NoiseSpec(x(1e300), True, 1e-10),
+        lambda x: NoiseSpec(1.0, True, x(1e200), kind=MARKOVIAN_EXP),
+        lambda x: NoiseSpec(1.0, True, x(1e-200), kind=MARKOVIAN_EXP),
+        lambda x: run_scenario(ScenarioConfig("dfs_qec", kind=MARKOVIAN_EXP, ratio=x(1e200), sweep=(1.0,))),
+    ],
+    ids=["kappa0-overflow", "exp-square-overflow", "exp-square-underflow", "run_scenario-exp"],
+)
+def test_numpy_scalar_noise_scales_act_as_python_floats(call):
+    assert _outcome(lambda: call(np.float64)) == _outcome(lambda: call(float))
 
 
 @pytest.mark.parametrize("kappa0, ratio", [(1e-7, 1e-157), (1e-320, 1e-170)])

@@ -245,6 +245,18 @@ class TestNoiseStrength:
         assert rc == 1
         assert "unknown config field" in capsys.readouterr().err
 
+    def test_readme_example_prints_what_the_readme_shows(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        spec, printed = re.search(
+            r"`noise-strength` reads a JSON document.*?```json\n(.*?)```.*?The example above prints\n\n```\n(.*?)```",
+            readme,
+            re.S,
+        ).groups()
+        cfg = tmp_path / "spec.json"
+        cfg.write_text(spec)
+        assert main(["noise-strength", "--spec", str(cfg)]) == 0
+        assert capsys.readouterr().out == printed
+
     def test_json_fields_are_the_config_fields_plus_epsilon(self):
         fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
         assert set(_JSON_FIELDS) == fields | {"epsilon"}
