@@ -24,7 +24,8 @@ The four storage experiments are declared once, in the table
 ``_SCENARIOS``: qubit count, collective noise or not, and the gates
 before and after the noise marker, multiplied at import into the one
 ``encode`` and one ``recover`` gate that a circuit runs.  It is the only
-source of a scenario's qubit count, collectiveness and gates.
+source of a scenario's qubit count, collectiveness and gates, and
+``check_noise`` the one rule that pairs a scenario with its noise.
 
 Each validity fact is checked once, where it is used: gate targets by
 ``embed`` when a gate runs (in a block, once per run), a noise marker's
@@ -33,6 +34,14 @@ attenuation when it is computed (a sweep's, all at once, by
 when a ``Circuit`` is built, a sweep's inputs by ``sweep_outputs``, and
 the states of each ``_run_block`` block and a sweep's reduced outputs by
 one ``check_stack`` call each.
+
+A sweep of K points is K + 1 runs, its kappa0 = 0 reference first, run
+``_BLOCK`` = 8 at a time: ceil((K + 1) / 8) + 1 ``check_stack`` calls, and
+with the two on the inputs that ``experiments`` builds, 7 for the default
+25 points.  Of these only the input state's check tests positivity.  A
+transfer-matrix probe runs each of its four inputs through
+``apply_circuit``'s one-state loop, one call per run, and checks its
+data-qubit outputs with two more; three of its calls test positivity.
 """
 from __future__ import annotations
 
@@ -53,6 +62,7 @@ __all__ = [
     "SCENARIOS",
     "DATA_QUBIT",
     "scenario_layout",
+    "check_noise",
     "hadamard",
     "pauli_x",
     "cnot",
@@ -221,6 +231,17 @@ def scenario_layout(scenario: str) -> tuple[int, bool]:
     return _SCENARIOS[scenario][:2]
 
 
+def check_noise(scenario: str, collective: bool) -> int:
+    """The qubit count of a scenario, after its one noise rule: ``qec_hybrid`` and
+    ``dfs_qec`` face the collective component, ``qec_independent`` and ``no_qec``
+    no collective noise.  Circuits and closed forms both reject the other pairs."""
+    n, needs_collective = scenario_layout(scenario)
+    if collective != needs_collective:
+        need = "the collective noise component" if needs_collective else "independent noise only"
+        raise ValueError(f"{scenario} requires {need}")
+    return n
+
+
 def build_scenario_circuit(scenario: str, spec: NoiseSpec | NoiseStep) -> Circuit:
     """Assemble one of the four storage experiments around the noise
     marker ``spec``, or a new one for it, between its compiled
@@ -235,11 +256,8 @@ def build_scenario_circuit(scenario: str, spec: NoiseSpec | NoiseStep) -> Circui
     * ``dfs_qec``: the concatenated network, with the second outer
       ancilla encoded in the qubit-(3,4) pair, under collective noise.
     """
-    n, collective = scenario_layout(scenario)
     ready = isinstance(spec, NoiseStep)
-    if (spec.spec if ready else spec).collective != collective:
-        want = "the collective noise component" if collective else "independent noise only"
-        raise ValueError(f"{scenario} requires {want}")
+    n = check_noise(scenario, (spec.spec if ready else spec).collective)
     encode, recover = _COMPILED[scenario]
     return Circuit(n, encode + (spec if ready else NoiseStep(spec),) + recover)
 

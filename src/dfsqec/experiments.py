@@ -19,13 +19,12 @@ qubit 2, row 0 checked as a state and rows 1-3 as deviations, with one
 sweep rows 1-3.  A sweep of K points is one stream of K + 1 runs, run 0
 the noise-free kappa0 = 0 reference whose output purities the
 polarizations divide by.  One ``codes.sweep_outputs`` call evaluates
-their noise first, one ``channels.sweep_attenuation`` table per
-environment, then runs the circuits a block at a time (one ``_run_block``
-call each), reduces each block to the data qubit in one pass and checks
-the whole ``(K + 1, 3, 2, 2)`` output stack once.  One batched overlap over it
-gives the reference purities and the polarizations' numerators, one
-``correlations`` call the correlations, one ``analytic_curve`` call the
-closed form and one ``MetricReport.from_metrics`` call the K reports.
+them all, noise before any circuit, and returns their checked
+``(K + 1, 3, 2, 2)`` data-qubit outputs; the ``codes`` docstring says
+how.  One batched overlap over them gives the reference purities and
+the polarizations' numerators, one ``correlations`` call the
+correlations, one ``analytic_curve`` call the closed form and one
+``MetricReport.from_metrics`` call the K reports.
 Every row has the bits that ``apply_circuit``, ``partial_trace``,
 ``correlation`` and ``analytic_reference`` give one state or point at a time.
 

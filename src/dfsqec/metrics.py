@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import INCOHERENT_SINC, NoiseSpec, check_range, collective_scale_of, sinc
-from .codes import scenario_layout
+from .codes import check_noise, scenario_layout
 from .qstate import DensityMatrix, hs_overlap_stack
 
 __all__ = [
@@ -134,9 +134,10 @@ def analytic_reference(scenario: str, spec: NoiseSpec) -> float:
 def analytic_curve(scenario: str, specs: Sequence[NoiseSpec]) -> np.ndarray:
     """Ideal-ancilla closed form for a scenario at each spec's scale, one
     array with each point's bits.  The specs, each checked when built,
-    must share kind, case, ratio and collectiveness; ``qec_hybrid`` needs
-    the collective component.  The concatenated scenario is referenced to
-    the independent-noise curve: the collective component must not show."""
+    must share kind, case, ratio and collectiveness, and their noise must
+    pass the scenario's ``codes.check_noise``.  The concatenated scenario is
+    referenced to the independent-noise curve: the collective component
+    must not show."""
     scenario_layout(scenario)  # raises on an unknown scenario
     shared = {(s.kind, s.coupling_case, s.ratio, s.collective) for s in specs}
     if len(shared) > 1:
@@ -144,8 +145,7 @@ def analytic_curve(scenario: str, specs: Sequence[NoiseSpec]) -> np.ndarray:
     if not shared:
         return np.empty(0)
     ((kind, coupling_case, ratio, collective),) = shared
-    if scenario == "qec_hybrid" and not collective:
-        raise ValueError("qec_hybrid reference needs the collective component")
+    check_noise(scenario, collective)
     incoherent = kind == INCOHERENT_SINC
 
     def carrier(x: np.ndarray) -> np.ndarray:

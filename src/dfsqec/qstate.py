@@ -12,15 +12,14 @@ Conventions used everywhere in this package:
 Every ``Operator`` is unitary (the gates are unitary pulse sequences;
 construction checks ``U^dag U = I``) and keeps its adjoint, and
 ``conjugate`` is the one place that computes ``U m U^dag``: of one
-matrix by ``np.dot``, or of a stack, such as one step of a block of
+matrix by ``np.dot``, or of a stack, such as one step of a sweep's
 circuit runs, by ``np.matmul``.  ``embed`` keeps no state between calls.
 
 ``check_stack`` holds the state checks (Hermiticity, trace and, for
-states, positivity) for a ``(k, d, d)`` stack of matrices.  A
-``DensityMatrix`` runs it on a stack of one; a block of circuit runs
-(``codes._run_block``) runs it once over every intermediate state of
-the block; a sweep (``codes.sweep_outputs``) runs it once more over
-every run's reduced outputs, its reference run's included.
+states, positivity) for a ``(k, d, d)`` stack of matrices, and raises
+for the first matrix that fails.  A ``DensityMatrix`` runs it on a
+stack of one, and a sweep (``codes.sweep_outputs``) on its stacks of
+circuit states and reduced outputs, so every state is checked.
 
 The reduction and the overlap work on stacks the same way:
 ``partial_trace_stack`` and ``hs_overlap_stack`` hold the only copies of

@@ -1,5 +1,10 @@
 import ast
+import functools
+import importlib
 import inspect
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -30,3 +35,32 @@ def test_no_module_imports_a_private_name_of_another():
                 continue
             found += [f"{path.name}: {name}" for name in names if any(p.startswith("_") for p in name.split("."))]
     assert found == []
+
+
+def test_every_module_qualified_name_in_the_docs_resolves():
+    # a backticked `codes.sweep_outputs`, `dfsqec.codes` or `dfsqec.metrics.analytic_curve(...)`
+    # in README.md or in a docstring or comment of the package names something that exists
+    package = Path(qstate.__file__).parent
+    texts = [(Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")]
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                texts.append(ast.get_docstring(node, clean=False) or "")
+        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+        texts += [tok.string for tok in tokens if tok.type == tokenize.COMMENT]
+    modules = "|".join(p.stem for p in package.glob("*.py") if not p.stem.startswith("_"))
+    name = re.compile(rf"(?:dfsqec\.)?(?:{modules})(?:\.\w+)*")
+    quoted = (q.strip().split("(")[0] for text in texts for q in re.findall(r"`+([^`]+?)`+", text))
+    names = sorted({q for q in quoted if name.fullmatch(q) and "." in q})
+    assert "codes.sweep_outputs" in names
+    assert [qualified for qualified in names if not resolves(qualified)] == []
+
+
+def resolves(qualified: str) -> bool:
+    module, *attrs = qualified.removeprefix("dfsqec.").split(".")
+    try:
+        functools.reduce(getattr, attrs, importlib.import_module(f"dfsqec.{module}"))
+    except AttributeError:
+        return False
+    return True

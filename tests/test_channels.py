@@ -317,10 +317,6 @@ class TestBuildErrorModel:
         with pytest.raises(ValueError, match="ratio"):
             NoiseSpec(1.0, collective=True, ratio=0.0)
 
-    def test_nonpositive_ratio_rejected(self):
-        with pytest.raises(ValueError, match="ratio"):
-            NoiseSpec(1.0, collective=True, ratio=0.0)
-
 
 class TestAttenuation:
     @pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])

@@ -18,7 +18,7 @@ from dfsqec.channels import (
     sinc,
 )
 from dfsqec.codes import Circuit, Gate, cnot
-from dfsqec.experiments import ScenarioConfig, run_scenario
+from dfsqec.experiments import ScenarioConfig, pauli_transfer_matrix, run_scenario
 from dfsqec.metrics import (
     MetricReport,
     analytic_curve,
@@ -221,7 +221,8 @@ class TestAnalyticCurves:
 
 
 def markov(scenario: str, lambda_t: float) -> float:
-    return analytic_reference(scenario, NoiseSpec(lambda_t, kind=MARKOVIAN_EXP))
+    collective = codes.scenario_layout(scenario)[1]
+    return analytic_reference(scenario, NoiseSpec(lambda_t, collective, kind=MARKOVIAN_EXP))
 
 
 def scalar_reference(scenario: str, spec: NoiseSpec) -> float:
@@ -303,8 +304,19 @@ class TestAnalyticCurveContract:
             analytic_curve(scenario, mixed)
 
     def test_hybrid_needs_the_collective_component(self):
-        with pytest.raises(ValueError, match="^qec_hybrid reference needs the collective component$"):
+        with pytest.raises(ValueError, match="^qec_hybrid requires the collective noise component$"):
             analytic_curve("qec_hybrid", [NoiseSpec(1.0)])
+
+    @pytest.mark.parametrize("scenario", codes.SCENARIOS)
+    def test_closed_forms_reject_the_pairs_circuits_reject(self, scenario):
+        # the scenario with the other kind of noise: one rule, one message
+        spec = NoiseSpec(1.0, collective=not codes.scenario_layout(scenario)[1])
+        with pytest.raises(ValueError) as circuit:
+            pauli_transfer_matrix(scenario, spec)
+        for closed_form in (analytic_reference, lambda s, x: analytic_curve(s, [x, x])):
+            with pytest.raises(ValueError) as reference:
+                closed_form(scenario, spec)
+            assert str(reference.value) == str(circuit.value)
 
     @pytest.mark.parametrize("specs", [[], [NoiseSpec(1.0)]])
     def test_unknown_scenario_raises_with_or_without_specs(self, specs):
