@@ -64,6 +64,7 @@ __all__ = [
     "build_error_model",
     "error_model_strengths",
     "noise_layout",
+    "sweep_noise",
     "sweep_attenuation",
     "collective_scale_of",
 ]
@@ -386,9 +387,18 @@ def noise_layout(spec: NoiseSpec) -> list[list[tuple]]:
     return [[(_UNIT_QUARTERS[w], scales[scale], label, w) for label, w, scale in env] for env in envs]
 
 
+def sweep_noise(specs: Sequence[NoiseSpec]) -> tuple[NoiseSpec, np.ndarray]:
+    """A non-empty sweep's first spec and ``(K,)`` float kappa0 column; its specs share all else."""
+    if not specs:
+        raise ValueError("a sweep needs at least one noise spec")
+    if len({(s.collective, s.ratio, s.coupling_case, s.kind) for s in specs}) > 1:
+        raise ValueError("a sweep's noise specs must differ only in kappa0")
+    return specs[0], np.array([s.kappa0 for s in specs], dtype=float)
+
+
 def sweep_attenuation(specs: Sequence[NoiseSpec]) -> Iterator[np.ndarray]:
     """The factor ``attenuation(noise_layout(spec), spec.kind)`` of each
-    spec of a non-empty sweep, which differ only in kappa0, in order and bit for bit.
+    spec of a ``sweep_noise`` sweep, in order and bit for bit.
 
     ``attenuation`` runs once per environment, now, on its distinct
     Delta / 4 values against the sweep's ``(K, 1)`` column of strengths,
@@ -398,12 +408,10 @@ def sweep_attenuation(specs: Sequence[NoiseSpec]) -> Iterator[np.ndarray]:
     ``attenuation`` multiplies, into a block of ``(m,)`` joint rows, and
     gathers the block's factors through the joint ``(d, d)`` index.
     """
-    if len({(s.collective, s.ratio, s.coupling_case, s.kind) for s in specs}) > 1:
-        raise ValueError("a sweep's noise specs must differ only in kappa0")
-    spec = specs[0]
+    spec, kappa0 = sweep_noise(specs)
     layout = spec.collective, spec.coupling_case
     values, columns, index = _DISTINCT[layout]
-    scales = _scales(spec, np.array([s.kappa0 for s in specs])[:, None])
+    scales = _scales(spec, kappa0[:, None])
     envs = [[(q, scales[scale]) for q, (_, _, scale) in zip(qs, env)] for qs, env in zip(values, _LAYOUTS[layout])]
     tables = [attenuation([env], spec.kind) for env in envs]
     starts = range(0, len(specs), _ROWS)

@@ -234,11 +234,12 @@ def build_parser() -> ArgumentParser:
         prog="dfsqec", description="concatenated passive+active dephasing-code simulator"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    grid = dict(required=True, type=lambda text: parse_grid(text), help="grid as start:stop:step or comma list")
 
     p = sub.add_parser("sweep", help="run one scenario over a noise grid and write CSV")
     p.add_argument("--scenario", required=True, choices=SCENARIOS)
     p.add_argument("--kind", default="sinc", choices=sorted(KIND_ALIASES))
-    p.add_argument("--kappa0", required=True, type=parse_grid, help="grid as start:stop:step or comma list")
+    p.add_argument("--kappa0", **grid)
     p.add_argument("--ratio", type=float, default=0.5, help="kappa0/kappa_c (default 0.5)")
     p.add_argument("--case", default="a", choices=COUPLING_CASES)
     p.add_argument("--purity", type=float, default=1.0, help="ancilla purity in [0, 1]")
@@ -248,7 +249,7 @@ def build_parser() -> ArgumentParser:
 
     p = sub.add_parser("analytic", help="print a closed-form curve as CSV on stdout")
     p.add_argument("--curve", required=True, choices=tuple(ANALYTIC_CURVES))
-    p.add_argument("--kappa0", required=True, type=parse_grid, help="grid as start:stop:step or comma list")
+    p.add_argument("--kappa0", **grid)
     p.add_argument("--ratio", type=float, default=0.5, help="kappa0/kappa_c for qec-strong, > 0")
     p.set_defaults(func=_cmd_analytic)
 
@@ -280,8 +281,11 @@ def run_command(parser: argparse.ArgumentParser, argv: Sequence[str] | None = No
         return 1
 
 
+_PARSER = build_parser()  # once; its grid options call parse_grid by name, so a wrapper of it sees every grid
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    return run_command(build_parser(), argv)
+    return run_command(_PARSER, argv)
 
 
 if __name__ == "__main__":

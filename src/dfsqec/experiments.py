@@ -166,7 +166,7 @@ class HumpReport:
 
 
 def _product_inputs(ancilla_purity: float, n_qubits: int) -> tuple[DensityMatrix, ...]:
-    """The four inputs I/2, sigma_x, sigma_y, sigma_z on qubit 2, in that
+    """The four inputs I/2, sigma_x, sigma_y, sigma_z on ``DATA_QUBIT``, in that
     order, with p|0><0| + (1-p) I/2 ancillae everywhere else.  They are
     built as one stack, row 0 is checked as a state and rows 1-3 as
     deviations with one ``check_stack`` call each, and every row has the
@@ -177,8 +177,8 @@ def _product_inputs(ancilla_purity: float, n_qubits: int) -> tuple[DensityMatrix
         raise ValueError("need the data qubit plus at least one ancilla")
     p = ancilla_purity
     anc = np.array([[[(1.0 + p) / 2.0, 0.0], [0.0, (1.0 - p) / 2.0]]], dtype=complex)
-    m = anc
-    for factor in [_INPUT_DATA] + [anc] * (n_qubits - 2):
+    m, *factors = [_INPUT_DATA if q == DATA_QUBIT else anc for q in range(1, n_qubits + 1)]
+    for factor in factors:
         # np.kron(m[i], factor[i]): the same products, in the same order
         d = 2 * m.shape[-1]
         m = (m[:, :, None, :, None] * factor[:, None, :, None, :]).reshape(-1, d, d)

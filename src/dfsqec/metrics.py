@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import INCOHERENT_SINC, NoiseSpec, check_range, collective_scale_of, sinc
+from .channels import INCOHERENT_SINC, NoiseSpec, check_range, collective_scale_of, sinc, sweep_noise
 from .codes import check_noise, scenario_layout
 from .qstate import DensityMatrix, hs_overlap_stack
 
@@ -134,34 +134,30 @@ def analytic_reference(scenario: str, spec: NoiseSpec) -> float:
 def analytic_curve(scenario: str, specs: Sequence[NoiseSpec]) -> np.ndarray:
     """Ideal-ancilla closed form for a scenario at each spec's scale, one
     array with each point's bits.  The specs, each checked when built,
-    must share kind, case, ratio and collectiveness, and their noise must
+    must be a ``channels.sweep_noise`` sweep (or none), and their noise must
     pass the scenario's ``codes.check_noise``.  The concatenated scenario is
     referenced to the independent-noise curve: the collective component
     must not show."""
     scenario_layout(scenario)  # raises on an unknown scenario
-    shared = {(s.kind, s.coupling_case, s.ratio, s.collective) for s in specs}
-    if len(shared) > 1:
-        raise ValueError("specs must share kind, coupling case, ratio and collectiveness")
-    if not shared:
+    if not specs:
         return np.empty(0)
-    ((kind, coupling_case, ratio, collective),) = shared
-    check_noise(scenario, collective)
-    incoherent = kind == INCOHERENT_SINC
+    spec, x = sweep_noise(specs)
+    check_noise(scenario, spec.collective)
+    incoherent = spec.kind == INCOHERENT_SINC
 
     def carrier(x: np.ndarray) -> np.ndarray:
         # attenuation at phase spread x, or at the folded product lambda*t
         return sinc(x / 2.0) if incoherent else np.exp(-x)
 
-    x = np.array([s.kappa0 for s in specs], dtype=float)
     s0 = carrier(x)
     if scenario == "no_qec":
         return (2.0 * s0 + 2.0) / 4.0
     if scenario != "qec_hybrid":
         return _fe_three_carriers(s0, s0, s0)
-    xc = collective_scale_of(x, ratio, kind)
+    xc = collective_scale_of(x, spec.ratio, spec.kind)
     # a lambda*t sum that overflows attenuates to 0
     with np.errstate(over="ignore"):
-        if coupling_case == "a":
+        if spec.coupling_case == "a":
             # one environment: the spreads add (halved first, so the
             # sum cannot overflow); the folded products lambda*t add as
             # amplitudes on one axis.  float_power squares with C pow,

@@ -28,6 +28,7 @@ from dfsqec.channels import (
     qubit3_strength_ratio,
     sinc,
     sweep_attenuation,
+    sweep_noise,
 )
 from dfsqec.codes import NoiseStep
 from dfsqec.experiments import ScenarioConfig, run_scenario
@@ -442,6 +443,16 @@ class TestSweepAttenuation:
         for other in (NoiseSpec(1.0, ratio=0.3), NoiseSpec(1.0, coupling_case="b"), NoiseSpec(1.0, kind=MARKOVIAN_EXP)):
             with pytest.raises(ValueError, match="^a sweep's noise specs must differ only in kappa0$"):
                 sweep_attenuation([NoiseSpec(0.5), other])
+
+    def test_a_sweep_needs_a_spec(self):
+        with pytest.raises(ValueError, match="^a sweep needs at least one noise spec$"):
+            sweep_attenuation([])
+
+    def test_sweep_noise_is_the_first_spec_and_a_float_kappa0_column(self):
+        specs = [NoiseSpec(0.5, True), NoiseSpec(2, True)]
+        spec, kappa0 = sweep_noise(specs)
+        assert spec is specs[0]
+        assert kappa0.dtype == np.float64 and kappa0.tolist() == [0.5, 2.0]
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import math
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from decimal import Decimal, localcontext
@@ -608,6 +609,37 @@ def test_help_exits_0(argv, capsys):
         main(argv)
     assert info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: dfsqec")
+
+
+def test_readme_command_block_runs_line_by_line(tmp_path, monkeypatch):
+    # every dfsqec line of README's command block, in order, in a directory
+    # holding README's JSON example as config.json
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    (tmp_path / "config.json").write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in commands if argv[:1] == ["dfsqec"]]
+    assert {argv[1] for argv in commands} == {"sweep", "analytic", "noise-strength", "chart", "check"}
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+
+
+def test_main_reuses_the_parser_built_at_import(monkeypatch, capsys):
+    def rebuild():
+        raise AssertionError("main rebuilt its parser")
+
+    monkeypatch.setattr(dfsqec.cli, "build_parser", rebuild)
+    assert main(["analytic", "--curve", "no-qec", "--kappa0", "1"]) == 0
+    assert capsys.readouterr().out.startswith("kappa0,Fe\n1,")
+
+
+def test_grid_options_call_parse_grid_by_name(monkeypatch):
+    # so a wrapper bound in its place, such as the benchmark's tracer, sees every grid
+    grids = []
+    monkeypatch.setattr(dfsqec.cli, "parse_grid", lambda text: grids.append(text) or parse_grid(text))
+    assert main(["analytic", "--curve", "no-qec", "--kappa0", "0:1:0.5"]) == 0
+    assert grids == ["0:1:0.5"]
 
 
 def test_module_entry_point():

@@ -300,7 +300,7 @@ class TestAnalyticCurveContract:
         # also where the closed form reads none of the mixed fields
         spec = NoiseSpec(1.0, collective=True, ratio=0.5)
         mixed = [spec, dataclasses.replace(spec, kappa0=2.0, **other)]
-        with pytest.raises(ValueError, match="^specs must share kind, coupling case, ratio and collectiveness$"):
+        with pytest.raises(ValueError, match="^a sweep's noise specs must differ only in kappa0$"):
             analytic_curve(scenario, mixed)
 
     def test_hybrid_needs_the_collective_component(self):
