@@ -36,7 +36,8 @@ the states of each ``_run_block`` block and a sweep's reduced outputs by
 one ``check_stack`` call each.
 
 A sweep of K points is K + 1 runs, its kappa0 = 0 reference first, run
-``_BLOCK`` = 8 at a time: ceil((K + 1) / 8) + 1 ``check_stack`` calls, and
+``_BLOCK`` = 8 at a time, each block from its inputs' kappa0-independent
+encode, run once per input: ceil((K + 1) / 8) + 1 ``check_stack`` calls, and
 with the two on the inputs that ``experiments`` builds, 7 for the default
 25 points.  Of these only the input state's check tests positivity.  A
 transfer-matrix probe runs each of its four inputs through
@@ -203,7 +204,7 @@ _SCENARIOS = {
 }
 SCENARIOS = tuple(_SCENARIOS)
 DATA_QUBIT = 2  # the phase code's data qubit
-_BLOCK = 8  # circuits per _run_block call: a (8, 3, 3, 16, 16) buffer is 295 KB
+_BLOCK = 8  # circuits per _run_block call: a dfs_qec block's 3 + 8 * 3 * 2 = 51 16x16 states are 209 KB
 
 # up to sign, the entries of any product of the table's gates: 0, 1/2 and sqrt(2)/4, the last two
 # as h^2 and h^3 of its Hadamard's h = fl(1/sqrt 2); the nearest doubles are larger: Fe(0) > 1
@@ -286,24 +287,31 @@ def sweep_outputs(scenario: str, specs: Sequence[NoiseSpec], inputs: Sequence[De
 def _run_block(inputs: Sequence[DensityMatrix], circuits: Sequence[Circuit]) -> np.ndarray:
     """The read-only ``(B, k, d, d)`` final states of every input through every
     circuit of a block, which hold one ``Gate`` object or only noise markers at
-    each step.  The block runs one step position at a time into one
-    ``(B, k, steps, d, d)`` buffer: a gate is one ``conjugate`` of the whole
-    stack, a marker one ``np.multiply`` by the stacked factors.  One
-    ``check_stack`` call on the buffer, with ``DensityMatrix``'s tolerances,
-    raises the first failing state in (circuit, input, step) order."""
-    n, steps = circuits[0].n_qubits, len(circuits[0].steps)
-    states = np.empty((len(circuits), len(inputs), steps, 2**n, 2**n), dtype=complex)
-    m = np.array([rho.entries for rho in inputs])  # broadcast along the circuits
-    for column, out in zip(zip(*(c.steps for c in circuits)), np.moveaxis(states, 2, 0)):
+    each step.  The p gates before the first marker (all but the last, if
+    there is none) run once on the k inputs, and every run steps on from
+    those shared states one step position at a time: a gate is one
+    ``conjugate`` of the whole stack, a marker one ``np.multiply`` by the
+    stacked factors.  One buffer holds the k p shared states, then the
+    B k (steps - p) per-run ones, and one ``check_stack`` call on it, with
+    ``DensityMatrix``'s tolerances, raises the first failing state: shared
+    ones in (input, step) order, then per-run in (circuit, input, step)."""
+    n, k, steps = circuits[0].n_qubits, len(inputs), len(circuits[0].steps)
+    p = next((i for i, s in enumerate(circuits[0].steps) if isinstance(s, NoiseStep)), steps - 1)
+    buf = np.empty((k * p + len(circuits) * k * (steps - p), 2**n, 2**n), dtype=complex)
+    shared = buf[: k * p].reshape(k, p, 2**n, 2**n)
+    states = buf[k * p :].reshape(len(circuits), k, steps - p, 2**n, 2**n)
+    outs = [*np.moveaxis(shared, 1, 0), *np.moveaxis(states, 2, 0)]
+    m = np.array([rho.entries for rho in inputs])  # broadcast along the circuits by the first per-run step
+    for column, out in zip(zip(*(c.steps for c in circuits)), outs):
         step = column[0]
         if isinstance(step, Gate):
-            for _ in range(len(circuits) * len(inputs)):  # each run checks its gate's targets
+            for _ in range(len(circuits) * k):  # each run checks its gate's targets
                 u = embed(step.matrix, step.targets, n)
             conjugate(u, m, out=out)
         else:
             np.multiply(m, np.array([s.factor for s in column])[:, None], out=out)
         m = out
-    check_stack(states.reshape(-1, 2**n, 2**n), inputs[0].kind)
+    check_stack(buf, inputs[0].kind)
     states.setflags(write=False)
     return states[:, :, -1]
 

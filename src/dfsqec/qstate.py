@@ -178,7 +178,7 @@ def check_stack(stack: np.ndarray, kind: str) -> None:
             raise ValueError("matrix has non-finite entries")
         if herm > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian, max deviation {herm:.2e}")
-        if abs(tr.real - target) > TRACE_TOL:
+        if not abs(tr.real - target) <= TRACE_TOL:  # a NaN trace fails too
             raise ValueError(f"{kind} trace is {tr.real!r}, expected {target}")
         if lowest < STATE_MIN_EIG:
             raise ValueError(f"state has negative eigenvalue {lowest:.2e}")

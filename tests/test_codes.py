@@ -655,6 +655,41 @@ class TestCircuitPlumbing:
                         for out, rho in zip(row, inputs, strict=True):
                             assert out.tobytes() == apply_circuit(rho, circuit).entries.tobytes()
 
+    @staticmethod
+    def _dfs_block():
+        # every circuit of a dfs_qec block is (encode, marker, recover), with
+        # one encode object: k = 3 deviation inputs through B = 8 circuits
+        _, *inputs = experiments._product_inputs(0.7, 4)
+        circuits = [build_scenario_circuit("dfs_qec", NoiseSpec(0.37 * i, collective=True)) for i in range(codes._BLOCK)]
+        assert (len(inputs), len(circuits)) == (3, 8)
+        return inputs, circuits
+
+    def test_a_block_runs_its_shared_encode_once_per_input(self, monkeypatch):
+        # conjugate writes k + B k matrices, not 2 B k
+        written = []
+        monkeypatch.setattr(codes, "conjugate", lambda u, m, *, out: written.append(out.shape[:-2]) or conjugate(u, m, out=out))
+        codes._run_block(*self._dfs_block())
+        assert written == [(3,), (8, 3)]
+
+    def test_a_block_checks_each_distinct_state_once(self, monkeypatch):
+        # the one check reads the k shared encoded states and the B k (steps - 1)
+        # per-run ones: k + 2 B k = 51 matrices, not 3 B k = 72
+        checked = []
+        monkeypatch.setattr(codes, "check_stack", lambda stack, kind: checked.append(len(stack)) or check_stack(stack, kind))
+        codes._run_block(*self._dfs_block())
+        assert checked == [51]
+
+    def test_a_block_without_a_marker_runs_its_last_gate_per_run(self):
+        # every gate but the last is shared, and the final states still
+        # have apply_circuit's bits
+        circuit = Circuit(3, (cnot(1, 2), hadamard(2), cnot(2, 3)))
+        _, *inputs = experiments._product_inputs(0.3, 3)
+        block = codes._run_block(inputs, [circuit] * 3)
+        assert block.shape == (3, len(inputs), 8, 8) and not block.flags.writeable
+        for row in block:
+            for out, rho in zip(row, inputs, strict=True):
+                assert out.tobytes() == apply_circuit(rho, circuit).entries.tobytes()
+
     def test_empty_circuit_returns_its_input(self):
         rho = basis_state("01")
         assert apply_circuit(rho, Circuit(2, ())) is rho

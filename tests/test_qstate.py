@@ -140,6 +140,18 @@ class TestCheckStack:
             with pytest.raises(ValueError, match="^matrix is not Hermitian, max deviation inf$"):
                 DensityMatrix(stack[0], kind)
 
+    def test_finite_matrix_whose_trace_sums_to_nan_is_rejected(self):
+        # exact trace 5, but the pairwise diagonal sum meets inf + -inf
+        bad = np.diag([1e308, -1e308, 5.0] + [0.0] * 5 + [1e308, -1e308] + [0.0] * 6).astype(complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(bad).all() and np.isnan(bad.trace())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^deviation trace is nan, expected 0$"):
+                DensityMatrix(bad, DEVIATION)
+            with pytest.raises(ValueError, match="^deviation trace is nan, expected 0$"):
+                check_stack(np.array([np.zeros((16, 16)), bad]), DEVIATION)
+
     @pytest.mark.parametrize("kind, entries", [(DEVIATION, [[np.nan, 0], [0, np.nan]]), (STATE, [[np.nan, 0], [0, 1]])])
     def test_nan_matrices_are_rejected(self, kind, entries):
         with pytest.raises(ValueError, match="non-finite"):
