@@ -31,8 +31,12 @@ case "b" puts them in two environments.
 A sweep varies only the strengths, so each environment's attenuation
 over a whole sweep is one table of its few distinct Delta / 4 values
 against the sweep's strengths, and ``sweep_attenuation`` multiplies the
-tables at the m joint tuples that a layout's matrix entries take (27 on
-3 qubits, 81 on 4).  The DFS protection is the collective pair's Delta = 0 column.
+tables at the m joint tuples that a layout's matrix entries take (14 on
+3 qubits, 41 on 4).  The DFS protection is the collective pair's Delta = 0 column.
+A factor F is a Schur multiplier rho -> F o rho, a channel iff F is real,
+symmetric, of unit diagonal and PSD (Paulsen, ch. 3; Havel, J. Math. Phys.
+44, 534 (2003)): the index makes F symmetric, and ``sweep_attenuation``
+certifies |F| <= 1 and a unit diagonal before any circuit runs.
 """
 from __future__ import annotations
 
@@ -359,15 +363,17 @@ def _distinct_tuples(arrays) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
 def _distinct(envs) -> tuple[tuple, tuple[np.ndarray, ...], np.ndarray]:
     """A layout's tables: each environment's distinct (Delta / 4 of each part) tuples,
     one ``(m_e,)`` vector per part; the joint tuples of their indices, one ``(m,)``
-    column per environment; and the ``(d, d)`` index of each entry into the latter."""
-    values, indices = zip(*(_distinct_tuples([_UNIT_QUARTERS[w] for _, w, _ in env]) for env in envs))
+    column per environment; and the symmetric ``(d, d)`` index of each entry into the
+    latter: sinc and the Gaussian are even, so each Delta / 4 is its upper triangle, mirrored."""
+    mirror = [[np.triu(q) + np.triu(q, 1).T for q in (_UNIT_QUARTERS[w] for _, w, _ in env)] for env in envs]
+    values, indices = zip(*map(_distinct_tuples, mirror))
     return (values, *_distinct_tuples(indices))
 
 
-# each layout's _distinct tables, built once: 3 values for a unit pattern,
-# 5 for the collective pair, 9 pairs for case "a"'s two parts; 27 joint
-# tuples of the 64 entries on 3 qubits, 81 of the 256 on 4
+# each layout's _distinct tables, built once: 14 joint tuples of the 64 entries on 3 qubits, 41 of
+# the 256 on 4; each index is symmetric, its diagonal one class, so every gathered factor is symmetric
 _DISTINCT = {layout: _distinct(envs) for layout, envs in _LAYOUTS.items()}
+assert all((i == i.T).all() and len(set(i.diagonal())) == 1 for _, _, i in _DISTINCT.values())
 _ROWS = 32  # sweep points per block of joint factor rows
 
 
@@ -403,8 +409,9 @@ def sweep_attenuation(specs: Sequence[NoiseSpec]) -> Iterator[np.ndarray]:
     ``attenuation`` runs once per environment, now, on its distinct
     Delta / 4 values against the sweep's ``(K, 1)`` column of strengths,
     so a non-finite factor anywhere in the sweep raises before this
-    returns.  The iterator multiplies the ``(K, m_e)`` tables at their
-    joint columns, ``_ROWS`` points at a time and in layout order as
+    returns, as does an entry past 1 in magnitude or a diagonal one not 1.
+    The iterator multiplies the ``(K, m_e)`` tables at their joint
+    columns, ``_ROWS`` points at a time and in layout order as
     ``attenuation`` multiplies, into a block of ``(m,)`` joint rows, and
     gathers the block's factors through the joint ``(d, d)`` index.
     """
@@ -414,6 +421,8 @@ def sweep_attenuation(specs: Sequence[NoiseSpec]) -> Iterator[np.ndarray]:
     scales = _scales(spec, kappa0[:, None])
     envs = [[(q, scales[scale]) for q, (_, _, scale) in zip(qs, env)] for qs, env in zip(values, _LAYOUTS[layout])]
     tables = [attenuation([env], spec.kind) for env in envs]
+    if not all((abs(t) <= 1.0).all() and (t[:, c[index[0, 0]]] == 1.0).all() for t, c in zip(tables, columns)):
+        raise ValueError("noise attenuation is not a dephasing channel: |factor| > 1, or a diagonal factor is not 1")
     starts = range(0, len(specs), _ROWS)
     blocks = (functools.reduce(operator.mul, [t[k : k + _ROWS, c] for t, c in zip(tables, columns)]) for k in starts)
     return (factor for block in blocks for factor in block[:, index])

@@ -29,19 +29,19 @@ source of a scenario's qubit count, collectiveness and gates, and
 
 Each validity fact is checked once, where it is used: gate targets by
 ``embed`` when a gate runs (in a block, once per run), a noise marker's
-attenuation when it is computed (a sweep's, all at once, by
-``channels.sweep_attenuation``), step types and noise factor shapes
-when a ``Circuit`` is built, a sweep's inputs by ``sweep_outputs``, and
-the states of each ``_run_block`` block and a sweep's reduced outputs by
-one ``check_stack`` call each.
+attenuation when it is computed (a sweep's, all at once, and certified
+a channel, by ``channels.sweep_attenuation``), step types and noise
+factor shapes when a ``Circuit`` is built, and a sweep's inputs and
+reduced outputs by ``sweep_outputs``.  The gates are exact (``_compile``)
+and the factors channels, so a block's states are not checked.
 
 A sweep of K points is K + 1 runs, its kappa0 = 0 reference first, run
 ``_BLOCK`` = 8 at a time, each block from its inputs' kappa0-independent
-encode, run once per input: ceil((K + 1) / 8) + 1 ``check_stack`` calls, and
-with the two on the inputs that ``experiments`` builds, 7 for the default
-25 points.  Of these only the input state's check tests positivity.  A
-transfer-matrix probe runs each of its four inputs through
-``apply_circuit``'s one-state loop, one call per run, and checks its
+encode, run once per input, and one ``check_stack`` call on its outputs:
+with the two on the inputs that ``experiments`` builds, 3 at any K.  Of
+these only the input state's check tests positivity.  A transfer-matrix
+probe runs each of its four inputs through ``apply_circuit``'s one-state
+loop, which checks every state, one call per run, and checks its
 data-qubit outputs with two more; three of its calls test positivity.
 """
 from __future__ import annotations
@@ -204,7 +204,7 @@ _SCENARIOS = {
 }
 SCENARIOS = tuple(_SCENARIOS)
 DATA_QUBIT = 2  # the phase code's data qubit
-_BLOCK = 8  # circuits per _run_block call: a dfs_qec block's 3 + 8 * 3 * 2 = 51 16x16 states are 209 KB
+_BLOCK = 8  # circuits per _run_block call: a dfs_qec block's (8, 3, 16, 16) stack of states is 98 KB
 
 # up to sign, the entries of any product of the table's gates: 0, 1/2 and sqrt(2)/4, the last two
 # as h^2 and h^3 of its Hadamard's h = fl(1/sqrt 2); the nearest doubles are larger: Fe(0) > 1
@@ -266,7 +266,7 @@ def build_scenario_circuit(scenario: str, spec: NoiseSpec | NoiseStep) -> Circui
 def sweep_outputs(scenario: str, specs: Sequence[NoiseSpec], inputs: Sequence[DensityMatrix]) -> np.ndarray:
     """The read-only ``(K, k, 2, 2)`` ``DATA_QUBIT`` outputs of the scenario at each
     of a sweep's K specs, on each of k inputs of one kind.  All factors are evaluated
-    first, then ``_BLOCK`` circuits at a time are built, run and reduced, and one
+    and certified first, then ``_BLOCK`` circuits at a time are built, run and reduced, and one
     ``check_stack`` call on the whole stack raises the first bad (spec, input) output."""
     if not (specs and inputs):
         raise ValueError("need at least one spec and one input")
@@ -287,33 +287,20 @@ def sweep_outputs(scenario: str, specs: Sequence[NoiseSpec], inputs: Sequence[De
 def _run_block(inputs: Sequence[DensityMatrix], circuits: Sequence[Circuit]) -> np.ndarray:
     """The read-only ``(B, k, d, d)`` final states of every input through every
     circuit of a block, which hold one ``Gate`` object or only noise markers at
-    each step.  The p gates before the first marker (all but the last, if
-    there is none) run once on the k inputs, and every run steps on from
-    those shared states one step position at a time: a gate is one
-    ``conjugate`` of the whole stack, a marker one ``np.multiply`` by the
-    stacked factors.  One buffer holds the k p shared states, then the
-    B k (steps - p) per-run ones, and one ``check_stack`` call on it, with
-    ``DensityMatrix``'s tolerances, raises the first failing state: shared
-    ones in (input, step) order, then per-run in (circuit, input, step)."""
-    n, k, steps = circuits[0].n_qubits, len(inputs), len(circuits[0].steps)
-    p = next((i for i, s in enumerate(circuits[0].steps) if isinstance(s, NoiseStep)), steps - 1)
-    buf = np.empty((k * p + len(circuits) * k * (steps - p), 2**n, 2**n), dtype=complex)
-    shared = buf[: k * p].reshape(k, p, 2**n, 2**n)
-    states = buf[k * p :].reshape(len(circuits), k, steps - p, 2**n, 2**n)
-    outs = [*np.moveaxis(shared, 1, 0), *np.moveaxis(states, 2, 0)]
-    m = np.array([rho.entries for rho in inputs])  # broadcast along the circuits by the first per-run step
-    for column, out in zip(zip(*(c.steps for c in circuits)), outs):
+    each step.  A gate is one ``conjugate`` of the whole stack, a marker one
+    ``np.multiply`` by the stacked factors: the stack is the k inputs up to
+    the first marker, so the shared gates run once per input, and B k after it."""
+    n, k = circuits[0].n_qubits, len(inputs)
+    m = np.array([rho.entries for rho in inputs])
+    for column in zip(*(c.steps for c in circuits)):
         step = column[0]
         if isinstance(step, Gate):
             for _ in range(len(circuits) * k):  # each run checks its gate's targets
                 u = embed(step.matrix, step.targets, n)
-            conjugate(u, m, out=out)
+            m = conjugate(u, m)
         else:
-            np.multiply(m, np.array([s.factor for s in column])[:, None], out=out)
-        m = out
-    check_stack(buf, inputs[0].kind)
-    states.setflags(write=False)
-    return states[:, :, -1]
+            m = m * np.array([s.factor for s in column])[:, None]
+    return np.broadcast_to(m, (len(circuits), k, 2**n, 2**n))
 
 
 def apply_circuit(

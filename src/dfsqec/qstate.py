@@ -18,8 +18,8 @@ circuit runs, by ``np.matmul``.  ``embed`` keeps no state between calls.
 ``check_stack`` holds the state checks (Hermiticity, trace and, for
 states, positivity) for a ``(k, d, d)`` stack of matrices, and raises
 for the first matrix that fails.  A ``DensityMatrix`` runs it on a
-stack of one, and a sweep (``codes.sweep_outputs``) on its stacks of
-circuit states and reduced outputs, so every state is checked.
+stack of one, ``codes.apply_circuit`` on the states of its run, and a
+sweep (``codes.sweep_outputs``) on its reduced outputs.
 
 The reduction and the overlap work on stacks the same way:
 ``partial_trace_stack`` and ``hs_overlap_stack`` hold the only copies of

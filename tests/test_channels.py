@@ -363,6 +363,9 @@ class TestAttenuation:
 SWEEP_RATIOS = (1e-17, 1e-3, 0.3, 1.7, 1e5, 1e160)
 SWEEP_KAPPAS = (0.0, 1e-320, 2.9, 6.0, 1e100, 1e300)
 LAYOUTS = [(False, "a"), (False, "b"), (True, "a"), (True, "b")]
+# the channel properties' grid: 401 kappa0 in [0, 60], then up to 1e12, at these ratios
+CHANNEL_KAPPAS = np.array([*np.linspace(0.0, 60.0, 401), 1e3, 1e6, 1e9, 1e12])
+CHANNEL_RATIOS = (0.05, 0.5, 1.0, 5.0, 20.0)
 
 
 class TestSweepAttenuation:
@@ -400,21 +403,47 @@ class TestSweepAttenuation:
 
     @pytest.mark.parametrize("collective, case", LAYOUTS)
     def test_joint_columns_reproduce_each_environment_index(self, collective, case):
-        # every combination of the environments' distinct tuples is one joint
-        # tuple: 3 ** 3 for the three unit patterns, 3 * 3 * 9 with the pair
+        # the joint tuples are those of the upper triangle, mirrored: 14 of the
+        # 64 entries on 3 qubits, 41 of the 256 on 4, and the index is symmetric
         values, columns, index = channels._DISTINCT[collective, case]
         envs = channels._LAYOUTS[collective, case]
         d = 16 if collective else 8
         assert index.shape == (d, d) and len(values) == len(columns) == len(envs)
-        assert [len(c) for c in columns] == [81 if collective else 27] * len(envs)
+        assert (index == index.T).all()
+        assert [len(c) for c in columns] == [41 if collective else 14] * len(envs)
         for env, parts, column in zip(envs, values, columns):
             quarters = [_quarter_delta(np.array(w, dtype=float)) for _, w, _ in env]
-            _, env_index = np.unique(np.stack([q.ravel() for q in quarters], 1), axis=0, return_inverse=True)
+            mirrored = [np.triu(q) + np.triu(q, 1).T for q in quarters]
+            _, env_index = np.unique(np.stack([q.ravel() for q in mirrored], 1), axis=0, return_inverse=True)
             assert (column[index] == env_index.reshape(d, d)).all()
-            for part, quarter in zip(parts, quarters):
-                assert part[column[index]].tobytes() == quarter.tobytes()
+            for part, mirror in zip(parts, mirrored):
+                assert part[column[index]].tobytes() == mirror.tobytes()
         read_only = [index, *columns, *(v for parts in values for v in parts)]
         assert not any(a.flags.writeable for a in read_only)
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("collective, case", LAYOUTS)
+    def test_every_gathered_factor_is_a_channel(self, collective, case, kind):
+        # a Schur multiplier rho -> F o rho is a channel iff F is real,
+        # symmetric, of unit diagonal and positive semidefinite; |F| <= 1
+        # keeps the entries bounded
+        for ratio in CHANNEL_RATIOS:
+            specs = [NoiseSpec(k, collective, ratio, case, kind) for k in CHANNEL_KAPPAS]
+            factors = np.array(list(sweep_attenuation(specs)))
+            assert factors.dtype == np.float64 and factors.shape[0] == len(specs)
+            assert (factors == factors.swapaxes(1, 2)).all()
+            assert (factors.diagonal(0, 1, 2) == 1.0).all() and (abs(factors) <= 1.0).all()
+            assert np.linalg.eigvalsh(factors)[:, 0].min() >= -1e-12
+
+    @pytest.mark.parametrize("collective, case", LAYOUTS)
+    def test_sinc_is_even_bit_for_bit_on_the_table_arguments(self, collective, case):
+        # the mirrored classes give entry (j, i) the factor of (i, j), whose
+        # sinc argument is the negated one
+        for ratio in CHANNEL_RATIOS:
+            scales = channels._scales(NoiseSpec(0.0, collective, ratio, case), CHANNEL_KAPPAS[:, None, None])
+            for env in channels._LAYOUTS[collective, case]:
+                x = sum(scales[scale] * channels._UNIT_QUARTERS[w] for _, w, scale in env)
+                assert sinc(-x).tobytes() == sinc(x).tobytes()
 
     def test_one_overflowing_point_fails_the_sweep_with_the_point_message(self):
         # kappa_c * Delta / 4 = 1.5e308 * 1.5 overflows at the last point

@@ -665,23 +665,15 @@ class TestCircuitPlumbing:
         return inputs, circuits
 
     def test_a_block_runs_its_shared_encode_once_per_input(self, monkeypatch):
-        # conjugate writes k + B k matrices, not 2 B k
-        written = []
-        monkeypatch.setattr(codes, "conjugate", lambda u, m, *, out: written.append(out.shape[:-2]) or conjugate(u, m, out=out))
+        # conjugate steps k + B k matrices, not 2 B k
+        stepped = []
+        monkeypatch.setattr(codes, "conjugate", lambda u, m: stepped.append(m.shape[:-2]) or conjugate(u, m))
         codes._run_block(*self._dfs_block())
-        assert written == [(3,), (8, 3)]
+        assert stepped == [(3,), (8, 3)]
 
-    def test_a_block_checks_each_distinct_state_once(self, monkeypatch):
-        # the one check reads the k shared encoded states and the B k (steps - 1)
-        # per-run ones: k + 2 B k = 51 matrices, not 3 B k = 72
-        checked = []
-        monkeypatch.setattr(codes, "check_stack", lambda stack, kind: checked.append(len(stack)) or check_stack(stack, kind))
-        codes._run_block(*self._dfs_block())
-        assert checked == [51]
-
-    def test_a_block_without_a_marker_runs_its_last_gate_per_run(self):
-        # every gate but the last is shared, and the final states still
-        # have apply_circuit's bits
+    def test_a_block_without_a_marker_broadcasts_each_inputs_final_state(self):
+        # every gate runs once per input, and each run's final state still
+        # has apply_circuit's bits
         circuit = Circuit(3, (cnot(1, 2), hadamard(2), cnot(2, 3)))
         _, *inputs = experiments._product_inputs(0.3, 3)
         block = codes._run_block(inputs, [circuit] * 3)

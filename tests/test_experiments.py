@@ -28,7 +28,7 @@ from dfsqec.experiments import (
     write_svg_chart,
     ChartSeries,
 )
-from dfsqec.codes import SCENARIOS, NoiseStep, apply_circuit, build_scenario_circuit
+from dfsqec.codes import SCENARIOS, apply_circuit, build_scenario_circuit
 from dfsqec.qstate import (
     DEVIATION,
     STATE,
@@ -379,8 +379,7 @@ class TestRunScenario:
     def test_a_sweep_runs_its_reference_and_points_as_one_stream(self, points, monkeypatch):
         # the reference run is row 0 of the points' blocks: one sweep_outputs
         # call, ceil((K + 1) / BLOCK) _run_block calls, and, besides the
-        # two input checks and each block's state check, one check_stack
-        # call on the outputs
+        # two input checks, one check_stack call on the outputs
         calls = {"outputs": 0, "runs": 0, "checks": 0}
         monkeypatch.setattr(experiments, "sweep_outputs", counted(calls, "outputs", codes.sweep_outputs))
         monkeypatch.setattr(codes, "_run_block", counted(calls, "runs", _run_block))
@@ -389,7 +388,7 @@ class TestRunScenario:
         config = ScenarioConfig("dfs_qec", sweep=tuple(0.5 * k for k in range(points)))
         assert len(run_scenario(config).points) == points
         runs = math.ceil((points + 1) / BLOCK)
-        assert calls == {"outputs": 1, "runs": runs, "checks": 2 + runs + 1}
+        assert calls == {"outputs": 1, "runs": runs, "checks": 2 + 1}
 
     @pytest.mark.parametrize("scenario, gates", [("no_qec", 0), ("dfs_qec", 2)])
     def test_a_sweep_builds_each_circuit_once_and_embeds_each_gate_once_per_run(self, scenario, gates, monkeypatch):
@@ -479,31 +478,32 @@ class TestStackedPath:
         self._assert_rows_are_the_per_state_path(config)
 
     def test_bad_noise_factors_across_a_block_boundary_raise_the_first_ones_message(self, monkeypatch):
-        # the last row of the first block and the first of the second, after
-        # the reference run's row 0 the points BLOCK - 2 and BLOCK - 1, get
-        # different non-Hermitian factors; the sweep raises what
-        # apply_circuit raises for the first of them, run alone
+        # a table row of the last environment, at the last point of the first
+        # block or the first of the second (after the reference run's row 0),
+        # with an entry past 1 in magnitude, a NaN, or its diagonal class not 1:
+        # the sweep's certificate raises before any circuit runs.  A skewed
+        # factor cannot be built, since the joint index is symmetric
         config = ScenarioConfig("dfs_qec", sweep=tuple(0.5 * k for k in range(2 * BLOCK)))
-        skew = {BLOCK - 1: 1e-6, BLOCK: 2e-6}
-        upper = np.triu(np.ones((16, 16)), 1)
+        _, columns, index = channels._DISTINCT[True, "a"]
+        diagonal, other = columns[-1][index[0, 0]], columns[-1][index[0, 3]]
+        assert diagonal != other
+        runs = []
+        monkeypatch.setattr(codes, "_run_block", lambda *a: runs.append(a) or _run_block(*a))
+        for row, column, value in [(BLOCK - 1, other, 1.0 + 2**-52), (BLOCK, other, math.nan), (BLOCK, diagonal, 1.0 - 2**-53)]:
+            calls = []
 
-        def skewed(specs):
-            factors = channels.sweep_attenuation(specs)
-            return (f * (1.0 + skew[k] * upper) if k in skew else f for k, f in enumerate(factors))
+            def bad(envs, kind):
+                table = attenuation(envs, kind)
+                calls.append(table)
+                if len(calls) == len(columns):
+                    table[row, column] = value
+                return table
 
-        specs = [config.noise_spec(x) for x in (0.0, *config.sweep)]
-        messages = []
-        for k, factor in enumerate(skewed(specs)):
-            if k in skew:
-                circuit = build_scenario_circuit("dfs_qec", NoiseStep(specs[k], factor))
-                with pytest.raises(ValueError, match="^matrix is not Hermitian") as info:
-                    apply_circuit(prepare_inputs("x", 1.0, 4), circuit)
-                messages.append(str(info.value))
-        assert messages[0] != messages[1]
-        monkeypatch.setattr(codes, "sweep_attenuation", skewed)
-        with pytest.raises(ValueError) as info:
-            run_scenario(config)
-        assert str(info.value) == messages[0]
+            monkeypatch.setattr(channels, "attenuation", bad)
+            with pytest.raises(ValueError) as info:
+                run_scenario(config)
+            assert str(info.value) == "noise attenuation is not a dephasing channel: |factor| > 1, or a diagonal factor is not 1"
+            assert runs == [] and len(calls) == len(columns)
 
     @staticmethod
     def _fake_outputs(monkeypatch, make):
