@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -265,6 +266,8 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 # XML escapes for series labels; xml.sax.saxutils would import urllib, http and ssl
 _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+# what no escape can put in XML 1.0: C0 controls but tab, LF and CR, surrogates, U+FFFE and U+FFFF
+_XML_FORBIDDEN = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _in_chart_domain(x: float, y: float) -> bool:
@@ -324,10 +327,14 @@ def load_csv_series(path: str | Path) -> list[ChartSeries]:
 def write_svg_chart(series: Sequence[ChartSeries], path: str | Path) -> None:
     """Draw the series as one SVG: points as markers, curves as lines, one
     legend entry per series.  The domain is kappa0 finite and >= 0, y in
-    [0, 1]; no series, or a point or curve value outside it (NaN is),
-    raises ValueError before the file is opened."""
+    [0, 1]; no series, a label with a character that XML 1.0 forbids, or a
+    point or curve value outside the domain (NaN is), raises ValueError
+    before the file is opened."""
     if not series:
         raise ValueError("need at least one series")
+    for s in series:
+        if _XML_FORBIDDEN.search(s.label):
+            raise ValueError(f"series {s.label!r} has a character that XML 1.0 forbids")
     values = [(s.label, x, y) for s in series for x, y in (*s.points, *(s.curve or ()))]
     for label, x, y in values:
         if not _in_chart_domain(x, y):

@@ -28,19 +28,16 @@ from dfsqec.experiments import (
     write_svg_chart,
     ChartSeries,
 )
-from dfsqec.codes import SCENARIOS, apply_circuit, build_scenario_circuit
+from dfsqec.codes import SCENARIOS, build_scenario_circuit
 from dfsqec.qstate import (
     DEVIATION,
     STATE,
     DensityMatrix,
-    hs_overlap_stack,
     partial_trace,
-    pauli,
     pauli_deviation,
 )
 from dfsqec.cli import CHECK_TOL
-from dfsqec.metrics import MetricReport, analytic_reference, correlation
-from .conftest import basis_state
+from dfsqec.metrics import MetricReport, analytic_reference
 
 
 def file_hash(path) -> str:
@@ -293,30 +290,6 @@ class TestRunScenario:
             for point, want in zip(points, bare):
                 assert np.max(np.abs(np.subtract(dataclasses.astuple(point.report), dataclasses.astuple(want.report)))) <= CHECK_TOL
 
-    @pytest.mark.parametrize("case", COUPLING_CASES)
-    @pytest.mark.parametrize("kind", NOISE_KINDS)
-    @pytest.mark.parametrize("scenario", SCENARIOS)
-    @settings(max_examples=2, deadline=None)
-    @given(st.floats(0.0, 1.0), st.floats(-2.0, 2.0), st.floats(0.1, 20.0))
-    def test_data_qubit_channel_is_a_pauli_channel(self, scenario, kind, case, purity, log_ratio, stop):
-        # a Pauli channel R = diag(1, lambda) gives C_u = lambda_u, and P_u,
-        # the output's squared norm over the noise-free run's, is then
-        # (C_u / C_u at kappa0 = 0)^2
-        for ancilla_purity in (1.0, 0.7, 0.3, 0.0, purity):
-            config = ScenarioConfig(
-                scenario,
-                kind=kind,
-                sweep=np.linspace(0.0, stop, 25),
-                ratio=10.0**log_ratio,
-                coupling_case=case,
-                ancilla_purity=ancilla_purity,
-            )
-            points = run_scenario(config).points
-            zero = points[0].report
-            for r in (point.report for point in points):
-                for c, c0, p in ((r.Cx, zero.Cx, r.Px), (r.Cy, zero.Cy, r.Py), (r.Cz, zero.Cz, r.Pz)):
-                    assert abs(p - (c / c0) ** 2) <= 1e-14
-
     def test_fe_range_across_scenarios(self):
         for scenario in ("qec_independent", "qec_hybrid", "no_qec", "dfs_qec"):
             res = run_scenario(ScenarioConfig(scenario))
@@ -403,80 +376,8 @@ class TestRunScenario:
         assert len(run_scenario(ScenarioConfig(scenario, sweep=tuple(0.5 * k for k in range(points)))).points) == points
         assert calls == {"builds": points + 1, "embeds": (points + 1) * 3 * gates}
 
-    def test_state_mode_matches_deviation_mode(self):
-        # a pure data input (I + sigma_u)/2 in place of the deviation
-        # sigma_u yields the same correlation tr(sigma_u E(rho)) for
-        # these unital circuits
-        cfg = ScenarioConfig("qec_independent", sweep=(0.0, 1.0, 3.0))
-        res = run_scenario(cfg)
-        zero = basis_state("0").entries
-        for point in res.points:
-            circuit = build_scenario_circuit(cfg.scenario, cfg.noise_spec(point.kappa0))
-            for axis in ("x", "y", "z"):
-                data = (np.eye(2) + pauli(axis).entries) / 2.0
-                rho = DensityMatrix(np.kron(np.kron(zero, data), zero))
-                out = partial_trace(apply_circuit(rho, circuit), {2})
-                c = float(np.trace(pauli(axis).entries @ out.entries).real)
-                assert getattr(point.report, "C" + axis) == pytest.approx(c, abs=1e-12)
-
-    def test_parallel_equals_serial(self):
-        # jobs is accepted for compatibility and has no effect
-        cfg = ScenarioConfig("dfs_qec", sweep=tuple(DEFAULT_SWEEP[:8]))
-        serial = run_scenario(cfg, jobs=1)
-        parallel = run_scenario(cfg, jobs=4)
-        for a, b in zip(serial.points, parallel.points):
-            assert a.report == b.report
-
-
-# a few points through both sinc zeros; 0 is the reference run's point
-STACK_SWEEP = (0.0, 0.8, 2.9, 5.3)
-
 
 class TestStackedPath:
-    @staticmethod
-    def _assert_rows_are_the_per_state_path(config):
-        # every sweep row has the bits of apply_circuit and partial_trace
-        # run one state and one point at a time
-        result = run_scenario(config)
-        n = build_scenario_circuit(config.scenario, config.noise_spec(0.0)).n_qubits
-        # the transfer-matrix inputs: a state, then the three deviations
-        inputs = experiments._product_inputs(config.ancilla_purity, n)
-
-        def per_state(circuit):
-            return {key: partial_trace(apply_circuit(rho, circuit), {2}) for key, rho in zip("Ixyz", inputs)}
-
-        refs = per_state(build_scenario_circuit(config.scenario, config.noise_spec(0.0)))
-        specs = [config.noise_spec(x) for x in config.sweep]
-        circuits = [build_scenario_circuit(config.scenario, spec) for spec in specs]
-        # the state column, then the sweep's layout: the three deviation columns
-        stacked = np.concatenate([codes.sweep_outputs(config.scenario, specs, ins) for ins in (inputs[:1], inputs[1:])], 1)
-        assert stacked.shape == (len(config.sweep), 4, 2, 2)
-        for point, circuit, rows in zip(result.points, circuits, stacked, strict=True):
-            outs = per_state(circuit)
-            for row, out in zip(rows, outs.values()):
-                # array_equal, and the sign of zero too
-                assert row.tobytes() == out.entries.tobytes()
-            for u in "xyz":
-                assert getattr(point.report, "C" + u) == correlation(pauli_deviation(u), outs[u])
-                want_p = hs_overlap_stack(outs[u].entries, outs[u].entries) / hs_overlap_stack(
-                    refs[u].entries, refs[u].entries
-                )
-                assert getattr(point.report, "P" + u) == want_p
-
-    @pytest.mark.parametrize("purity", [1.0, 0.7])
-    @pytest.mark.parametrize("case", ["a", "b"])
-    @pytest.mark.parametrize("kind", ["incoherent_sinc", "markovian_exp"])
-    @pytest.mark.parametrize("scenario", ["qec_independent", "qec_hybrid", "no_qec", "dfs_qec"])
-    def test_stack_matches_the_per_state_path_bit_for_bit(self, scenario, kind, case, purity):
-        config = ScenarioConfig(scenario, kind=kind, sweep=STACK_SWEEP, coupling_case=case, ancilla_purity=purity)
-        self._assert_rows_are_the_per_state_path(config)
-
-    @pytest.mark.parametrize("points", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
-    @pytest.mark.parametrize("scenario", ["qec_independent", "dfs_qec"])
-    def test_sweeps_across_block_boundaries_match_the_per_state_path(self, scenario, points):
-        config = ScenarioConfig(scenario, sweep=tuple(0.7 * k for k in range(points)), ancilla_purity=0.8)
-        self._assert_rows_are_the_per_state_path(config)
-
     def test_bad_noise_factors_across_a_block_boundary_raise_the_first_ones_message(self, monkeypatch):
         # a table row of the last environment, at the last point of the first
         # block or the first of the second (after the reference run's row 0),
@@ -822,6 +723,17 @@ class TestChart:
             write_svg_chart([ChartSeries("ok", ((0.0, 1.0),)), series], out)
         assert str(info.value).startswith("series 'A' has (") and len(str(info.value).splitlines()) == 1
         assert not out.exists()
+
+    def test_label_that_xml_forbids_is_one_error_and_no_file(self, tmp_path):
+        # a control character read from a CSV cell would leave an SVG that is not
+        # well-formed, and a lone surrogate cannot be encoded into a file at all
+        src, out = tmp_path / "bad.csv", tmp_path / "bad.svg"
+        src.write_text("scenario,kappa0,Fe,Fe_analytic\nno\x01qec,0,1,1\n")
+        for series in (*load_csv_series(src), ChartSeries("A\ud800", ((0.0, 1.0),))):
+            with pytest.raises(ValueError) as info:
+                write_svg_chart([ChartSeries("ok", ((0.0, 1.0),)), series], out)
+            assert str(info.value) == f"series {series.label!r} has a character that XML 1.0 forbids"
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "row", ["no_qec,nan,1,1", "no_qec,-1,1,1", "no_qec,1,-2000,1", "no_qec,1,1,1.5", "no_qec,1,nan,"]
