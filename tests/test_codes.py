@@ -113,6 +113,10 @@ def data_outputs(circuit: Circuit, inputs) -> np.ndarray:
 @example(ratio=0.5, purity=1.0, kappa0s=[0.7 * k for k in range(codes._BLOCK - 1)])
 @example(ratio=20.0, purity=0.0, kappa0s=[0.7 * k for k in range(codes._BLOCK)])
 def test_three_evaluators_give_one_unital_cptp_pauli_channel(scenario, kind, case, ratio, purity, kappa0s):
+    check_three_evaluators(scenario, kind, case, ratio, purity, kappa0s)
+
+
+def check_three_evaluators(scenario, kind, case, ratio, purity, kappa0s):
     # at every run of a sweep, its kappa0 = 0 reference too, (a) apply_circuit on the gate-level
     # network, (b) apply_circuit on the compiled circuit and (c) the sweep give one data-qubit
     # channel, which is unital and CPTP (the premises of F_e) and a Pauli channel
@@ -152,6 +156,16 @@ def test_three_evaluators_give_one_unital_cptp_pauli_channel(scenario, kind, cas
             prefixes = list(itertools.accumulate(steps, lambda rho, step: apply_circuit(rho, Circuit(4, (step,))), initial=inputs[0]))
             for rho in prefixes[len(dfs_encode()) :]:
                 assert rho.entries.diagonal().real[outside].sum() <= 1e-12
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+@pytest.mark.parametrize("kind", [INCOHERENT_SINC, MARKOVIAN_EXP])
+@pytest.mark.parametrize("case", ["a", "b"])
+@pytest.mark.parametrize("purity", [0.0, 0.3, 0.7, 1.0])
+# the same clauses on fixed sweeps: a few points through both sinc zeros, and K + 1 runs one past a _BLOCK boundary
+@pytest.mark.parametrize("kappa0s", [(0.8, 2.9, 5.3), tuple(0.7 * k for k in range(codes._BLOCK))], ids=["zeros", "block"])
+def test_three_evaluators_agree_on_pinned_sweeps(scenario, kind, case, purity, kappa0s):
+    check_three_evaluators(scenario, kind, case, 0.5, purity, kappa0s)
 
 
 def table_gates(scenario: str, name: str | None = None):
