@@ -290,10 +290,10 @@ def emit_chart(results: Sequence[ScenarioResult], path: str | Path) -> None:
 
 
 def load_csv_series(path: str | Path) -> list[ChartSeries]:
-    """Rebuild chart series from a CSV written by emit_csv; a missing column, an empty scenario,
-    a kappa0, Fe or Fe_analytic cell that is not a number, a row outside the chart's range, a
-    byte that is not UTF-8 or a ``csv.Error`` (an oversized cell) raises ValueError naming the
-    file and column or line."""
+    """Rebuild chart series from a CSV written by emit_csv; a missing column, an empty scenario
+    or one with a character that XML 1.0 forbids, a kappa0, Fe or Fe_analytic cell that is not a
+    number, a row outside the chart's range, a byte that is not UTF-8 or a ``csv.Error`` (an
+    oversized cell) raises ValueError naming the file and column or line."""
     groups: dict[str, list[tuple[float, float, float | None]]] = {}
     data = Path(path).read_bytes()
     try:
@@ -310,6 +310,8 @@ def load_csv_series(path: str | Path) -> list[ChartSeries]:
             where = f"{path}, line {reader.line_num}"
             if not row["scenario"]:
                 raise ValueError(f"{where}: empty scenario")
+            if _XML_FORBIDDEN.search(row["scenario"]):
+                raise ValueError(f"{where}: scenario {row['scenario']!r} has a character that XML 1.0 forbids")
             try:
                 x, fe = float(row["kappa0"]), float(row["Fe"])
                 fe_a = float(row["Fe_analytic"]) if row["Fe_analytic"] else None

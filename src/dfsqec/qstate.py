@@ -10,10 +10,12 @@ Conventions used everywhere in this package:
   is immutable and safe to share between threads.
 
 Every ``Operator`` is unitary (the gates are unitary pulse sequences;
-construction checks ``U^dag U = I``) and keeps its adjoint, and
-``conjugate`` is the one place that computes ``U m U^dag``: of one
-matrix by ``np.dot``, or of a stack, such as one step of a sweep's
-circuit runs, by ``np.matmul``.  ``embed`` keeps no state between calls.
+construction checks ``U^dag U = I``) and keeps its adjoint and, if real,
+its real part.  ``conjugate`` is the one place that computes ``U m U^dag``:
+of one matrix by ``np.dot`` (``zgemm``), or of a stack, such as one step of
+a sweep's circuit runs, by ``np.matmul``, a real ``dgemm`` per matrix on the
+float view when ``U`` is real, with the same bits but, at times, an exact
+zero's sign.  ``embed`` keeps no state between calls.
 
 ``check_stack`` holds the state checks (Hermiticity, trace and, for
 states, positivity) for a ``(k, d, d)`` stack of matrices, and raises
@@ -83,6 +85,8 @@ class Operator:
     entries: np.ndarray
     # entries.conj().T, read-only, computed once (``conjugate`` reads it)
     adjoint: np.ndarray = field(init=False, repr=False)
+    # entries.real, read-only and C-contiguous, if every imaginary part is 0, else None
+    real: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         m = _frozen_square(self.entries)
@@ -90,8 +94,11 @@ class Operator:
         dev = np.max(np.abs(adj @ m - np.eye(m.shape[0])))
         if dev > UNITARY_TOL:
             raise ValueError(f"operator is not unitary: U^dag U = I is violated by {dev:.2e}")
-        adj.setflags(write=False)
+        real = m.real.copy()
+        for a in (adj, real):
+            a.setflags(write=False)
         object.__setattr__(self, "adjoint", adj)
+        object.__setattr__(self, "real", None if m.imag.any() else real)
         object.__setattr__(self, "entries", m)
 
     @property
@@ -243,13 +250,26 @@ def embed(gate: Operator, targets: Sequence[int], n_qubits: int) -> Operator:
 def conjugate(u: Operator, m: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """``U m U^dag`` of a square array by two ``np.dot`` calls (``@``'s
     ``zgemm`` bits, less dispatch), into ``out`` if given: a C-contiguous,
-    writable complex ``(d, d)`` array, or ValueError.  A ``(..., d, d)``
-    stack takes two ``np.matmul`` calls, the same ``zgemm`` per matrix,
-    into any ``out`` of its broadcast shape, such as ``states[:, :, i]``."""
+    writable complex ``(d, d)`` array, or ValueError.  A ``(..., d, d)`` stack
+    has those bits per matrix, into any writable complex ``out`` its shape
+    broadcasts to, such as ``states[:, :, i]``, or ValueError.  A real ``U``
+    takes, at half ``zgemm``'s flops, a ``dgemm`` per matrix on the float
+    view twice: ``y = U m``, then ``(U y^T)^T``, returned as that view; it
+    skips ``zgemm``'s +-0 terms, which can flip the sign of an exact zero."""
     if u.dim != m.shape[-1]:
         raise ValueError(f"dimension mismatch: operator {u.dim} vs state {m.shape[-1]}")
-    mul = np.dot if m.ndim == 2 else np.matmul
-    return mul(mul(u.entries, m), u.adjoint, out=out)
+    if m.ndim > 2 and out is not None and out.dtype != complex:
+        raise ValueError(f"out must be complex128, got {out.dtype}")
+    if m.ndim == 2 or u.real is None:
+        mul = np.dot if m.ndim == 2 else np.matmul
+        return mul(mul(u.entries, m), u.adjoint, out=out)
+    y = np.matmul(u.real, np.ascontiguousarray(m, complex).view(np.float64)).view(complex)
+    y = np.ascontiguousarray(y.swapaxes(-1, -2)).view(np.float64)  # (U m)^T; U m is freed
+    z = np.matmul(u.real, y).view(complex).swapaxes(-1, -2)
+    if out is None:
+        return z
+    np.copyto(out, z)  # ValueError if out is read-only or z does not broadcast to it
+    return out
 
 
 def apply_unitary(rho: DensityMatrix, u: Operator) -> DensityMatrix:

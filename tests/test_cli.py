@@ -364,6 +364,14 @@ class TestChart:
         assert captured.err.startswith(f"error: {src}, line {line}: 'utf-8' codec can't decode byte 0xff")
         assert len(captured.err.strip().splitlines()) == 1
 
+    def test_scenario_that_xml_forbids_names_its_file_and_line(self, tmp_path, capsys):
+        src, out = tmp_path / "bad.csv", tmp_path / "chart.svg"
+        src.write_text("scenario,kappa0,Fe,Fe_analytic\nno\x01qec,0,1,1\n")
+        assert main(["chart", "--in", str(src), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: {src}, line 2: scenario 'no\\x01qec' has a character that XML 1.0 forbids\n"
+
     def test_zero_noise_rows_are_inside_the_domain(self, tmp_path):
         # Fe is 1 up to rounding at kappa0 = 0; it is not above 1 only
         # because the table Hadamard's h = fl(1/sqrt 2) rounds down.  The
@@ -423,6 +431,8 @@ BAD_CHART_CSVS = {
     "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1,1,-0.5\n": "input, line 3: ",
     "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,-1,1,1\n": "input, line 3: ",
     "scenario,kappa0,Fe,Fe_analytic\nA,-1e308,1,1\nA,1e308,1,1\n": "input, line 2: ",
+    # a control character that no XML 1.0 document may hold, in a chart label
+    "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nno\x01qec,1,1,1\n": "input, line 3: ",
     # a cell past the csv module's field size limit, 131072 characters
     "scenario,kappa0,Fe,Fe_analytic\nA,0,1,1\nA,1," + "1" * 131073 + ",1\n": "input, line 3: ",
 }

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfsqec import codes, qstate
+from dfsqec import codes, experiments, qstate
 from dfsqec.qstate import (
     DEVIATION,
     STATE,
@@ -25,6 +26,8 @@ from dfsqec.qstate import (
     pauli,
     pauli_deviation,
 )
+from dfsqec.channels import COUPLING_CASES, NOISE_KINDS
+from dfsqec.codes import NoiseStep
 from dfsqec.metrics import correlations
 from .conftest import basis_state, oracle_partial_trace, random_deviation, random_state
 
@@ -395,6 +398,10 @@ class TestApplyUnitary:
         assert not u.adjoint.flags.writeable
 
 
+ONE = np.eye(4, dtype=complex) / 4
+STACK = np.broadcast_to(ONE, (3, 4, 4))
+
+
 class TestConjugate:
     @pytest.mark.parametrize("dim", [2, 4, 8, 16])
     def test_same_bits_as_the_matmul_products(self, rng, dim):
@@ -427,21 +434,85 @@ class TestConjugate:
             assert conjugate(u, stack).tobytes() == states[:, :, 1].tobytes()
 
     @pytest.mark.parametrize(
-        "out",
+        "m, out",
         [
-            np.empty((4, 4)),
-            np.empty((4, 4), dtype=np.complex64),
-            np.empty((4, 4), dtype=complex, order="F"),
-            np.empty((4, 8), dtype=complex)[:, ::2],
-            np.empty((4, 5), dtype=complex),
-            np.empty((1, 4, 4), dtype=complex),
-            _read_only(np.zeros((4, 4), dtype=complex)),
+            (ONE, np.empty((4, 4))),
+            (ONE, np.empty((4, 4), dtype=np.complex64)),
+            (ONE, np.empty((4, 4), dtype=complex, order="F")),
+            (ONE, np.empty((4, 8), dtype=complex)[:, ::2]),
+            (ONE, np.empty((4, 5), dtype=complex)),
+            (ONE, np.empty((1, 4, 4), dtype=complex)),
+            (ONE, _read_only(np.zeros((4, 4), dtype=complex))),
+            (STACK, np.empty((3, 4, 4))),
+            (STACK, np.empty((3, 4, 4), dtype=np.complex64)),
+            (STACK, np.empty((3, 4, 4), dtype=int)),
+            (STACK, np.empty((2, 4, 4), dtype=complex)),
+            (STACK, np.empty((1, 4, 4), dtype=complex)),
+            (STACK, np.empty((4, 4), dtype=complex)),
+            (STACK, _read_only(np.zeros((3, 4, 4), dtype=complex))),
         ],
-        ids=["real", "complex64", "fortran", "strided", "shape", "stack", "read-only"],
+        ids=["real", "complex64", "fortran", "strided", "shape", "stack", "read-only"]
+        + ["stack-real", "stack-complex64", "stack-int", "stack-shape", "stack-short", "stack-2d", "stack-read-only"],
     )
-    def test_any_other_out_raises(self, out):
-        with pytest.raises(ValueError):
-            conjugate(CNOT, np.eye(4, dtype=complex) / 4, out=out)
+    def test_any_other_out_raises(self, m, out):
+        # a real U, whose stacks take the dgemm path, and a complex one
+        for u in (CNOT, Operator(np.kron(SY.entries, SX.entries))):
+            with pytest.raises(ValueError):
+                conjugate(u, m, out=out)
+
+    def test_real_gates_keep_a_read_only_real_part(self, rng):
+        # every gate of the four networks, each compiled encode and recover, and the
+        # real Paulis have entries that are exactly real; a complex unitary has none
+        gates = {g.matrix for _, _, encode, recover in codes._SCENARIOS.values() for g in (*encode, *recover)}
+        compiled = {g.matrix for pair in codes._COMPILED.values() for steps in pair for g in steps}
+        assert len(gates) == 6 and len(compiled) == 6
+        for u in (SX, SZ, H, CNOT, *gates, *compiled):
+            assert u.real.tobytes() == np.ascontiguousarray(u.entries.real).tobytes()
+            assert u.real.flags.c_contiguous and not u.real.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                u.real[0, 0] = 2.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                u.real = None
+        for u in (SY, Operator(_random_unitary(rng, 4))):
+            assert u.real is None
+
+    @pytest.mark.parametrize("purity", [1.0, 0.7, 0.0])
+    @pytest.mark.parametrize("scenario", ["qec_independent", "qec_hybrid", "dfs_qec"])
+    def test_stack_of_sweep_states_has_the_per_matrix_dot_bits(self, scenario, purity):
+        # a sweep's states at its compiled gates: the inputs at encode, then the encoded
+        # inputs times the noise factors of both kinds at recover; at kappa0 = 1e3 the
+        # exp factors underflow to 0
+        (encode,), (recover,) = codes._COMPILED[scenario]
+        n = codes.scenario_layout(scenario)[0]
+        inputs = np.array([rho.entries for rho in experiments._product_inputs(purity, n)])
+        encoded = conjugate(encode.matrix, inputs)
+        factors = [
+            NoiseStep(experiments.ScenarioConfig(scenario, kind=kind, coupling_case=case).noise_spec(x)).factor
+            for kind in NOISE_KINDS
+            for case in COUPLING_CASES
+            for x in (0.0, 0.8, 2.9, 1e3)
+        ]
+        noisy = encoded * np.array(factors)[:, None]
+        for u, stack, got in ((encode.matrix, inputs, encoded), (recover.matrix, noisy, conjugate(recover.matrix, noisy))):
+            assert u.real is not None
+            for m, z in zip(stack.reshape(-1, 2**n, 2**n), got.reshape(-1, 2**n, 2**n), strict=True):
+                assert z.tobytes() == np.dot(np.dot(u.entries, m), u.adjoint).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 4, 8, 16])
+    def test_sparse_stack_with_signed_zeros_has_the_dot_values(self, rng, dim):
+        # every entry has np.dot's bits but for the sign of an exact zero: zgemm also
+        # sums the +-0 products of a real U's zero imaginary parts, which can flip it
+        # (with numpy 2.4.6's OpenBLAS, seen on 2x2 stacks only)
+        n = dim.bit_length() - 1
+        compiled = [g.matrix for pair in codes._COMPILED.values() for steps in pair for g in steps]
+        gates = [u for u in compiled if u.dim == dim] + ([embed(CNOT, (n, 1), n)] if n > 1 else [H, SX, SZ])
+        m = np.empty((64, dim, dim), dtype=complex)
+        m.real = rng.choice([0.0, -0.0, -1.0, 0.5], size=m.shape, p=[0.1, 0.6, 0.2, 0.1])
+        m.imag = rng.choice([0.0, -0.0, 1.0, -0.5], size=m.shape, p=[0.4, 0.4, 0.15, 0.05])
+        for u in gates:
+            for x, z in zip(m, conjugate(u, m), strict=True):
+                want = np.dot(np.dot(u.entries, x), u.adjoint)
+                assert (z + 0j).tobytes() == (want + 0j).tobytes()
 
 
 class TestPartialTrace:
