@@ -36,9 +36,10 @@ reduced outputs by ``sweep_outputs``.  The gates are exact (``_compile``)
 and the factors channels, so a block's states are not checked.
 
 A sweep of K points is K + 1 runs, its kappa0 = 0 reference first, run
-``_BLOCK`` = 8 at a time, each block from its inputs' kappa0-independent
-encode, run once per input, and one ``check_stack`` call on its outputs:
-with the two on the inputs that ``experiments`` builds, 3 at any K.  Of
+``_BLOCK`` = 8 at a time, every block from its inputs' kappa0-independent
+encode, run once per sweep (every run still embeds every gate), and one
+``check_stack`` call on its outputs: with the two on the inputs that
+``experiments`` builds, 3 at any K.  Of
 these only the input state's check tests positivity.  A transfer-matrix
 probe runs each of its four inputs through ``apply_circuit``'s one-state
 loop, which checks every state, one call per run, and checks its
@@ -266,8 +267,11 @@ def build_scenario_circuit(scenario: str, spec: NoiseSpec | NoiseStep) -> Circui
 def sweep_outputs(scenario: str, specs: Sequence[NoiseSpec], inputs: Sequence[DensityMatrix]) -> np.ndarray:
     """The read-only ``(K, k, 2, 2)`` ``DATA_QUBIT`` outputs of the scenario at each
     of a sweep's K specs, on each of k inputs of one kind.  All factors are evaluated
-    and certified first, then ``_BLOCK`` circuits at a time are built, run and reduced, and one
-    ``check_stack`` call on the whole stack raises the first bad (spec, input) output."""
+    and certified first, then ``_BLOCK`` circuits at a time are built, run and reduced.
+    The encode before the noise marker runs once per sweep on the k inputs, and every
+    block starts from its states; every run still embeds every gate.  One ``check_stack``
+    call on the whole stack raises the first bad (spec, input) output: with the two on
+    ``experiments``' inputs, a sweep makes 3."""
     if not (specs and inputs):
         raise ValueError("need at least one spec and one input")
     n, kind = scenario_layout(scenario)[0], inputs[0].kind
@@ -278,27 +282,34 @@ def sweep_outputs(scenario: str, specs: Sequence[NoiseSpec], inputs: Sequence[De
             raise ValueError(f"state dimension {rho.dim} does not match {n}-qubit circuit")
     circuits = (build_scenario_circuit(scenario, NoiseStep(s, f)) for s, f in zip(specs, sweep_attenuation(specs)))
     blocks = iter(lambda: list(islice(circuits, _BLOCK)), [])
-    outs = np.concatenate([partial_trace_stack(_run_block(inputs, b).reshape(-1, 2**n, 2**n), {DATA_QUBIT}) for b in blocks])
+    encoded = []  # the first block's encoded inputs, which every later block starts from
+    outs = np.concatenate([partial_trace_stack(_run_block(inputs, b, encoded).reshape(-1, 2**n, 2**n), {DATA_QUBIT}) for b in blocks])
     check_stack(outs, kind)
     outs.setflags(write=False)
     return outs.reshape(-1, len(inputs), 2, 2)
 
 
-def _run_block(inputs: Sequence[DensityMatrix], circuits: Sequence[Circuit]) -> np.ndarray:
+def _run_block(inputs: Sequence[DensityMatrix], circuits: Sequence[Circuit], encoded: list | None = None) -> np.ndarray:
     """The read-only ``(B, k, d, d)`` final states of every input through every
     circuit of a block, which hold one ``Gate`` object or only noise markers at
     each step.  A gate is one ``conjugate`` of the whole stack, a marker one
     ``np.multiply`` by the stacked factors: the stack is the k inputs up to
-    the first marker, so the shared gates run once per input, and B k after it."""
+    the first marker, so the shared gates run once per input, and B k after it.
+    The blocks of a sweep, which all share the gates before the marker, share one list
+    ``encoded``: the first appends its stack at the marker, and each later one starts
+    from it, those gates only embedding, once per run.  Without it a block runs every step."""
     n, k = circuits[0].n_qubits, len(inputs)
-    m = np.array([rho.entries for rho in inputs])
+    m = encoded[0] if encoded else np.array([rho.entries for rho in inputs])
     for column in zip(*(c.steps for c in circuits)):
         step = column[0]
         if isinstance(step, Gate):
             for _ in range(len(circuits) * k):  # each run checks its gate's targets
                 u = embed(step.matrix, step.targets, n)
-            m = conjugate(u, m)
+            if m.ndim > 3 or not encoded:  # a (k, d, d) encoded[0] already holds this gate's states
+                m = conjugate(u, m)
         else:
+            if encoded == []:  # the first block of a sweep
+                encoded.append(m)
             m = m * np.array([s.factor for s in column])[:, None]
     return np.broadcast_to(m, (len(circuits), k, 2**n, 2**n))
 

@@ -26,10 +26,13 @@ sweep (``codes.sweep_outputs``) on its reduced outputs.
 The reduction and the overlap work on stacks the same way:
 ``partial_trace_stack`` and ``hs_overlap_stack`` hold the only copies of
 the two formulas, and ``partial_trace`` is the reduction's stack-of-one
-call, so a stack and its rows give the same bits.
+call, so a stack and its rows give the same bits.  The reduction takes
+each matrix's traced terms by one gather, indexed once per (n, keep), and
+adds them pairwise in ascending traced-qubit order, the last pair from +0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -283,26 +286,43 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
 
 def partial_trace_stack(stack: np.ndarray, keep: Iterable[int]) -> np.ndarray:
-    """Reduce each matrix of a ``(k, d, d)`` stack to the listed qubits,
-    preserving their relative order; the result is an unchecked
+    """Reduce each matrix of a ``(k, d, d)`` stack to the listed qubits, integers
+    in 1..n, preserving their relative order; the result is an unchecked
     ``(k, 2^m, 2^m)`` array, new unless ``keep`` names every qubit, when
-    it is a view of ``stack``.  The other qubits are traced out one at a
-    time in ascending order, whatever the stack's length."""
-    kept = sorted(set(keep))
+    it is a view of ``stack``.  One gather takes each matrix's traced terms,
+    whose pairs are added one traced qubit at a time in ascending order,
+    whatever the stack's length, the last pair by ``np.add.reduce``, from +0."""
+    labels = set(keep)
     k, dim = stack.shape[:2]
     n = dim.bit_length() - 1
-    if not kept:
+    if not labels:
         raise ValueError("keep set must be nonempty")
-    if any(q < 1 or q > n for q in kept):
-        raise ValueError(f"keep set {kept} out of range 1..{n}")
-    t = stack.reshape((k,) + (2,) * (2 * n))
-    current = list(range(1, n + 1))
-    for q in [q for q in current if q not in kept]:
-        i = current.index(q)
-        t = np.add.reduce(t.diagonal(0, 1 + i, 1 + i + len(current)), -1)
-        current.pop(i)
-    dim = 2 ** len(kept)
-    return t.reshape(k, dim, dim)
+    if not all(isinstance(q, (int, np.integer)) and 0 < q <= n for q in labels):
+        raise ValueError(f"keep set {labels} out of range 1..{n}")
+    if len(labels) == n:
+        return stack.view()
+    index = _trace_index(n, tuple(sorted(labels)))
+    if stack.flags.c_contiguous:
+        terms = stack.reshape(k, dim * dim).take(index[0], 1)
+    else:  # conjugate's stacks are transposed views; reshape copies any other layout
+        terms = stack.swapaxes(1, 2).reshape(k, dim * dim).take(index[1], 1)
+    for _ in range(n - len(labels) - 1):
+        terms = terms[:, ::2] + terms[:, 1::2]
+    return np.add.reduce(terms, 1)
+
+
+@functools.lru_cache(maxsize=32)  # a program uses a few (n, keep) pairs, each under 2^(2n) indices
+def _trace_index(n: int, kept: tuple[int, ...]) -> np.ndarray:
+    """The read-only ``(2, T, D, D)`` flat positions, in a ``(d, d)`` matrix and in its
+    transpose, of the T terms of each entry of the reduction onto ``kept``, indexed by
+    the traced qubits' bits, lowest qubit fastest, so that adding neighbours adds its pairs first."""
+    traced = [q for q in range(n, 0, -1) if q not in kept]
+    bits = np.indices((2,) * n).reshape(n, 2 ** len(traced), 2 ** len(kept))
+    rows = sum(b << (n - q) for b, q in zip(bits, traced + list(kept)))
+    index = rows[:, :, None] * 2**n + rows[:, None, :]
+    index = np.stack([index, index.swapaxes(1, 2)])
+    index.setflags(write=False)
+    return index
 
 
 def hs_overlap_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -683,6 +683,25 @@ class TestCircuitPlumbing:
         codes._run_block(*self._dfs_block())
         assert stepped == [(3,), (8, 3)]
 
+    def test_a_sweep_runs_its_encode_once(self, monkeypatch):
+        # three blocks of a 2 B + 3 run dfs_qec sweep: only the first conjugates the
+        # encode, on its k = 3 inputs, and every block its recover on all its runs
+        stepped = []
+        monkeypatch.setattr(codes, "conjugate", lambda u, m: stepped.append(m.shape[:-2]) or conjugate(u, m))
+        inputs, _ = self._dfs_block()
+        sweep_outputs("dfs_qec", [NoiseSpec(0.37 * i, collective=True) for i in range(2 * codes._BLOCK + 3)], inputs)
+        assert stepped == [(3,), (8, 3), (8, 3), (3, 3)]
+
+    def test_a_sweep_of_circuits_without_a_marker_has_each_runs_bits(self, monkeypatch):
+        # with no marker to start from, every block runs every gate itself
+        circuit = Circuit(3, (cnot(1, 2), hadamard(2), cnot(2, 3)))
+        monkeypatch.setattr(codes, "build_scenario_circuit", lambda scenario, step: circuit)
+        _, *inputs = experiments._product_inputs(0.3, 3)
+        outs = sweep_outputs("no_qec", [NoiseSpec(0.1 * i) for i in range(codes._BLOCK + 1)], inputs)
+        want = partial_trace_stack(np.array([apply_circuit(rho, circuit).entries for rho in inputs]), {DATA_QUBIT})
+        assert outs.shape == (codes._BLOCK + 1, 3, 2, 2)
+        assert all(row.tobytes() == want.tobytes() for row in outs)
+
     def test_a_block_without_a_marker_broadcasts_each_inputs_final_state(self):
         # every gate runs once per input, and each run's final state still
         # has apply_circuit's bits

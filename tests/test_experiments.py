@@ -121,15 +121,17 @@ def closed_form_rows(config: ScenarioConfig) -> np.ndarray:
     ``qec_independent`` and ``qec_hybrid`` have C_x = 1 and
     C_y = C_z = (s_d + p (s_a + s_b) - p^2 s_d s_a s_b) / 2, with s_b the qubit-3 carrier in
     ``qec_hybrid``; ``no_qec`` has C_x = C_y = s_d, C_z = 1; ``dfs_qec`` at p = 1 is
-    ``qec_independent``.  P_u = (C_u / C_u(0))^2, Fe is the fidelity of the C_u, and
-    Fe_analytic the p = 1 Fe of independent carriers (of qubit 3 in ``qec_hybrid``)."""
+    ``qec_independent``, and at p < 1 has C_x = (1 + p + (1 - p) s_c) / 2, where s_c
+    attenuates the pair's |00>-|11> coherence.  P_u = (C_u / C_u(0))^2, Fe is the fidelity
+    of the C_u, and Fe_analytic the p = 1 Fe of independent carriers (of qubit 3 in
+    ``qec_hybrid``)."""
     p, kind = config.ancilla_purity, config.kind
     x = np.array([0.0, *config.sweep])  # the kappa0 = 0 reference first
     incoherent = kind == channels.INCOHERENT_SINC
     s0 = channels.sinc(x / 2.0) if incoherent else np.exp(-x)
     s3 = s0
+    xc = collective_scale_of(x, config.ratio, kind) if config.collective else None
     if config.scenario == "qec_hybrid":
-        xc = collective_scale_of(x, config.ratio, kind)
         with np.errstate(over="ignore"):
             if config.coupling_case == "a":  # one environment: spreads, or rate amplitudes, add
                 s3 = channels.sinc(x / 2.0 + xc / 2.0) if incoherent else np.exp(-((np.sqrt(x) + np.sqrt(xc)) ** 2))
@@ -139,7 +141,14 @@ def closed_form_rows(config: ScenarioConfig) -> np.ndarray:
     if config.scenario == "no_qec":
         c = np.array([s0, s0, one])
     elif config.scenario == "dfs_qec" and p < 1.0:
-        c = np.full((3, len(x)), np.nan)
+        # s_c: the pair's |00>-|11> coherence, which sees the collective spread twice
+        with np.errstate(over="ignore"):
+            if config.coupling_case == "a":
+                sc = channels.sinc(xc + x / 2.0) if incoherent else np.exp(-((2.0 * np.sqrt(xc) + np.sqrt(x)) ** 2))
+            else:
+                sc = channels.sinc(xc) * s0 if incoherent else np.exp(-4.0 * xc) * np.exp(-x)
+        nan = np.full_like(x, np.nan)
+        c = np.array([(1.0 + p + (1.0 - p) * sc) / 2.0, nan, nan])
     else:
         cyz = (s0 + p * (s0 + s3) - p * p * s0 * s0 * s3) / 2.0
         c = np.array([one, cyz, cyz])
@@ -454,8 +463,8 @@ class TestStackedPath:
         # returns the state that make(k, true output) builds, unchecked
         calls = []
 
-        def fake_run(inputs, circuits):
-            outs = np.array(_run_block(inputs, circuits))
+        def fake_run(inputs, circuits, *encoded):
+            outs = np.array(_run_block(inputs, circuits, *encoded))
             for row in outs:
                 for rho, out in zip(inputs, row):
                     calls.append(rho)

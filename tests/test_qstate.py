@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -515,6 +516,18 @@ class TestConjugate:
                 assert (z + 0j).tobytes() == (want + 0j).tobytes()
 
 
+def chain_partial_trace(stack: np.ndarray, keep) -> np.ndarray:
+    """The reduction as the earlier kernel computed it, the byte oracle: trace out one
+    qubit at a time, in ascending order, each by ``np.add.reduce`` over a diagonal view."""
+    k, n = len(stack), stack.shape[1].bit_length() - 1
+    t, current = stack.reshape((k,) + (2,) * (2 * n)), list(range(1, n + 1))
+    for q in [q for q in current if q not in keep]:
+        i = current.index(q)
+        t = np.add.reduce(t.diagonal(0, 1 + i, 1 + i + len(current)), -1)
+        current.pop(i)
+    return t.reshape(k, 2 ** len(keep), 2 ** len(keep))
+
+
 class TestPartialTrace:
     def test_product_state_first_factor(self, rng):
         a, b = random_state(rng, 1), random_state(rng, 1)
@@ -566,6 +579,40 @@ class TestPartialTrace:
     def test_stack_keep_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             partial_trace_stack(np.eye(4)[None] / 4, {3})
+
+    @pytest.mark.parametrize("label", [2.5, "2"])
+    def test_non_integer_label_rejected_before_the_index_cache(self, label):
+        cached = qstate._trace_index.cache_info()
+        with pytest.raises(ValueError) as info:
+            partial_trace_stack(np.eye(8)[None] / 8, {label})
+        assert str(info.value) == f"keep set {{{label!r}}} out of range 1..3"
+        assert qstate._trace_index.cache_info() == cached
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_bytes_as_tracing_out_one_qubit_at_a_time(self, rng, n):
+        # every nonempty keep set, on C-contiguous stacks, on transposed views like
+        # conjugate's and on strided ones, with entries from a set heavy in signed
+        # zeros, and infinities and NaN, or random: an exact zero's sign is compared too
+        special = np.array([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan])
+        weights = np.array([2, 8, 1, 1, 1, 1, 1, 1]) / 16
+        d = 2**n
+        for draw in range(6):
+            m = np.empty((8, d, d), complex)
+            parts = rng.choice(special, (2, 8, d, d), p=weights) if draw % 2 else rng.standard_normal((2, 8, d, d))
+            m.real, m.imag = parts
+            for stack in (m, np.ascontiguousarray(m.swapaxes(1, 2)).swapaxes(1, 2), m[::2]):
+                for r in range(1, n + 1):
+                    for keep in itertools.combinations(range(1, n + 1), r):
+                        with np.errstate(invalid="ignore"):  # inf - inf
+                            got, want = partial_trace_stack(stack, keep), chain_partial_trace(stack, keep)
+                        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_keeping_every_qubit_is_a_view_and_the_index_is_read_only(self, rng):
+        stack = rng.standard_normal((3, 8, 8)) + 0j
+        whole = partial_trace_stack(stack, [3, 1, 2])
+        assert np.shares_memory(whole, stack) and whole.tobytes() == stack.tobytes()
+        assert partial_trace_stack(stack, {np.int64(2)}).tobytes() == partial_trace_stack(stack, {2}).tobytes()
+        assert not qstate._trace_index(3, (2,)).flags.writeable
 
 
 def hs_overlap(a: DensityMatrix, b: DensityMatrix) -> float:
