@@ -24,7 +24,7 @@ them all, noise before any circuit, and returns their checked
 how.  One batched overlap over them gives the reference purities and
 the polarizations' numerators, one ``correlations`` call the
 correlations, one ``analytic_curve`` call the closed form and one
-``MetricReport.from_metrics`` call the K reports.
+``MetricReport.from_metrics`` call the columns of the result's one table.
 Every row has the bits that ``apply_circuit``, ``partial_trace``,
 ``correlation`` and ``analytic_reference`` give one state or point at a time.
 
@@ -38,8 +38,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, fields
-from operator import attrgetter
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -146,10 +145,44 @@ class SweepPoint:
     report: MetricReport
 
 
+class _Points(Sequence):
+    """A sweep's read-only ``(K, 10)`` ``table`` of kappa0 and report fields; its ``SweepPoint``s are built when read."""
+
+    def __init__(self, table: np.ndarray, points: tuple[SweepPoint, ...] | None = None):
+        table.setflags(write=False)
+        self.table, self._points = table, points
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, i):  # a slice is a tuple
+        if self._points is None:
+            kappa0s, *columns = self.table.T.tolist()
+            self._points = tuple(map(SweepPoint, kappa0s, map(MetricReport, *columns)))
+        return self._points[i]
+
+    def __eq__(self, other) -> bool:
+        return self[:] == (other[:] if isinstance(other, _Points) else other)
+
+    def __hash__(self) -> int:
+        return hash(self[:])
+
+    def __repr__(self) -> str:
+        return repr(self[:])
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
+    """One sweep: ``points`` holds it as one float table, and points passed in are kept and tabled."""
+
     config: ScenarioConfig
-    points: tuple[SweepPoint, ...]
+    points: Sequence[SweepPoint]
+
+    def __post_init__(self):
+        if not isinstance(self.points, _Points):
+            points = tuple(self.points)
+            table = np.array([(pt.kappa0, *astuple(pt.report)) for pt in points], float).reshape(-1, 1 + len(_MEASURED))
+            object.__setattr__(self, "points", _Points(table, points))
 
 
 @dataclass(frozen=True)
@@ -200,7 +233,7 @@ def prepare_inputs(axis: str, ancilla_purity: float = 1.0, n_qubits: int = 4) ->
 def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
     """Evaluate every sweep point of a scenario, in sweep order, after the
     kappa0 = 0 reference run: every run's ``NoiseSpec`` is built first,
-    then one ``sweep_outputs`` call gives the outputs, which are scored once.
+    then one ``sweep_outputs`` call gives the outputs, scored once into the result's table.
 
     ``jobs`` is accepted for compatibility and has no effect.
     """
@@ -213,8 +246,8 @@ def run_scenario(config: ScenarioConfig, jobs: int = 1) -> ScenarioResult:
         if purity <= 1e-12:
             raise ValueError(f"reference output for axis {u!r} has zero purity")
     cs = correlations(_PAULI_BASIS[1:], outs[1:])
-    reports = MetricReport.from_metrics(cs, purities[1:] / purities[0], analytic_curve(config.scenario, specs[1:]))
-    return ScenarioResult(config, tuple(map(SweepPoint, config.sweep, reports)))
+    columns = MetricReport.from_metrics(cs, purities[1:] / purities[0], analytic_curve(config.scenario, specs[1:]))
+    return ScenarioResult(config, _Points(np.column_stack((config.sweep, columns))))
 
 
 def hump_demo(config: ScenarioConfig) -> HumpReport:
@@ -250,8 +283,7 @@ def emit_csv(result: ScenarioResult, path: str | Path) -> None:
     number = "%" + _NUMBER_SPEC
     text = [field.replace("%", "%%") for field in (cfg.scenario, cfg.kind, cfg.coupling_case)]
     row = ",".join([*text, number, *map(format_number, (cfg.ratio, cfg.ancilla_purity))] + [number] * len(_MEASURED))
-    measured = attrgetter(*_MEASURED)
-    rows = [row % ((pt.kappa0,) + measured(pt.report)) for pt in result.points]
+    rows = [row % tuple(values) for values in result.points.table.tolist()]
     Path(path).write_text("\n".join([CSV_HEADER, *rows, ""]), encoding="utf-8", newline="\n")
 
 

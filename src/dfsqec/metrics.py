@@ -59,8 +59,8 @@ AXES = ("x", "y", "z")
 @dataclass(frozen=True)
 class MetricReport:
     """Per-sweep-point metric bundle; its fields, in order, are the CSV's measured
-    columns.  ``from_metrics`` builds a sweep's reports from its columns; it computes
-    the Fe and P columns from the components, never takes them in."""
+    columns.  ``from_metrics`` computes a sweep's columns, the Fe and P ones from the
+    components, never taken in; ``MetricReport(*row)`` is one row's report."""
 
     Cx: float
     Cy: float
@@ -73,14 +73,16 @@ class MetricReport:
     P: float
 
     @classmethod
-    def from_metrics(cls, c: np.ndarray, p: np.ndarray, fe_analytic: np.ndarray) -> tuple["MetricReport", ...]:
-        """The K reports of a sweep's ``(K, 3)`` C_u and P_u arrays, columns in ``AXES``
-        order, and ``(K,)`` closed forms: each row has the one-point formulas' bits."""
+    def from_metrics(cls, c: np.ndarray, p: np.ndarray, fe_analytic: np.ndarray) -> np.ndarray:
+        """The read-only ``(K, 9)`` report columns, in field order, of a sweep's ``(K, 3)``
+        C_u and P_u arrays, columns in ``AXES`` order, and ``(K,)`` closed forms: each row
+        has the one-point formulas' bits.  It builds no report."""
         c, p = c.T, p.T
         # left to right, then one division: np.mean's bits on three items
         # (sum() adds floats with compensation from Python 3.12 on)
-        columns = (*c, entanglement_fidelity(c), fe_analytic, *p, (p[0] + p[1] + p[2]) / 3.0)
-        return tuple(map(cls, *(col.tolist() for col in columns)))
+        columns = np.stack((*c, entanglement_fidelity(c), fe_analytic, *p, (p[0] + p[1] + p[2]) / 3.0), 1)
+        columns.setflags(write=False)
+        return columns
 
 
 def correlations(inputs: np.ndarray, outputs: np.ndarray) -> np.ndarray:

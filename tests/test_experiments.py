@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
 import tracemalloc
@@ -115,16 +116,19 @@ PINNED_PTM_SHA256 = {
 
 
 def closed_form_rows(config: ScenarioConfig) -> np.ndarray:
-    """The ``(K, 9)`` exact forms of a sweep's report columns, in ``MetricReport`` order,
-    NaN where none is derived yet (``dfs_qec`` ``C_y``, ``C_z`` at purity < 1).  s_d, s_a and
-    s_b attenuate the data qubit and the two ancillae, sinc(kappa/2) or exp(-kappa) each:
-    ``qec_independent`` and ``qec_hybrid`` have C_x = 1 and
+    """The ``(K, 9)`` exact forms of a sweep's report columns, in ``MetricReport`` order.
+    s_d, s_a and s_b attenuate the data qubit and the two ancillae, sinc(kappa/2) or
+    exp(-kappa) each: ``qec_independent`` and ``qec_hybrid`` have C_x = 1 and
     C_y = C_z = (s_d + p (s_a + s_b) - p^2 s_d s_a s_b) / 2, with s_b the qubit-3 carrier in
     ``qec_hybrid``; ``no_qec`` has C_x = C_y = s_d, C_z = 1; ``dfs_qec`` at p = 1 is
-    ``qec_independent``, and at p < 1 has C_x = (1 + p + (1 - p) s_c) / 2, where s_c
-    attenuates the pair's |00>-|11> coherence.  P_u = (C_u / C_u(0))^2, Fe is the fidelity
-    of the C_u, and Fe_analytic the p = 1 Fe of independent carriers (of qubit 3 in
-    ``qec_hybrid``)."""
+    ``qec_independent``, and at p < 1 has, with r = s_a = s_d attenuating the pair's
+    |01>-|10> coherence and s_c its |00>-|11> one,
+        C_x = (1 + p + (1 - p) s_c) / 2,
+        4 C_y = s_d (1 + s_c) + p (r + s_a + s_d + s_c + s_a s_c - s_c s_d)
+                - p^2 (s_c + s_a s_c - s_a - r + s_a s_c s_d + r s_a s_d) + p^3 s_a s_d (s_c - r),
+        4 C_z = 2 s_d + p (1 + 2 s_a + r) - p^2 (1 - r + s_a s_d + r s_a s_d) + p^3 s_a s_d (1 - r).
+    P_u = (C_u / C_u(0))^2, Fe is the fidelity of the C_u, and Fe_analytic the p = 1 Fe of
+    independent carriers (of qubit 3 in ``qec_hybrid``)."""
     p, kind = config.ancilla_purity, config.kind
     x = np.array([0.0, *config.sweep])  # the kappa0 = 0 reference first
     incoherent = kind == channels.INCOHERENT_SINC
@@ -147,8 +151,15 @@ def closed_form_rows(config: ScenarioConfig) -> np.ndarray:
                 sc = channels.sinc(xc + x / 2.0) if incoherent else np.exp(-((2.0 * np.sqrt(xc) + np.sqrt(x)) ** 2))
             else:
                 sc = channels.sinc(xc) * s0 if incoherent else np.exp(-4.0 * xc) * np.exp(-x)
-        nan = np.full_like(x, np.nan)
-        c = np.array([(1.0 + p + (1.0 - p) * sc) / 2.0, nan, nan])
+        sa = sd = r = s0
+        cy = (
+            sd * (1.0 + sc)
+            + p * (r + sa + sd + sc + sa * sc - sc * sd)
+            - p**2 * (sc + sa * sc - sa - r + sa * sc * sd + r * sa * sd)
+            + p**3 * sa * sd * (sc - r)
+        ) / 4.0
+        cz = (2.0 * sd + p * (1.0 + 2.0 * sa + r) - p**2 * (1.0 - r + sa * sd + r * sa * sd) + p**3 * sa * sd * (1.0 - r)) / 4.0
+        c = np.array([(1.0 + p + (1.0 - p) * sc) / 2.0, cy, cz])
     else:
         cyz = (s0 + p * (s0 + s3) - p * p * s0 * s0 * s3) / 2.0
         c = np.array([one, cyz, cyz])
@@ -310,7 +321,7 @@ class TestRunScenario:
             max_size=3,
             unique=True,
         ),
-        st.sampled_from([1.0, 0.7, 0.3, 0.0]),
+        st.one_of(st.sampled_from([1.0, 0.7, 0.3, 0.0]), st.floats(0.0, 1.0)),
     )
     def test_every_accepted_sweep_row_matches_its_closed_form(self, scenario, kind, case, log_ratio, kappa0s, purity):
         config = ScenarioConfig(
@@ -334,7 +345,7 @@ class TestRunScenario:
             got = np.array(dataclasses.astuple(r))
             known = ~np.isnan(want)
             assert np.abs(got[known] - want[known]).max() <= 1e-12, (got, want)
-            assert known.all() or (scenario == "dfs_qec" and purity < 1.0)
+            assert known.all()
         if scenario == "dfs_qec" and purity == 1.0:
             bare = run_scenario(dataclasses.replace(config, scenario="qec_independent")).points
             for point, want in zip(points, bare):
@@ -425,6 +436,84 @@ class TestRunScenario:
         points = 2 * BLOCK + 3
         assert len(run_scenario(ScenarioConfig(scenario, sweep=tuple(0.5 * k for k in range(points)))).points) == points
         assert calls == {"builds": points + 1, "embeds": (points + 1) * 3 * gates}
+
+
+def _bits(points) -> list[list[str]]:
+    """Each point's kappa0 and report fields as float.hex, which only a float has."""
+    return [[v.hex() for v in (pt.kappa0, *dataclasses.astuple(pt.report))] for pt in points]
+
+
+class TestPointTable:
+    """A sweep keeps its points as one float table until they are read."""
+
+    @staticmethod
+    def assert_points_have_the_report_bits(config: ScenarioConfig) -> None:
+        # a report per row of from_metrics' columns, after the config's kappa0s
+        tables = []
+        original = MetricReport.from_metrics
+
+        def spy(c, p, fe_analytic):
+            tables.append(original(c, p, fe_analytic))
+            return tables[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(MetricReport, "from_metrics", spy)
+            result = run_scenario(config)
+        (columns,) = tables
+        want = tuple(map(SweepPoint, config.sweep, map(MetricReport, *columns.T.tolist())))
+        assert len(result.points) == len(want)
+        assert _bits(result.points) == _bits(want)
+        assert result.points == want and result.points[:1] + result.points[1:] == want
+        assert hash(result.points) == hash(want) and repr(result.points) == repr(want)
+
+    @pytest.mark.parametrize("purity", [1.0, 0.7, 0.3, 0.0])
+    def test_points_at_the_fixed_purities(self, purity):
+        for scenario, kind, case in itertools.product(SCENARIOS, NOISE_KINDS, COUPLING_CASES):
+            self.assert_points_have_the_report_bits(ScenarioConfig(scenario, kind=kind, coupling_case=case, ancilla_purity=purity))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(SCENARIOS),
+        st.sampled_from(NOISE_KINDS),
+        st.sampled_from(COUPLING_CASES),
+        st.one_of(st.sampled_from([1.0, 0.7, 0.3, 0.0]), st.floats(0.0, 1.0)),
+        st.lists(st.floats(0.0, 20.0), max_size=6, unique=True),
+    )
+    def test_points_at_drawn_purities_and_grids(self, scenario, kind, case, purity, kappa0s):
+        config = ScenarioConfig(scenario, kind=kind, sweep=sorted(kappa0s), coupling_case=case, ancilla_purity=purity)
+        self.assert_points_have_the_report_bits(config)
+
+    def test_given_points_reach_the_csv_and_the_chart(self, tmp_path):
+        result = run_scenario(ScenarioConfig("qec_hybrid", sweep=(0.0, 1.0, 2.5), ancilla_purity=0.7))
+        cfg, (first, *rest) = result.config, result.points
+        moved = (dataclasses.replace(first, report=dataclasses.replace(first.report, Fe=first.report.Fe - 1e-6)), *rest)
+        text = [cfg.scenario, cfg.kind, cfg.coupling_case]
+        numbers = [(p.kappa0, cfg.ratio, cfg.ancilla_purity, *dataclasses.astuple(p.report)) for p in moved]
+        rows = [",".join(text + [format_number(v) for v in values]) for values in numbers]
+        series = ChartSeries(
+            cfg.scenario, tuple((p.kappa0, p.report.Fe) for p in moved), tuple((p.kappa0, p.report.Fe_analytic) for p in moved)
+        )
+        write_svg_chart([series], tmp_path / "want.svg")
+        for given in (dataclasses.replace(result, points=moved[:1] + result.points[1:]), ScenarioResult(cfg, moved)):
+            assert given.points == moved and given.points[0] is moved[0]
+            emit_csv(given, tmp_path / "given.csv")
+            assert (tmp_path / "given.csv").read_text(encoding="utf-8").splitlines() == [CSV_HEADER, *rows]
+            emit_chart([given], tmp_path / "given.svg")
+            assert file_hash(tmp_path / "given.svg") == file_hash(tmp_path / "want.svg")
+
+    def test_a_long_result_retains_its_table_not_a_report_per_point(self):
+        # 1000 reports and points held about 470 KB; the (1000, 10) table holds 80 KB,
+        # and taking the length, as the CLI's summary line does, builds no point
+        run_scenario(ScenarioConfig("dfs_qec", sweep=(0.0, 1.0)))  # warms numpy up first
+        config = ScenarioConfig("dfs_qec", sweep=tuple(12.0 * k / 1000 for k in range(1000)))
+        tracemalloc.start()
+        try:
+            result = run_scenario(config)
+            assert len(result.points) == 1000
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 150e3
 
 
 class TestStackedPath:

@@ -439,12 +439,14 @@ class TestMetricReport:
 
     def test_fe_recomputed_from_correlations(self):
         c, p = np.array([[0.5, 0.25, 1.0]]), np.array([[1.0, 1.0, 1.0]])
-        (rep,) = MetricReport.from_metrics(c, p, fe_analytic=np.array([0.9]))
+        (row,) = MetricReport.from_metrics(c, p, fe_analytic=np.array([0.9])).tolist()
+        rep = MetricReport(*row)
         assert rep.Fe == (0.5 + 0.25 + 1.0 + 1.0) / 4.0
         assert rep.P == 1.0
 
     def test_ideal_channel_reports_all_ones(self):
-        (rep,) = MetricReport.from_metrics(np.ones((1, 3)), np.ones((1, 3)), fe_analytic=np.ones(1))
+        (row,) = MetricReport.from_metrics(np.ones((1, 3)), np.ones((1, 3)), fe_analytic=np.ones(1)).tolist()
+        rep = MetricReport(*row)
         for field in (rep.Cx, rep.Cy, rep.Cz, rep.Fe, rep.Px, rep.Py, rep.Pz, rep.P):
             assert abs(field - 1.0) <= 1e-12
 

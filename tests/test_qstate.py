@@ -89,6 +89,17 @@ class TestConstruction:
             rho.entries[0, 0] = 9.0
 
 
+# (value, position) of the non-finite entries that must raise the finiteness message
+_NON_FINITE = [(np.nan, (0, 0)), (np.nan, (0, 1)), (np.inf, (0, 0)), (-np.inf, (1, 0)), (complex(0, np.inf), (1, 1))]
+
+
+def _with_entry(kind: str, value: complex, where: tuple[int, int]) -> np.ndarray:
+    """I/2 (state) or sigma_z (deviation) with one entry replaced."""
+    m = np.eye(2, dtype=complex) / 2 if kind == STATE else np.diag([1.0, -1.0]).astype(complex)
+    m[where] = value
+    return m
+
+
 class TestCheckStack:
     @pytest.mark.parametrize(
         "kind, bad",
@@ -116,10 +127,7 @@ class TestCheckStack:
             check_stack(stack, STATE)
 
     @pytest.mark.parametrize("kind", [STATE, DEVIATION])
-    @pytest.mark.parametrize(
-        "value, where",
-        [(np.nan, (0, 0)), (np.nan, (0, 1)), (np.inf, (0, 0)), (-np.inf, (1, 0)), (complex(0, np.inf), (1, 1))],
-    )
+    @pytest.mark.parametrize("value, where", _NON_FINITE)
     def test_non_finite_entries_raise_without_warnings(self, kind, value, where):
         good = maximally_mixed(1) if kind == STATE else pauli_deviation("z")
         bad = good.entries.copy()
@@ -189,6 +197,47 @@ class TestCheckStack:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
                 check_stack(np.full((1, d, d), value, dtype=complex), STATE)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize(
+        "kind, bad",
+        [
+            (STATE, [[0.5, 1.0], [0.0, 0.5]]),
+            (DEVIATION, [[0.0, 1.0], [0.0, 0.0]]),
+            (STATE, np.eye(2)),
+            (DEVIATION, np.eye(2) / 2),
+            (STATE, np.diag([1.5, -0.5])),
+            *[(kind, _with_entry(kind, value, at)) for kind in (STATE, DEVIATION) for value, at in _NON_FINITE],
+            (STATE, [[0.5, 1e308], [-1e308, 0.5]]),
+            (DEVIATION, [[0.5, 1e308], [-1e308, 0.5]]),
+            # exact trace 5, but the pairwise diagonal sum meets inf + -inf
+            (DEVIATION, np.diag([1e308, -1e308, 5.0] + [0.0] * 5 + [1e308, -1e308] + [0.0] * 6)),
+        ],
+        ids=[
+            "state-non-hermitian", "deviation-non-hermitian", "state-trace", "deviation-trace", "state-negative",
+            *[f"{kind}-{value}-at-{at[0]}{at[1]}" for kind in (STATE, DEVIATION) for value, at in _NON_FINITE],
+            "state-overflowing-hermiticity", "deviation-overflowing-hermiticity", "deviation-trace-sums-to-nan",
+        ],
+    )
+    def test_long_stack_raises_the_first_bad_matrixs_message(self, kind, bad, where):
+        # about 3,000 good matrices, past the all-pass test's length; a
+        # non-Hermitian last matrix after a bad first one must not decide
+        bad = np.array(bad, dtype=complex)
+        d = len(bad)
+        good = np.eye(d) / d if kind == STATE else np.zeros((d, d))
+        stack = np.array([good] * 3001, dtype=complex)
+        at = {"first": 0, "middle": 1500, "last": 3000}[where]
+        stack[at] = bad
+        if where == "first":
+            stack[-1, 0, 1] = 0.5
+        assert len(stack) > qstate._ALL_PASS_ABOVE
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as single:
+                DensityMatrix(bad, kind)
+            with pytest.raises(ValueError) as batched:
+                check_stack(stack, kind)
+        assert str(batched.value) == str(single.value)
 
     def test_negative_state_before_a_non_finite_one_decides(self):
         d = 16
